@@ -1,6 +1,7 @@
 // Engine microbenchmarks (google-benchmark): the hot paths underneath the
-// paper experiments — analytic segment advance, dKiBaM stepping, policy
-// simulation, the optimal search, DBM closure and PTA successor generation.
+// paper experiments — analytic segment advance, dKiBaM stepping, bank
+// construction, sweep cell keys, policy simulation, the optimal search,
+// DBM closure and PTA successor generation.
 #include <benchmark/benchmark.h>
 
 #include "api/engine.hpp"
@@ -94,6 +95,19 @@ void bm_bank_advance_all(benchmark::State& state) {
 }
 BENCHMARK(bm_bank_advance_all);
 
+void bm_bank_build(benchmark::State& state) {
+  // Discretizing a 2 x B1 bank on the default grid: what every discrete
+  // run pays once per (batteries, steps) shape, and what the engine's
+  // bank cache saves each further run or sweep of that shape.
+  const std::vector<kibam::battery_parameters> batteries =
+      api::bank(2, kibam::battery_b1());
+  for (auto _ : state) {
+    const kibam::bank bk{batteries};
+    benchmark::DoNotOptimize(bk.total_units());
+  }
+}
+BENCHMARK(bm_bank_build);
+
 void bm_simulate_best_of_two(benchmark::State& state) {
   const kibam::discretization d{kibam::battery_b1()};
   const load::trace t = load::paper_trace(load::test_load::ils_alt);
@@ -109,7 +123,7 @@ void bm_sweep_cell_reps(benchmark::State& state) {
   // One stochastic sweep cell (seeded random load) replicated 32 times —
   // the unit of work a sweep worker evaluates per grid cell. Replications
   // share the bank, grid and policy and differ only in the derived load
-  // seed, so all 32 runs share one bank build inside engine::run_sweep.
+  // seed, so all 32 runs read the one bank in the engine's cache.
   api::sweep sw;
   sw.cells = {api::scenario{.label = {},
                             .batteries = api::bank(2, kibam::battery_b1()),
@@ -126,6 +140,23 @@ void bm_sweep_cell_reps(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_sweep_cell_reps);
+
+void bm_cell_key(benchmark::State& state) {
+  // The sweep cache's value key of one replicated stochastic item, which
+  // run_sweep's dedup pass builds for every such (cell, replication).
+  api::sweep sw;
+  sw.cells = {api::scenario{.label = {},
+                            .batteries = api::bank(2, kibam::battery_b1()),
+                            .load = api::random_load_spec{.count = 20,
+                                                          .seed = 1},
+                            .policy = "best_of_n",
+                            .model = api::fidelity::discrete}};
+  const api::scenario item = api::replicate(sw, 0, 7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(api::cell_key(item));
+  }
+}
+BENCHMARK(bm_cell_key);
 
 void bm_simulate_lookahead(benchmark::State& state) {
   // The online-rollout policy: every job start rolls each candidate

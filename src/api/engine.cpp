@@ -5,7 +5,6 @@
 #include <exception>
 #include <latch>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <unordered_map>
 
@@ -16,19 +15,50 @@
 
 namespace bsched::api {
 
-namespace {
-
-/// The scenario's bank, or nothing when its (batteries, steps) are
-/// invalid — run() then raises the construction error itself.
-std::optional<kibam::bank> try_build_bank(const scenario& scn) noexcept {
-  try {
-    return kibam::bank{scn.batteries, scn.steps};
-  } catch (...) {
-    return std::nullopt;
+/// Immutable banks interned by value on (batteries, steps). A fleet worker
+/// runs thousands of few-item sweeps of one shape, so the discretization
+/// build is paid once per engine rather than once per call. Holds at most
+/// `capacity` shapes, evicting the least recently used; callers keep
+/// their bank alive through the shared_ptr either way.
+class engine::bank_cache {
+ public:
+  /// The bank of (batteries, steps), built on first use. Throws the
+  /// construction error when the shape is invalid; such a shape is not
+  /// cached, so each use reports the error again.
+  std::shared_ptr<const kibam::bank> get(
+      const std::vector<kibam::battery_parameters>& batteries,
+      const load::step_sizes& steps) {
+    const std::scoped_lock lock(mutex_);
+    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+      if (it->steps == steps && it->batteries == batteries) {
+        std::rotate(entries_.begin(), it, it + 1);  // most recent first
+        return entries_.front().bank;
+      }
+    }
+    // Built under the lock: concurrent first uses of a shape build once.
+    std::shared_ptr<const kibam::bank> bank =
+        std::make_shared<kibam::bank>(batteries, steps);
+    BSCHED_COUNTER_ADD("engine.bank_builds_total", 1);
+    if (entries_.size() == capacity) entries_.pop_back();
+    entries_.insert(entries_.begin(), entry{batteries, steps, bank});
+    return bank;
   }
-}
 
-}  // namespace
+ private:
+  static constexpr std::size_t capacity = 32;
+
+  struct entry {
+    std::vector<kibam::battery_parameters> batteries;
+    load::step_sizes steps;
+    std::shared_ptr<const kibam::bank> bank;
+  };
+
+  std::mutex mutex_;
+  std::vector<entry> entries_;  ///< Most recently used first.
+};
+
+engine::engine(engine_options opts)
+    : opts_(std::move(opts)), banks_(std::make_shared<bank_cache>()) {}
 
 std::unique_ptr<sched::policy> engine::resolve_policy(
     const scenario& scn) const {
@@ -37,27 +67,22 @@ std::unique_ptr<sched::policy> engine::resolve_policy(
 
 run_result engine::run(const scenario& scn) const {
   require(!scn.batteries.empty(), "engine: scenario needs >= 1 battery");
-  if (scn.model == fidelity::discrete) {
-    return run(scn, kibam::bank{scn.batteries, scn.steps});
-  }
+  // The bank comes first, so an invalid (batteries, steps) shape reports
+  // its construction error before any load or policy error.
+  const std::shared_ptr<const kibam::bank> bank =
+      scn.model == fidelity::discrete ? banks_->get(scn.batteries, scn.steps)
+                                      : nullptr;
   const load::trace trace = scn.load.materialize();
   const std::unique_ptr<sched::policy> pol = resolve_policy(scn);
   run_result out;
-  out.sim = sched::simulate_continuous(scn.batteries, trace, *pol, scn.sim);
-  out.policy_name = pol->name();
-  out.search = pol->stats();
-  return out;
-}
-
-run_result engine::run(const scenario& scn, const kibam::bank& bank) const {
   // The simulator core binds the policy to the run's model (bank +
   // forecast) before stepping, so a model-aware policy — exact search,
   // online lookahead, custom registrations — plans against exactly the
   // state representation the run advances.
-  const load::trace trace = scn.load.materialize();
-  const std::unique_ptr<sched::policy> pol = resolve_policy(scn);
-  run_result out;
-  out.sim = sched::simulate_discrete(bank, trace, *pol, scn.sim);
+  out.sim = bank != nullptr
+                ? sched::simulate_discrete(*bank, trace, *pol, scn.sim)
+                : sched::simulate_continuous(scn.batteries, trace, *pol,
+                                             scn.sim);
   out.policy_name = pol->name();
   out.search = pol->stats();
   return out;
@@ -136,46 +161,15 @@ sweep_stats engine::run_sweep(const sweep& sw, result_sink& sink,
   if (n_threads == 0) n_threads = std::thread::hardware_concurrency();
   n_threads = std::clamp<std::size_t>(n_threads, 1, jobs.size());
 
-  // One kibam::bank per distinct (batteries, steps) shape among the
-  // discrete jobs: replications of one cell, or cells varying only
-  // load/policy, share a single discretization build. The first job of a
-  // shape to run builds it; every other job reads it. A bank that fails
-  // to build stays empty, and its jobs go through run(), which reports
-  // the construction error on each of them.
-  struct shared_bank {
-    std::once_flag built;
-    std::optional<kibam::bank> bank;
-  };
-  std::vector<std::size_t> shape_of(jobs.size(), none);
-  std::vector<std::size_t> shape_lead;  // first job of each shape
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const scenario& scn = jobs[j];
-    if (scn.model != fidelity::discrete) continue;
-    std::size_t s = 0;
-    while (s < shape_lead.size() &&
-           !(jobs[shape_lead[s]].batteries == scn.batteries &&
-             jobs[shape_lead[s]].steps == scn.steps)) {
-      ++s;
-    }
-    if (s == shape_lead.size()) shape_lead.push_back(j);
-    shape_of[j] = s;
-  }
-  std::vector<shared_bank> banks(shape_lead.size());
-
   std::vector<run_result> results(jobs.size());
   std::vector<std::atomic<bool>> done(jobs.size());
 
+  // Every discrete job of one (batteries, steps) shape reads the same
+  // cached bank (run() takes it from the engine's bank cache).
   const auto evaluate = [&](std::size_t j) noexcept {
     BSCHED_TRACE_SPAN(job_span, "engine.job", sweep_parent);
-    const kibam::bank* bank = nullptr;
-    if (shape_of[j] != none) {
-      shared_bank& shared = banks[shape_of[j]];
-      std::call_once(shared.built,
-                     [&] { shared.bank = try_build_bank(jobs[j]); });
-      if (shared.bank) bank = &*shared.bank;
-    }
     try {
-      results[j] = bank != nullptr ? run(jobs[j], *bank) : run(jobs[j]);
+      results[j] = run(jobs[j]);
     } catch (const std::exception& e) {
       results[j] = run_result{};
       results[j].error = e.what();

@@ -15,17 +15,23 @@
 //
 // `run_sweep` evaluates a replicated scenario grid (api/sweep.hpp) on
 // `n_threads` workers, streaming every completed run_result through a
-// result_sink in deterministic grid order, caching duplicate cells by
-// value and building one kibam::bank per (batteries, steps) shape that
-// every job of that shape reads. `run_batch` is a thin collecting sink
-// over run_sweep. Scenarios are self-contained (per-scenario RNG seeding;
-// the shared banks are read-only), so sweep aggregates and batch results
-// are byte-identical whatever the thread count — determinism is asserted
-// in tests/test_api.cpp and tests/test_sweep.cpp.
+// result_sink in deterministic grid order and caching duplicate cells by
+// value. `run_batch` is a thin collecting sink over run_sweep.
+//
+// Discrete runs step a kibam::bank, whose discretization is the costly
+// part to build. The engine owns a small bank cache, keyed by value on
+// (batteries, steps) and shared by copies of the engine, so every run()
+// and run_sweep() job of one shape — across calls too, e.g. a fleet
+// worker's many small chunks — reads one immutable bank. Scenarios are
+// self-contained (per-scenario RNG seeding; the shared banks are
+// read-only), so sweep aggregates and batch results are byte-identical
+// whatever the thread count — determinism is asserted in
+// tests/test_api.cpp and tests/test_sweep.cpp.
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -33,7 +39,6 @@
 #include "api/result.hpp"
 #include "api/scenario.hpp"
 #include "api/sweep.hpp"
-#include "kibam/bank.hpp"
 #include "opt/policies.hpp"
 #include "sched/registry.hpp"
 #include "sched/simulator.hpp"
@@ -53,10 +58,11 @@ struct engine_options {
 class engine {
  public:
   engine() : engine(engine_options{}) {}
-  explicit engine(engine_options opts) : opts_(std::move(opts)) {}
+  explicit engine(engine_options opts);
 
   /// Evaluates one scenario. Throws bsched::error on invalid scenarios
-  /// (empty bank, unknown policy or load, horizon exceeded, ...).
+  /// (empty bank, invalid steps, unknown policy or load, horizon
+  /// exceeded, ...). Safe to call concurrently.
   [[nodiscard]] run_result run(const scenario& scn) const;
 
   /// Evaluates a replicated scenario grid on a pool of `n_threads`
@@ -95,13 +101,12 @@ class engine {
   [[nodiscard]] std::vector<std::string> policy_names() const;
 
  private:
-  /// run() at discrete fidelity over an already-built bank of the
-  /// scenario's (batteries, steps): run() builds one per call, run_sweep
-  /// shares one across every job of the same shape.
-  [[nodiscard]] run_result run(const scenario& scn,
-                               const kibam::bank& bank) const;
+  /// The interned banks of discrete runs (engine.cpp).
+  class bank_cache;
 
   engine_options opts_;
+  /// Shared, not copied, by copies of the engine; internally locked.
+  std::shared_ptr<bank_cache> banks_;
 };
 
 }  // namespace bsched::api

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
+#include <cstring>
 #include <limits>
+#include <type_traits>
 #include <unordered_map>
 #include <variant>
 
@@ -110,37 +111,41 @@ scenario replicate(const sweep& sw, std::size_t cell,
 
 namespace {
 
-void key_double(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%a,", v);  // hex float: exact, compact
-  out += buf;
+// Fixed-width raw bytes: exact (every bit of a double, -0.0 and NaN
+// payloads included) and an order of magnitude cheaper than formatting.
+template <class T>
+void key_raw(std::string& out, T v) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  char buf[sizeof v];
+  std::memcpy(buf, &v, sizeof v);
+  out.append(buf, sizeof v);
+}
+
+void key_epochs(std::string& out, const std::vector<load::epoch>& epochs) {
+  key_raw<std::uint64_t>(out, epochs.size());  // length prefix
+  for (const load::epoch& e : epochs) {
+    key_raw(out, e.duration_min);
+    key_raw(out, e.current_a);
+  }
 }
 
 struct load_key_visitor {
   std::string& out;
   void operator()(load::test_load l) const {
     out += 'n';
-    out += load::name(l);
+    key_raw(out, l);
   }
   void operator()(const load::trace& t) const {
     out += 't';
-    for (const load::epoch& e : t.prefix()) {
-      key_double(out, e.duration_min);
-      key_double(out, e.current_a);
-    }
-    out += '/';
-    for (const load::epoch& e : t.cycle()) {
-      key_double(out, e.duration_min);
-      key_double(out, e.current_a);
-    }
+    key_epochs(out, t.prefix());
+    key_epochs(out, t.cycle());
   }
   void operator()(const random_load_spec& r) const {
     out += r.generator == random_load_spec::kind::markov ? 'm' : 'r';
-    out += std::to_string(r.count);
-    out += ',';
-    key_double(out, r.p);
-    key_double(out, r.idle_min);
-    out += std::to_string(r.seed);
+    key_raw<std::uint64_t>(out, r.count);
+    key_raw(out, r.p);
+    key_raw(out, r.idle_min);
+    key_raw(out, r.seed);
   }
 };
 
@@ -149,23 +154,21 @@ struct load_key_visitor {
 std::string cell_key(const scenario& scn) {
   std::string out;
   out.reserve(128);
+  key_raw<std::uint64_t>(out, scn.batteries.size());  // length prefix
   for (const kibam::battery_parameters& b : scn.batteries) {
-    key_double(out, b.capacity_amin);
-    key_double(out, b.c);
-    key_double(out, b.k_prime);
+    key_raw(out, b.capacity_amin);
+    key_raw(out, b.c);
+    key_raw(out, b.k_prime);
   }
-  out += '|';
   std::visit(load_key_visitor{out}, scn.load.source());
-  out += '|';
   out += scn.model == fidelity::discrete ? 'd' : 'c';
-  key_double(out, scn.steps.time_step_min);
-  key_double(out, scn.steps.charge_unit_amin);
-  key_double(out, scn.sim.horizon_min);
+  key_raw(out, scn.steps.time_step_min);
+  key_raw(out, scn.steps.charge_unit_amin);
+  key_raw(out, scn.sim.horizon_min);
   out += scn.sim.record_trace ? '1' : '0';
-  key_double(out, scn.sim.sample_min);
+  key_raw(out, scn.sim.sample_min);
   // The policy spec is free-form text, so it goes last: everything before
-  // it is fixed-format and the remainder parses unambiguously.
-  out += '|';
+  // it is fixed-width or length-prefixed, so the remainder is unambiguous.
   out += scn.policy;
   return out;
 }

@@ -101,6 +101,15 @@ struct sweep_stats {
   std::size_t cache_hits = 0; ///< runs - evaluated.
   std::size_t failures = 0;   ///< Deliveries with run_result::error set.
 
+  /// Field-wise sum: the accounting of two runs over disjoint items.
+  sweep_stats& operator+=(const sweep_stats& o) noexcept {
+    runs += o.runs;
+    evaluated += o.evaluated;
+    cache_hits += o.cache_hits;
+    failures += o.failures;
+    return *this;
+  }
+
   friend bool operator==(const sweep_stats&, const sweep_stats&) = default;
 };
 
@@ -310,10 +319,13 @@ class paired final : public result_sink {
 [[nodiscard]] bool stochastic(const scenario& scn);
 
 /// Canonical value key of a scenario: every lifetime-relevant field —
-/// bank, load, policy, fidelity, steps, sim options — in exact hex-float
-/// encoding; the display label is excluded. Scenarios with equal keys
+/// bank, load, policy, fidelity, steps, sim options — as a binary string.
+/// Each double is its 8 raw bytes (exact, bit for bit); the variable-length
+/// parts (battery count, trace prefix/cycle epoch counts) are length
+/// prefixed, and the free-form policy spec comes last, so the key is
+/// unambiguous. The display label is excluded. Scenarios with equal keys
 /// produce equal run_results, which is the invariant the sweep cell
-/// cache relies on.
+/// cache relies on. Not printable: compare and hash it, do not show it.
 [[nodiscard]] std::string cell_key(const scenario& scn);
 
 }  // namespace bsched::api

@@ -31,18 +31,8 @@ std::vector<shard> plan_shards(const api::sweep& sw, std::size_t n) {
   return out;
 }
 
-shard_aggregate run_shard(const api::engine& engine, const shard& sh,
-                          std::size_t n_threads) {
-  const api::sweep& sw = sh.sweep;
-  const std::size_t total = sw.cells.size() * sw.replications;
-  require(sh.first <= sh.last && sh.last <= total,
-          "run_shard: shard range exceeds the sweep's item stream");
-
+shard_aggregate empty_aggregate(const api::sweep& sw) {
   shard_aggregate out;
-  out.shard_index = sh.index;
-  out.shard_count = sh.count;
-  out.first_item = sh.first;
-  out.last_item = sh.last;
   out.grid_cells = sw.cells.size();
   out.replications = sw.replications;
   out.seed = sw.seed;
@@ -56,7 +46,36 @@ shard_aggregate run_shard(const api::engine& engine, const shard& sh,
     out.cells[i].policy = sw.cells[i].policy;
     out.cells[i].fidelity = api::name(sw.cells[i].model);
   }
-  if (sh.first == sh.last) return out;
+  return out;
+}
+
+shard_aggregate run_shard(const api::engine& engine, const shard& sh,
+                          std::size_t n_threads) {
+  shard_aggregate out = empty_aggregate(sh.sweep);
+  out.shard_index = sh.index;
+  out.shard_count = sh.count;
+  out.first_item = sh.first;
+  out.last_item = sh.first;
+  run_shard(engine, sh, out, n_threads);
+  return out;
+}
+
+void run_shard(const api::engine& engine, const shard& sh,
+               shard_aggregate& into, std::size_t n_threads) {
+  const api::sweep& sw = sh.sweep;
+  const std::size_t total = sw.cells.size() * sw.replications;
+  require(sh.first <= sh.last && sh.last <= total,
+          "run_shard: shard range exceeds the sweep's item stream");
+  require(into.last_item == sh.first,
+          "run_shard: range [" + std::to_string(sh.first) + ", " +
+              std::to_string(sh.last) + ") does not continue an aggregate "
+              "ending at item " + std::to_string(into.last_item));
+  require(into.grid_cells == sw.cells.size() &&
+              into.cells.size() == sw.cells.size() &&
+              into.replications == sw.replications && into.seed == sw.seed &&
+              into.reseed == sw.reseed && into.pair_by_load == sw.pair_by_load,
+          "run_shard: the aggregate belongs to a different sweep");
+  if (sh.first == sh.last) return;
 
   // Expand the slice into the exact effective scenarios the full sweep
   // would evaluate: api::replicate with *global* (cell, replication)
@@ -81,10 +100,10 @@ shard_aggregate run_shard(const api::engine& engine, const shard& sh,
   api::callback_sink sink{[&](const api::sweep_result& r) {
     // Slice grid index -> global item -> original cell.
     const std::size_t item = sh.first + r.cell;
-    out.cells[item / sw.replications].agg.add(r.result, r.cache_hit);
+    into.cells[item / sw.replications].agg.add(r.result, r.cache_hit);
   }};
-  out.stats = engine.run_sweep(slice, sink, n_threads);
-  return out;
+  into.stats += engine.run_sweep(slice, sink, n_threads);
+  into.last_item = sh.last;
 }
 
 namespace {
@@ -153,10 +172,7 @@ void stream_merger::fold_ready() {
         merged_.cells[i].agg.merge(head.cells[i].agg);
       }
       merged_.last_item = head.last_item;
-      merged_.stats.runs += head.stats.runs;
-      merged_.stats.evaluated += head.stats.evaluated;
-      merged_.stats.cache_hits += head.stats.cache_hits;
-      merged_.stats.failures += head.stats.failures;
+      merged_.stats += head.stats;
     }
     next_ = merged_.last_item;
     pending_.erase(pending_.begin());

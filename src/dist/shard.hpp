@@ -9,7 +9,9 @@
 // (cells outer, replication ranges inner); `run_shard` expands its range
 // into the exact effective scenarios the full sweep would have run
 // (verbatim, reseed off) and folds the results into one mergeable
-// api::cell_accumulator per *original* grid cell; `merge_shards` checks
+// api::cell_accumulator per *original* grid cell — into a fresh aggregate,
+// or appended to one that ends where the range starts (how a fleet worker
+// folds a lease chunk by chunk); `merge_shards` checks
 // that a set of shard aggregates tiles the stream exactly once and folds
 // them in stream order. The merged result reproduces a single-process
 // engine::run_sweep + api::summarize exactly for n/failures/min/max (and
@@ -95,12 +97,31 @@ struct shard_aggregate {
                          const shard_aggregate&) = default;
 };
 
-/// Runs a shard's slice on `n_threads` workers and aggregates it: the
-/// shard's items are expanded through api::replicate with their global
-/// indices (so the slice reproduces exactly what the full sweep would
-/// run), evaluated as a verbatim sub-sweep — duplicate items within the
-/// shard still dedupe — and folded per original grid cell. Aggregates
-/// are identical for any worker-thread count.
+/// The aggregate of no items of `sw`: the sweep shape and one cell_record
+/// per grid cell, descriptors filled in, accumulators empty, covering the
+/// empty range [0, 0) as shard 0 of 1. Building the descriptors costs a
+/// describe() per cell, so a caller appending many small ranges (a fleet
+/// worker) builds this once and copies it.
+[[nodiscard]] shard_aggregate empty_aggregate(const api::sweep& sw);
+
+/// Runs items [sh.first, sh.last) of the shard's sweep on `n_threads`
+/// workers and appends them to `into`, which must be an aggregate of that
+/// sweep ending where the range starts (into.last_item == sh.first); on
+/// return into.last_item == sh.last. Items are expanded through
+/// api::replicate with their global indices (so the slice reproduces
+/// exactly what the full sweep would run), evaluated as a verbatim
+/// sub-sweep — duplicate items within the range still dedupe — and added
+/// to their original grid cell's accumulator one by one in stream order.
+/// Appending consecutive ranges therefore gives exactly the aggregate of
+/// one call over their union, cache accounting (stats.evaluated and
+/// cache_hits) aside. Throws bsched::error on a range that does not
+/// continue `into` or exceeds the sweep, or a shape mismatch.
+void run_shard(const api::engine& engine, const shard& sh,
+               shard_aggregate& into, std::size_t n_threads = 0);
+
+/// The aggregate of one shard: empty_aggregate with the shard's index,
+/// count and start, then the appending run_shard over its range.
+/// Aggregates are identical for any worker-thread count.
 [[nodiscard]] shard_aggregate run_shard(const api::engine& engine,
                                         const shard& sh,
                                         std::size_t n_threads = 0);
@@ -109,20 +130,16 @@ struct shard_aggregate {
 /// Parts may arrive in any order (the sweep service's leases complete
 /// out of order); each is validated against the already-seen sweep shape
 /// and cell descriptors on add(), overlaps and duplicates are rejected
-/// immediately, and the contiguous prefix from `first` folds eagerly —
+/// immediately, and the contiguous prefix from item 0 folds eagerly —
 /// so progress is observable while rounding stays exactly that of a
 /// stream-order fold. `take(last)` requires the folded prefix to cover
-/// [first, last) with nothing buffered (i.e. no gaps) and returns the
+/// [0, last) with nothing buffered (i.e. no gaps) and returns the
 /// merged aggregate. merge_shards below is one-shot sugar over this.
 class stream_merger {
  public:
-  /// `first` is the first item of the range being assembled (0 for a
-  /// whole sweep; a lease's first item when a worker folds its chunks).
-  explicit stream_merger(std::size_t first = 0) : next_(first) {}
-
   /// Buffers or folds one part. Throws bsched::error on shape/descriptor
-  /// mismatch with earlier parts, on overlap with the folded prefix or a
-  /// buffered part, and on parts starting before `first`.
+  /// mismatch with earlier parts and on overlap with the folded prefix or
+  /// a buffered part.
   void add(shard_aggregate part);
 
   /// One past the last item folded into the contiguous prefix.
@@ -132,7 +149,7 @@ class stream_merger {
   /// True when the folded prefix reaches `last` with nothing buffered.
   [[nodiscard]] bool complete(std::size_t last) const noexcept;
 
-  /// The merged aggregate covering [first, last). Throws bsched::error
+  /// The merged aggregate covering [0, last). Throws bsched::error
   /// naming the first gap when coverage is incomplete, or when no part
   /// was ever added.
   [[nodiscard]] shard_aggregate take(std::size_t last);
@@ -140,7 +157,7 @@ class stream_merger {
  private:
   void fold_ready();
 
-  std::size_t next_;
+  std::size_t next_ = 0;
   bool seeded_ = false;        ///< merged_ holds at least one part.
   shard_aggregate merged_;
   /// Out-of-order parts keyed by first item; empty ranges sort before a

@@ -22,6 +22,7 @@
 //   W->C  hello      proto=1 name=<token>        — first frame on connect
 //   C->W  sweep      session=S chunk=K
 //                    lease_timeout_ms=T          body: bsched-sweep v1
+//                    [telemetry_ms=M]            — snapshot cadence
 //   W->C  ready      session=S                   — worker wants a lease
 //   C->W  lease      lease=L epoch=E first=A last=B
 //   C->W  shutdown   [reason=<token>]            — no work ever again
@@ -30,8 +31,10 @@
 //                                                body (optional):
 //                                                bsched-telemetry v1, the
 //                                                worker's metrics snapshot
-//                                                (obs/telemetry.hpp);
-//                                                empty bodies are fine
+//                                                (obs/telemetry.hpp), on a
+//                                                lease's first heartbeat
+//                                                and then at most every M
+//                                                ms; empty bodies are fine
 //   C->W  trim       lease=L epoch=E last=X      — work-steal proposal
 //   W->C  trimmed    session=S lease=L epoch=E last=Y
 //                                                — actual cut, Y >= X or

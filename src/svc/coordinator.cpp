@@ -139,6 +139,14 @@ struct coordinator::impl {
     return static_cast<int>(opts.lease_timeout_s * 1000.0);
   }
 
+  /// The telemetry cadence: on_telemetry emissions, and how stale a
+  /// worker's heartbeat-piggybacked snapshot may get (announced to
+  /// workers as the sweep message's telemetry_ms).
+  [[nodiscard]] std::chrono::milliseconds telemetry_step() const {
+    return std::chrono::milliseconds(static_cast<long long>(
+        std::max(0.001, opts.telemetry_interval_s) * 1000.0));
+  }
+
   void log(const std::string& line) const {
     if (opts.log != nullptr) *opts.log << "coordinator: " << line << '\n';
   }
@@ -401,6 +409,8 @@ struct coordinator::impl {
       sweep_msg.fields["session"] = std::to_string(session);
       sweep_msg.fields["chunk"] = std::to_string(opts.chunk_items);
       sweep_msg.fields["lease_timeout_ms"] = std::to_string(lease_timeout_ms());
+      sweep_msg.fields["telemetry_ms"] =
+          std::to_string(telemetry_step().count());
       sweep_msg.body = sweep_body;
       log("worker '" + peer.name + "' connected");
       (void)send(fd, sweep_msg);
@@ -501,10 +511,7 @@ struct coordinator::impl {
     const auto hard_deadline =
         start + std::chrono::milliseconds(
                     static_cast<long long>(opts.deadline_s * 1000.0));
-    const auto telemetry_step = std::chrono::milliseconds(
-        static_cast<long long>(std::max(0.001, opts.telemetry_interval_s) *
-                               1000.0));
-    auto next_telemetry = start + telemetry_step;
+    auto next_telemetry = start + telemetry_step();
     log("serving sweep of " + std::to_string(total_items) + " items on port " +
         std::to_string(lst.port()) + " (lease " + std::to_string(lease_items) +
         " items, chunk " + std::to_string(opts.chunk_items) + ")");
@@ -522,7 +529,7 @@ struct coordinator::impl {
       emit_progress();
       if (opts.on_telemetry && now >= next_telemetry) {
         opts.on_telemetry(telemetry());
-        next_telemetry = now + telemetry_step;
+        next_telemetry = now + telemetry_step();
       }
       if (merger.complete(total_items)) break;
 

@@ -80,7 +80,10 @@ struct coordinator_options {
   std::size_t lease_items = 0;
   std::size_t leases_per_worker = 8;
   /// Worker chunk granularity: workers run leases in chunks of this many
-  /// items, heartbeating between chunks (also the trim/steal resolution).
+  /// items, appending each to the lease's one aggregate and heartbeating
+  /// their frontier between chunks (also the trim/steal resolution). A
+  /// chunk costs one small run_sweep plus a header-only heartbeat; the
+  /// metrics snapshot follows telemetry_interval_s, not this.
   std::size_t chunk_items = 4;
   /// A lease with no heartbeat, trim answer or result for this long
   /// expires and re-queues. Must comfortably exceed one chunk's runtime.
@@ -104,6 +107,11 @@ struct coordinator_options {
   /// every telemetry_interval_s and once on completion — what
   /// `sweep_serve --metrics-out` encodes to its exposition file.
   std::function<void(const obs::snapshot&)> on_telemetry;
+  /// The telemetry cadence, also announced to workers (the sweep
+  /// message's telemetry_ms): a worker's heartbeat carries its metrics
+  /// snapshot on the first chunk of each lease and then only once its
+  /// last snapshot is this old, so per-worker views in telemetry() may
+  /// lag by up to one interval (or one lease).
   double telemetry_interval_s = 1.0;
 };
 

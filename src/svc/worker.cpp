@@ -22,6 +22,11 @@ struct session_ctx {
   net::connection conn;
   std::uint64_t session = 0;
   std::size_t chunk = 1;
+  /// The coordinator's telemetry cadence: how stale the last heartbeat
+  /// snapshot may get before the next heartbeat carries a fresh one.
+  util::monotonic_clock::duration telemetry_every{};
+  /// Start of the chunk whose heartbeat carried the last snapshot.
+  util::monotonic_clock::time_point scraped_at{};
   int io_timeout_ms = 0;
   std::string name;
   std::ostream* log_stream = nullptr;
@@ -47,12 +52,13 @@ struct session_ctx {
   }
 };
 
-/// One lease's execution: chunked run_shard calls folded in stream
-/// order, heartbeats and trim handling between chunks. Returns false
-/// when a mid-lease `shutdown` aborted the lease (nothing was sent).
+/// One lease's execution: chunked run_shard calls appended to one lease
+/// aggregate (`blank`, the session's empty aggregate, copied), heartbeats
+/// and trim handling between chunks. Returns false when a mid-lease
+/// `shutdown` aborted the lease (nothing was sent).
 bool run_lease(const api::engine& engine, session_ctx& ctx, dist::shard& sh,
-               const net::message& lease, std::size_t n_threads,
-               worker_report& report) {
+               const dist::shard_aggregate& blank, const net::message& lease,
+               std::size_t n_threads, worker_report& report) {
   const std::uint64_t id = lease.u64("lease");
   const std::uint64_t epoch = lease.u64("epoch");
   const std::size_t first = static_cast<std::size_t>(lease.u64("first"));
@@ -63,29 +69,38 @@ bool run_lease(const api::engine& engine, session_ctx& ctx, dist::shard& sh,
   ctx.log("lease " + std::to_string(id) + " [" + std::to_string(first) +
           ", " + std::to_string(last) + ")");
 
-  dist::stream_merger merger(first);
-  std::size_t done = first;
-  while (done < last) {
-    sh.first = done;
-    sh.last = std::min(done + ctx.chunk, last);
+  // Chunks append item by item in stream order, so the lease result is
+  // exactly the aggregate of one contiguous run over [first, last); its
+  // last_item is the worker's frontier.
+  dist::shard_aggregate agg = blank;
+  agg.first_item = first;
+  agg.last_item = first;
+  while (agg.last_item < last) {
+    sh.first = agg.last_item;
+    sh.last = std::min(sh.first + ctx.chunk, last);
     const auto chunk_start = ctx.clk->now();
-    merger.add(dist::run_shard(engine, sh, n_threads));
+    dist::run_shard(engine, sh, agg, n_threads);
     BSCHED_HISTOGRAM_OBSERVE(
         "svc.worker.chunk_seconds",
         std::chrono::duration<double>(ctx.clk->now() - chunk_start).count(),
         0.001, 0.01, 0.1, 1.0, 10.0, 60.0);
-    BSCHED_COUNTER_ADD("svc.worker.items_total", sh.last - done);
-    report.items += sh.last - done;
-    done = sh.last;
+    BSCHED_COUNTER_ADD("svc.worker.items_total", sh.last - sh.first);
+    report.items += sh.last - sh.first;
 
-    // Heartbeats carry the worker's own metrics snapshot so the
-    // coordinator can fold a fleet-wide telemetry view; the body is
-    // advisory and an old coordinator simply ignores it.
+    // Every heartbeat carries the frontier (steals need it). The worker's
+    // metrics snapshot, from which the coordinator folds its fleet-wide
+    // telemetry view, rides on the lease's first heartbeat and then at
+    // the coordinator's telemetry cadence; the body is advisory and an
+    // old coordinator simply ignores it.
     net::message hb = net::make("heartbeat");
     hb.fields["lease"] = std::to_string(id);
     hb.fields["epoch"] = std::to_string(epoch);
-    hb.fields["done"] = std::to_string(done);
-    hb.body = obs::encode_telemetry_str(obs::registry::global().scrape());
+    hb.fields["done"] = std::to_string(agg.last_item);
+    if (sh.first == first ||
+        chunk_start - ctx.scraped_at >= ctx.telemetry_every) {
+      hb.body = obs::encode_telemetry_str(obs::registry::global().scrape());
+      ctx.scraped_at = chunk_start;
+    }
     ctx.send(std::move(hb));
 
     // Drain whatever the coordinator pushed meanwhile — work-steal
@@ -105,7 +120,7 @@ bool run_lease(const api::engine& engine, session_ctx& ctx, dist::shard& sh,
       // Honor the proposal, but never cut below the frontier — those
       // items are already computed and belong to this lease's result.
       const std::size_t cut = std::clamp(
-          static_cast<std::size_t>(m.u64("last")), done, last);
+          static_cast<std::size_t>(m.u64("last")), agg.last_item, last);
       net::message trimmed = net::make("trimmed");
       trimmed.fields["lease"] = std::to_string(id);
       trimmed.fields["epoch"] = std::to_string(epoch);
@@ -123,7 +138,7 @@ bool run_lease(const api::engine& engine, session_ctx& ctx, dist::shard& sh,
   net::message result = net::make("result");
   result.fields["lease"] = std::to_string(id);
   result.fields["epoch"] = std::to_string(epoch);
-  result.body = dist::encode_str(merger.take(last));
+  result.body = dist::encode_str(agg);
   ctx.send(std::move(result));
 
   // The ack may be preceded by a trim that raced with the result; a
@@ -186,10 +201,18 @@ worker_report run_worker(const api::engine& engine,
   ctx.session = sweep_msg.u64("session");
   ctx.chunk = std::max<std::size_t>(
       1, static_cast<std::size_t>(sweep_msg.u64("chunk")));
+  // A coordinator that announces no cadence gets a snapshot per heartbeat.
+  if (sweep_msg.has("telemetry_ms")) {
+    ctx.telemetry_every = std::chrono::milliseconds(
+        static_cast<long long>(sweep_msg.u64("telemetry_ms")));
+  }
 
-  // The whole grid arrives over the wire; nothing is compiled in.
+  // The whole grid arrives over the wire; nothing is compiled in. Its
+  // empty aggregate (shape and cell descriptors) is built once and
+  // copied for every lease.
   dist::shard sh;
   sh.sweep = dist::decode_sweep_str(sweep_msg.body);
+  const dist::shard_aggregate blank = dist::empty_aggregate(sh.sweep);
   ctx.log("joined session " + std::to_string(ctx.session) + ": " +
           std::to_string(sh.sweep.cells.size()) + " cell(s) x " +
           std::to_string(sh.sweep.replications) + " replication(s)");
@@ -206,7 +229,7 @@ worker_report run_worker(const api::engine& engine,
     if (m.type == "trim" || m.type == "ack") continue;  // stale traffic
     require(m.type == "lease", "svc: worker expected a lease, got '" +
                                    m.type + "'");
-    if (!run_lease(engine, ctx, sh, m, opts.n_threads, report)) break;
+    if (!run_lease(engine, ctx, sh, blank, m, opts.n_threads, report)) break;
   }
   return report;
 }

@@ -3,14 +3,18 @@
 // and runs leases until told to shut down.
 //
 // A lease's item range is executed in chunks of the coordinator-announced
-// size through dist::run_shard; chunk aggregates fold locally in stream
-// order (dist::stream_merger), so the lease result has exactly the
-// rounding a single contiguous run would. Between chunks the worker
-// heartbeats its global item frontier and answers work-steal `trim`
-// proposals with the actual cut — never below what it has already
-// computed — then ships the finished lease as one `result` frame and
-// waits for the ack. A rejected ack (stale epoch after an expiry) just
-// discards the work and asks for the next lease.
+// size, each appended by dist::run_shard to one lease aggregate (copied
+// from the session's dist::empty_aggregate) item by item in stream order,
+// so the lease result is exactly that of a single contiguous run. Between
+// chunks the worker heartbeats its global item frontier and answers
+// work-steal `trim` proposals with the actual cut — never below what it
+// has already computed — then ships the finished lease as one `result`
+// frame and waits for the ack. A rejected ack (stale epoch after an
+// expiry) just discards the work and asks for the next lease.
+//
+// A heartbeat carries the worker's metrics snapshot on the first chunk of
+// each lease, and after that only once the last snapshot is at least the
+// coordinator-announced telemetry interval old — not a scrape per chunk.
 #pragma once
 
 #include <cstddef>
@@ -34,8 +38,8 @@ struct worker_options {
   int io_timeout_ms = 120000;
   std::ostream* log = nullptr;
   /// Monotonic time source for chunk timing (the
-  /// svc.worker.chunk_seconds histogram); null =
-  /// util::monotonic_clock::system().
+  /// svc.worker.chunk_seconds histogram) and the heartbeat snapshot
+  /// cadence; null = util::monotonic_clock::system().
   const util::monotonic_clock* clock = nullptr;
 };
 

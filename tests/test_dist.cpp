@@ -6,6 +6,7 @@
 // ulp-scale tolerance for the merged moments).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <string>
@@ -175,6 +176,62 @@ TEST(DistShard, RunShardIsThreadCountIndependent) {
     const shard_aggregate parallel = run_shard(eng, sh, 4);
     EXPECT_EQ(serial, parallel) << "shard " << sh.index;
   }
+}
+
+/// `a` and `b` agree in every field but the per-process cache accounting.
+void expect_same_fold(shard_aggregate a, shard_aggregate b) {
+  for (shard_aggregate* agg : {&a, &b}) {
+    agg->stats.evaluated = 0;
+    agg->stats.cache_hits = 0;
+    for (cell_record& c : agg->cells) c.agg.cache_hits = 0;
+  }
+  EXPECT_EQ(a, b);
+}
+
+TEST(DistShard, AppendedChunksFoldExactlyLikeOneContiguousRun) {
+  // A fleet worker's lease: chunks appended to one aggregate must be the
+  // aggregate of a single run over the lease range bit for bit — every
+  // Welford moment and sketch, not just to ulp-scale rounding — whatever
+  // the chunk size. The range starts and ends mid-cell on purpose.
+  const api::sweep sw = random_grid(30);
+  const api::engine eng;
+  shard lease;
+  lease.sweep = sw;
+  lease.first = 17;
+  lease.last = 191;
+  const shard_aggregate whole = run_shard(eng, lease, 1);
+  const shard_aggregate blank = empty_aggregate(sw);
+  EXPECT_EQ(blank.first_item, 0u);
+  EXPECT_EQ(blank.last_item, 0u);
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{4},
+                                  lease.last - lease.first}) {
+    shard_aggregate agg = blank;
+    agg.first_item = lease.first;
+    agg.last_item = lease.first;
+    shard part = lease;
+    while (agg.last_item < lease.last) {
+      part.first = agg.last_item;
+      part.last = std::min(part.first + chunk, lease.last);
+      run_shard(eng, part, agg, chunk % 2 + 1);
+      EXPECT_EQ(agg.last_item, part.last);
+    }
+    SCOPED_TRACE("chunk " + std::to_string(chunk));
+    expect_same_fold(agg, whole);
+  }
+
+  // The appended range must continue the aggregate, of the same sweep.
+  shard_aggregate agg = blank;
+  agg.first_item = 5;
+  agg.last_item = 5;
+  shard gap = lease;
+  gap.first = 6;
+  gap.last = 8;
+  EXPECT_THROW(run_shard(eng, gap, agg), error);
+  shard alien = gap;
+  alien.first = 5;
+  alien.sweep.seed ^= 1;
+  EXPECT_THROW(run_shard(eng, alien, agg), error);
+  EXPECT_EQ(agg.last_item, 5u);
 }
 
 TEST(DistShard, EmptySweepShardsAndMerges) {

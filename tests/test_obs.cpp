@@ -408,6 +408,10 @@ TEST(ObsFleet, WorkerItemCountersSumExactlyToSweepItems) {
 
   svc::coordinator_options opts;
   opts.workers_expected = 3;
+  // Gang start: without it two workers can drain this small sweep before
+  // the third dials, leaving it waiting io_timeout_ms for a sweep message
+  // that never comes. With it, each of the three takes a first lease.
+  opts.start_workers = 3;
   // Small leases cut into smaller chunks: every lease spans several
   // chunk boundaries, so every worker that takes one heartbeats (and
   // piggybacks its telemetry snapshot) before finishing it.
@@ -453,8 +457,7 @@ TEST(ObsFleet, WorkerItemCountersSumExactlyToSweepItems) {
   // The acceptance property: the coordinator's per-worker accepted-item
   // counters tile the stream — summed across the fleet they equal the
   // sweep's (cell, replication) item count exactly, whatever the lease
-  // distribution was. (A racy fleet may leave one worker lease-less, so
-  // the per-worker presence is >= 1, not == 3.)
+  // distribution was.
   const snapshot snap = coord.telemetry();
   std::uint64_t fleet_items = 0;
   std::size_t workers_with_items = 0;
@@ -465,8 +468,7 @@ TEST(ObsFleet, WorkerItemCountersSumExactlyToSweepItems) {
       ++workers_with_items;
     }
   }
-  EXPECT_GE(workers_with_items, 1u);
-  EXPECT_LE(workers_with_items, 3u);
+  EXPECT_EQ(workers_with_items, 3u);
   EXPECT_EQ(fleet_items, total);
 
   // The same totals appear in the coordinator's gauges, and the whole
@@ -507,6 +509,58 @@ TEST(ObsFleet, WorkerItemCountersSumExactlyToSweepItems) {
   }
   EXPECT_TRUE(saw_worker_snapshot);
 #endif
+}
+
+TEST(ObsFleet, LongTelemetryIntervalStillSeesEveryLeasedWorker) {
+  // Heartbeats carry a snapshot on each lease's first chunk and then
+  // only at the telemetry cadence. With a cadence far longer than the
+  // campaign, no worker ever re-scrapes — yet every worker that ran a
+  // lease still shows up in the fleet view.
+  const api::sweep sw = fleet_grid(12);
+  svc::coordinator_options opts;
+  opts.workers_expected = 3;
+  opts.start_workers = 3;
+  opts.lease_items = 4;
+  opts.chunk_items = 1;
+  opts.deadline_s = 120;
+  opts.telemetry_interval_s = 3600;
+  svc::coordinator coord{sw, opts};
+  auto served = std::async(std::launch::async, [&coord] {
+    return coord.run();
+  });
+  const api::engine engine;
+  std::vector<std::future<svc::worker_report>> fleet;
+  for (const char* name : {"w0", "w1", "w2"}) {
+    fleet.push_back(std::async(std::launch::async, [&engine, &coord, name] {
+      svc::worker_options wopts;
+      wopts.port = coord.port();
+      wopts.name = name;
+      wopts.n_threads = 1;
+      return svc::run_worker(engine, wopts);
+    }));
+  }
+  const dist::shard_aggregate merged = served.get();
+  for (auto& w : fleet) (void)w.get();
+  ASSERT_EQ(merged.last_item, sw.cells.size() * sw.replications);
+
+  const snapshot snap = coord.telemetry();
+  const auto has_counter = [&snap](const std::string& name) {
+    for (const auto& c : snap.counters) {
+      if (c.name == name) return c.value > 0;
+    }
+    return false;
+  };
+  for (const char* name : {"w0", "w1", "w2"}) {
+    // Gang start hands each worker a first lease.
+    EXPECT_TRUE(has_counter(std::string{"svc.worker."} + name +
+                            ".items_total"))
+        << name;
+#ifdef BSCHED_OBS_ENABLED
+    EXPECT_TRUE(has_counter(std::string{"worker."} + name +
+                            ".engine.items_total"))
+        << name;
+#endif
+  }
 }
 
 }  // namespace

@@ -155,8 +155,12 @@ TEST(SvcService, ThreeWorkerFleetReproducesSingleProcess) {
   const api::sweep sw = grid(8);
   const std::vector<api::cell_summary> ref = reference(sw);
 
+  // Gang start: without it two workers can drain this small sweep before
+  // the third dials, leaving it connected to the listener backlog and
+  // waiting io_timeout_ms for a sweep message that never comes.
   coordinator_options opts;
   opts.workers_expected = 3;
+  opts.start_workers = 3;
   opts.chunk_items = 2;
   opts.deadline_s = 120;
   coordinator coord{sw, opts};
@@ -188,6 +192,35 @@ TEST(SvcService, ThreeWorkerFleetReproducesSingleProcess) {
   // tail is re-granted as its own lease, a trimmed lease still reports
   // its shortened range.
   EXPECT_EQ(c.results_accepted, c.leases_granted);
+}
+
+TEST(SvcService, LeaseResultIsOneContiguousFold) {
+  // One worker, one lease over the whole stream, run in the default
+  // 4-item chunks: the folded result must be exactly dist::run_shard over
+  // the same range — every moment and sketch bit for bit, since chunks
+  // append item by item — with only the per-process cache accounting
+  // allowed to differ.
+  const api::sweep sw = grid(40);
+  const std::size_t total = sw.cells.size() * sw.replications;
+  coordinator_options opts;
+  opts.lease_items = total;
+  opts.steal = false;
+  opts.deadline_s = 120;
+  coordinator coord{sw, opts};
+  auto served = serve(coord);
+  const api::engine engine;
+  auto w = join_fleet(engine, coord.port(), "solo");
+  dist::shard_aggregate merged = served.get();
+  EXPECT_EQ(w.get().items, total);
+
+  dist::shard_aggregate contiguous =
+      dist::run_shard(engine, dist::plan_shard(sw, 0, 1), 1);
+  for (dist::shard_aggregate* agg : {&merged, &contiguous}) {
+    agg->stats.evaluated = 0;
+    agg->stats.cache_hits = 0;
+    for (dist::cell_record& c : agg->cells) c.agg.cache_hits = 0;
+  }
+  EXPECT_EQ(merged, contiguous);
 }
 
 TEST(SvcService, ExpiredLeaseIsReassignedAndStaleResultRejected) {

@@ -12,6 +12,8 @@
 #include "api/engine.hpp"
 #include "api/scenario.hpp"
 #include "api/sweep.hpp"
+#include "load/trace.hpp"
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -363,6 +365,155 @@ TEST(SweepKey, DistinguishesEveryLifetimeRelevantField) {
   other = base;
   other.label = "pretty name";
   EXPECT_EQ(cell_key(other), key);
+}
+
+TEST(SweepKey, LengthPrefixesKeepRawBytesUnambiguous) {
+  // Doubles are keyed as raw bytes, so the variable-length parts carry
+  // their counts: a battery more or fewer, or epochs moved across the
+  // trace's prefix/cycle boundary, never collide.
+  std::set<std::string> banks;
+  for (const std::size_t n : {1u, 2u, 3u}) {
+    scenario s = base_cell(load::test_load::ils_alt, "best_of_n");
+    s.batteries = bank(n, b1);
+    banks.insert(cell_key(s));
+  }
+  EXPECT_EQ(banks.size(), 3u);
+
+  const load::epoch a{1.5, 0.1};
+  const load::epoch b{2.25, 0.0};
+  const load::epoch c{10.0, 0.25};
+  const scenario early =
+      base_cell(load_spec{load::trace{{a, b}, {c}}}, "best_of_n");
+  const scenario late =
+      base_cell(load_spec{load::trace{{a}, {b, c}}}, "best_of_n");
+  EXPECT_NE(cell_key(early), cell_key(late));
+  // Equal values key equally (the cache relies on it), labels aside.
+  scenario same = late;
+  same.label = "relabelled";
+  EXPECT_EQ(cell_key(same), cell_key(late));
+
+  // Every bit of a double counts: -0.0 is not 0.0 for the key.
+  scenario neg = base_cell(load::test_load::ils_alt, "best_of_n");
+  scenario pos = neg;
+  neg.sim.sample_min = -0.0;
+  pos.sim.sample_min = 0.0;
+  EXPECT_NE(cell_key(neg), cell_key(pos));
+}
+
+/// Banks the engine's cache has built so far in this process (0 when the
+/// instrumentation is compiled out).
+std::uint64_t bank_builds() {
+  for (const auto& c : obs::registry::global().scrape().counters) {
+    if (c.name == "engine.bank_builds_total") return c.value;
+  }
+  return 0;
+}
+
+TEST(SweepBankCache, OneShapeBuildsOneBankAcrossCallsAndCopies) {
+  const engine eng;
+  const sweep sw = random_grid(3);  // every cell 2 x B1 on default steps
+  const std::uint64_t before = bank_builds();
+  summarize serial{sw};
+  eng.run_sweep(sw, serial, 1);
+  summarize parallel{sw};
+  eng.run_sweep(sw, parallel, 4);
+  const engine copy = eng;  // copies share the cache
+  summarize copied{sw};
+  copy.run_sweep(sw, copied, 2);
+  (void)eng.run(replicate(sw, 0, 0));
+  EXPECT_EQ(parallel.cells(), serial.cells());
+  EXPECT_EQ(copied.cells(), serial.cells());
+#ifdef BSCHED_OBS_ENABLED
+  EXPECT_EQ(bank_builds() - before, 1u);
+  const engine fresh;  // an independent engine builds its own
+  (void)fresh.run(replicate(sw, 0, 0));
+  EXPECT_EQ(bank_builds() - before, 2u);
+#else
+  (void)before;
+#endif
+}
+
+TEST(SweepBankCache, DistinctShapesBuildDistinctBanks) {
+  const load_spec load = load_spec::parse("random:count=10,p=0.5,seed=3");
+  sweep sw;
+  sw.cells.push_back(base_cell(load, "best_of_n"));
+  sw.cells.push_back(base_cell(load, "best_of_n"));
+  sw.cells.back().batteries = bank(3, b1);
+  sw.cells.push_back(base_cell(load, "best_of_n"));
+  sw.cells.back().steps.time_step_min = 0.02;
+  sw.cells.push_back(base_cell(load, "round_robin"));  // the first shape
+  sw.replications = 4;
+  sw.seed = 11;
+
+  const engine eng;
+  const std::uint64_t before = bank_builds();
+  const auto collect = [&](std::size_t threads) {
+    std::vector<run_result> out;
+    eng.run_sweep(
+        sw, [&](const sweep_result& r) { out.push_back(r.result); }, threads);
+    return out;
+  };
+  const std::vector<run_result> first = collect(4);
+  EXPECT_EQ(collect(1), first);
+  // Every item ran on its own shape's bank: an independent engine per
+  // cell reproduces it.
+  for (std::size_t c = 0; c < sw.cells.size(); ++c) {
+    const engine solo;
+    for (std::size_t r = 0; r < sw.replications; ++r) {
+      EXPECT_EQ(solo.run(replicate(sw, c, r)), first[c * sw.replications + r])
+          << "cell " << c << " replication " << r;
+    }
+  }
+#ifdef BSCHED_OBS_ENABLED
+  // Three shapes for this engine, one per solo engine.
+  EXPECT_EQ(bank_builds() - before, 3u + sw.cells.size());
+#else
+  (void)before;
+#endif
+}
+
+TEST(SweepBankCache, FailingShapeIsNotCachedAndCarriesRunError) {
+  scenario bad =
+      base_cell(load_spec::parse("random:count=10,p=0.5,seed=4"), "best_of_n");
+  bad.steps.time_step_min = 0;
+  const engine eng;
+  std::string expected;
+  try {
+    (void)eng.run(bad);
+    ADD_FAILURE() << "a zero time step must not build";
+  } catch (const error& e) {
+    expected = e.what();
+  }
+  ASSERT_FALSE(expected.empty());
+
+  sweep sw;
+  sw.cells = {bad, base_cell(load::test_load::ils_alt, "best_of_n"), bad};
+  sw.cells.back().policy = "round_robin";
+  sw.replications = 3;
+  const std::uint64_t before = bank_builds();
+  for (const std::size_t threads : {1u, 4u}) {
+    std::size_t failures = 0;
+    const sweep_stats stats = eng.run_sweep(
+        sw,
+        [&](const sweep_result& r) {
+          if (r.cell == 1) {
+            EXPECT_TRUE(r.result.ok()) << r.result.error;
+            return;
+          }
+          ++failures;
+          EXPECT_EQ(r.result.error, expected);
+        },
+        threads);
+    EXPECT_EQ(failures, 6u);
+    EXPECT_EQ(stats.failures, 6u);
+  }
+#ifdef BSCHED_OBS_ENABLED
+  // Only the valid shape was ever built; the failing one is retried (and
+  // fails again) on every use rather than cached.
+  EXPECT_EQ(bank_builds() - before, 1u);
+#else
+  (void)before;
+#endif
 }
 
 TEST(SweepPaired, PairByLoadSharesWorkloadsAcrossPolicies) {

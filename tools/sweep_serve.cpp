@@ -18,7 +18,9 @@
 // exposition (coordinator counters/gauges, per-worker accepted-item
 // totals, each worker's heartbeat-piggybacked snapshot) every
 // --metrics-interval milliseconds (default 1000) and once on
-// completion; `obs_report --metrics FILE` renders it as a table.
+// completion; `obs_report --metrics FILE` renders it as a table. The
+// same interval paces the workers' snapshots: one on each lease's first
+// heartbeat, then at most one per interval.
 //
 // --port 0 (the default) binds an ephemeral port; --port-file writes the
 // bound port as a line of text so scripts can discover it. --deadline is
