@@ -1,7 +1,8 @@
 // Engine microbenchmarks (google-benchmark): the hot paths underneath the
 // paper experiments — analytic segment advance, dKiBaM stepping, bank
-// construction, sweep cell keys, policy simulation, the optimal search,
-// DBM closure and PTA successor generation.
+// construction, an obs counter hook, draw-rate lookup and load
+// materialization, sweep cell keys, policy simulation, the optimal
+// search, DBM closure and PTA successor generation.
 #include <benchmark/benchmark.h>
 
 #include "api/engine.hpp"
@@ -10,7 +11,9 @@
 #include "kibam/bank.hpp"
 #include "kibam/discrete.hpp"
 #include "kibam/kibam.hpp"
+#include "load/discretize.hpp"
 #include "load/jobs.hpp"
+#include "obs/obs.hpp"
 #include "opt/search.hpp"
 #include "pta/dbm.hpp"
 #include "pta/semantics.hpp"
@@ -107,6 +110,37 @@ void bm_bank_build(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_bank_build);
+
+void bm_counter_add(benchmark::State& state) {
+  // One obs counter hook on a registered counter: the per-call tax every
+  // instrumented kernel pays (a shard add, no allocation; nothing at all
+  // with BSCHED_OBS=OFF).
+  for (auto _ : state) {
+    BSCHED_COUNTER_ADD("bench.micro.counter_total", 1);
+  }
+}
+BENCHMARK(bm_counter_add);
+
+void bm_rate_for(benchmark::State& state) {
+  // The draw-rate lookup of one job current on the default grid: what
+  // discretizing a load costs per job epoch.
+  double amps = 0.25;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(amps);
+    benchmark::DoNotOptimize(load::rate_for(amps));
+  }
+}
+BENCHMARK(bm_rate_for);
+
+void bm_load_materialize(benchmark::State& state) {
+  // A seeded 40-job random load turned into its trace (generation plus
+  // per-epoch validation): what every stochastic sweep item pays once.
+  const api::load_spec spec{api::random_load_spec{.count = 40, .seed = 1}};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(spec.materialize());
+  }
+}
+BENCHMARK(bm_load_materialize);
 
 void bm_simulate_best_of_two(benchmark::State& state) {
   const kibam::discretization d{kibam::battery_b1()};

@@ -109,13 +109,16 @@ run_tsan() {
   # The stress suite is the point of this flavour — run it first and
   # standalone (fail loudly if the filter ever goes empty), then the
   # rest of the concurrency surface: the sweep pool, the svc fleet, the
-  # net framing, and the api engine's thread-count-independence tests.
+  # net framing, the api engine's thread-count-independence tests, the
+  # exact search (parallel workers share one discretized load) and the
+  # allocation counts (their operator new replacement must hold under
+  # the TSan runtime too).
   TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
     ctest --test-dir "$dir" -R "Stress" --no-tests=error \
     --output-on-failure -j "$JOBS"
   TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
-    ctest --test-dir "$dir" -R "Svc|Sweep|Api|Dist|Net|Obs" --no-tests=error \
-    --output-on-failure -j "$JOBS"
+    ctest --test-dir "$dir" -R "Svc|Sweep|Api|Dist|Net|Obs|Opt|Alloc" \
+    --no-tests=error --output-on-failure -j "$JOBS"
 }
 
 run_lint() {

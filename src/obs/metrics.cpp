@@ -279,14 +279,18 @@ struct registry::state {
 
   /// Lock-free metric lookup for the mutation paths: slots below the
   /// published count are immutable, so after the acquire load the meta
-  /// may be read without the mutex.
+  /// may be read without the mutex. Every hook passes through here, so
+  /// the checks build their messages only when they throw — a passing
+  /// call allocates nothing.
   [[nodiscard]] const metric_meta& meta_of(std::size_t metric,
                                            metric_kind kind) const {
-    require(metric < meta_count.load(std::memory_order_acquire),
-            "obs: metric id out of range");
+    if (metric >= meta_count.load(std::memory_order_acquire)) {
+      throw error("obs: metric id out of range");
+    }
     const metric_meta& meta = metas.at(metric);
-    require(meta.kind == kind,
-            "obs: metric '" + meta.name + "' used as the wrong kind");
+    if (meta.kind != kind) {
+      throw error("obs: metric '" + meta.name + "' used as the wrong kind");
+    }
     return meta;
   }
 

@@ -37,15 +37,20 @@ class exact_schedule_policy final : public sched::policy {
   std::size_t choose(const sched::decision_context& ctx) override {
     if (cursor_ < decisions_.size()) {
       const std::size_t pick = decisions_[cursor_++];
-      require(pick < ctx.batteries.size() && !ctx.batteries[pick].empty,
-              "policy '" + name() + "': plan picks an unusable battery "
-              "(was the policy bound to this run's model?)");
+      // Per-decision checks: the message is built only when one throws.
+      if (pick >= ctx.batteries.size() || ctx.batteries[pick].empty) {
+        throw error("policy '" + name() +
+                    "': plan picks an unusable battery "
+                    "(was the policy bound to this run's model?)");
+      }
       return pick;
     }
     // The plan covers every new_job event until system death; past it
     // (e.g. an unbound direct-simulator use) fall back to greedy.
     const auto pick = sched::greedy_choice(ctx.batteries);
-    require(pick.has_value(), "policy '" + name() + "': all batteries empty");
+    if (!pick.has_value()) {
+      throw error("policy '" + name() + "': all batteries empty");
+    }
     return *pick;
   }
 

@@ -49,68 +49,99 @@ std::int64_t epoch_steps(const load::epoch& e, const load::step_sizes& s) {
   return std::llround(e.duration_min / s.time_step_min);
 }
 
+/// One epoch of the load on the search's grid.
+struct grid_epoch {
+  std::int64_t len;      ///< Length in time steps.
+  load::draw_rate rate;  ///< Jobs only; {0, 0} for idle epochs.
+  bool job;              ///< Draws charge (current > 0).
+};
+
+/// The load discretized once per search: the prefix, then one cycle, as
+/// grid epochs. Global epoch indices map onto it the way load::trace::at
+/// maps them onto epochs, so the hot paths read a table entry instead of
+/// re-rounding the epoch length and re-deriving its draw rate per visit.
+/// Built eagerly: every job epoch's rate_for runs here, so a load the grid
+/// cannot realise throws before the search starts.
+class grid_load {
+ public:
+  grid_load(const load::trace& load, const load::step_sizes& steps)
+      : prefix_(load.prefix().size()) {
+    epochs_.reserve(load.prefix().size() + load.cycle().size());
+    const auto add = [&](const std::vector<load::epoch>& epochs) {
+      for (const load::epoch& e : epochs) {
+        const bool job = e.current_a > 0;
+        epochs_.push_back({epoch_steps(e, steps),
+                           job ? load::rate_for(e.current_a, steps)
+                               : load::draw_rate{0, 0},
+                           job});
+        if (job) max_draw_units_ = std::max(max_draw_units_,
+                                            epochs_.back().rate.units);
+      }
+    };
+    add(load.prefix());
+    add(load.cycle());
+  }
+
+  /// Canonical index of global epoch `epoch` (also the memo key's epoch).
+  [[nodiscard]] std::size_t canonical(std::size_t epoch) const noexcept {
+    if (epoch < prefix_) return epoch;
+    return prefix_ + (epoch - prefix_) % (epochs_.size() - prefix_);
+  }
+
+  /// The canonical index following canonical index `k`.
+  [[nodiscard]] std::size_t next(std::size_t k) const noexcept {
+    return k + 1 == epochs_.size() ? prefix_ : k + 1;
+  }
+
+  /// Epoch by canonical index.
+  [[nodiscard]] const grid_epoch& slot(std::size_t k) const noexcept {
+    return epochs_[k];
+  }
+
+  /// Epoch by global index.
+  [[nodiscard]] const grid_epoch& at(std::size_t epoch) const noexcept {
+    return epochs_[canonical(epoch)];
+  }
+
+  /// Largest single draw in the load, units (1 when it has no job).
+  [[nodiscard]] std::int64_t max_draw_units() const noexcept {
+    return max_draw_units_;
+  }
+
+ private:
+  std::vector<grid_epoch> epochs_;
+  std::size_t prefix_;
+  std::int64_t max_draw_units_ = 1;
+};
+
 /// One battery's supply curve for the trajectory bound: by wall-clock step
 /// t it can have delivered at most
 ///   min(cap, (avail0 + g * ticks(t) - 1) / 1000 + max_draw)
-/// charge units, where ticks(t) = (re + t) / mr is an upper bound on the
-/// recovery ticks fired by t (each fired tick consumes at least mr
-/// accumulated recovery steps, and the counter starts at re).
-struct supply_term {
-  std::int64_t cap;        ///< deliverable_units cap, in units.
-  std::int64_t avail0;     ///< Available charge now, permille (>= 1).
-  std::int64_t g;          ///< Permille returned per recovery tick.
-  std::int64_t mr;         ///< Min steps between ticks; 0 = never fires.
-  std::int64_t re;         ///< Recovery steps already accumulated.
-  std::int64_t max_draw;   ///< Largest single draw, units.
-  std::int64_t sat_ticks;  ///< Ticks after which the cap takes over.
-};
-
-/// Walk-local incremental view of one term's supply curve. The walk
-/// probes at nondecreasing times, so the curve can be advanced tick by
-/// tick — a couple of compares and adds per probe — instead of evaluating
-/// the closed form (two integer divisions per term) at every draw.
-/// Produces exactly min(cap, (avail0 + g * ticks(t) - 1) / 1000 +
-/// max_draw) with ticks(t) = min((re + t) / mr, sat_ticks).
+/// charge units, where ticks(t) = min((re + t) / mr, sat) is an upper
+/// bound on the recovery ticks fired by t (each fired tick consumes at
+/// least mr accumulated recovery steps, the counter starts at re, and past
+/// sat ticks the cap has taken over). Evaluated in that closed form: two
+/// divisions per probe, whatever the probe order.
 struct supply_cursor {
-  std::int64_t cap, g, mr, max_draw, sat;
-  std::int64_t ticks;      ///< Ticks fired by the last probe time.
-  std::int64_t next_tick;  ///< Time the next tick fires; k_inf = never.
-  std::int64_t avail;      ///< avail0 + g * ticks, permille.
-  std::int64_t thr;        ///< avail must exceed this to free a unit.
-  std::int64_t units;      ///< (avail - 1) / 1000, maintained.
+  std::int64_t cap;       ///< deliverable_units cap, in units.
+  std::int64_t avail0;    ///< Available charge now, permille (>= 1).
+  std::int64_t g;         ///< Permille returned per recovery tick.
+  std::int64_t mr;        ///< Min steps between ticks; 0 = never fires.
+  std::int64_t re;        ///< Recovery steps already accumulated.
+  std::int64_t max_draw;  ///< Largest single draw, units.
+  std::int64_t sat;       ///< Ticks after which the cap takes over.
 
-  explicit supply_cursor(const supply_term& u)
-      : cap(u.cap), g(u.g), mr(u.mr), max_draw(u.max_draw),
-        sat(u.sat_ticks) {
-    ticks = mr > 0 ? std::min(u.re / mr, sat) : 0;
-    avail = u.avail0 + g * ticks;
-    units = (avail - 1) / 1000;
-    thr = (units + 1) * 1000;
-    next_tick = (mr > 0 && ticks < sat) ? (ticks + 1) * mr - u.re : k_inf;
-  }
-
-  /// Supply in units by time `t`; `t` must not decrease across calls.
-  std::int64_t at(std::int64_t t) {
-    while (next_tick <= t) {
-      ++ticks;
-      avail += g;  // g < 1000, so at most one unit frees per tick.
-      if (avail > thr) {
-        ++units;
-        thr += 1000;
-      }
-      if (ticks >= sat) {
-        next_tick = k_inf;
-        break;
-      }
-      next_tick += mr;
-    }
-    return std::min(cap, units + max_draw);
+  /// Supply in units by time `t` >= 0.
+  [[nodiscard]] std::int64_t at(std::int64_t t) const {
+    const std::int64_t ticks = mr > 0 ? std::min((re + t) / mr, sat) : 0;
+    return std::min(cap, (avail0 + g * ticks - 1) / 1000 + max_draw);
   }
 };
 
-std::int64_t supply_at(std::vector<supply_cursor>& cursors, std::int64_t t) {
+std::int64_t supply_at(const std::vector<supply_cursor>& cursors,
+                       std::int64_t t) {
   std::int64_t s = 0;
-  for (supply_cursor& u : cursors) s += u.at(t);
+  for (const supply_cursor& u : cursors) s += u.at(t);
   return s;
 }
 
@@ -120,13 +151,14 @@ std::int64_t supply_at(std::vector<supply_cursor>& cursors, std::int64_t t) {
 /// as the walk passes `limit` without a violation (callers only compare
 /// the result against `limit`, so the walk never costs more than the
 /// incumbent's remaining-lifetime scale). `limit = k_inf` is the exact
-/// public bound.
-std::int64_t trajectory_walk(const kibam::bank& bank,
+/// public bound. The per-battery supply curves are built into `cursors`,
+/// a caller-owned buffer reused across walks.
+std::int64_t trajectory_walk(const kibam::bank& bank, const grid_load& grid,
                              const std::vector<kibam::discrete_state>& bats,
-                             const load::trace& load, std::size_t epoch_index,
-                             std::int64_t max_draw_units, std::int64_t limit) {
-  std::vector<supply_term> terms;
-  terms.reserve(bats.size());
+                             std::size_t epoch_index,
+                             std::int64_t max_draw_units, std::int64_t limit,
+                             std::vector<supply_cursor>& cursors) {
+  cursors.clear();
   std::int64_t cap_total = 0;
   for (std::size_t b = 0; b < bats.size(); ++b) {
     if (bats[b].empty) continue;
@@ -157,13 +189,10 @@ std::int64_t trajectory_walk(const kibam::bank& bank,
         sat = want > 0 ? (want + g - 1) / g : 0;
       }
     }
-    terms.push_back({cap, avail0, g, mr, re, max_draw_units, sat});
+    cursors.push_back({cap, avail0, g, mr, re, max_draw_units, sat});
     cap_total += cap;
   }
-  if (terms.empty()) return 0;
-  std::vector<supply_cursor> cursors;
-  cursors.reserve(terms.size());
-  for (const supply_term& u : terms) cursors.emplace_back(u);
+  if (cursors.empty()) return 0;
 
   // Walk the load, tracking wall-clock steps t0 and cumulative demand in
   // units: the system dies no later than the first draw whose demand
@@ -171,24 +200,23 @@ std::int64_t trajectory_walk(const kibam::bank& bank,
   // cap counts each battery's death draw, so meeting it kills the bank).
   std::int64_t t0 = 0;
   std::int64_t demand = 0;
-  std::size_t idx = epoch_index;
-  for (std::size_t guard = 0; guard < 100'000'000; ++guard, ++idx) {
-    const load::epoch& e = load.at(idx);
-    const std::int64_t len = epoch_steps(e, bank.steps());
-    if (e.current_a <= 0) {
-      t0 += len;
+  std::size_t k = grid.canonical(epoch_index);
+  for (std::size_t guard = 0; guard < 100'000'000; ++guard, k = grid.next(k)) {
+    const grid_epoch& e = grid.slot(k);
+    if (!e.job) {
+      t0 += e.len;
       if (t0 > limit) return limit + 1;
       continue;
     }
-    const load::draw_rate rate = load::rate_for(e.current_a, bank.steps());
-    const std::int64_t draws = len / rate.steps;
+    const load::draw_rate rate = e.rate;
+    const std::int64_t draws = e.len / rate.steps;
     // Supply is nondecreasing in t: when the epoch's whole demand fits
     // under the supply at its first draw, no draw inside can violate.
     const std::int64_t epoch_demand = demand + draws * rate.units;
     if (epoch_demand < cap_total &&
         epoch_demand <= supply_at(cursors, t0 + rate.steps)) {
       demand = epoch_demand;
-      t0 += len;
+      t0 += e.len;
       if (t0 > limit) return limit + 1;
       continue;
     }
@@ -208,7 +236,7 @@ std::int64_t trajectory_walk(const kibam::bank& bank,
       j += skip;
       demand += skip * rate.units;
     }
-    t0 += len;
+    t0 += e.len;
     if (t0 > limit) return limit + 1;
   }
   throw error("trajectory_bound_steps: load drains too slowly to bound");
@@ -221,7 +249,7 @@ struct search_ctx {
   const load::trace& load;
   const search_options& opts;
   bool minimize;
-  std::int64_t max_draw_units = 1;  ///< Largest single draw in the load.
+  const grid_load grid;  ///< `load` on the bank's grid, read by every walk.
   std::vector<std::size_t> group_order;  ///< Battery indices, type-grouped.
   std::vector<std::size_t> group_begin;  ///< Group offsets in group_order.
 
@@ -229,21 +257,13 @@ struct search_ctx {
   /// the consumed steps, until `epoch` refers to a job epoch.
   void skip_idle(std::vector<kibam::discrete_state>& bats, std::size_t& epoch,
                  std::int64_t& consumed) const {
-    while (load.at(epoch).current_a <= 0) {
-      const std::int64_t steps = epoch_steps(load.at(epoch), bank.steps());
-      if (steps > 0) {
-        bank.advance_all(bats, kibam::bank::idle, {0, 0}, steps);
+    for (const grid_epoch* e = &grid.at(epoch); !e->job;
+         e = &grid.at(++epoch)) {
+      if (e->len > 0) {
+        bank.advance_all(bats, kibam::bank::idle, {0, 0}, e->len);
       }
-      consumed += steps;
-      ++epoch;
+      consumed += e->len;
     }
-  }
-
-  /// Canonical epoch index within the cyclic structure (for memo keys).
-  std::size_t canonical(std::size_t epoch) const {
-    const std::size_t prefix = load.prefix().size();
-    if (epoch < prefix) return epoch;
-    return prefix + (epoch - prefix) % load.cycle().size();
   }
 
   std::vector<std::uint64_t> make_key(
@@ -251,7 +271,7 @@ struct search_ctx {
       std::size_t epoch) const {
     std::vector<std::uint64_t> key;
     key.reserve(bats.size() + 1);
-    key.push_back(canonical(epoch));
+    key.push_back(grid.canonical(epoch));
     for (std::size_t t = 0; t + 1 < group_begin.size(); ++t) {
       const auto start = static_cast<std::ptrdiff_t>(key.size());
       for (std::size_t i = group_begin[t]; i < group_begin[t + 1]; ++i) {
@@ -277,23 +297,6 @@ struct search_ctx {
       out.push_back(i);
     }
     return out;
-  }
-
-  /// Admissible bound on the steps from the start of epoch `epoch`, early-
-  /// outing past `limit` (trajectory bound) or exact (flat fallback).
-  std::int64_t bound_steps(const std::vector<kibam::discrete_state>& bats,
-                           std::size_t epoch, std::int64_t limit) const {
-    if (opts.per_battery_bound) {
-      return trajectory_walk(bank, bats, load, epoch, max_draw_units, limit);
-    }
-    std::int64_t alive = 0;
-    for (std::size_t b = 0; b < bats.size(); ++b) {
-      if (bats[b].empty) {
-        continue;
-      }
-      alive += deliverable_units(bank.disc(b), bats[b].n, max_draw_units);
-    }
-    return drain_bound_steps(bank.steps(), load, epoch, alive);
   }
 };
 
@@ -349,15 +352,35 @@ class evaluator {
     return best;
   }
 
+  /// Admissible bound on the steps from the start of epoch `epoch`, early-
+  /// outing past `limit` (trajectory bound, walked in this evaluator's
+  /// cursor buffer) or exact (flat fallback).
+  std::int64_t bound_steps(const std::vector<kibam::discrete_state>& bats,
+                           std::size_t epoch, std::int64_t limit) {
+    const std::int64_t max_draw = cx_.grid.max_draw_units();
+    if (cx_.opts.per_battery_bound) {
+      return trajectory_walk(cx_.bank, cx_.grid, bats, epoch, max_draw, limit,
+                             cursors_);
+    }
+    std::int64_t alive = 0;
+    for (std::size_t b = 0; b < bats.size(); ++b) {
+      if (bats[b].empty) {
+        continue;
+      }
+      alive += deliverable_units(cx_.bank.disc(b), bats[b].n, max_draw);
+    }
+    return drain_bound_steps(cx_.bank.steps(), cx_.load, epoch, alive);
+  }
+
   /// Simulates job epoch `epoch` from step `offset` with `active` serving.
   /// Returns the best additional steps measured from the entry point,
   /// under the node_value contract with `prune_below` as the floor.
   std::int64_t run_from(std::vector<kibam::discrete_state>& bats,
                         std::size_t epoch, std::int64_t offset,
                         std::size_t active, std::int64_t prune_below) {
-    const load::epoch& e = cx_.load.at(epoch);
-    const load::draw_rate rate = load::rate_for(e.current_a, cx_.bank.steps());
-    const std::int64_t total = epoch_steps(e, cx_.bank.steps());
+    const grid_epoch& e = cx_.grid.at(epoch);
+    const load::draw_rate rate = e.rate;
+    const std::int64_t total = e.len;
     bats[active].discharge_elapsed = 0;
 
     std::int64_t local = 0;
@@ -407,7 +430,7 @@ class evaluator {
       return consumed + hit.value;
     }
     if (!cx_.minimize && cx_.opts.prune) {
-      const std::int64_t w = cx_.bound_steps(bats, next, floor);
+      const std::int64_t w = bound_steps(bats, next, floor);
       if (w <= floor) {
         ++stats.pruned;
         ++stats.pruned_by_bound;
@@ -484,9 +507,9 @@ class evaluator {
   bool try_probe(std::vector<kibam::discrete_state>& bats, std::size_t epoch,
                  std::int64_t offset, std::size_t active, std::int64_t target,
                  std::vector<std::size_t>& decisions, walk_result& out) {
-    const load::epoch& e = cx_.load.at(epoch);
-    const load::draw_rate rate = load::rate_for(e.current_a, cx_.bank.steps());
-    const std::int64_t total = epoch_steps(e, cx_.bank.steps());
+    const grid_epoch& e = cx_.grid.at(epoch);
+    const load::draw_rate rate = e.rate;
+    const std::int64_t total = e.len;
     bats[active].discharge_elapsed = 0;
 
     std::int64_t local = 0;
@@ -538,13 +561,16 @@ class evaluator {
   memo_table& memo_;
   std::atomic<std::uint64_t>& nodes_total_;
   kibam::scratch_pool scratch_;
+  std::vector<supply_cursor> cursors_;  ///< trajectory_walk's buffer.
 };
 
 class searcher {
  public:
   searcher(const kibam::bank& bank, const load::trace& load,
            const search_options& opts, bool minimize)
-      : opts_(opts), cx_{bank, load, opts_, minimize, 1, {}, {}} {
+      : opts_(opts),
+        cx_{bank, load, opts_, minimize, grid_load{load, bank.steps()}, {},
+            {}} {
     // Battery indices ordered by type: the memo key sorts states within
     // each contiguous same-type group, so permutations of interchangeable
     // batteries collapse while distinct types never mix.
@@ -556,16 +582,6 @@ class searcher {
       }
     }
     cx_.group_begin.push_back(cx_.group_order.size());
-    const auto scan = [&](const std::vector<load::epoch>& epochs) {
-      for (const load::epoch& e : epochs) {
-        if (e.current_a <= 0) continue;
-        cx_.max_draw_units =
-            std::max(cx_.max_draw_units,
-                     load::rate_for(e.current_a, bank.steps()).units);
-      }
-    };
-    scan(load.prefix());
-    scan(load.cycle());
   }
 
   optimal_result run() {
@@ -743,10 +759,9 @@ class searcher {
          ++expanded) {
       pending t = std::move(frontier.front());
       frontier.pop_front();
-      const load::epoch& e = cx_.load.at(t.epoch);
-      const load::draw_rate rate =
-          load::rate_for(e.current_a, cx_.bank.steps());
-      const std::int64_t total = epoch_steps(e, cx_.bank.steps());
+      const grid_epoch& e = cx_.grid.at(t.epoch);
+      const load::draw_rate rate = e.rate;
+      const std::int64_t total = e.len;
       t.bats[t.active].discharge_elapsed = 0;
 
       std::int64_t local = 0;
@@ -781,7 +796,7 @@ class searcher {
 
       const std::int64_t floor = t.prune_below - consumed;
       if (!cx_.minimize && cx_.opts.prune) {
-        const std::int64_t w = cx_.bound_steps(t.bats, next, floor);
+        const std::int64_t w = eval.bound_steps(t.bats, next, floor);
         if (w <= floor) {
           ++eval.stats.pruned;
           ++eval.stats.pruned_by_bound;
@@ -938,8 +953,9 @@ std::int64_t trajectory_bound_steps(const kibam::bank& bank,
           "trajectory_bound_steps: one state per bank battery");
   require(max_draw_units >= 1,
           "trajectory_bound_steps: draws deliver >= 1 unit");
-  return trajectory_walk(bank, bats, load, epoch_index, max_draw_units,
-                         k_inf);
+  std::vector<supply_cursor> cursors;
+  return trajectory_walk(bank, grid_load{load, bank.steps()}, bats,
+                         epoch_index, max_draw_units, k_inf, cursors);
 }
 
 std::shared_ptr<memo_table> make_shared_memo(std::uint64_t max_entries,

@@ -24,7 +24,14 @@
 //    later than the first draw whose cumulative demand exceeds the
 //    summed per-battery supply. This bound tracks the recovery-rate
 //    bottleneck that actually kills the Table 5 banks, so — unlike the
-//    flat drain cap it succeeds — it prunes there;
+//    flat drain cap it succeeds — it prunes there. Each battery's supply
+//    is evaluated in closed form, two divisions per probe;
+//  * the load is discretized once per search: the prefix and one cycle
+//    become a table of (length in steps, draw rate, job) entries that the
+//    node simulation, the idle skip, the parallel skeleton and the bound
+//    walk all read, so no visit re-rounds an epoch or re-derives its draw
+//    rate. Building it runs rate_for on every job epoch up front, so a
+//    load the grid cannot realise throws before the search starts;
 //  * a warm start seeds the incumbent from lookahead rollouts at
 //    geometrically deepening horizons, so pruning has a tight reference
 //    from node one; pruned children return upper bounds that never beat
@@ -152,7 +159,8 @@ struct optimal_result {
 /// the system provably cannot serve. Never exceeds the flat
 /// drain_bound_steps over deliverable_units, and never undercuts a
 /// realizable lifetime (property-tested on random heterogeneous banks).
-/// `max_draw_units` is the largest single draw in the load.
+/// `max_draw_units` is the largest single draw in the load. Discretizes
+/// `load` per call (the search builds that table once and reuses it).
 [[nodiscard]] std::int64_t trajectory_bound_steps(
     const kibam::bank& bank, const std::vector<kibam::discrete_state>& bats,
     const load::trace& load, std::size_t epoch_index,

@@ -29,6 +29,19 @@ inline void require(bool condition, const std::string& message) {
   if (!condition) throw error(message);
 }
 
+/// The literal-message overload: `require(ok, "net: bad frame")` binds
+/// here without a change at the call site, so a passing check costs one
+/// branch — the std::string is built only when it throws. (Through the
+/// std::string overload every call would construct, and for messages
+/// past the small-string buffer heap-allocate, the message first.) A
+/// message *built* from runtime parts on a per-call path — a loop, a
+/// per-decision or per-epoch check — is spelled
+/// `if (!cond) throw error("<origin>: " + part + ...);` for the same
+/// reason: the concatenation then runs only on failure.
+inline void require(bool condition, const char* message) {
+  if (!condition) throw error(message);
+}
+
 namespace detail {
 [[noreturn]] void assert_fail(const char* expr, std::source_location loc);
 }  // namespace detail

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "load/discretize.hpp"
 #include "load/jobs.hpp"
 #include "load/random.hpp"
@@ -13,6 +16,33 @@ TEST(Trace, RejectsBadEpochs) {
   EXPECT_THROW(trace({{0.0, 0.1}}), bsched::error);   // zero duration
   EXPECT_THROW(trace({{1.0, -0.1}}), bsched::error);  // negative current
   EXPECT_THROW(trace(std::vector<epoch>{}), bsched::error);  // empty cycle
+}
+
+/// The message `make` throws as bsched::error ("" when it does not).
+template <typename F>
+std::string thrown_text(F make) {
+  try {
+    make();
+  } catch (const bsched::error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Trace, BadEpochMessagesNameTheirPart) {
+  EXPECT_EQ(thrown_text([] { trace({{0.0, 0.1}}, {{1.0, 0.1}}); }),
+            "trace prefix: epoch durations must be positive");
+  EXPECT_EQ(thrown_text([] { trace({{-1.0, 0.1}}); }),
+            "trace cycle: epoch durations must be positive");
+  EXPECT_EQ(thrown_text([] { trace({{1.0, 0.1}}, {{1.0, -0.1}}); }),
+            "trace cycle: currents must be non-negative");
+  EXPECT_EQ(thrown_text([] { trace({{1.0, -0.1}}, {{1.0, 0.1}}); }),
+            "trace prefix: currents must be non-negative");
+  // NaN fields fail their check like any other out-of-range value.
+  EXPECT_EQ(thrown_text([] { trace({{std::nan(""), 0.1}}); }),
+            "trace cycle: epoch durations must be positive");
+  EXPECT_EQ(thrown_text([] { trace({{1.0, std::nan("")}}); }),
+            "trace cycle: currents must be non-negative");
 }
 
 TEST(Trace, CyclesForever) {

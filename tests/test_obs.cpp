@@ -118,6 +118,29 @@ TEST(ObsMetrics, RegistrationIsIdempotentAndValidated) {
   EXPECT_THROW((void)reg.histogram("kind.hist3", {2.0, 1.0}), error);
 }
 
+TEST(ObsMetrics, WrongKindUseThrowsWithTheMetricName) {
+  // The hooks' per-call checks build their messages only on failure;
+  // the text itself is unchanged.
+  registry reg;
+  const std::size_t c = reg.counter("kind.counter_total");
+  const std::size_t g = reg.gauge("kind.gauge");
+  const auto message = [](auto use) -> std::string {
+    try {
+      use();
+    } catch (const error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(message([&] { reg.set(c, 1.0); }),
+            "obs: metric 'kind.counter_total' used as the wrong kind");
+  EXPECT_EQ(message([&] { reg.add(g); }),
+            "obs: metric 'kind.gauge' used as the wrong kind");
+  EXPECT_EQ(message([&] { reg.observe(c, 1.0); }),
+            "obs: metric 'kind.counter_total' used as the wrong kind");
+  EXPECT_EQ(message([&] { reg.add(99); }), "obs: metric id out of range");
+}
+
 TEST(ObsMetrics, ScrapeIsDeterministic) {
   registry reg;
   reg.add(reg.counter("b.counter_total"), 3);

@@ -197,29 +197,40 @@ TEST(DrainBound, IdleEpochsAddTime) {
 // trajectory-bound + warm-start search (updated deliberately with that
 // change; the pre-bound counts equalled worst_nodes on every row — e.g.
 // CL 250 s fell 759 -> 330 and ILs 250 s 20804 -> 9218). The maximising
-// counts must never exceed the unpruned minimising ones.
+// counts must never exceed the unpruned minimising ones. The memo-hit and
+// bound-prune counts pin the search's *decisions*, not only its size:
+// every admissible-bound comparison must come out the same way, and a
+// drift that node counts alone might absorb (a prune traded for a memo
+// hit) shows here.
+//
+// The counts are 32-bit and the worst-case lifetime comes last so the
+// parameter stays 48 bytes: ctest names embed its size ("GetParam() =
+// 48-byte object"), and these test names stay stable across edits.
 struct golden_case {
   load::test_load load;
   double opt_lifetime;        // minutes
   const char* opt_decisions;  // battery index per new_job event
-  std::uint64_t opt_nodes;
+  std::uint32_t opt_nodes;
+  std::uint32_t opt_memo_hits;
+  std::uint32_t opt_pruned_by_bound;
+  std::uint32_t worst_nodes;
   double worst_lifetime;
-  std::uint64_t worst_nodes;
 };
 
 const golden_case k_golden[] = {
-    {load::test_load::cl_250, 12.00, "0100011101010", 330, 9.04, 759},
-    {load::test_load::cl_500, 4.54, "001101", 13, 4.08, 15},
-    {load::test_load::cl_alt, 6.46, "00101010", 22, 5.40, 40},
-    {load::test_load::ils_250, 40.76, "0000011011011010101011", 9218, 22.72,
-     20804},
-    {load::test_load::ils_500, 10.48, "0011011", 14, 8.58, 21},
-    {load::test_load::ils_alt, 16.88, "0010110101", 46, 12.36, 92},
-    {load::test_load::ils_r1, 20.48, "001010110111", 87, 12.80, 138},
-    {load::test_load::ils_r2, 14.52, "010011011", 40, 12.22, 67},
+    {load::test_load::cl_250, 12.00, "0100011101010", 330, 17, 287, 759,
+     9.04},
+    {load::test_load::cl_500, 4.54, "001101", 13, 6, 2, 15, 4.08},
+    {load::test_load::cl_alt, 6.46, "00101010", 22, 8, 11, 40, 5.40},
+    {load::test_load::ils_250, 40.76, "0000011011011010101011", 9218, 1736,
+     7211, 20804, 22.72},
+    {load::test_load::ils_500, 10.48, "0011011", 14, 7, 7, 21, 8.58},
+    {load::test_load::ils_alt, 16.88, "0010110101", 46, 12, 24, 92, 12.36},
+    {load::test_load::ils_r1, 20.48, "001010110111", 87, 14, 28, 138, 12.80},
+    {load::test_load::ils_r2, 14.52, "010011011", 40, 9, 24, 67, 12.22},
     {load::test_load::ill_250, 78.92, "0000000100101011110101101011", 80159,
-     45.84, 119125},
-    {load::test_load::ill_500, 18.68, "00110100", 17, 12.92, 26},
+     34871, 33166, 119125, 45.84},
+    {load::test_load::ill_500, 18.68, "00110100", 17, 9, 7, 26, 12.92},
 };
 
 class PreRefactorGolden : public testing::TestWithParam<golden_case> {};
@@ -232,6 +243,8 @@ TEST_P(PreRefactorGolden, HomogeneousSearchIsBitIdentical) {
   EXPECT_NEAR(best.lifetime_min, c.opt_lifetime, 1e-9);
   EXPECT_EQ(decision_digits(best.decisions), c.opt_decisions);
   EXPECT_EQ(best.stats.nodes, c.opt_nodes);
+  EXPECT_EQ(best.stats.memo_hits, c.opt_memo_hits);
+  EXPECT_EQ(best.stats.pruned_by_bound, c.opt_pruned_by_bound);
   EXPECT_LE(best.stats.nodes, c.worst_nodes);  // the bound must prune
   const optimal_result worst = worst_schedule(d, 2, t);
   EXPECT_NEAR(worst.lifetime_min, c.worst_lifetime, 1e-9);

@@ -2,6 +2,11 @@
 // parameter handling, and error reporting.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "kibam/bank.hpp"
+#include "load/jobs.hpp"
 #include "opt/policies.hpp"
 #include "sched/registry.hpp"
 #include "util/error.hpp"
@@ -153,6 +158,35 @@ TEST(Registry, UnboundExactPolicyRejectsChoosing) {
                              nullptr};
   EXPECT_EQ(pol->choose(ctx), 1u);
   EXPECT_EQ(pol->stats(), search_stats{});
+}
+
+TEST(Registry, ExactPolicyChoiceErrorsKeepTheirText) {
+  // choose() builds these messages only when its per-decision checks
+  // fail; the text names the policy either way.
+  const auto message = [](auto use) -> std::string {
+    try {
+      use();
+    } catch (const error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const std::vector<battery_view> dead{{0, 0.0, 0.0, true},
+                                       {1, 0.0, 0.0, true}};
+  const decision_context none{0, 0.0, 0.5, false, std::nullopt, dead,
+                              nullptr};
+  const auto unbound = opt::exact_policy(false);
+  EXPECT_EQ(message([&] { (void)unbound->choose(none); }),
+            "policy 'opt': all batteries empty");
+
+  // A bound plan whose next pick is empty in the context it is asked in.
+  const kibam::bank bank{kibam::discretization{kibam::battery_b1()}, 2};
+  const load::trace t = load::paper_trace(load::test_load::ils_alt);
+  const auto bound = opt::exact_policy(true);
+  bound->bind_model(model_info{&bank, &t});
+  EXPECT_EQ(message([&] { (void)bound->choose(none); }),
+            "policy 'worst': plan picks an unusable battery (was the "
+            "policy bound to this run's model?)");
 }
 
 TEST(Registry, CopiesAreIndependentlyExtensible) {

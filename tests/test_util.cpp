@@ -27,6 +27,24 @@ TEST(Error, RequireThrowsWithMessage) {
   }
 }
 
+TEST(Error, LiteralAndBuiltMessagesThrowTheSameText) {
+  // A literal binds the const char* overload, a built message the
+  // std::string one; both surface the exact text.
+  try {
+    require(false, "util: x");
+    FAIL() << "should have thrown";
+  } catch (const error& e) {
+    EXPECT_STREQ(e.what(), "util: x");
+  }
+  const std::string part = "x";
+  try {
+    require(false, "util: " + part);
+    FAIL() << "should have thrown";
+  } catch (const error& e) {
+    EXPECT_STREQ(e.what(), "util: x");
+  }
+}
+
 TEST(Rng, DeterministicInSeed) {
   rng a{42}, b{42}, c{43};
   bool diverged = false;
