@@ -52,6 +52,13 @@ Rules (see README "Correctness tooling"):
                     zero-overhead guarantee. tests/ may poke the detail
                     layer (reading-side white-box tests).
 
+  wire-reader       text records are split by the one strict reader in
+                    src/util (util/wire.hpp): outside src/util, library
+                    code must not read lines with std::getline or split
+                    key=value tokens with .find('='), so a fifth
+                    hand-rolled parser cannot grow back beside the dist
+                    codec, telemetry, message-header and spec readers.
+
   thread-discipline library code must not spawn raw threads (std::thread/
                     std::jthread construction, std::async) outside the
                     budgeted layer: src/util (the work-stealing task_pool
@@ -98,6 +105,8 @@ OBS_DETAIL_PATTERN = re.compile(r"\bobs\s*::\s*detail\b")
 # std::thread/std::jthread not followed by '::' (static members like
 # hardware_concurrency are not a spawn), plus std::async.
 THREAD_PATTERN = re.compile(r"std::j?thread\b(?!\s*::)|std::async\b")
+
+WIRE_PATTERN = re.compile(r"std::getline\b|\.find\(\s*'='\s*\)")
 
 THREAD_ALLOW_PREFIXES = (
     os.path.join("src", "util") + os.sep,
@@ -304,6 +313,20 @@ def check_threads(rel, code):
     return findings
 
 
+def check_wire_reader(rel, code):
+    if not rel.startswith("src" + os.sep):
+        return []
+    if rel.startswith(os.path.join("src", "util") + os.sep):
+        return []
+    findings = []
+    for m in WIRE_PATTERN.finditer(strip_strings(code)):
+        findings.append((line_of(code, m.start()), "wire-reader",
+                         f"'{m.group()}' hand-rolls a text parser — split "
+                         f"records with util/wire.hpp (wire::reader, "
+                         f"wire::splitter, wire::split_kv)"))
+    return findings
+
+
 def check_obs_detail(rel, code):
     if not (rel.startswith("src" + os.sep) or
             rel.startswith("tools" + os.sep)):
@@ -321,7 +344,8 @@ def check_obs_detail(rel, code):
 
 
 CODE_CHECKS = (check_no_io, check_require_prefix, check_rng,
-               check_version_literals, check_threads, check_obs_detail)
+               check_version_literals, check_threads, check_obs_detail,
+               check_wire_reader)
 
 
 def lint_file(rel, text):
@@ -494,6 +518,31 @@ def self_test():
          "src/opt/search.cpp", "// never hold a raw std::thread here\n", []),
         ("tests may spawn threads",
          "tests/test_stress.cpp", "std::thread t{[] {}};", []),
+        ("getline in a library codec",
+         "src/dist/codec.cpp",
+         "bool f(std::istream& in, std::string& l) "
+         "{ return bool(std::getline(in, l)); }",
+         ["wire-reader"]),
+        ("find('=') key split in library code",
+         "src/net/message.cpp",
+         "auto f(std::string_view t) { return t.find('='); }",
+         ["wire-reader"]),
+        ("find ( '=' ) with spaces is still a key split",
+         "src/obs/telemetry.cpp",
+         "auto f(std::string_view t) { return t.find( '=' ); }",
+         ["wire-reader"]),
+        ("the wire reader itself may split",
+         "src/util/wire.cpp",
+         "auto f(std::string_view t) { return t.find('='); }", []),
+        ("tools may read lines",
+         "tools/sweep_merge.cpp",
+         "void f(std::istream& in, std::string& l) { std::getline(in, l); }",
+         []),
+        ("getline in a comment is fine",
+         "src/dist/codec.cpp", "// no std::getline here\n", []),
+        ("finding another character is fine",
+         "src/api/scenario.cpp",
+         "auto f(const std::string& t) { return t.find(':'); }", []),
     ]
 
     failures = 0

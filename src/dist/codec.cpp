@@ -1,6 +1,5 @@
 #include "dist/codec.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -12,6 +11,7 @@
 
 #include "util/error.hpp"
 #include "util/text.hpp"
+#include "util/wire.hpp"
 
 namespace bsched::dist {
 
@@ -26,138 +26,35 @@ void encode_digest(const char* tag, const tdigest& d, std::ostream& out) {
   out << '\n';
 }
 
-/// Tokenized decoder state: reads line by line, splits on spaces, and
-/// reports errors with the 1-based line number and the section being
-/// decoded (set via section()), so a truncated or garbled payload names
-/// exactly where decoding stopped.
-class reader {
- public:
-  explicit reader(std::istream& in) : in_(in) {}
-
-  /// Advances to the next line; returns false at end of stream.
-  bool next_line() {
-    if (!std::getline(in_, line_)) return false;
-    if (!line_.empty() && line_.back() == '\r') line_.pop_back();
-    ++line_no_;
-    return true;
-  }
-
-  /// Names the section subsequent errors report ("shard header",
-  /// "cell 3", ...).
-  void section(std::string name) { section_ = std::move(name); }
-
-  [[noreturn]] void fail(const std::string& why) const {
-    std::string msg = "dist::codec: line ";
-    msg += std::to_string(line_no_);
-    if (!section_.empty()) {
-      msg += " (";
-      msg += section_;
-      msg += ')';
+/// Advances to the cell record numbered `index`, naming it the section —
+/// or to the closing "end" after exactly `count` cells, and returns false.
+bool next_cell(wire::reader& r, std::size_t index, std::size_t count) {
+  r.section("cell list");
+  r.advance("cell/end");
+  if (r.tag() == "end") {
+    if (index != count) {
+      r.fail("cell count mismatch: sweep header says " +
+             std::to_string(count) + ", stream carries " +
+             std::to_string(index));
     }
-    msg += ": ";
-    msg += why;
-    throw error(msg);
+    if (r.next()) r.fail("trailing content after 'end'");
+    return false;
   }
-
-  /// The current line's first space-separated token (its record tag).
-  [[nodiscard]] std::string_view tag() const {
-    const std::string_view v{line_};
-    return v.substr(0, std::min(v.find(' '), v.size()));
+  if (r.tag() != "cell") {
+    r.fail("expected 'cell' or 'end' record, got '" + std::string{r.line()} +
+           "' (a duplicated or out-of-place section?)");
   }
-
-  [[nodiscard]] const std::string& line() const { return line_; }
-
-  /// Splits the current line into space-separated tokens after the tag.
-  [[nodiscard]] std::vector<std::string_view> fields() const {
-    std::vector<std::string_view> out;
-    const std::string_view v{line_};
-    std::size_t pos = std::min(v.find(' '), v.size());
-    while (pos < v.size()) {
-      ++pos;
-      const std::size_t end = std::min(v.find(' ', pos), v.size());
-      out.push_back(v.substr(pos, end - pos));
-      pos = end;
-    }
-    return out;
+  r.section("cell " + std::to_string(index));
+  if (r.size("index") != index) {
+    r.fail("cell records out of order: expected index " +
+           std::to_string(index));
   }
+  return true;
+}
 
-  /// For "tag key=value ..." records: the value of `key`, or fail().
-  [[nodiscard]] std::string_view value(const std::string& key) const {
-    for (const std::string_view f : fields()) {
-      const std::size_t eq = f.find('=');
-      if (eq != std::string_view::npos && f.substr(0, eq) == key) {
-        return f.substr(eq + 1);
-      }
-    }
-    fail("missing field '" + key + "' in '" + line_ + "'");
-  }
-
-  [[nodiscard]] std::uint64_t value_u64(const std::string& key) const {
-    try {
-      return parse_u64(value(key), "field " + key);
-    } catch (const error& e) {
-      fail(e.what());
-    }
-  }
-
-  [[nodiscard]] std::size_t value_size(const std::string& key) const {
-    return static_cast<std::size_t>(value_u64(key));
-  }
-
-  [[nodiscard]] double value_double(const std::string& key) const {
-    try {
-      return parse_double(value(key), "field " + key);
-    } catch (const error& e) {
-      fail(e.what());
-    }
-  }
-
-  /// Expects the current line to be "key=<rest>" and returns the rest
-  /// verbatim (free-form string records: labels and specs).
-  [[nodiscard]] std::string text_record(const std::string& key) {
-    if (line_.size() < key.size() + 1 ||
-        line_.compare(0, key.size(), key) != 0 || line_[key.size()] != '=') {
-      fail("expected '" + key + "=...', got '" + line_ + "'");
-    }
-    return line_.substr(key.size() + 1);
-  }
-
-  /// Advances and requires the next line's tag.
-  void expect_line(const std::string& tag_name) {
-    if (!next_line()) fail("unexpected end of stream (wanted " + tag_name + ")");
-    if (tag() != tag_name) {
-      fail("expected '" + tag_name + "' record, got '" + line_ + "'");
-    }
-  }
-
- private:
-  std::istream& in_;
-  std::string line_;
-  std::size_t line_no_ = 0;
-  std::string section_;
-};
-
-tdigest decode_digest(reader& r) {
-  const std::size_t budget = r.value_size("budget");
-  const std::size_t count = r.value_size("centroids");
-  std::vector<centroid> cs;
-  cs.reserve(count);
-  for (const std::string_view f : r.fields()) {
-    if (f.find('=') != std::string_view::npos) continue;  // key=value fields
-    const std::size_t colon = f.find(':');
-    if (colon == std::string_view::npos) {
-      r.fail("malformed centroid '" + std::string{f} + "' (want mean:weight)");
-    }
-    centroid c;
-    c.mean = parse_double(f.substr(0, colon), "dist::codec: centroid mean");
-    c.weight =
-        parse_double(f.substr(colon + 1), "dist::codec: centroid weight");
-    cs.push_back(c);
-  }
-  if (cs.size() != count) {
-    r.fail("centroid count mismatch: header says " + std::to_string(count) +
-           ", line carries " + std::to_string(cs.size()));
-  }
+tdigest decode_digest(const wire::reader& r) {
+  const std::size_t budget = r.size("budget");
+  std::vector<centroid> cs = r.pairs<centroid>("centroids", "centroid");
   try {
     return tdigest::from_centroids(budget, std::move(cs));
   } catch (const error& e) {
@@ -207,91 +104,68 @@ void encode(const shard_aggregate& agg, std::ostream& out) {
 }
 
 shard_aggregate decode(std::istream& in) {
-  reader r{in};
-  if (!r.next_line()) r.fail("empty stream (wanted the magic line)");
-  const std::string magic = "bsched-shard v" + std::to_string(codec_version);
-  if (r.line() != magic) {
-    r.fail("bad magic '" + r.line() + "' (this reader speaks '" + magic +
-           "')");
-  }
+  return decode_str(wire::read_all(in));
+}
+
+shard_aggregate decode_str(const std::string& text) {
+  wire::reader r{text, "dist::codec"};
+  r.expect_magic("bsched-shard v" + std::to_string(codec_version));
 
   shard_aggregate agg;
   r.section("shard header");
-  r.expect_line("shard");
-  agg.shard_index = r.value_size("index");
-  agg.shard_count = r.value_size("count");
-  agg.first_item = r.value_size("first");
-  agg.last_item = r.value_size("last");
+  r.expect("shard");
+  agg.shard_index = r.size("index");
+  agg.shard_count = r.size("count");
+  agg.first_item = r.size("first");
+  agg.last_item = r.size("last");
 
   r.section("sweep header");
-  r.expect_line("sweep");
-  agg.grid_cells = r.value_size("cells");
-  agg.replications = r.value_size("replications");
-  agg.seed = r.value_u64("seed");
-  agg.reseed = r.value_size("reseed") != 0;
-  agg.pair_by_load = r.value_size("pair_by_load") != 0;
+  r.expect("sweep");
+  agg.grid_cells = r.size("cells");
+  agg.replications = r.size("replications");
+  agg.seed = r.u64("seed");
+  agg.reseed = r.size("reseed") != 0;
+  agg.pair_by_load = r.size("pair_by_load") != 0;
 
   r.section("stats");
-  r.expect_line("stats");
-  agg.stats.runs = r.value_size("runs");
-  agg.stats.evaluated = r.value_size("evaluated");
-  agg.stats.cache_hits = r.value_size("cache_hits");
-  agg.stats.failures = r.value_size("failures");
+  r.expect("stats");
+  agg.stats.runs = r.size("runs");
+  agg.stats.evaluated = r.size("evaluated");
+  agg.stats.cache_hits = r.size("cache_hits");
+  agg.stats.failures = r.size("failures");
 
-  agg.cells.reserve(agg.grid_cells);
-  while (true) {
-    r.section("cell list");
-    if (!r.next_line()) r.fail("unexpected end of stream (wanted cell/end)");
-    if (r.tag() == "end") break;
-    if (r.tag() != "cell") {
-      r.fail("expected 'cell' or 'end' record, got '" + r.line() +
-             "' (a duplicated or out-of-place section?)");
-    }
-    r.section("cell " + std::to_string(agg.cells.size()));
+  while (next_cell(r, agg.cells.size(), agg.grid_cells)) {
     cell_record c;
-    c.cell = r.value_size("index");
-    if (c.cell != agg.cells.size()) {
-      r.fail("cell records out of order: expected index " +
-             std::to_string(agg.cells.size()));
-    }
-    if (!r.next_line()) r.fail("unexpected end of stream (wanted label)");
-    c.label = r.text_record("label");
-    if (!r.next_line()) r.fail("unexpected end of stream (wanted load)");
-    c.load = r.text_record("load");
-    if (!r.next_line()) r.fail("unexpected end of stream (wanted policy)");
-    c.policy = r.text_record("policy");
-    if (!r.next_line()) r.fail("unexpected end of stream (wanted fidelity)");
-    c.fidelity = r.text_record("fidelity");
-    r.expect_line("agg");
-    c.agg.n = r.value_size("n");
-    c.agg.failures = r.value_size("failures");
-    c.agg.cache_hits = r.value_size("cache_hits");
-    c.agg.mean = r.value_double("mean");
-    c.agg.m2 = r.value_double("m2");
-    c.agg.min = r.value_double("min");
-    c.agg.max = r.value_double("max");
-    r.expect_line("search");
-    c.agg.search.nodes = r.value_u64("nodes");
-    c.agg.search.memo_hits = r.value_u64("memo_hits");
-    c.agg.search.pruned = r.value_u64("pruned");
-    c.agg.search.memo_entries = r.value_u64("memo_entries");
-    c.agg.search.memo_evictions = r.value_u64("memo_evictions");
-    c.agg.search.rollouts = r.value_u64("rollouts");
-    c.agg.search.pruned_by_bound = r.value_u64("pruned_by_bound");
+    c.cell = agg.cells.size();
+    c.label = r.expect_text("label");
+    c.load = r.expect_text("load");
+    c.policy = r.expect_text("policy");
+    c.fidelity = r.expect_text("fidelity");
+    r.expect("agg");
+    c.agg.n = r.size("n");
+    c.agg.failures = r.size("failures");
+    c.agg.cache_hits = r.size("cache_hits");
+    c.agg.mean = r.real("mean");
+    c.agg.m2 = r.real("m2");
+    c.agg.min = r.real("min");
+    c.agg.max = r.real("max");
+    r.expect("search");
+    c.agg.search.nodes = r.u64("nodes");
+    c.agg.search.memo_hits = r.u64("memo_hits");
+    c.agg.search.pruned = r.u64("pruned");
+    c.agg.search.memo_entries = r.u64("memo_entries");
+    c.agg.search.memo_evictions = r.u64("memo_evictions");
+    c.agg.search.rollouts = r.u64("rollouts");
+    c.agg.search.pruned_by_bound = r.u64("pruned_by_bound");
     c.agg.search.incumbent_from_lookahead =
-        r.value_u64("incumbent_from_lookahead");
-    c.agg.search.stolen_subtrees = r.value_u64("stolen_subtrees");
-    c.agg.search.memo_shards = r.value_u64("memo_shards");
-    r.expect_line("lifetime");
+        r.u64("incumbent_from_lookahead");
+    c.agg.search.stolen_subtrees = r.u64("stolen_subtrees");
+    c.agg.search.memo_shards = r.u64("memo_shards");
+    r.expect("lifetime");
     c.agg.lifetime = decode_digest(r);
-    r.expect_line("residual");
+    r.expect("residual");
     c.agg.residual = decode_digest(r);
     agg.cells.push_back(std::move(c));
-  }
-  if (agg.cells.size() != agg.grid_cells) {
-    r.fail("cell count mismatch: sweep header says " +
-           std::to_string(agg.grid_cells) + ", stream carries " +
-           std::to_string(agg.cells.size()));
   }
   return agg;
 }
@@ -306,31 +180,6 @@ void encode_epochs(const char* tag, const std::vector<load::epoch>& es,
         << shortest_double(e.current_a);
   }
   out << '\n';
-}
-
-std::vector<load::epoch> decode_epochs(reader& r) {
-  const std::size_t count = r.value_size("epochs");
-  std::vector<load::epoch> es;
-  es.reserve(count);
-  for (const std::string_view f : r.fields()) {
-    if (f.find('=') != std::string_view::npos) continue;  // key=value fields
-    const std::size_t colon = f.find(':');
-    if (colon == std::string_view::npos) {
-      r.fail("malformed epoch '" + std::string{f} +
-             "' (want duration:current)");
-    }
-    load::epoch e;
-    e.duration_min =
-        parse_double(f.substr(0, colon), "dist::codec: epoch duration");
-    e.current_a =
-        parse_double(f.substr(colon + 1), "dist::codec: epoch current");
-    es.push_back(e);
-  }
-  if (es.size() != count) {
-    r.fail("epoch count mismatch: header says " + std::to_string(count) +
-           ", line carries " + std::to_string(es.size()));
-  }
-  return es;
 }
 
 }  // namespace
@@ -374,39 +223,25 @@ void encode_sweep(const api::sweep& sw, std::ostream& out) {
 }
 
 api::sweep decode_sweep(std::istream& in) {
-  reader r{in};
+  return decode_sweep_str(wire::read_all(in));
+}
+
+api::sweep decode_sweep_str(const std::string& text) {
+  wire::reader r{text, "dist::codec"};
   r.section("sweep definition");
-  if (!r.next_line()) r.fail("empty stream (wanted the magic line)");
-  const std::string magic = "bsched-sweep v" + std::to_string(codec_version);
-  if (r.line() != magic) {
-    r.fail("bad magic '" + r.line() + "' (this reader speaks '" + magic +
-           "')");
-  }
+  r.expect_magic("bsched-sweep v" + std::to_string(codec_version));
 
   api::sweep sw;
-  r.expect_line("sweep");
-  const std::size_t cell_count = r.value_size("cells");
-  sw.replications = r.value_size("replications");
-  sw.seed = r.value_u64("seed");
-  sw.reseed = r.value_size("reseed") != 0;
-  sw.pair_by_load = r.value_size("pair_by_load") != 0;
+  r.expect("sweep");
+  const std::size_t cell_count = r.size("cells");
+  sw.replications = r.size("replications");
+  sw.seed = r.u64("seed");
+  sw.reseed = r.size("reseed") != 0;
+  sw.pair_by_load = r.size("pair_by_load") != 0;
 
-  sw.cells.reserve(cell_count);
-  while (true) {
-    r.section("cell list");
-    if (!r.next_line()) r.fail("unexpected end of stream (wanted cell/end)");
-    if (r.tag() == "end") break;
-    if (r.tag() != "cell") {
-      r.fail("expected 'cell' or 'end' record, got '" + r.line() +
-             "' (a duplicated or out-of-place section?)");
-    }
-    r.section("cell " + std::to_string(sw.cells.size()));
-    if (r.value_size("index") != sw.cells.size()) {
-      r.fail("cell records out of order: expected index " +
-             std::to_string(sw.cells.size()));
-    }
-    const std::size_t batteries = r.value_size("batteries");
-    const std::string model{r.value("model")};
+  while (next_cell(r, sw.cells.size(), cell_count)) {
+    const std::size_t batteries = r.size("batteries");
+    const std::string_view model = r.value("model");
 
     api::scenario scn;
     if (model == api::name(api::fidelity::discrete)) {
@@ -414,26 +249,23 @@ api::sweep decode_sweep(std::istream& in) {
     } else if (model == api::name(api::fidelity::continuous)) {
       scn.model = api::fidelity::continuous;
     } else {
-      r.fail("unknown fidelity '" + model + "'");
+      r.fail("unknown fidelity '" + std::string{model} + "'");
     }
-    if (!r.next_line()) r.fail("unexpected end of stream (wanted label)");
-    scn.label = r.text_record("label");
-    scn.batteries.reserve(batteries);
+    scn.label = r.expect_text("label");
     for (std::size_t b = 0; b < batteries; ++b) {
-      r.expect_line("battery");
+      r.expect("battery");
       kibam::battery_parameters p{};
-      p.capacity_amin = r.value_double("capacity");
-      p.c = r.value_double("c");
-      p.k_prime = r.value_double("k_prime");
+      p.capacity_amin = r.real("capacity");
+      p.c = r.real("c");
+      p.k_prime = r.real("k_prime");
       scn.batteries.push_back(p);
     }
-    if (!r.next_line()) r.fail("unexpected end of stream (wanted load)");
-    const std::string load_text = r.text_record("load");
+    const std::string_view load_text = r.expect_text("load");
     if (load_text == "trace") {
-      r.expect_line("prefix");
-      std::vector<load::epoch> prefix = decode_epochs(r);
-      r.expect_line("cycle");
-      std::vector<load::epoch> cycle = decode_epochs(r);
+      r.expect("prefix");
+      std::vector<load::epoch> prefix = r.pairs<load::epoch>("epochs", "epoch");
+      r.expect("cycle");
+      std::vector<load::epoch> cycle = r.pairs<load::epoch>("epochs", "epoch");
       try {
         scn.load = load::trace{std::move(prefix), std::move(cycle)};
       } catch (const error& e) {
@@ -441,26 +273,20 @@ api::sweep decode_sweep(std::istream& in) {
       }
     } else {
       try {
-        scn.load = api::load_spec::parse(load_text);
+        scn.load = api::load_spec::parse(std::string{load_text});
       } catch (const error& e) {
         r.fail(e.what());
       }
     }
-    if (!r.next_line()) r.fail("unexpected end of stream (wanted policy)");
-    scn.policy = r.text_record("policy");
-    r.expect_line("steps");
-    scn.steps.time_step_min = r.value_double("time_step");
-    scn.steps.charge_unit_amin = r.value_double("charge_unit");
-    r.expect_line("sim");
-    scn.sim.horizon_min = r.value_double("horizon");
-    scn.sim.record_trace = r.value_size("record_trace") != 0;
-    scn.sim.sample_min = r.value_double("sample");
+    scn.policy = r.expect_text("policy");
+    r.expect("steps");
+    scn.steps.time_step_min = r.real("time_step");
+    scn.steps.charge_unit_amin = r.real("charge_unit");
+    r.expect("sim");
+    scn.sim.horizon_min = r.real("horizon");
+    scn.sim.record_trace = r.size("record_trace") != 0;
+    scn.sim.sample_min = r.real("sample");
     sw.cells.push_back(std::move(scn));
-  }
-  if (sw.cells.size() != cell_count) {
-    r.fail("cell count mismatch: sweep header says " +
-           std::to_string(cell_count) + ", stream carries " +
-           std::to_string(sw.cells.size()));
   }
   return sw;
 }
@@ -471,20 +297,10 @@ std::string encode_sweep_str(const api::sweep& sw) {
   return std::move(out).str();
 }
 
-api::sweep decode_sweep_str(const std::string& text) {
-  std::istringstream in{text};
-  return decode_sweep(in);
-}
-
 std::string encode_str(const shard_aggregate& agg) {
   std::ostringstream out;
   encode(agg, out);
   return std::move(out).str();
-}
-
-shard_aggregate decode_str(const std::string& text) {
-  std::istringstream in{text};
-  return decode(in);
 }
 
 void write_file(const shard_aggregate& agg, const std::string& path) {

@@ -26,10 +26,10 @@
 //
 // Stability note: v1 is append-only — readers reject a different version
 // line rather than guessing, and any future field additions bump the
-// version. Decoding is strict: wrong magic, truncation, a duplicated or
-// out-of-place section, unknown record tags and malformed numbers all
-// throw bsched::error naming the 1-based line number and the section
-// being decoded — there is no silent partial decode.
+// version. Decoding (util/wire.hpp) is strict: wrong magic, truncation,
+// a duplicated or out-of-place section, unknown tags, malformed numbers
+// and text after "end" throw bsched::error naming the 1-based line
+// number and the section being decoded — no silent partial decode.
 //
 // A second section, "bsched-sweep v1", serializes a full api::sweep
 // *definition* (the grid itself, not results): per cell the battery

@@ -66,10 +66,12 @@ void run_shard(const api::engine& engine, const shard& sh,
   const std::size_t total = sw.cells.size() * sw.replications;
   require(sh.first <= sh.last && sh.last <= total,
           "run_shard: shard range exceeds the sweep's item stream");
-  require(into.last_item == sh.first,
-          "run_shard: range [" + std::to_string(sh.first) + ", " +
-              std::to_string(sh.last) + ") does not continue an aggregate "
-              "ending at item " + std::to_string(into.last_item));
+  if (into.last_item != sh.first) {
+    throw error("run_shard: range [" + std::to_string(sh.first) + ", " +
+                std::to_string(sh.last) +
+                ") does not continue an aggregate ending at item " +
+                std::to_string(into.last_item));
+  }
   require(into.grid_cells == sw.cells.size() &&
               into.cells.size() == sw.cells.size() &&
               into.replications == sw.replications && into.seed == sw.seed &&

@@ -1,21 +1,29 @@
 #include "net/message.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "util/error.hpp"
 #include "util/text.hpp"
+#include "util/wire.hpp"
 
 namespace bsched::net {
 
 std::uint64_t message::u64(const std::string& key) const {
-  return parse_u64(str(key), "net: message '" + type + "' field " + key);
+  const std::string& value = str(key);
+  try {
+    return parse_u64(value, key);
+  } catch (const error& e) {
+    throw error("net: message '" + type + "' field " + e.what());
+  }
 }
 
 const std::string& message::str(const std::string& key) const {
   const auto it = fields.find(key);
-  require(it != fields.end(),
-          "net: message '" + type + "' is missing field '" + key + "'");
+  if (it == fields.end()) {
+    throw error("net: message '" + type + "' is missing field '" + key + "'");
+  }
   return it->second;
 }
 
@@ -81,39 +89,45 @@ message decode(std::string_view frame) {
   const std::size_t eol = frame.find('\n');
   require(eol != std::string_view::npos,
           "net: frame has no header line terminator");
-  require(eol <= max_header_bytes,
-          "net: header line of " + std::to_string(eol) +
-              " bytes exceeds the " + std::to_string(max_header_bytes) +
-              "-byte limit");
+  if (eol > max_header_bytes) {
+    throw error("net: header line of " + std::to_string(eol) +
+                " bytes exceeds the " + std::to_string(max_header_bytes) +
+                "-byte limit");
+  }
   std::string_view header = frame.substr(0, eol);
   for (const char c : header) {
-    require(is_header_byte(static_cast<unsigned char>(c)),
-            "net: header contains control bytes: '" + clip(header) + "'");
+    if (!is_header_byte(static_cast<unsigned char>(c))) {
+      throw error("net: header contains control bytes: '" + clip(header) +
+                  "'");
+    }
   }
 
-  const std::string magic =
+  static const std::string magic =
       "bsched-msg v" + std::to_string(protocol_version);
-  require(header.substr(0, magic.size()) == magic &&
-              header.size() > magic.size() && header[magic.size()] == ' ',
-          "net: bad message magic '" + clip(header) +
-              "' (this peer speaks '" + magic + "')");
+  if (!header.starts_with(magic) || header.size() <= magic.size() ||
+      header[magic.size()] != ' ') {
+    throw error("net: bad message magic '" + clip(header) +
+                "' (this peer speaks '" + magic + "')");
+  }
   header.remove_prefix(magic.size() + 1);
 
   message m;
-  std::size_t end = std::min(header.find(' '), header.size());
-  m.type = std::string{header.substr(0, end)};
-  require(!m.type.empty(), "net: message has an empty type");
-  while (end < header.size()) {
-    header.remove_prefix(end + 1);
-    end = std::min(header.find(' '), header.size());
-    const std::string_view field = header.substr(0, end);
-    if (field.empty()) continue;
-    const std::size_t eq = field.find('=');
-    require(eq != std::string_view::npos && eq > 0,
-            "net: malformed header field '" + clip(field) +
-                "' in message '" + clip(m.type) + "'");
-    m.fields.emplace(std::string{field.substr(0, eq)},
-                     std::string{field.substr(eq + 1)});
+  wire::splitter tokens{header, ' '};
+  std::string_view token;
+  tokens.next(token);
+  m.type = std::string{token};
+  if (!is_token(m.type)) {
+    throw error("net: message type '" + clip(m.type) +
+                "' is not a non-empty header token");
+  }
+  while (tokens.next(token)) {
+    if (token.empty()) continue;
+    const std::optional<wire::key_value> kv = wire::split_kv(token);
+    if (!kv || kv->key.empty()) {
+      throw error("net: malformed header field '" + clip(token) +
+                  "' in message '" + clip(m.type) + "'");
+    }
+    m.fields.emplace(std::string{kv->key}, std::string{kv->value});
   }
   m.body = std::string{frame.substr(eol + 1)};
   return m;

@@ -15,7 +15,7 @@
 // safe on hostile frames: the header line is capped at
 // max_header_bytes, control bytes anywhere in it are rejected, and
 // error messages echo at most a clipped prefix of attacker-controlled
-// input.
+// input. A type encode would refuse (holding '=') is refused too.
 //
 // Message types of protocol v1 (C = coordinator, W = worker):
 //

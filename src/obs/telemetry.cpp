@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string_view>
@@ -9,42 +10,9 @@
 
 #include "util/error.hpp"
 #include "util/text.hpp"
+#include "util/wire.hpp"
 
 namespace bsched::obs {
-
-namespace {
-
-/// Splits a line into whitespace-free tokens (single spaces between
-/// fields; the encoder never emits doubled spaces).
-std::vector<std::string_view> tokens(std::string_view line) {
-  std::vector<std::string_view> out;
-  std::size_t pos = 0;
-  while (pos < line.size()) {
-    const std::size_t space = line.find(' ', pos);
-    const std::size_t end = space == std::string_view::npos ? line.size()
-                                                            : space;
-    if (end > pos) out.push_back(line.substr(pos, end - pos));
-    pos = end + 1;
-  }
-  return out;
-}
-
-[[noreturn]] void fail(std::size_t line_no, const std::string& detail) {
-  throw error("obs: telemetry line " + std::to_string(line_no) + ": " +
-              detail);
-}
-
-std::string_view keyed(std::string_view token, std::string_view key,
-                       std::size_t line_no) {
-  if (token.size() <= key.size() + 1 ||
-      token.substr(0, key.size()) != key || token[key.size()] != '=') {
-    fail(line_no, "expected '" + std::string{key} + "=...', got '" +
-                      std::string{token} + "'");
-  }
-  return token.substr(key.size() + 1);
-}
-
-}  // namespace
 
 void encode_telemetry(const snapshot& snap, std::ostream& out) {
   out << "bsched-telemetry v" << telemetry_version << '\n';
@@ -89,80 +57,84 @@ std::string encode_telemetry_str(const snapshot& snap) {
   return out.str();
 }
 
+namespace {
+
+/// Appends to a kind's samples, names in the encoder's order: sorted, unique.
+template <class Sample>
+void append_sorted(const wire::reader& r, std::vector<Sample>& kind, Sample s) {
+  if (!kind.empty() && !(kind.back().name < s.name)) {
+    r.fail("'" + s.name + "' is unsorted or repeated within its kind");
+  }
+  kind.push_back(std::move(s));
+}
+
+}  // namespace
+
 snapshot decode_telemetry(std::istream& in) {
-  std::string line;
-  std::size_t line_no = 0;
-  const auto next_line = [&]() {
-    if (!std::getline(in, line)) {
-      fail(line_no + 1, "unexpected end of stream");
-    }
-    ++line_no;
-  };
-
-  next_line();
-  const std::string magic =
-      "bsched-telemetry v" + std::to_string(telemetry_version);
-  if (line != magic) {
-    fail(line_no, "bad magic '" + line + "' (this reader speaks '" + magic +
-                      "')");
-  }
-
-  snapshot snap;
-  while (true) {
-    next_line();
-    if (line == "end") break;
-    const std::vector<std::string_view> t = tokens(line);
-    if (t.empty()) fail(line_no, "blank line inside telemetry body");
-    const std::string_view tag = t[0];
-    if (tag == "counter") {
-      if (t.size() != 3) fail(line_no, "counter wants '<name> <value>'");
-      counter_sample c;
-      c.name = std::string{t[1]};
-      c.value = parse_u64(t[2], "obs: telemetry counter value");
-      snap.counters.push_back(std::move(c));
-    } else if (tag == "gauge") {
-      if (t.size() != 3) fail(line_no, "gauge wants '<name> <value>'");
-      gauge_sample g;
-      g.name = std::string{t[1]};
-      g.value = parse_double(t[2], "obs: telemetry gauge value");
-      snap.gauges.push_back(std::move(g));
-    } else if (tag == "hist") {
-      if (t.size() < 4) fail(line_no, "truncated hist record");
-      histogram_sample h;
-      h.name = std::string{t[1]};
-      const std::size_t k = static_cast<std::size_t>(
-          parse_u64(keyed(t[2], "bounds", line_no),
-                    "obs: telemetry hist bound count"));
-      // name + bounds=k + k bounds + (k+1) buckets + sum.
-      if (k == 0 || t.size() != 3 + k + (k + 1) + 1) {
-        fail(line_no, "hist field count does not match bounds=" +
-                          std::to_string(k));
-      }
-      for (std::size_t i = 0; i < k; ++i) {
-        h.bounds.push_back(
-            parse_double(t[3 + i], "obs: telemetry hist bound"));
-      }
-      for (std::size_t i = 0; i <= k; ++i) {
-        h.buckets.push_back(
-            parse_u64(t[3 + k + i], "obs: telemetry hist bucket"));
-      }
-      h.sum = parse_double(keyed(t.back(), "sum", line_no),
-                           "obs: telemetry hist sum");
-      snap.histograms.push_back(std::move(h));
-    } else {
-      fail(line_no, "unknown record tag '" + std::string{tag} + "'");
-    }
-  }
-  // Strict inverse of the encoder: the document ends at "end".
-  if (in.peek() != std::istream::traits_type::eof()) {
-    fail(line_no + 1, "trailing content after 'end'");
-  }
-  return snap;
+  return decode_telemetry_str(wire::read_all(in));
 }
 
 snapshot decode_telemetry_str(const std::string& text) {
-  std::istringstream in{text};
-  return decode_telemetry(in);
+  wire::reader r{text, "obs: telemetry"};
+  r.expect_magic("bsched-telemetry v" + std::to_string(telemetry_version));
+
+  snapshot snap;
+  while (true) {
+    r.advance("a record or end");
+    if (r.line() == "end") break;
+    wire::splitter t = r.tokens();
+    std::string_view tag;
+    t.next(tag);
+    const char* grammar =
+        tag == "counter" ? "counter <name> <u64>"
+        : tag == "gauge" ? "gauge <name> <double>"
+        : tag == "hist"  ? "hist <name> bounds=<k> <bound>{k} <bucket>{k+1} "
+                           "sum=<double>, k > 0"
+                         : nullptr;
+    if (grammar == nullptr) {
+      r.fail("unknown record tag '" + std::string{tag} + "'");
+    }
+    const auto want = [&] { return std::string{"want '"} + grammar + "'"; };
+    std::string_view token;
+    // The record's next token; running out fails naming its grammar.
+    const auto field = [&] {
+      if (!t.next(token)) r.fail(want());
+      return token;
+    };
+    std::string name{field()};
+    if (tag == "counter") {
+      append_sorted(r, snap.counters,
+                    {std::move(name),
+                     r.number<std::uint64_t>(field(), "counter value")});
+    } else if (tag == "gauge") {
+      append_sorted(
+          r, snap.gauges,
+          {std::move(name), r.number<double>(field(), "gauge value")});
+    } else {
+      histogram_sample h;
+      h.name = std::move(name);
+      const std::optional<wire::key_value> bounds = wire::split_kv(field());
+      const std::uint64_t k =
+          bounds && bounds->key == "bounds"
+              ? r.number<std::uint64_t>(bounds->value, "hist bound count")
+              : 0;
+      if (k == 0) r.fail(want());
+      // k is untrusted: field() fails at the line's last token.
+      for (std::uint64_t i = 0; i < k; ++i) {
+        h.bounds.push_back(r.number<double>(field(), "hist bound"));
+      }
+      for (std::uint64_t i = 0; i <= k; ++i) {
+        h.buckets.push_back(r.number<std::uint64_t>(field(), "hist bucket"));
+      }
+      const std::optional<wire::key_value> sum = wire::split_kv(field());
+      if (!sum || sum->key != "sum") r.fail(want());
+      h.sum = r.number<double>(sum->value, "hist sum");
+      append_sorted(r, snap.histograms, std::move(h));
+    }
+    if (t.next(token)) r.fail(want());
+  }
+  if (r.next()) r.fail("trailing content after 'end'");
+  return snap;
 }
 
 }  // namespace bsched::obs

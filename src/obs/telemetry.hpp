@@ -17,8 +17,9 @@
 // The encoder sorts by name within each kind, so two encodings of equal
 // snapshots are byte-identical (scrape determinism rides on this).
 // Doubles use util::shortest_double, so decode(encode(s)) == s exactly.
-// The decoder is strict: unknown tags, malformed counts, or a missing
-// magic/end line throw bsched::error.
+// The decoder (util/wire.hpp) is strict: unknown tags, malformed counts,
+// names unsorted or repeated within a kind, a missing magic/end line or
+// text after "end" throw bsched::error naming the line.
 #pragma once
 
 #include <iosfwd>

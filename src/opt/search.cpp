@@ -9,13 +9,15 @@
 #include <exception>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <utility>
 
 #include "kibam/scratch.hpp"
 #include "obs/obs.hpp"
-#include "opt/lookahead.hpp"
 #include "opt/memo.hpp"
+#include "opt/policies.hpp"
+#include "sched/simulator.hpp"
 #include "util/error.hpp"
 #include "util/task_pool.hpp"
 
@@ -352,24 +354,13 @@ class evaluator {
     return best;
   }
 
-  /// Admissible bound on the steps from the start of epoch `epoch`, early-
-  /// outing past `limit` (trajectory bound, walked in this evaluator's
-  /// cursor buffer) or exact (flat fallback).
+  /// Admissible trajectory bound on the steps from the start of epoch
+  /// `epoch`, walked in this evaluator's cursor buffer and early-outing
+  /// past `limit`.
   std::int64_t bound_steps(const std::vector<kibam::discrete_state>& bats,
                            std::size_t epoch, std::int64_t limit) {
-    const std::int64_t max_draw = cx_.grid.max_draw_units();
-    if (cx_.opts.per_battery_bound) {
-      return trajectory_walk(cx_.bank, cx_.grid, bats, epoch, max_draw, limit,
-                             cursors_);
-    }
-    std::int64_t alive = 0;
-    for (std::size_t b = 0; b < bats.size(); ++b) {
-      if (bats[b].empty) {
-        continue;
-      }
-      alive += deliverable_units(cx_.bank.disc(b), bats[b].n, max_draw);
-    }
-    return drain_bound_steps(cx_.bank.steps(), cx_.load, epoch, alive);
+    return trajectory_walk(cx_.bank, cx_.grid, bats, epoch,
+                           cx_.grid.max_draw_units(), limit, cursors_);
   }
 
   /// Simulates job epoch `epoch` from step `offset` with `active` serving.
@@ -616,13 +607,13 @@ class searcher {
       std::uint64_t incumbent = 0;
       for (std::uint64_t h = 1;; h *= 2) {
         const std::uint64_t horizon = std::min(h, opts_.warm_start);
-        const lookahead_result la =
-            lookahead_schedule(cx_.bank, cx_.load, horizon);
-        eval.stats.rollouts += la.stats.rollouts;
+        const std::unique_ptr<sched::policy> la = lookahead_policy(horizon);
+        const double lifetime_min =
+            sched::simulate_discrete(cx_.bank, cx_.load, *la).lifetime_min;
+        eval.stats.rollouts += la->stats().rollouts;
         incumbent = std::max(
-            incumbent,
-            static_cast<std::uint64_t>(std::llround(
-                la.lifetime_min / cx_.bank.steps().time_step_min)));
+            incumbent, static_cast<std::uint64_t>(std::llround(
+                           lifetime_min / cx_.bank.steps().time_step_min)));
         if (horizon == opts_.warm_start) break;
       }
       eval.stats.incumbent_from_lookahead = incumbent;

@@ -65,10 +65,6 @@ struct search_options {
   /// Evicted subtrees may be re-expanded (more nodes, identical exact
   /// results); evictions are counted in search_stats::memo_evictions.
   std::uint64_t max_memo_entries = 0;
-  /// Use the trajectory-aware bound (trajectory_bound_steps). Off falls
-  /// back to the historic flat drain cap over summed per-battery
-  /// deliverable_units — strictly weaker, kept for A/B tests.
-  bool per_battery_bound = true;
   /// Warm-start horizon: seed the incumbent from lookahead rollouts at
   /// horizons 1, 2, 4, ... up to this many jobs before the exhaustive
   /// pass (0 = cold start). Maximisation only; the seeded incumbent is

@@ -1,8 +1,10 @@
 #include "sched/registry.hpp"
 
-#include <charconv>
+#include <string_view>
 
 #include "util/error.hpp"
+#include "util/text.hpp"
+#include "util/wire.hpp"
 
 namespace bsched::sched {
 
@@ -12,17 +14,15 @@ namespace {
 std::vector<std::size_t> parse_decisions(const std::string& text) {
   std::vector<std::size_t> out;
   if (text.empty()) return out;  // pure best-of-n fallback
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t dash = std::min(text.find('-', pos), text.size());
-    std::size_t value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(text.data() + pos, text.data() + dash, value);
-    require(ec == std::errc{} && ptr == text.data() + dash && dash > pos,
-            "fixed: decisions must be '-'-separated battery indices, got '" +
-                text + "'");
-    out.push_back(value);
-    pos = dash + 1;
+  wire::splitter items{text, '-'};
+  try {
+    for (std::string_view item; items.next(item);) {
+      out.push_back(static_cast<std::size_t>(parse_u64(item, "decision")));
+    }
+  } catch (const error&) {
+    throw error(
+        "fixed: decisions must be '-'-separated battery indices, got '" +
+        text + "'");
   }
   return out;
 }

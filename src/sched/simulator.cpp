@@ -218,11 +218,11 @@ class discrete_model : public model_view {
 
   // --- model_view: decision-time rollouts on a scratch state copy. ---
   //
-  // Bit-compatible with the precomputed opt::lookahead_schedule of PR 2/3:
-  // the same integer stepping (bank::step_all), the same greedy
-  // most-available hand-over rule, the same job accounting — so the
-  // online "lookahead" policy reproduces the old decision vectors exactly
-  // on the Table 5 workloads (regression-tested in tests/test_lookahead).
+  // A rollout replays the simulator's own discrete semantics: the same
+  // integer stepping (bank::step_all), the same greedy most-available
+  // hand-over rule and the same job accounting as the run it forks from.
+  // tests/test_lookahead pins the "lookahead" policy's lifetimes, decision
+  // vectors and rollout counts on the Table 5 workloads.
 
   [[nodiscard]] rollout_outcome rollout(
       std::size_t candidate, std::size_t horizon_jobs) const override {

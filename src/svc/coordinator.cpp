@@ -76,10 +76,11 @@ struct coordinator::impl {
   const util::monotonic_clock* clk = nullptr;
   clock::time_point started;  ///< run() entry; progress.uptime_s base.
 
-  /// Items of accepted lease results, keyed by worker name — counted
-  /// here, not worker-side, so the per-worker totals tile the stream
-  /// exactly (rejected/expired leases contribute nothing) and sum to
-  /// the folded item count.
+  /// Items of accepted lease results, keyed by metric_safe worker name
+  /// (metric names are unique on the wire) — counted here, not
+  /// worker-side, so the per-worker totals tile the stream exactly
+  /// (rejected/expired leases contribute nothing) and sum to the folded
+  /// item count.
   std::map<std::string, std::uint64_t> accepted_items;
   /// Last heartbeat-piggybacked snapshot per worker name (last wins).
   std::map<std::string, obs::snapshot> worker_snaps;
@@ -199,8 +200,8 @@ struct coordinator::impl {
     // exactly, so summing them across workers reproduces the folded
     // item count (the test_obs fleet assertion).
     for (const auto& [name, items] : accepted_items) {
-      snap.counters.push_back(obs::counter_sample{
-          "svc.worker." + metric_safe(name) + ".items_total", items});
+      snap.counters.push_back(
+          obs::counter_sample{"svc.worker." + name + ".items_total", items});
     }
     // Worker self-reported snapshots, namespaced per worker.
     for (const auto& [name, ws] : worker_snaps) {
@@ -474,7 +475,7 @@ struct coordinator::impl {
                       ") but the lease is [" + std::to_string(ls->first) +
                       ", " + std::to_string(ls->last) + ")");
           merger.add(std::move(part));
-          accepted_items[peer.name] += ls->last - ls->first;
+          accepted_items[metric_safe(peer.name)] += ls->last - ls->first;
           ok = true;
         } catch (const error& e) {
           why = e.what();

@@ -1,37 +1,39 @@
 #include "util/spec.hpp"
 
 #include <algorithm>
-#include <charconv>
+#include <optional>
+#include <string_view>
 
 #include "util/error.hpp"
+#include "util/text.hpp"
+#include "util/wire.hpp"
 
 namespace bsched {
 
 namespace {
 
+/// Parameter `key` parsed as a T, or `fallback` when it is absent.
 template <class T>
-T parse_number(const spec& s, const std::string& key, T fallback) {
+T parse_param(const spec& s, const std::string& key, T fallback) {
   const auto it = s.params.find(key);
   if (it == s.params.end()) return fallback;
-  const std::string& v = it->second;
-  T value{};
-  const auto [ptr, ec] =
-      std::from_chars(v.data(), v.data() + v.size(), value);
-  require(ec == std::errc{} && ptr == v.data() + v.size(),
-          "spec '" + s.name + "': parameter " + key + "=" + v +
-              " is not a valid number");
-  return value;
+  try {
+    return parse_number<T>(it->second, key);
+  } catch (const error&) {
+    throw error("spec '" + s.name + "': parameter " + key + "=" +
+                it->second + " is not a valid number");
+  }
 }
 
 }  // namespace
 
 std::uint64_t spec::get_u64(const std::string& key,
                             std::uint64_t fallback) const {
-  return parse_number<std::uint64_t>(*this, key, fallback);
+  return parse_param<std::uint64_t>(*this, key, fallback);
 }
 
 double spec::get_double(const std::string& key, double fallback) const {
-  return parse_number<double>(*this, key, fallback);
+  return parse_param<double>(*this, key, fallback);
 }
 
 std::string spec::get_string(const std::string& key,
@@ -86,22 +88,22 @@ spec parse_spec(const std::string& text) {
   spec out;
   const std::size_t colon = text.find(':');
   out.name = text.substr(0, colon);
-  require(!out.name.empty(), "spec: empty name in '" + text + "'");
+  if (out.name.empty()) throw error("spec: empty name in '" + text + "'");
   if (colon == std::string::npos) return out;
 
-  std::size_t pos = colon + 1;
-  while (pos <= text.size()) {
-    const std::size_t comma = std::min(text.find(',', pos), text.size());
-    const std::string item = text.substr(pos, comma - pos);
-    const std::size_t eq = item.find('=');
-    require(eq != std::string::npos && eq > 0,
-            "spec '" + out.name + "': expected key=value, got '" + item +
-                "'");
-    const std::string key = item.substr(0, eq);
-    require(!out.params.contains(key),
-            "spec '" + out.name + "': duplicate parameter '" + key + "'");
-    out.params.emplace(key, item.substr(eq + 1));
-    pos = comma + 1;
+  wire::splitter items{std::string_view{text}.substr(colon + 1), ','};
+  for (std::string_view item; items.next(item);) {
+    const std::optional<wire::key_value> kv = wire::split_kv(item);
+    if (!kv || kv->key.empty()) {
+      throw error("spec '" + out.name + "': expected key=value, got '" +
+                  std::string{item} + "'");
+    }
+    const auto [at, fresh] =
+        out.params.emplace(std::string{kv->key}, std::string{kv->value});
+    if (!fresh) {
+      throw error("spec '" + out.name + "': duplicate parameter '" +
+                  at->first + "'");
+    }
   }
   return out;
 }

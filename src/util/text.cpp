@@ -6,15 +6,13 @@
 
 namespace bsched {
 
-namespace {
-
 template <class T>
-T parse_full(std::string_view text, const std::string& what) {
+T parse_number(std::string_view text, std::string_view what) {
   T value{};
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), value);
   if (ec != std::errc{} || ptr != text.data() + text.size()) {
-    std::string msg = what;
+    std::string msg{what};
     msg += ": not a valid number: '";
     msg += text;
     msg += '\'';
@@ -23,20 +21,14 @@ T parse_full(std::string_view text, const std::string& what) {
   return value;
 }
 
-}  // namespace
+template double parse_number<double>(std::string_view, std::string_view);
+template std::uint64_t parse_number<std::uint64_t>(std::string_view,
+                                                   std::string_view);
 
 std::string shortest_double(double v) {
   char buf[32];
   const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
   return std::string(buf, ptr);
-}
-
-double parse_double(std::string_view text, const std::string& what) {
-  return parse_full<double>(text, what);
-}
-
-std::uint64_t parse_u64(std::string_view text, const std::string& what) {
-  return parse_full<std::uint64_t>(text, what);
 }
 
 }  // namespace bsched

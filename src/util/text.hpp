@@ -17,13 +17,20 @@ namespace bsched {
 /// round-trip guarantee), e.g. "0.1", "5.5", "1e-09".
 [[nodiscard]] std::string shortest_double(double v);
 
-/// Parses a full-string double (the shortest_double inverse). Throws
-/// bsched::error naming `what` when the text is not exactly one number.
-[[nodiscard]] double parse_double(std::string_view text,
-                                  const std::string& what);
+/// Parses a full-string double or std::uint64_t (the shortest_double and
+/// integer-rendering inverse). Throws bsched::error naming `what` when the
+/// text is not exactly one number of type T, out-of-range values included.
+template <class T>
+[[nodiscard]] T parse_number(std::string_view text, std::string_view what);
 
-/// Parses a full-string unsigned 64-bit integer; throws like parse_double.
-[[nodiscard]] std::uint64_t parse_u64(std::string_view text,
-                                      const std::string& what);
+[[nodiscard]] inline double parse_double(std::string_view text,
+                                         std::string_view what) {
+  return parse_number<double>(text, what);
+}
+
+[[nodiscard]] inline std::uint64_t parse_u64(std::string_view text,
+                                             std::string_view what) {
+  return parse_number<std::uint64_t>(text, what);
+}
 
 }  // namespace bsched

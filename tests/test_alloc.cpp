@@ -1,8 +1,10 @@
 // Allocation-count regressions for the per-call hot paths: an obs counter
-// hook, the dKiBaM advance kernel, the draw-rate lookup and the search's
-// per-battery cap must not touch the heap once warm, and materializing a
-// stochastic load must allocate a fixed number of blocks whatever its
-// length. These are counts, not timings, so they hold on any box and
+// hook, the dKiBaM advance kernel, the draw-rate lookup, the search's
+// per-battery cap and a protocol message's field reads must not touch the
+// heap once warm; materializing a stochastic load and decoding a message
+// header must allocate a fixed number of blocks whatever their length;
+// decoding a shard aggregate allocates for what it builds, not per field
+// it looks up. These are counts, not timings, so they hold on any box and
 // under every sanitizer.
 //
 // This file replaces the global operator new/delete with counting
@@ -16,12 +18,15 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "api/scenario.hpp"
+#include "dist/codec.hpp"
 #include "kibam/bank.hpp"
 #include "kibam/parameters.hpp"
 #include "load/discretize.hpp"
+#include "net/message.hpp"
 #include "obs/obs.hpp"
 #include "opt/search.hpp"
 
@@ -111,6 +116,83 @@ TEST(Alloc, MaterializeCostDoesNotGrowWithTheJobCount) {
   const std::uint64_t short_load = count_for(10);
   EXPECT_EQ(count_for(40), short_load);
   EXPECT_LE(short_load, 2u);
+}
+
+TEST(Alloc, MessageFieldReadsAllocateNothing) {
+  const net::message hb = net::decode(
+      "bsched-msg v1 heartbeat done=120 epoch=3 lease=7 session=2\n");
+  std::uint64_t sum = 0;
+  EXPECT_EQ(allocations_in([&] {
+              sum += hb.u64("session") + hb.u64("lease") + hb.u64("epoch") +
+                     hb.u64("done");
+              sum += hb.str("lease").size();
+              sum += hb.has("done") ? 1 : 0;
+            }),
+            0u);
+  EXPECT_EQ(sum, 2u + 7u + 3u + 120u + 1u + 1u);
+}
+
+TEST(Alloc, MessageDecodeCostDoesNotGrowWithTheHeader) {
+  // The field map's nodes and the strings past the small-string buffer: a
+  // fixed count per field, however long the header line is.
+  const auto count_for = [](std::size_t value_bytes) {
+    const std::string frame = "bsched-msg v1 heartbeat done=120 epoch=3 "
+                              "lease=7 note=" +
+                              std::string(value_bytes, 'x') + "\nbody";
+    return allocations_in([&] { (void)net::decode(frame); });
+  };
+  const std::uint64_t short_value = count_for(10);
+  EXPECT_EQ(count_for(1000), count_for(100));
+  // One more block than a 10-byte value: the long value's own string.
+  EXPECT_LE(count_for(1000), short_value + 1);
+}
+
+/// A 10-cell shard aggregate as a fleet worker sends it: descriptors of
+/// realistic length and 16-centroid digests.
+dist::shard_aggregate fixed_aggregate() {
+  dist::shard_aggregate agg;
+  agg.shard_index = 1;
+  agg.shard_count = 3;
+  agg.first_item = 10;
+  agg.last_item = 40;
+  agg.grid_cells = 10;
+  agg.replications = 4;
+  agg.seed = 2009;
+  agg.stats.runs = 30;
+  agg.stats.evaluated = 30;
+  for (std::size_t i = 0; i < agg.grid_cells; ++i) {
+    dist::cell_record c;
+    c.cell = i;
+    c.load = "random:count=40,idle=1,p=0.3,seed=" + std::to_string(i);
+    c.policy = "lookahead:horizon=2";
+    c.fidelity = "discrete";
+    c.label = "2xC=5.5 | " + c.load + " | " + c.policy + " | discrete";
+    for (int k = 0; k < 16; ++k) {
+      c.agg.lifetime.add(10.0 + 0.37 * k + 0.01 * static_cast<double>(i));
+      c.agg.residual.add(0.05 * k);
+    }
+    c.agg.n = 16;
+    c.agg.mean = 12.5;
+    c.agg.m2 = 3.25;
+    c.agg.min = 10.0;
+    c.agg.max = 15.55;
+    c.agg.search.rollouts = 40 + i;
+    agg.cells.push_back(std::move(c));
+  }
+  return agg;
+}
+
+TEST(Alloc, ShardDecodeAllocatesPerRecordNotPerLookup) {
+  // Measured: 10 cells x (3 descriptor strings past the small-string
+  // buffer + 2 centroid vectors) + 5 growth steps of the cell vector.
+  // A decoder that builds a token list or a message string per field
+  // lookup costs over a thousand.
+  const std::string wire = dist::encode_str(fixed_aggregate());
+  dist::shard_aggregate back;
+  const std::uint64_t n =
+      allocations_in([&] { back = dist::decode_str(wire); });
+  EXPECT_EQ(back, fixed_aggregate());
+  EXPECT_LE(n, 55u) << wire.size() << "-byte aggregate";
 }
 
 }  // namespace

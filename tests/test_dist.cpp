@@ -456,6 +456,44 @@ TEST(DistCodec, SweepDecodeRejectsGarbageNamingLineAndSection) {
   }
 }
 
+TEST(DistCodec, StrictAtTheDocumentEdges) {
+  const api::sweep sw = random_grid(2);
+  const api::engine eng;
+  const shard_aggregate agg = run_shard(eng, plan_shard(sw, 0, 2));
+  const std::string wire = encode_str(agg);
+  const auto decode_fn = [](const std::string& text) {
+    return decode_str(text);
+  };
+
+  // CR-LF line ends read like LF.
+  std::string crlf;
+  for (const char c : wire) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  EXPECT_EQ(decode_str(crlf), agg);
+
+  // Anything after the closing "end" is refused, naming its first line.
+  const std::string extra = std::to_string(lines_of(wire).size() + 1);
+  expect_names_line_and_section(decode_fn, wire + "cell index=9\n", extra,
+                                "cell list");
+  EXPECT_THROW((void)decode_sweep_str(encode_sweep_str(sw) + "\n"), error);
+
+  // A header count is untrusted: the largest one fails on the count it
+  // promises, never sizing an allocation by it.
+  const auto with_field = [&wire](const std::string& key,
+                                  const std::string& value) {
+    std::string out = wire;
+    const std::size_t at = out.find(" " + key + "=") + key.size() + 2;
+    out.replace(at, out.find_first_of(" \n", at) - at, value);
+    return out;
+  };
+  expect_names_line_and_section(
+      decode_fn, with_field("centroids", "18446744073709551615"), "", "cell 0");
+  expect_names_line_and_section(
+      decode_fn, with_field("cells", "18446744073709551615"), "", "cell list");
+}
+
 TEST(DistMerge, StreamMergerFoldsOutOfOrderIncrementally) {
   // The coordinator's incremental fold: parts arrive out of stream
   // order, the contiguous prefix advances eagerly, gaps and overlaps are

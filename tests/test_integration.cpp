@@ -9,7 +9,7 @@
 #include "kibam/discrete.hpp"
 #include "kibam/kibam.hpp"
 #include "load/random.hpp"
-#include "opt/lookahead.hpp"
+#include "opt/policies.hpp"
 #include "opt/search.hpp"
 #include "sched/policy.hpp"
 #include "sched/simulator.hpp"
@@ -48,7 +48,9 @@ TEST_P(RandomLoadSweep, PolicyOrderHoldsOnRandomLoads) {
     EXPECT_GE(lt, worst - 1e-9) << pol->name() << " seed " << GetParam();
     EXPECT_LE(lt, best + 1e-9) << pol->name() << " seed " << GetParam();
   }
-  const double la = opt::lookahead_schedule(disc, 2, t, 3).lifetime_min;
+  const auto lookahead = opt::lookahead_policy(3);
+  const double la =
+      sched::simulate_discrete(disc, 2, t, *lookahead).lifetime_min;
   EXPECT_GE(la, worst - 1e-9);
   EXPECT_LE(la, best + 1e-9);
 }

@@ -8,7 +8,6 @@
 #include "api/scenario.hpp"
 #include "kibam/discrete.hpp"
 #include "load/jobs.hpp"
-#include "opt/lookahead.hpp"
 #include "opt/policies.hpp"
 #include "opt/search.hpp"
 #include "sched/policy.hpp"
@@ -22,11 +21,40 @@ kibam::discretization disc_b1() {
   return kibam::discretization{kibam::battery_b1()};
 }
 
-std::string decision_digits(const std::vector<std::size_t>& decisions) {
+/// One discrete run of the registry's "lookahead:horizon=N" policy: the
+/// simulation and the policy's rollout count.
+struct lookahead_run {
+  sched::sim_result sim;
+  std::uint64_t rollouts = 0;
+};
+
+lookahead_run run_lookahead(const kibam::bank& bank, const load::trace& t,
+                            std::size_t horizon) {
+  const std::unique_ptr<sched::policy> pol = lookahead_policy(horizon);
+  sched::sim_result sim = sched::simulate_discrete(bank, t, *pol);
+  return {std::move(sim), pol->stats().rollouts};
+}
+
+lookahead_run run_lookahead(const kibam::discretization& d,
+                            std::size_t battery_count, const load::trace& t,
+                            std::size_t horizon) {
+  return run_lookahead(kibam::bank{d, battery_count}, t, horizon);
+}
+
+/// Battery index per decision (job starts and hand-overs), as digits.
+std::string decision_digits(const std::vector<sched::decision>& decisions) {
   std::string out;
-  for (const std::size_t b : decisions) {
-    out += static_cast<char>('0' + b);
+  for (const sched::decision& dec : decisions) {
+    out += static_cast<char>('0' + dec.battery);
   }
+  return out;
+}
+
+/// Battery index per decision (job starts and hand-overs).
+std::vector<std::size_t> batteries_of(
+    const std::vector<sched::decision>& decisions) {
+  std::vector<std::size_t> out;
+  for (const sched::decision& dec : decisions) out.push_back(dec.battery);
   return out;
 }
 
@@ -36,7 +64,7 @@ TEST(Lookahead, NeverBeatsTheOptimum) {
     const load::trace t = load::paper_trace(l);
     const double best = optimal_schedule(d, 2, t).lifetime_min;
     for (const std::size_t horizon : {0u, 2u, 4u}) {
-      const double la = lookahead_schedule(d, 2, t, horizon).lifetime_min;
+      const double la = run_lookahead(d, 2, t, horizon).sim.lifetime_min;
       EXPECT_LE(la, best + 1e-9)
           << load::name(l) << " horizon " << horizon;
     }
@@ -54,7 +82,7 @@ TEST(Lookahead, BoundedByWorstAndOptimal) {
     const double worst = worst_schedule(d, 2, t).lifetime_min;
     const double best = optimal_schedule(d, 2, t).lifetime_min;
     for (const std::size_t horizon : {0u, 1u, 3u}) {
-      const double la = lookahead_schedule(d, 2, t, horizon).lifetime_min;
+      const double la = run_lookahead(d, 2, t, horizon).sim.lifetime_min;
       EXPECT_GE(la, worst - 1e-9) << load::name(l) << " h=" << horizon;
       EXPECT_LE(la, best + 1e-9) << load::name(l) << " h=" << horizon;
     }
@@ -69,7 +97,7 @@ TEST(Lookahead, ClosesTheGapOnIlsR1) {
   const auto b2 = sched::best_of_n();
   const double greedy = sched::simulate_discrete(d, 2, t, *b2).lifetime_min;
   const double opt = optimal_schedule(d, 2, t).lifetime_min;
-  const double la4 = lookahead_schedule(d, 2, t, 4).lifetime_min;
+  const double la4 = run_lookahead(d, 2, t, 4).sim.lifetime_min;
   EXPECT_GT(la4, greedy + 0.5 * (opt - greedy))
       << "horizon 4 should recover at least half the optimality gap";
 }
@@ -81,8 +109,8 @@ TEST(Lookahead, LongerHorizonHelpsOnAverage) {
   double total_short = 0, total_long = 0;
   for (const load::test_load l : load::all_test_loads()) {
     const load::trace t = load::paper_trace(l);
-    total_short += lookahead_schedule(d, 2, t, 0).lifetime_min;
-    total_long += lookahead_schedule(d, 2, t, 4).lifetime_min;
+    total_short += run_lookahead(d, 2, t, 0).sim.lifetime_min;
+    total_long += run_lookahead(d, 2, t, 4).sim.lifetime_min;
   }
   EXPECT_GE(total_long, total_short - 1e-9);
 }
@@ -90,14 +118,14 @@ TEST(Lookahead, LongerHorizonHelpsOnAverage) {
 TEST(Lookahead, DecisionsReplayInTheSimulator) {
   const auto d = disc_b1();
   const load::trace t = load::paper_trace(load::test_load::ils_alt);
-  const lookahead_result r = lookahead_schedule(d, 2, t, 2);
-  ASSERT_FALSE(r.decisions.empty());
+  const lookahead_run r = run_lookahead(d, 2, t, 2);
+  ASSERT_FALSE(r.sim.decisions.empty());
   // The job-start decisions replayed through the simulator reproduce the
   // lifetime (hand-overs inside jobs use the same greedy rule in both).
-  const auto replay = sched::fixed_schedule(r.decisions);
+  const auto replay = sched::fixed_schedule(batteries_of(r.sim.decisions));
   const double replayed =
       sched::simulate_discrete(d, 2, t, *replay).lifetime_min;
-  EXPECT_NEAR(replayed, r.lifetime_min, 0.05);
+  EXPECT_NEAR(replayed, r.sim.lifetime_min, 0.05);
 }
 
 TEST(Lookahead, RolloutCountBoundedByDecisions) {
@@ -106,27 +134,27 @@ TEST(Lookahead, RolloutCountBoundedByDecisions) {
   const auto d = disc_b1();
   const load::trace t = load::paper_trace(load::test_load::ils_500);
   for (const std::size_t horizon : {0u, 8u}) {
-    const auto r = lookahead_schedule(d, 2, t, horizon);
-    EXPECT_GT(r.stats.rollouts, 0u);
-    EXPECT_LE(r.stats.rollouts, 2 * r.decisions.size());
+    const lookahead_run r = run_lookahead(d, 2, t, horizon);
+    EXPECT_GT(r.rollouts, 0u);
+    EXPECT_LE(r.rollouts, 2 * r.sim.decisions.size());
   }
 }
 
 TEST(Lookahead, SingleBatteryMatchesPlainLifetime) {
   const auto d = disc_b1();
   const load::trace t = load::paper_trace(load::test_load::ill_500);
-  const double la = lookahead_schedule(d, 1, t, 3).lifetime_min;
+  const double la = run_lookahead(d, 1, t, 3).sim.lifetime_min;
   EXPECT_NEAR(la, kibam::discrete_lifetime(d, t), 1e-9);
 }
 
 // --- Bit-exactness regression against the precomputed implementation. ---
 //
-// Golden values recorded from the PR 3 `opt::lookahead_schedule` (rollout
-// precomputed outside the simulator, replayed through a fixed schedule)
-// on every Table 5 workload. The online policy — deciding inside the
-// simulator through the model_view — must reproduce the lifetime, the
-// decision vector (job starts and hand-overs) and the rollout count
-// exactly.
+// Golden values recorded from the first, precomputed lookahead scheduler
+// (rollouts run outside the simulator, replayed through a fixed schedule)
+// on every Table 5 workload. The registry's online policy — deciding
+// inside the simulator through the model_view — must reproduce the
+// lifetime, the decision vector (job starts and hand-overs) and the
+// rollout count exactly.
 struct lookahead_golden {
   load::test_load load;
   std::size_t horizon;
@@ -162,12 +190,12 @@ TEST(LookaheadOnline, BitIdenticalToThePrecomputedReplay) {
   const auto d = disc_b1();
   for (const lookahead_golden& c : k_lookahead_golden) {
     const load::trace t = load::paper_trace(c.load);
-    const lookahead_result r = lookahead_schedule(d, 2, t, c.horizon);
-    EXPECT_NEAR(r.lifetime_min, c.lifetime, 1e-9)
+    const lookahead_run r = run_lookahead(d, 2, t, c.horizon);
+    EXPECT_NEAR(r.sim.lifetime_min, c.lifetime, 1e-9)
         << load::name(c.load) << " h=" << c.horizon;
-    EXPECT_EQ(decision_digits(r.decisions), c.decisions)
+    EXPECT_EQ(decision_digits(r.sim.decisions), c.decisions)
         << load::name(c.load) << " h=" << c.horizon;
-    EXPECT_EQ(r.stats.rollouts, c.rollouts)
+    EXPECT_EQ(r.rollouts, c.rollouts)
         << load::name(c.load) << " h=" << c.horizon;
   }
 }

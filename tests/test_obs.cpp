@@ -260,6 +260,47 @@ TEST(ObsTelemetry, DecoderIsStrict) {
                error);
 }
 
+TEST(ObsTelemetry, DecoderSharesTheCodecEdges) {
+  snapshot snap;
+  snap.counters = {{"a.total", 1}, {"b.total", 2}};
+  snap.gauges = {{"a.total", 0.5}};
+  snap.histograms = {{"h", {1, 10}, {1, 2, 3}, 7.5}};
+  const std::string wire = encode_telemetry_str(snap);
+  // CR-LF line ends read like LF, as in the dist codec.
+  std::string crlf;
+  for (const char c : wire) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  EXPECT_EQ(decode_telemetry_str(crlf), snap);
+
+  // Names follow the encoder's order within a kind: sorted and unique (a
+  // name may repeat across kinds, as "a.total" does above).
+  EXPECT_THROW((void)decode_telemetry_str(
+                   "bsched-telemetry v1\ncounter b 1\ncounter a 1\nend\n"),
+               error);
+  EXPECT_THROW((void)decode_telemetry_str(
+                   "bsched-telemetry v1\ngauge g 1\ngauge g 2\nend\n"),
+               error);
+
+  // A bound count whose field-count arithmetic would wrap is refused, not
+  // read past the line's last token.
+  EXPECT_THROW((void)decode_telemetry_str(
+                   "bsched-telemetry v1\n"
+                   "hist h bounds=9223372036854775808 1 2\nend\n"),
+               error);
+
+  // Errors name the origin and the line.
+  try {
+    (void)decode_telemetry_str("bsched-telemetry v1\ncounter c 1\nwat\nend\n");
+    FAIL() << "expected bsched::error";
+  } catch (const error& e) {
+    EXPECT_NE(std::string{e.what()}.find("obs: telemetry: line 3: "),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ------------------------------------------------------------------ trace
 
 TEST(ObsTrace, DisabledSpansAreInert) {
@@ -532,6 +573,50 @@ TEST(ObsFleet, WorkerItemCountersSumExactlyToSweepItems) {
   }
   EXPECT_TRUE(saw_worker_snapshot);
 #endif
+}
+
+TEST(ObsFleet, WorkerNamesThatShareAMetricNameShareOneCounter) {
+  // "w/0" and "w_0" both become the metric-safe "w_0": the fleet view
+  // sums them into one counter, since a snapshot's names are unique
+  // within a kind (the telemetry decoder refuses repeats).
+  const api::sweep sw = fleet_grid(3);
+  const std::size_t total = sw.cells.size() * sw.replications;
+  svc::coordinator_options opts;
+  opts.workers_expected = 2;
+  opts.start_workers = 2;
+  opts.lease_items = 1;
+  opts.deadline_s = 120;
+  svc::coordinator coord{sw, opts};
+  auto served = std::async(std::launch::async, [&coord] {
+    return coord.run();
+  });
+  const api::engine engine;
+  const auto join = [&engine, &coord](const std::string& name) {
+    return std::async(std::launch::async, [&engine, &coord, name] {
+      svc::worker_options wopts;
+      wopts.port = coord.port();
+      wopts.name = name;
+      wopts.n_threads = 1;
+      return svc::run_worker(engine, wopts);
+    });
+  };
+  auto w0 = join("w/0");
+  auto w1 = join("w_0");
+  (void)served.get();
+  (void)w0.get();
+  (void)w1.get();
+
+  const snapshot snap = coord.telemetry();
+  std::size_t counters_named = 0;
+  for (const auto& c : snap.counters) {
+    if (c.name == "svc.worker.w_0.items_total") {
+      ++counters_named;
+      EXPECT_EQ(c.value, total);
+    }
+  }
+  EXPECT_EQ(counters_named, 1u);
+  const std::string wire = encode_telemetry_str(snap);
+  EXPECT_EQ(encode_telemetry_str(decode_telemetry_str(wire)), wire);
 }
 
 TEST(ObsFleet, LongTelemetryIntervalStillSeesEveryLeasedWorker) {

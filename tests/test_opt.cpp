@@ -8,7 +8,7 @@
 #include "kibam/bank.hpp"
 #include "kibam/discrete.hpp"
 #include "load/jobs.hpp"
-#include "opt/lookahead.hpp"
+#include "opt/policies.hpp"
 #include "opt/search.hpp"
 #include "sched/policy.hpp"
 #include "sched/simulator.hpp"
@@ -314,7 +314,9 @@ TEST(Heterogeneous, SearchBoundsEveryPolicyOnSeededRandomBanks) {
       const auto bo = sched::best_of_n();
       check(sched::simulate_discrete(bank, t, *bo).lifetime_min,
             "best_of_n");
-      check(lookahead_schedule(bank, t, 2).lifetime_min, "lookahead");
+      const auto la = lookahead_policy(2);
+      check(sched::simulate_discrete(bank, t, *la).lifetime_min,
+            "lookahead");
     }
   }
 }
@@ -416,36 +418,37 @@ TEST(DrainBound, PerBatteryCapProperties) {
 }
 
 TEST(Heterogeneous, PerBatteryBoundNeverExpandsMoreNodes) {
-  // The tightened admissible bound may only ever prune more: identical
-  // lifetimes and decisions, node counts shrink or stay equal on the
-  // 5.5 + 4.0 A*min mixed bank.
+  // The admissible trajectory bound may only ever prune: identical
+  // lifetimes and decisions to the exhaustive (unpruned) reference, and
+  // node counts shrink or stay equal on the 5.5 + 4.0 A*min mixed bank.
   const kibam::bank bank{{kibam::itsy_battery(5.5),
                           kibam::itsy_battery(4.0)}};
-  search_options tight;
-  ASSERT_TRUE(tight.per_battery_bound);
-  search_options loose;
-  loose.per_battery_bound = false;
+  search_options exhaustive;
+  exhaustive.prune = false;
+  std::uint64_t pruned_by_bound = 0;
   for (const load::test_load l : load::all_test_loads()) {
     const load::trace t = load::paper_trace(l);
-    const optimal_result a = optimal_schedule(bank, t, tight);
-    const optimal_result b = optimal_schedule(bank, t, loose);
+    const optimal_result a = optimal_schedule(bank, t);
+    const optimal_result b = optimal_schedule(bank, t, exhaustive);
     EXPECT_DOUBLE_EQ(a.lifetime_min, b.lifetime_min) << load::name(l);
     EXPECT_EQ(a.decisions, b.decisions) << load::name(l);
     EXPECT_LE(a.stats.nodes, b.stats.nodes) << load::name(l);
+    pruned_by_bound += a.stats.pruned_by_bound;
   }
+  EXPECT_GT(pruned_by_bound, 0u);
 }
 
 TEST(Optimal, HomogeneousBanksUseTheTrajectoryBoundToo) {
-  // Contract change with the trajectory bound: it applies to every bank
-  // (the recovery-rate bottleneck it tracks is what kills the homogeneous
-  // Table 5 banks), so one-type banks now prune strictly more than the
-  // flat fallback while the result stays exact.
+  // The trajectory bound applies to every bank (the recovery-rate
+  // bottleneck it tracks is what kills the homogeneous Table 5 banks):
+  // one-type banks prune against the exhaustive reference while the
+  // result stays exact.
   const auto d = disc_b1();
   const load::trace t = load::paper_trace(load::test_load::ils_alt);
-  search_options off;
-  off.per_battery_bound = false;
+  search_options exhaustive;
+  exhaustive.prune = false;
   const optimal_result a = optimal_schedule(d, 2, t);
-  const optimal_result b = optimal_schedule(d, 2, t, off);
+  const optimal_result b = optimal_schedule(d, 2, t, exhaustive);
   EXPECT_DOUBLE_EQ(a.lifetime_min, b.lifetime_min);
   EXPECT_EQ(a.decisions, b.decisions);
   EXPECT_LE(a.stats.nodes, b.stats.nodes);

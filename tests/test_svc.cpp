@@ -497,6 +497,18 @@ TEST(SvcNet, DecodeRejectsHostileInputWithTypedErrors) {
   EXPECT_THROW((void)net::decode("bsched-msg v1 t =v\n"), error);
 }
 
+TEST(SvcNet, DecodeRefusesWhatEncodeRefuses) {
+  // A type holding '=' is not a header token: encode refuses to write it,
+  // so decode refuses to read it rather than hand back a message that
+  // cannot be re-sent.
+  EXPECT_THROW((void)net::encode(net::make("a=b")), error);
+  EXPECT_THROW((void)net::decode("bsched-msg v1 a=b k=v\n"), error);
+  // Doubled spaces between fields stay tolerated.
+  const net::message m = net::decode("bsched-msg v1 t  k=v\n");
+  EXPECT_EQ(m.str("k"), "v");
+  EXPECT_EQ(net::decode(net::encode(m)).fields, m.fields);
+}
+
 TEST(SvcNet, LoopbackFramesSurviveFragmentationAndTimeouts) {
   net::listener lst{0};
   ASSERT_GT(lst.port(), 0);

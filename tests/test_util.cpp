@@ -6,6 +6,9 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
@@ -13,6 +16,7 @@
 #include "util/table.hpp"
 #include "util/tdigest.hpp"
 #include "util/text.hpp"
+#include "util/wire.hpp"
 
 namespace bsched {
 namespace {
@@ -344,6 +348,110 @@ TEST(TDigest, FromCentroidsValidatesAndRoundTrips) {
       (void)tdigest::from_centroids(8, {{1.0, 1.0}, {0.5, 1.0}}), error);
   EXPECT_THROW((void)tdigest::from_centroids(8, {{1.0, 0.0}}), error);
   EXPECT_THROW((void)tdigest::from_centroids(8, {{1.0, -2.0}}), error);
+}
+
+// ------------------------------------------------------------------ wire
+
+/// All tokens of `text` split on `sep`.
+std::vector<std::string_view> split_all(std::string_view text, char sep) {
+  std::vector<std::string_view> out;
+  wire::splitter s{text, sep};
+  for (std::string_view t; s.next(t);) out.push_back(t);
+  return out;
+}
+
+/// The message of the bsched::error `f` throws.
+template <class F>
+std::string error_of(F&& f) {
+  try {
+    f();
+  } catch (const error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected bsched::error";
+  return {};
+}
+
+TEST(Wire, SplitterYieldsEveryTokenEmptyOnesIncluded) {
+  using v = std::vector<std::string_view>;
+  EXPECT_EQ(split_all("a b c", ' '), (v{"a", "b", "c"}));
+  EXPECT_EQ(split_all("a,,b,", ','), (v{"a", "", "b", ""}));
+  EXPECT_EQ(split_all("", ','), (v{""}));
+  EXPECT_EQ(split_all("0-1-0", '-'), (v{"0", "1", "0"}));
+}
+
+TEST(Wire, KeyValueSplitsAtTheFirstEquals) {
+  const auto kv = wire::split_kv("label=a=b");
+  ASSERT_TRUE(kv.has_value());
+  EXPECT_EQ(kv->key, "label");
+  EXPECT_EQ(kv->value, "a=b");
+  EXPECT_EQ(wire::split_kv("=v")->key, "");
+  EXPECT_EQ(wire::split_kv("k=")->value, "");
+  EXPECT_FALSE(wire::split_kv("bare").has_value());
+}
+
+TEST(Wire, ReaderCountsLinesAndDropsOneCarriageReturn) {
+  wire::reader r{"one\r\ntwo x=1\n\nlast", "test"};
+  ASSERT_TRUE(r.next());
+  EXPECT_EQ(r.line(), "one");
+  ASSERT_TRUE(r.next());
+  EXPECT_EQ(r.tag(), "two");
+  EXPECT_EQ(r.u64("x"), 1u);
+  ASSERT_TRUE(r.next());
+  EXPECT_EQ(r.line(), "");
+  ASSERT_TRUE(r.next());
+  EXPECT_EQ(r.line(), "last");
+  EXPECT_FALSE(r.next());
+  EXPECT_EQ(error_of([&] { r.fail("why"); }), "test: line 4: why");
+}
+
+TEST(Wire, ErrorsNameOriginLineAndSection) {
+  wire::reader r{"rec n=zero count=2 1:2\n", "dist::codec"};
+  ASSERT_TRUE(r.next());
+  r.section("cell 3");
+  EXPECT_EQ(error_of([&] { (void)r.u64("n"); }),
+            "dist::codec: line 1 (cell 3): n: not a valid number: 'zero'");
+  r.section("header");
+  EXPECT_EQ(error_of([&] { (void)r.value("m"); }),
+            "dist::codec: line 1 (header): missing field 'm' in "
+            "'rec n=zero count=2 1:2'");
+  EXPECT_EQ(error_of([&] {
+              (void)r.pairs<std::pair<double, double>>("count", "pair");
+            }),
+            "dist::codec: line 1 (header): pair count mismatch: header says "
+            "2, line carries 1");
+  // Numeric extremes are refused, not wrapped or clamped.
+  wire::reader big{"r n=18446744073709551616 x=1e309 y=-0\n", "t"};
+  ASSERT_TRUE(big.next());
+  EXPECT_THROW((void)big.u64("n"), error);
+  EXPECT_THROW((void)big.real("x"), error);
+  EXPECT_EQ(big.real("y"), 0.0);
+}
+
+TEST(Wire, PairListReadsCountPrefixedPairs) {
+  wire::reader r{"lifetime budget=8 centroids=2 0.5:1 2:3\n", "t"};
+  ASSERT_TRUE(r.next());
+  const auto cs = r.pairs<centroid>("centroids", "centroid");
+  ASSERT_EQ(cs.size(), 2u);
+  EXPECT_EQ(cs[1], (centroid{2.0, 3.0}));
+  wire::reader bad{"x n=1 7\n", "t"};
+  ASSERT_TRUE(bad.next());
+  EXPECT_EQ(error_of([&] { (void)bad.pairs<centroid>("n", "pair"); }),
+            "t: line 1: malformed pair '7' (want a:b)");
+  // A huge untrusted count fails on the mismatch, it does not reserve.
+  wire::reader huge{"x n=18446744073709551615 1:1\n", "t"};
+  ASSERT_TRUE(huge.next());
+  EXPECT_THROW((void)huge.pairs<centroid>("n", "pair"), error);
+}
+
+TEST(Wire, ExpectsRecords) {
+  wire::reader r{"label=a b=c\nend\nmore\n", "t"};
+  EXPECT_EQ(r.expect_text("label"), "a b=c");
+  EXPECT_EQ(error_of([&] { r.expect("cell"); }),
+            "t: line 2: expected 'cell' record, got 'end'");
+  ASSERT_TRUE(r.next());
+  EXPECT_EQ(error_of([&] { (void)r.expect_text("x"); }),
+            "t: line 3: unexpected end of stream (wanted x)");
 }
 
 }  // namespace
