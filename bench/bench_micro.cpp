@@ -235,46 +235,6 @@ void bm_optimal_search(benchmark::State& state) {
 }
 BENCHMARK(bm_optimal_search);
 
-void bm_optimal_search_warmstart(benchmark::State& state) {
-  // The iterative-deepening warm start: lookahead rollouts at horizons
-  // 1, 2, 4, 8 seed the incumbent before the exhaustive pass. Measures
-  // what the rollout ladder costs on top of bm_optimal_search's shallow
-  // default when the trajectory bound already prunes tightly.
-  const kibam::discretization d{kibam::battery_b1()};
-  const load::trace t = load::paper_trace(load::test_load::cl_alt);
-  opt::search_options opts;
-  opts.warm_start = 8;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        opt::optimal_schedule(d, 2, t, opts).lifetime_min);
-  }
-}
-BENCHMARK(bm_optimal_search_warmstart);
-
-void bm_optimal_search_parallel(benchmark::State& state) {
-  // Subtree-parallel search on the work-stealing pool over the sharded
-  // memo, on the biggest short-load tree (ILs 250 s). Results are
-  // bit-identical across thread counts; this measures the coordination
-  // tax (and, on multi-core hosts, the speedup) against threads:1.
-  const kibam::discretization d{kibam::battery_b1()};
-  const load::trace t = load::paper_trace(load::test_load::ils_250);
-  opt::search_options opts;
-  opts.threads = static_cast<std::uint64_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        opt::optimal_schedule(d, 2, t, opts).lifetime_min);
-  }
-}
-// Process CPU time, not the calling thread's: the caller mostly blocks in
-// join, so thread CPU would undercount by the worker count. Real time is
-// reported alongside for the wall-clock view.
-BENCHMARK(bm_optimal_search_parallel)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
 void bm_dbm_canonicalize(benchmark::State& state) {
   const auto clocks = static_cast<std::size_t>(state.range(0));
   pta::dbm z = pta::dbm::universal(clocks);

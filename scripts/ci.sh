@@ -110,8 +110,8 @@ run_tsan() {
   # standalone (fail loudly if the filter ever goes empty), then the
   # rest of the concurrency surface: the sweep pool, the svc fleet, the
   # net framing, the api engine's thread-count-independence tests, the
-  # exact search (parallel workers share one discretized load) and the
-  # allocation counts (their operator new replacement must hold under
+  # exact search (concurrent searches on the sweep pool, each with its
+  # own memo) and the allocation counts (their operator new replacement must hold under
   # the TSan runtime too).
   TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
     ctest --test-dir "$dir" -R "Stress" --no-tests=error \

@@ -60,13 +60,21 @@ Rules (see README "Correctness tooling"):
                     codec, telemetry, message-header and spec readers.
 
   thread-discipline library code must not spawn raw threads (std::thread/
-                    std::jthread construction, std::async) outside the
-                    budgeted layer: src/util (the work-stealing task_pool
-                    and the process thread_budget). A policy, kernel or
-                    sweep that spawned its own threads would bypass the
-                    oversubscription accounting and the determinism
-                    contract. `std::thread::hardware_concurrency()` and
-                    other static members stay fine anywhere.
+                    std::jthread construction, std::async) outside
+                    src/util, whose task_pool (run one body on N fresh
+                    threads, then join) is the one place threads start;
+                    api::engine::run_sweep is its caller. A policy, kernel
+                    or sweep that spawned its own threads would escape the
+                    sweep's thread count and its determinism contract.
+                    `std::thread::hardware_concurrency()` and other static
+                    members stay fine anywhere.
+
+  opt-sequential    the exact search (src/opt/) is one sequential code
+                    path: no <mutex>, <atomic> or <thread> include, no
+                    std::mutex/std::atomic/std::thread and no task_pool
+                    there, so a second, concurrent search path cannot grow
+                    back unreviewed. Concurrency lives one level up: a
+                    sweep runs independent searches on its thread pool.
 """
 
 import argparse
@@ -105,6 +113,10 @@ OBS_DETAIL_PATTERN = re.compile(r"\bobs\s*::\s*detail\b")
 # std::thread/std::jthread not followed by '::' (static members like
 # hardware_concurrency are not a spawn), plus std::async.
 THREAD_PATTERN = re.compile(r"std::j?thread\b(?!\s*::)|std::async\b")
+
+OPT_SEQUENTIAL_PATTERN = re.compile(
+    r"#\s*include\s*<(?:mutex|shared_mutex|atomic|thread)>|\btask_pool\b|"
+    r"std::(?:j?thread|(?:shared_|recursive_)?mutex|atomic\w*)\b")
 
 WIRE_PATTERN = re.compile(r"std::getline\b|\.find\(\s*'='\s*\)")
 
@@ -307,9 +319,24 @@ def check_threads(rel, code):
     findings = []
     for m in THREAD_PATTERN.finditer(strip_strings(code)):
         findings.append((line_of(code, m.start()), "thread-discipline",
-                         f"'{m.group().strip()}' spawns outside the budgeted "
-                         f"pools — go through util::task_pool / "
-                         f"util::thread_budget (src/util)"))
+                         f"'{m.group().strip()}' spawns a thread outside "
+                         f"src/util — run the work through "
+                         f"util::task_pool (util/task_pool.hpp)"))
+    return findings
+
+
+def check_opt_sequential(rel, code):
+    if not rel.startswith(os.path.join("src", "opt") + os.sep):
+        return []
+    findings = []
+    # Comment-stripped code with literals intact, so a quoted include of
+    # util/task_pool.hpp is caught too.
+    for m in OPT_SEQUENTIAL_PATTERN.finditer(code):
+        findings.append((line_of(code, m.start()), "opt-sequential",
+                         f"'{m.group().strip()}' in src/opt — the exact "
+                         f"search is one sequential code path; run "
+                         f"independent searches concurrently from a sweep "
+                         f"instead"))
     return findings
 
 
@@ -345,7 +372,7 @@ def check_obs_detail(rel, code):
 
 CODE_CHECKS = (check_no_io, check_require_prefix, check_rng,
                check_version_literals, check_threads, check_obs_detail,
-               check_wire_reader)
+               check_wire_reader, check_opt_sequential)
 
 
 def lint_file(rel, text):
@@ -495,8 +522,11 @@ def self_test():
         ("tests may poke obs::detail",
          "tests/test_obs.cpp", "obs::detail::span s{t, \"x\"};", []),
         ("raw std::thread in library code",
-         "src/opt/search.cpp", "void f() { std::thread t{[] {}}; }",
+         "src/sched/policy.cpp", "void f() { std::thread t{[] {}}; }",
          ["thread-discipline"]),
+        ("raw std::thread in the search breaks both rules",
+         "src/opt/search.cpp", "void f() { std::thread t{[] {}}; }",
+         ["opt-sequential", "thread-discipline"]),
         ("std::jthread in library code",
          "src/sched/simulator.cpp", "void f() { std::jthread t{[] {}}; }",
          ["thread-discipline"]),
@@ -512,12 +542,39 @@ def self_test():
          "void f() { std::vector<std::thread> pool; }",
          ["thread-discipline"]),
         ("hardware_concurrency is not a spawn",
-         "src/opt/search.cpp",
+         "src/api/engine.cpp",
          "auto n = std::thread::hardware_concurrency();", []),
         ("std::thread in a comment is fine",
          "src/opt/search.cpp", "// never hold a raw std::thread here\n", []),
         ("tests may spawn threads",
          "tests/test_stress.cpp", "std::thread t{[] {}};", []),
+        ("a sequential search",
+         "src/opt/search.cpp",
+         "#include <unordered_map>\nstd::unordered_map<int, int> memo;",
+         []),
+        ("mutex include in the search",
+         "src/opt/search.cpp", "#include <mutex>\n", ["opt-sequential"]),
+        ("atomic counter in the search",
+         "src/opt/search.cpp", "std::atomic<std::uint64_t> nodes{0};",
+         ["opt-sequential"]),
+        ("task_pool include in an opt policy",
+         "src/opt/policies.cpp", '#include "util/task_pool.hpp"\n',
+         ["opt-sequential"]),
+        ("task_pool call in an opt header",
+         "src/opt/search.hpp",
+         "#pragma once\nvoid f() { util::task_pool::run(4, g); }",
+         ["opt-sequential"]),
+        ("thread count query in the search",
+         "src/opt/search.cpp",
+         "auto n = std::thread::hardware_concurrency();",
+         ["opt-sequential"]),
+        ("the engine may use mutexes and the pool",
+         "src/api/engine.cpp",
+         '#include <mutex>\n#include "util/task_pool.hpp"\nstd::mutex m;',
+         []),
+        ("concurrency named in an opt comment is fine",
+         "src/opt/search.cpp", "// no std::mutex, <atomic> or task_pool\n",
+         []),
         ("getline in a library codec",
          "src/dist/codec.cpp",
          "bool f(std::istream& in, std::string& l) "

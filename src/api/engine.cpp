@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <latch>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -234,25 +233,12 @@ sweep_stats engine::run_sweep(const sweep& sw, result_sink& sink,
   if (n_threads == 1) {
     worker();
   } else {
-    // Lease the pool's width from the process thread budget so a search
-    // policy running inside a worker (opt:threads=0) sizes its own pool
-    // against what is left of the hardware concurrency — sweep-level and
-    // search-level parallelism compose without oversubscribing. Explicit
-    // inner thread counts are unaffected (the lease only informs grant()).
-    const util::thread_budget::lease lease{n_threads};
-    // The calling thread takes no job. Task 0, dealt to it, only waits
-    // until every worker loop has been taken, so it finds nothing left to
-    // steal. Every job thus runs on a pool thread whose allocator arena
-    // starts cold, and a sweep's peak memory does not depend on whether a
-    // large job (an exact search's memo) lands on the caller, whose arena
-    // may still hold memory that earlier work freed.
-    std::latch started{static_cast<std::ptrdiff_t>(n_threads)};
-    std::vector<std::function<void()>> tasks(n_threads + 1, [&] {
-      started.count_down();
-      worker();
-    });
-    tasks.front() = [&] { started.wait(); };
-    util::task_pool::run(std::move(tasks), n_threads + 1);
+    // The calling thread takes no job. Every job thus runs on a pool
+    // thread whose allocator arena starts cold, and a sweep's peak memory
+    // does not depend on whether a large job (an exact search's memo)
+    // lands on the caller, whose arena may still hold memory that earlier
+    // work freed.
+    util::task_pool::run(n_threads, worker);
   }
   BSCHED_ASSERT(delivered == total);
   if (sink_error != nullptr) std::rethrow_exception(sink_error);

@@ -65,7 +65,7 @@ tdigest decode_digest(const wire::reader& r) {
 }  // namespace
 
 void encode(const shard_aggregate& agg, std::ostream& out) {
-  out << "bsched-shard v" << codec_version << '\n';
+  out << "bsched-shard v" << shard_version << '\n';
   out << "shard index=" << agg.shard_index << " count=" << agg.shard_count
       << " first=" << agg.first_item << " last=" << agg.last_item << '\n';
   out << "sweep cells=" << agg.grid_cells
@@ -94,8 +94,7 @@ void encode(const shard_aggregate& agg, std::ostream& out) {
         << " rollouts=" << s.rollouts
         << " pruned_by_bound=" << s.pruned_by_bound
         << " incumbent_from_lookahead=" << s.incumbent_from_lookahead
-        << " stolen_subtrees=" << s.stolen_subtrees
-        << " memo_shards=" << s.memo_shards << '\n';
+        << '\n';
     encode_digest("lifetime", c.agg.lifetime, out);
     encode_digest("residual", c.agg.residual, out);
   }
@@ -109,7 +108,7 @@ shard_aggregate decode(std::istream& in) {
 
 shard_aggregate decode_str(const std::string& text) {
   wire::reader r{text, "dist::codec"};
-  r.expect_magic("bsched-shard v" + std::to_string(codec_version));
+  r.expect_magic("bsched-shard v" + std::to_string(shard_version));
 
   shard_aggregate agg;
   r.section("shard header");
@@ -159,8 +158,6 @@ shard_aggregate decode_str(const std::string& text) {
     c.agg.search.pruned_by_bound = r.u64("pruned_by_bound");
     c.agg.search.incumbent_from_lookahead =
         r.u64("incumbent_from_lookahead");
-    c.agg.search.stolen_subtrees = r.u64("stolen_subtrees");
-    c.agg.search.memo_shards = r.u64("memo_shards");
     r.expect("lifetime");
     c.agg.lifetime = decode_digest(r);
     r.expect("residual");
@@ -185,7 +182,7 @@ void encode_epochs(const char* tag, const std::vector<load::epoch>& es,
 }  // namespace
 
 void encode_sweep(const api::sweep& sw, std::ostream& out) {
-  out << "bsched-sweep v" << codec_version << '\n';
+  out << "bsched-sweep v" << sweep_version << '\n';
   out << "sweep cells=" << sw.cells.size()
       << " replications=" << sw.replications << " seed=" << sw.seed
       << " reseed=" << (sw.reseed ? 1 : 0)
@@ -229,7 +226,7 @@ api::sweep decode_sweep(std::istream& in) {
 api::sweep decode_sweep_str(const std::string& text) {
   wire::reader r{text, "dist::codec"};
   r.section("sweep definition");
-  r.expect_magic("bsched-sweep v" + std::to_string(codec_version));
+  r.expect_magic("bsched-sweep v" + std::to_string(sweep_version));
 
   api::sweep sw;
   r.expect("sweep");

@@ -8,7 +8,7 @@
 // strings (labels, load/policy specs) are carried as "key=<rest of
 // line>" records and may contain anything but a newline.
 //
-//   bsched-shard v1
+//   bsched-shard v2
 //   shard index=0 count=3 first=0 last=34
 //   sweep cells=10 replications=10 seed=2009 reseed=1 pair_by_load=0
 //   stats runs=34 evaluated=34 cache_hits=0 failures=0
@@ -18,18 +18,22 @@
 //   policy=round_robin
 //   fidelity=discrete
 //   agg n=4 failures=0 cache_hits=0 mean=... m2=... min=... max=...
-//   search nodes=0 memo_hits=0 pruned=0 ... memo_shards=0
+//   search nodes=0 memo_hits=0 pruned=0 memo_entries=0 memo_evictions=0
+//          rollouts=0 pruned_by_bound=0 incumbent_from_lookahead=0
 //   lifetime budget=64 centroids=4 m:w m:w m:w m:w
 //   residual budget=64 centroids=4 m:w m:w m:w m:w
 //   ...
 //   end
 //
-// Stability note: v1 is append-only — readers reject a different version
-// line rather than guessing, and any future field additions bump the
-// version. Decoding (util/wire.hpp) is strict: wrong magic, truncation,
-// a duplicated or out-of-place section, unknown tags, malformed numbers
-// and text after "end" throw bsched::error naming the 1-based line
-// number and the section being decoded — no silent partial decode.
+// Stability note: readers reject a different version line rather than
+// guessing, and any change to a record's fields bumps the version. v2
+// dropped two fields of the search record (the parallel search's steal
+// and memo-shard counts), so a v1 document is rejected on its magic
+// line. Decoding (util/wire.hpp) is strict: wrong
+// magic, truncation, a duplicated or out-of-place section, unknown tags,
+// malformed numbers and text after "end" throw bsched::error naming the
+// 1-based line number and the section being decoded — no silent partial
+// decode.
 //
 // A second section, "bsched-sweep v1", serializes a full api::sweep
 // *definition* (the grid itself, not results): per cell the battery
@@ -49,11 +53,12 @@
 
 namespace bsched::dist {
 
-/// Current wire-format version (the N of "bsched-shard vN" and
-/// "bsched-sweep vN"; the two sections version together).
-inline constexpr std::size_t codec_version = 1;
+/// Current wire-format versions: the N of "bsched-shard vN" and of
+/// "bsched-sweep vN". Each format bumps its own when its records change.
+inline constexpr std::size_t shard_version = 2;
+inline constexpr std::size_t sweep_version = 1;
 
-/// Writes `agg` to `out` in the v1 line format.
+/// Writes `agg` to `out` in the "bsched-shard v2" line format.
 void encode(const shard_aggregate& agg, std::ostream& out);
 
 /// Parses one aggregate back; strict inverse of encode. Throws

@@ -5,8 +5,8 @@
 // drop it"). At a few dozen bytes per bank those copies are pure
 // allocator traffic; scratch_pool keeps the dropped vectors on a
 // freelist so the steady state allocates nothing. One pool serves one
-// thread (search workers each own one) — there is deliberately no
-// locking on this hot path.
+// thread (each search and each rollout policy owns one) — there is
+// deliberately no locking on this hot path.
 #pragma once
 
 #include <utility>

@@ -1,25 +1,19 @@
 #include "opt/search.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <deque>
-#include <exception>
-#include <functional>
 #include <limits>
 #include <memory>
-#include <mutex>
+#include <unordered_map>
 #include <utility>
 
 #include "kibam/scratch.hpp"
 #include "obs/obs.hpp"
-#include "opt/memo.hpp"
 #include "opt/policies.hpp"
 #include "sched/simulator.hpp"
 #include "util/error.hpp"
-#include "util/task_pool.hpp"
 
 namespace bsched::opt {
 
@@ -244,40 +238,179 @@ std::int64_t trajectory_walk(const kibam::bank& bank, const grid_load& grid,
   throw error("trajectory_bound_steps: load drains too slowly to bound");
 }
 
-/// Immutable per-search context shared by the sequential evaluator, every
-/// parallel worker and the skeleton expansion.
-struct search_ctx {
-  const kibam::bank& bank;
-  const load::trace& load;
-  const search_options& opts;
-  bool minimize;
-  const grid_load grid;  ///< `load` on the bank's grid, read by every walk.
-  std::vector<std::size_t> group_order;  ///< Battery indices, type-grouped.
-  std::vector<std::size_t> group_begin;  ///< Group offsets in group_order.
+/// The transposition table. Node values are keyed on (canonical epoch,
+/// battery states sorted within same-type groups). An `exact` entry is the
+/// node's true optimum; an inexact one is an admissible *upper bound*
+/// computed under some pruning floor (see searcher), which stays valid at
+/// any floor at or above it. Exact entries win over bounds, and a tighter
+/// bound replaces a looser one. A nonzero `max_entries` caps the table:
+/// the oldest entry is evicted first (deterministic FIFO), so large mixed
+/// banks cannot grow it without bound.
+class memo_table {
+ public:
+  using key = std::vector<std::uint64_t>;
+  struct entry {
+    std::int64_t value = 0;
+    bool exact = false;
+  };
 
+  explicit memo_table(std::uint64_t max_entries) : cap_(max_entries) {}
+
+  /// The usable entry for `k`: any exact entry, or an upper bound not
+  /// above `floor` (a value the caller discards against its incumbent
+  /// anyway). Null when there is none.
+  [[nodiscard]] const entry* lookup(const key& k, std::int64_t floor) const {
+    const auto it = map_.find(k);
+    if (it == map_.end()) return nullptr;
+    if (!it->second.exact && it->second.value > floor) return nullptr;
+    return &it->second;
+  }
+
+  /// Inserts or improves the entry for `k`: exact beats inexact, and a
+  /// smaller upper bound beats a larger one. Returns the number of entries
+  /// evicted to stay within the cap.
+  std::uint64_t store(key k, entry e) {
+    const auto [it, inserted] = map_.emplace(std::move(k), e);
+    if (!inserted) {
+      entry& held = it->second;
+      const bool better = (e.exact && !held.exact) ||
+                          (e.exact == held.exact && e.value < held.value);
+      if (better) held = e;
+      return 0;  // a re-walk revisits a live entry
+    }
+    if (cap_ == 0) return 0;  // unbounded: no bookkeeping
+    fifo_.push_back(&it->first);
+    if (map_.size() <= cap_) return 0;
+    map_.erase(*fifo_.front());
+    fifo_.pop_front();
+    return 1;
+  }
+
+  [[nodiscard]] std::uint64_t size() const noexcept { return map_.size(); }
+
+ private:
+  struct key_hash {
+    std::size_t operator()(const key& v) const noexcept {
+      // FNV-1a over the words.
+      std::uint64_t h = 1469598103934665603ULL;
+      for (const std::uint64_t w : v) {
+        h ^= w;
+        h *= 1099511628211ULL;
+      }
+      return static_cast<std::size_t>(h);
+    }
+  };
+
+  std::unordered_map<key, entry, key_hash> map_;
+  /// Keys in insertion order for FIFO eviction (key storage is stable
+  /// under rehashing, so the pointers hold).
+  std::deque<const key*> fifo_;
+  std::uint64_t cap_;
+};
+
+/// The recursive branch-and-bound over one scratch pool and one memo.
+///
+/// Value contract, held inductively by node_value and run_from: a returned
+/// value is always an admissible upper bound on the true optimum, and it
+/// *is* the true optimum whenever it exceeds the pruning floor passed in.
+/// Minimisation disables pruning entirely, so every value is exact there.
+class searcher {
+ public:
+  searcher(const kibam::bank& bank, const load::trace& load,
+           const search_options& opts, bool minimize)
+      : bank_(bank),
+        load_(load),
+        opts_(opts),
+        minimize_(minimize),
+        grid_(load, bank.steps()),
+        memo_(opts.max_memo_entries) {
+    // Battery indices ordered by type: the memo key sorts states within
+    // each contiguous same-type group, so permutations of interchangeable
+    // batteries collapse while distinct types never mix.
+    group_order_.reserve(bank.size());
+    for (std::size_t t = 0; t < bank.type_count(); ++t) {
+      group_begin_.push_back(group_order_.size());
+      for (std::size_t b = 0; b < bank.size(); ++b) {
+        if (bank.type_of(b) == t) group_order_.push_back(b);
+      }
+    }
+    group_begin_.push_back(group_order_.size());
+  }
+
+  optimal_result run() {
+    BSCHED_TRACE_SPAN(solve_span, "opt.search.solve");
+    const bool cycle_has_job = std::ranges::any_of(
+        load_.cycle(), [](const load::epoch& e) { return e.current_a > 0; });
+    require(cycle_has_job,
+            "optimal_schedule: the load cycle must contain a job");
+
+    std::vector<kibam::discrete_state> bats = bank_.full_states();
+    std::size_t epoch = 0;
+    std::int64_t lead_in = 0;
+    skip_idle(bats, epoch, lead_in);
+
+    // Warm start: seed the incumbent from one horizon-1 lookahead rollout.
+    // Any realized schedule's lifetime is a lower bound on the optimum, so
+    // the root floor stays below the true value and the root result stays
+    // exact.
+    std::int64_t floor = -1;
+    if (!minimize_ && opts_.prune) {
+      const std::unique_ptr<sched::policy> la = lookahead_policy(1);
+      const double lifetime_min =
+          sched::simulate_discrete(bank_, load_, *la).lifetime_min;
+      stats_.rollouts += la->stats().rollouts;
+      const auto incumbent = static_cast<std::uint64_t>(
+          std::llround(lifetime_min / bank_.steps().time_step_min));
+      stats_.incumbent_from_lookahead = incumbent;
+      floor = std::max(floor,
+                       static_cast<std::int64_t>(incumbent) - lead_in - 1);
+    }
+
+    const std::int64_t best = node_value(bats, epoch, floor);
+
+    optimal_result out;
+    out.lifetime_min = static_cast<double>(lead_in + best) *
+                       bank_.steps().time_step_min;
+    reconstruct(std::move(bats), epoch, best, out.decisions);
+    out.stats = stats_;
+    out.stats.memo_entries = memo_.size();
+    // Live export: a sweep runs many solves, so these accumulate in the
+    // registry as leases progress — visible in heartbeat telemetry long
+    // before the end-of-run search_stats fold.
+    BSCHED_COUNTER_ADD("opt.search.nodes_total", out.stats.nodes);
+    BSCHED_COUNTER_ADD("opt.search.memo_hits_total", out.stats.memo_hits);
+    BSCHED_COUNTER_ADD("opt.search.pruned_total", out.stats.pruned);
+    BSCHED_COUNTER_ADD("opt.search.pruned_by_bound_total",
+                       out.stats.pruned_by_bound);
+    BSCHED_COUNTER_ADD("opt.search.rollouts_total", out.stats.rollouts);
+    BSCHED_GAUGE_SET("opt.search.memo_entries",
+                     static_cast<double>(out.stats.memo_entries));
+    return out;
+  }
+
+ private:
   /// Advances through idle epochs (all batteries recovering), accumulating
   /// the consumed steps, until `epoch` refers to a job epoch.
   void skip_idle(std::vector<kibam::discrete_state>& bats, std::size_t& epoch,
                  std::int64_t& consumed) const {
-    for (const grid_epoch* e = &grid.at(epoch); !e->job;
-         e = &grid.at(++epoch)) {
+    for (const grid_epoch* e = &grid_.at(epoch); !e->job;
+         e = &grid_.at(++epoch)) {
       if (e->len > 0) {
-        bank.advance_all(bats, kibam::bank::idle, {0, 0}, e->len);
+        bank_.advance_all(bats, kibam::bank::idle, {0, 0}, e->len);
       }
       consumed += e->len;
     }
   }
 
-  std::vector<std::uint64_t> make_key(
-      const std::vector<kibam::discrete_state>& bats,
-      std::size_t epoch) const {
-    std::vector<std::uint64_t> key;
+  memo_table::key make_key(const std::vector<kibam::discrete_state>& bats,
+                           std::size_t epoch) const {
+    memo_table::key key;
     key.reserve(bats.size() + 1);
-    key.push_back(grid.canonical(epoch));
-    for (std::size_t t = 0; t + 1 < group_begin.size(); ++t) {
+    key.push_back(grid_.canonical(epoch));
+    for (std::size_t t = 0; t + 1 < group_begin_.size(); ++t) {
       const auto start = static_cast<std::ptrdiff_t>(key.size());
-      for (std::size_t i = group_begin[t]; i < group_begin[t + 1]; ++i) {
-        key.push_back(pack(bats[group_order[i]]));
+      for (std::size_t i = group_begin_[t]; i < group_begin_[t + 1]; ++i) {
+        key.push_back(pack(bats[group_order_[i]]));
       }
       std::sort(key.begin() + start, key.end());
     }
@@ -293,42 +426,25 @@ struct search_ctx {
     std::vector<candidate_sig> tried;
     for (std::size_t i = 0; i < bats.size(); ++i) {
       if (bats[i].empty) continue;
-      const candidate_sig sig{bank.type_of(i), pack(bats[i])};
+      const candidate_sig sig{bank_.type_of(i), pack(bats[i])};
       if (std::ranges::find(tried, sig) != tried.end()) continue;
       tried.push_back(sig);
       out.push_back(i);
     }
     return out;
   }
-};
-
-/// The recursive branch-and-bound machinery over one scratch pool and one
-/// (possibly shared) memo table. One evaluator serves the sequential
-/// search; the parallel phase runs one per subtree task and merges stats.
-///
-/// Value contract, held inductively by node_value and run_from: a returned
-/// value is always an admissible upper bound on the true optimum, and it
-/// *is* the true optimum whenever it exceeds the pruning floor passed in.
-/// Minimisation disables pruning entirely, so every value is exact there.
-class evaluator {
- public:
-  evaluator(const search_ctx& cx, memo_table& memo,
-            std::atomic<std::uint64_t>& nodes_total)
-      : cx_(cx), memo_(memo), nodes_total_(nodes_total) {}
 
   /// Best additional steps from the start of job epoch `epoch`; exact when
   /// the result exceeds `floor`, otherwise an upper bound at most `floor`.
   std::int64_t node_value(const std::vector<kibam::discrete_state>& bats,
                           std::size_t epoch, std::int64_t floor) {
-    std::vector<std::uint64_t> key = cx_.make_key(bats, epoch);
-    const std::uint64_t hash = memo_table::hash_key(key);
-    memo_table::entry hit;
-    if (memo_.lookup(key, hash, floor, hit)) {
-      ++stats.memo_hits;
-      if (!hit.exact) ++stats.pruned;  // bounded reuse: a cut, not a value
-      return hit.value;
+    memo_table::key key = make_key(bats, epoch);
+    if (const memo_table::entry* hit = memo_.lookup(key, floor)) {
+      ++stats_.memo_hits;
+      if (!hit->exact) ++stats_.pruned;  // bounded reuse: a cut, not a value
+      return hit->value;
     }
-    return expand(bats, epoch, floor, std::move(key), hash);
+    return expand(bats, epoch, floor, std::move(key));
   }
 
   /// The expansion half of node_value, for callers that already looked the
@@ -336,31 +452,23 @@ class evaluator {
   /// stores the result under the caller's key.
   std::int64_t expand(const std::vector<kibam::discrete_state>& bats,
                       std::size_t epoch, std::int64_t floor,
-                      std::vector<std::uint64_t> key, std::uint64_t hash) {
-    count_node();
+                      memo_table::key key) {
+    ++stats_.nodes;
+    require(stats_.nodes <= opts_.max_nodes,
+            "optimal_schedule: node budget exhausted; relax the load or "
+            "coarsen the grid");
 
-    std::int64_t best = cx_.minimize ? k_inf : -1;
-    for (const std::size_t i : cx_.distinct_candidates(bats)) {
+    std::int64_t best = minimize_ ? k_inf : -1;
+    for (const std::size_t i : distinct_candidates(bats)) {
       auto copy = scratch_.copy_of(bats);
-      const std::int64_t v = run_from(*copy, epoch, 0, i,
-                                      cx_.minimize ? 0 : std::max(best, floor));
-      best = cx_.minimize ? std::min(best, v) : std::max(best, v);
+      const std::int64_t v =
+          run_from(*copy, epoch, 0, i, minimize_ ? 0 : std::max(best, floor));
+      best = minimize_ ? std::min(best, v) : std::max(best, v);
     }
     BSCHED_ASSERT(best >= 0 && best < k_inf);
-    std::uint64_t evicted = 0;
-    memo_.store(std::move(key), hash,
-                {best, cx_.minimize || best > floor}, evicted);
-    stats.memo_evictions += evicted;
+    stats_.memo_evictions +=
+        memo_.store(std::move(key), {best, minimize_ || best > floor});
     return best;
-  }
-
-  /// Admissible trajectory bound on the steps from the start of epoch
-  /// `epoch`, walked in this evaluator's cursor buffer and early-outing
-  /// past `limit`.
-  std::int64_t bound_steps(const std::vector<kibam::discrete_state>& bats,
-                           std::size_t epoch, std::int64_t limit) {
-    return trajectory_walk(cx_.bank, cx_.grid, bats, epoch,
-                           cx_.grid.max_draw_units(), limit, cursors_);
   }
 
   /// Simulates job epoch `epoch` from step `offset` with `active` serving.
@@ -369,7 +477,7 @@ class evaluator {
   std::int64_t run_from(std::vector<kibam::discrete_state>& bats,
                         std::size_t epoch, std::int64_t offset,
                         std::size_t active, std::int64_t prune_below) {
-    const grid_epoch& e = cx_.grid.at(epoch);
+    const grid_epoch& e = grid_.at(epoch);
     const load::draw_rate rate = e.rate;
     const std::int64_t total = e.len;
     bats[active].discharge_elapsed = 0;
@@ -379,7 +487,7 @@ class evaluator {
       // Event-horizon advance: the search only branches at deaths, so
       // jumping straight to the next death leaves the tree untouched.
       const kibam::advance_result adv =
-          cx_.bank.advance_all(bats, active, rate, total - i);
+          bank_.advance_all(bats, active, rate, total - i);
       local += adv.steps;
       i += adv.steps;
       if (adv.event != kibam::step_event::died) break;
@@ -387,13 +495,13 @@ class evaluator {
           bats, [](const auto& b) { return b.empty; });
       if (all_empty) return local;
       // Forced hand-over: branch over the distinct alive batteries.
-      std::int64_t best = cx_.minimize ? k_inf : -1;
-      for (const std::size_t b : cx_.distinct_candidates(bats)) {
+      std::int64_t best = minimize_ ? k_inf : -1;
+      for (const std::size_t b : distinct_candidates(bats)) {
         auto copy = scratch_.copy_of(bats);
-        const std::int64_t v = run_from(
-            *copy, epoch, i, b,
-            cx_.minimize ? 0 : std::max(best, prune_below - local));
-        best = cx_.minimize ? std::min(best, v) : std::max(best, v);
+        const std::int64_t v =
+            run_from(*copy, epoch, i, b,
+                     minimize_ ? 0 : std::max(best, prune_below - local));
+        best = minimize_ ? std::min(best, v) : std::max(best, v);
       }
       return local + best;
     }
@@ -408,27 +516,28 @@ class evaluator {
     // in the stats shifts.
     std::size_t next = epoch + 1;
     std::int64_t consumed = local;
-    cx_.skip_idle(bats, next, consumed);
+    skip_idle(bats, next, consumed);
     for (auto& b : bats) b.discharge_elapsed = 0;
 
     const std::int64_t floor = prune_below - consumed;
-    std::vector<std::uint64_t> key = cx_.make_key(bats, next);
-    const std::uint64_t hash = memo_table::hash_key(key);
-    memo_table::entry hit;
-    if (memo_.lookup(key, hash, floor, hit)) {
-      ++stats.memo_hits;
-      if (!hit.exact) ++stats.pruned;  // bounded reuse: a cut, not a value
-      return consumed + hit.value;
+    memo_table::key key = make_key(bats, next);
+    if (const memo_table::entry* hit = memo_.lookup(key, floor)) {
+      ++stats_.memo_hits;
+      if (!hit->exact) ++stats_.pruned;  // bounded reuse: a cut, not a value
+      return consumed + hit->value;
     }
-    if (!cx_.minimize && cx_.opts.prune) {
-      const std::int64_t w = bound_steps(bats, next, floor);
+    if (!minimize_ && opts_.prune) {
+      // The admissible trajectory bound, walked in the cursor buffer and
+      // early-outing past the floor.
+      const std::int64_t w = trajectory_walk(
+          bank_, grid_, bats, next, grid_.max_draw_units(), floor, cursors_);
       if (w <= floor) {
-        ++stats.pruned;
-        ++stats.pruned_by_bound;
+        ++stats_.pruned;
+        ++stats_.pruned_by_bound;
         return consumed + w;  // <= prune_below: an admissible upper bound.
       }
     }
-    return consumed + expand(bats, next, floor, std::move(key), hash);
+    return consumed + expand(bats, next, floor, std::move(key));
   }
 
   /// Rebuilds the decision list of a finished run by re-walking the warmed
@@ -466,19 +575,6 @@ class evaluator {
     }
   }
 
-  /// Registers one expanded decision node against the shared budget.
-  /// Public because the parallel skeleton expands nodes outside run_from.
-  void count_node() {
-    ++stats.nodes;
-    require(nodes_total_.fetch_add(1, std::memory_order_relaxed) <
-                cx_.opts.max_nodes,
-            "optimal_schedule: node budget exhausted; relax the load or "
-            "coarsen the grid");
-  }
-
-  search_stats stats;
-
- private:
   struct walk_result {
     bool died;
     std::size_t next_epoch;
@@ -498,7 +594,7 @@ class evaluator {
   bool try_probe(std::vector<kibam::discrete_state>& bats, std::size_t epoch,
                  std::int64_t offset, std::size_t active, std::int64_t target,
                  std::vector<std::size_t>& decisions, walk_result& out) {
-    const grid_epoch& e = cx_.grid.at(epoch);
+    const grid_epoch& e = grid_.at(epoch);
     const load::draw_rate rate = e.rate;
     const std::int64_t total = e.len;
     bats[active].discharge_elapsed = 0;
@@ -506,7 +602,7 @@ class evaluator {
     std::int64_t local = 0;
     for (std::int64_t i = offset; i < total;) {
       const kibam::advance_result adv =
-          cx_.bank.advance_all(bats, active, rate, total - i);
+          bank_.advance_all(bats, active, rate, total - i);
       local += adv.steps;
       i += adv.steps;
       if (adv.event != kibam::step_event::died) break;
@@ -537,349 +633,28 @@ class evaluator {
     // lookup (or evaluation) below can never spuriously match.
     std::size_t next = epoch + 1;
     std::int64_t consumed = local;
-    cx_.skip_idle(bats, next, consumed);
+    skip_idle(bats, next, consumed);
     for (auto& b : bats) b.discharge_elapsed = 0;
     const std::int64_t rest = target - consumed;
     if (rest <= 0) return false;
-    if (node_value(bats, next, cx_.minimize ? 0 : rest - 1) != rest) {
+    if (node_value(bats, next, minimize_ ? 0 : rest - 1) != rest) {
       return false;
     }
     out = {false, next, rest};
     return true;
   }
 
-  const search_ctx& cx_;
-  memo_table& memo_;
-  std::atomic<std::uint64_t>& nodes_total_;
+  const kibam::bank& bank_;
+  const load::trace& load_;
+  const search_options& opts_;
+  const bool minimize_;
+  const grid_load grid_;  ///< `load_` on the bank's grid, read by every walk.
+  std::vector<std::size_t> group_order_;  ///< Battery indices, type-grouped.
+  std::vector<std::size_t> group_begin_;  ///< Group offsets in group_order_.
+  memo_table memo_;
   kibam::scratch_pool scratch_;
   std::vector<supply_cursor> cursors_;  ///< trajectory_walk's buffer.
-};
-
-class searcher {
- public:
-  searcher(const kibam::bank& bank, const load::trace& load,
-           const search_options& opts, bool minimize)
-      : opts_(opts),
-        cx_{bank, load, opts_, minimize, grid_load{load, bank.steps()}, {},
-            {}} {
-    // Battery indices ordered by type: the memo key sorts states within
-    // each contiguous same-type group, so permutations of interchangeable
-    // batteries collapse while distinct types never mix.
-    cx_.group_order.reserve(bank.size());
-    for (std::size_t t = 0; t < bank.type_count(); ++t) {
-      cx_.group_begin.push_back(cx_.group_order.size());
-      for (std::size_t b = 0; b < bank.size(); ++b) {
-        if (bank.type_of(b) == t) cx_.group_order.push_back(b);
-      }
-    }
-    cx_.group_begin.push_back(cx_.group_order.size());
-  }
-
-  optimal_result run() {
-    BSCHED_TRACE_SPAN(solve_span, "opt.search.solve");
-    const bool cycle_has_job = std::ranges::any_of(
-        cx_.load.cycle(), [](const load::epoch& e) { return e.current_a > 0; });
-    require(cycle_has_job,
-            "optimal_schedule: the load cycle must contain a job");
-
-    std::vector<kibam::discrete_state> bats = cx_.bank.full_states();
-    std::size_t epoch = 0;
-    std::int64_t lead_in = 0;
-    cx_.skip_idle(bats, epoch, lead_in);
-
-    const std::size_t workers = worker_count();
-    std::shared_ptr<memo_table> memo = opts_.shared_memo;
-    if (memo == nullptr) {
-      memo = std::make_shared<memo_table>(opts_.max_memo_entries,
-                                          workers > 1 ? 16 : 1);
-    }
-    memo->attach(fingerprint());
-
-    std::atomic<std::uint64_t> nodes_total{0};
-    evaluator eval{cx_, *memo, nodes_total};
-
-    // Warm start: seed the incumbent from lookahead rollouts at
-    // geometrically deepening horizons. Any realized schedule's lifetime
-    // is a lower bound on the optimum, so the root floor stays below the
-    // true value and the root result stays exact.
-    std::int64_t floor = -1;
-    if (!cx_.minimize && opts_.prune && opts_.warm_start > 0) {
-      std::uint64_t incumbent = 0;
-      for (std::uint64_t h = 1;; h *= 2) {
-        const std::uint64_t horizon = std::min(h, opts_.warm_start);
-        const std::unique_ptr<sched::policy> la = lookahead_policy(horizon);
-        const double lifetime_min =
-            sched::simulate_discrete(cx_.bank, cx_.load, *la).lifetime_min;
-        eval.stats.rollouts += la->stats().rollouts;
-        incumbent = std::max(
-            incumbent, static_cast<std::uint64_t>(std::llround(
-                           lifetime_min / cx_.bank.steps().time_step_min)));
-        if (horizon == opts_.warm_start) break;
-      }
-      eval.stats.incumbent_from_lookahead = incumbent;
-      floor = std::max(floor,
-                       static_cast<std::int64_t>(incumbent) - lead_in - 1);
-    }
-
-    const std::int64_t best =
-        workers > 1 ? parallel_root(eval, bats, epoch, floor, workers,
-                                    *memo, nodes_total)
-                    : eval.node_value(bats, epoch, floor);
-
-    optimal_result out;
-    out.lifetime_min = static_cast<double>(lead_in + best) *
-                       cx_.bank.steps().time_step_min;
-    eval.reconstruct(std::move(bats), epoch, best, out.decisions);
-    out.stats = eval.stats;
-    out.stats.memo_entries = memo->size();
-    out.stats.memo_shards = memo->shard_count();
-    // Live export: a sweep runs many solves, so these accumulate in the
-    // registry as leases progress — visible in heartbeat telemetry long
-    // before the end-of-run search_stats fold.
-    BSCHED_COUNTER_ADD("opt.search.nodes_total", out.stats.nodes);
-    BSCHED_COUNTER_ADD("opt.search.memo_hits_total", out.stats.memo_hits);
-    BSCHED_COUNTER_ADD("opt.search.pruned_total", out.stats.pruned);
-    BSCHED_COUNTER_ADD("opt.search.pruned_by_bound_total",
-                       out.stats.pruned_by_bound);
-    BSCHED_COUNTER_ADD("opt.search.rollouts_total", out.stats.rollouts);
-    BSCHED_COUNTER_ADD("opt.search.stolen_subtrees_total",
-                       out.stats.stolen_subtrees);
-    BSCHED_GAUGE_SET("opt.search.memo_entries",
-                     static_cast<double>(out.stats.memo_entries));
-    return out;
-  }
-
- private:
-  std::size_t worker_count() const {
-    if (opts_.threads == 1) return 1;
-    if (opts_.threads == 0) {  // auto: whatever the budget has left
-      return util::thread_budget::grant(
-          std::numeric_limits<std::size_t>::max());
-    }
-    return static_cast<std::size_t>(opts_.threads);
-  }
-
-  /// Identity of (bank, load, direction) for shared-memo validation.
-  std::uint64_t fingerprint() const {
-    std::uint64_t h = 1469598103934665603ULL;
-    const auto mix = [&h](std::uint64_t w) {
-      h ^= w;
-      h *= 1099511628211ULL;
-    };
-    mix(cx_.minimize ? 1 : 2);
-    mix(cx_.bank.size());
-    mix(cx_.bank.type_count());
-    for (std::size_t b = 0; b < cx_.bank.size(); ++b) {
-      const kibam::discretization& d = cx_.bank.disc(b);
-      mix(cx_.bank.type_of(b));
-      mix(static_cast<std::uint64_t>(d.total_units()));
-      mix(static_cast<std::uint64_t>(d.c_permille()));
-      if (d.total_units() >= 1) {
-        mix(static_cast<std::uint64_t>(d.recovery_steps(2)));
-      }
-    }
-    mix(std::bit_cast<std::uint64_t>(cx_.bank.steps().time_step_min));
-    const auto mix_epochs = [&](const std::vector<load::epoch>& epochs) {
-      mix(epochs.size());
-      for (const load::epoch& e : epochs) {
-        mix(std::bit_cast<std::uint64_t>(e.duration_min));
-        mix(std::bit_cast<std::uint64_t>(e.current_a));
-      }
-    };
-    mix_epochs(cx_.load.prefix());
-    mix_epochs(cx_.load.cycle());
-    if (h == 0) h = 1;  // 0 is the not-yet-attached sentinel
-    return h;
-  }
-
-  /// Parallel evaluation of the root: a BFS skeleton expands the top of
-  /// the tree into subtree tasks whose pruning floors are all fixed up
-  /// front (never a racing sibling's incumbent), the tasks run on the
-  /// work-stealing pool over the shared sharded memo, and the skeleton is
-  /// folded sequentially afterwards — so the root value is bit-identical
-  /// to the sequential search for any worker count.
-  std::int64_t parallel_root(evaluator& eval,
-                             const std::vector<kibam::discrete_state>& bats,
-                             std::size_t epoch, std::int64_t root_floor,
-                             std::size_t workers, memo_table& memo,
-                             std::atomic<std::uint64_t>& nodes_total) {
-    constexpr std::size_t npos = static_cast<std::size_t>(-1);
-    struct fold_rec {
-      std::size_t parent;
-      std::int64_t consumed;  ///< Steps from the fold's entry to the branch.
-      std::int64_t floor;     ///< Children's fixed pruning floor.
-      bool decision;          ///< Memoise on finalisation.
-      std::vector<std::uint64_t> key;
-      std::uint64_t hash;
-      std::int64_t best;
-    };
-    struct pending {
-      std::vector<kibam::discrete_state> bats;
-      std::size_t epoch;
-      std::int64_t offset;
-      std::size_t active;
-      std::int64_t prune_below;
-      std::size_t fold;
-      std::int64_t value = 0;
-    };
-    const std::int64_t init = cx_.minimize ? k_inf : -1;
-
-    std::vector<fold_rec> folds;
-    const auto contribute = [&](std::size_t f, std::int64_t v) {
-      folds[f].best =
-          cx_.minimize ? std::min(folds[f].best, v) : std::max(folds[f].best, v);
-    };
-
-    std::deque<pending> frontier;
-    {  // Root decision fold and its candidate branches.
-      std::vector<std::uint64_t> key = cx_.make_key(bats, epoch);
-      const std::uint64_t hash = memo_table::hash_key(key);
-      folds.push_back(
-          {npos, 0, root_floor, true, std::move(key), hash, init});
-      eval.count_node();
-      for (const std::size_t i : cx_.distinct_candidates(bats)) {
-        frontier.push_back({bats, epoch, 0, i, root_floor, 0});
-      }
-    }
-
-    // Grow the frontier breadth-first until it feeds the pool; expansion
-    // replays run_from's simulation and splits at its branch points.
-    const std::size_t target = 4 * workers;
-    for (std::size_t expanded = 0;
-         frontier.size() < target && !frontier.empty() && expanded < 512;
-         ++expanded) {
-      pending t = std::move(frontier.front());
-      frontier.pop_front();
-      const grid_epoch& e = cx_.grid.at(t.epoch);
-      const load::draw_rate rate = e.rate;
-      const std::int64_t total = e.len;
-      t.bats[t.active].discharge_elapsed = 0;
-
-      std::int64_t local = 0;
-      bool branched = false;
-      for (std::int64_t i = t.offset; i < total;) {
-        const kibam::advance_result adv =
-            cx_.bank.advance_all(t.bats, t.active, rate, total - i);
-        local += adv.steps;
-        i += adv.steps;
-        if (adv.event != kibam::step_event::died) break;
-        if (std::ranges::all_of(t.bats,
-                                [](const auto& b) { return b.empty; })) {
-          contribute(t.fold, local);
-          branched = true;
-          break;
-        }
-        const std::int64_t pb = t.prune_below - local;
-        folds.push_back({t.fold, local, pb, false, {}, 0, init});
-        const std::size_t f = folds.size() - 1;
-        for (const std::size_t b : cx_.distinct_candidates(t.bats)) {
-          frontier.push_back({t.bats, t.epoch, i, b, pb, f});
-        }
-        branched = true;
-        break;
-      }
-      if (branched) continue;
-
-      std::size_t next = t.epoch + 1;
-      std::int64_t consumed = local;
-      cx_.skip_idle(t.bats, next, consumed);
-      for (auto& b : t.bats) b.discharge_elapsed = 0;
-
-      const std::int64_t floor = t.prune_below - consumed;
-      if (!cx_.minimize && cx_.opts.prune) {
-        const std::int64_t w = eval.bound_steps(t.bats, next, floor);
-        if (w <= floor) {
-          ++eval.stats.pruned;
-          ++eval.stats.pruned_by_bound;
-          contribute(t.fold, consumed + w);
-          continue;
-        }
-      }
-      std::vector<std::uint64_t> key = cx_.make_key(t.bats, next);
-      const std::uint64_t hash = memo_table::hash_key(key);
-      memo_table::entry hit;
-      if (memo.lookup(key, hash, floor, hit)) {
-        ++eval.stats.memo_hits;
-        if (!hit.exact) ++eval.stats.pruned;
-        contribute(t.fold, consumed + hit.value);
-        continue;
-      }
-      eval.count_node();
-      folds.push_back(
-          {t.fold, consumed, floor, true, std::move(key), hash, init});
-      const std::size_t f = folds.size() - 1;
-      for (const std::size_t i : cx_.distinct_candidates(t.bats)) {
-        frontier.push_back({t.bats, next, 0, i, floor, f});
-      }
-    }
-
-    // Evaluate the remaining frontier on the pool, one evaluator (own
-    // scratch, own stats) per task over the shared memo.
-    std::vector<pending> tasks(std::make_move_iterator(frontier.begin()),
-                               std::make_move_iterator(frontier.end()));
-    if (!tasks.empty()) {
-      std::vector<evaluator> evals;
-      evals.reserve(tasks.size());
-      for (std::size_t k = 0; k < tasks.size(); ++k) {
-        evals.emplace_back(cx_, memo, nodes_total);
-      }
-      std::mutex fail_mutex;
-      std::exception_ptr failure;
-      std::vector<std::function<void()>> jobs;
-      jobs.reserve(tasks.size());
-      for (std::size_t k = 0; k < tasks.size(); ++k) {
-        jobs.push_back([&, k] {
-          try {
-            tasks[k].value = evals[k].run_from(
-                tasks[k].bats, tasks[k].epoch, tasks[k].offset,
-                tasks[k].active, tasks[k].prune_below);
-          } catch (...) {
-            const std::scoped_lock lock(fail_mutex);
-            if (failure == nullptr) failure = std::current_exception();
-          }
-        });
-      }
-      const util::thread_budget::lease lease{workers - 1};
-      eval.stats.stolen_subtrees = util::task_pool::run(std::move(jobs),
-                                                        workers);
-      if (failure != nullptr) std::rethrow_exception(failure);
-      for (const evaluator& ev : evals) merge_stats(eval.stats, ev.stats);
-      for (const pending& t : tasks) contribute(t.fold, t.value);
-    }
-
-    // Fold bottom-up (children were appended after their parents) and
-    // memoise the skeleton's decision nodes.
-    for (std::size_t f = folds.size(); f-- > 1;) {
-      fold_rec& r = folds[f];
-      BSCHED_ASSERT(r.best != init);
-      if (r.decision) {
-        std::uint64_t evicted = 0;
-        memo.store(std::move(r.key), r.hash,
-                   {r.best, cx_.minimize || r.best > r.floor}, evicted);
-        eval.stats.memo_evictions += evicted;
-      }
-      contribute(r.parent, r.consumed + r.best);
-    }
-    fold_rec& root = folds.front();
-    BSCHED_ASSERT(root.best != init);
-    std::uint64_t evicted = 0;
-    memo.store(std::move(root.key), root.hash,
-               {root.best, cx_.minimize || root.best > root.floor}, evicted);
-    eval.stats.memo_evictions += evicted;
-    return root.best;
-  }
-
-  static void merge_stats(search_stats& into, const search_stats& from) {
-    into.nodes += from.nodes;
-    into.memo_hits += from.memo_hits;
-    into.pruned += from.pruned;
-    into.memo_evictions += from.memo_evictions;
-    into.rollouts += from.rollouts;
-    into.pruned_by_bound += from.pruned_by_bound;
-  }
-
-  search_options opts_;
-  search_ctx cx_;
+  search_stats stats_;
 };
 
 }  // namespace
@@ -947,11 +722,6 @@ std::int64_t trajectory_bound_steps(const kibam::bank& bank,
   std::vector<supply_cursor> cursors;
   return trajectory_walk(bank, grid_load{load, bank.steps()}, bats,
                          epoch_index, max_draw_units, k_inf, cursors);
-}
-
-std::shared_ptr<memo_table> make_shared_memo(std::uint64_t max_entries,
-                                             std::size_t shards) {
-  return std::make_shared<memo_table>(max_entries, shards);
 }
 
 optimal_result optimal_schedule(const kibam::bank& bank,

@@ -9,12 +9,12 @@
 //
 // The search runs on a kibam::bank — the same per-battery-discretization
 // representation the simulator advances — so banks may mix capacities and
-// KiBaM parameters. The search is exact:
+// KiBaM parameters. It is one sequential, exact, deterministic pass:
 //  * memoisation on (position in the cyclic load, battery states sorted
 //    within groups of identical battery types) merges permutations of
 //    interchangeable batteries (symmetry reduction); entries carry an
 //    exact/upper-bound flag, so incumbent-pruned subtrees may be reused
-//    as bounds without ever corrupting an exact value (opt/memo.hpp);
+//    as bounds without ever corrupting an exact value;
 //  * a trajectory-aware admissible bound (trajectory_bound_steps): per
 //    battery, the supply of charge units by wall-clock time T is capped
 //    by the initial available charge plus what the recovery process can
@@ -28,23 +28,19 @@
 //    is evaluated in closed form, two divisions per probe;
 //  * the load is discretized once per search: the prefix and one cycle
 //    become a table of (length in steps, draw rate, job) entries that the
-//    node simulation, the idle skip, the parallel skeleton and the bound
-//    walk all read, so no visit re-rounds an epoch or re-derives its draw
-//    rate. Building it runs rate_for on every job epoch up front, so a
-//    load the grid cannot realise throws before the search starts;
-//  * a warm start seeds the incumbent from lookahead rollouts at
-//    geometrically deepening horizons, so pruning has a tight reference
-//    from node one; pruned children return upper bounds that never beat
-//    the incumbent, so the final optimum and its schedule stay exact;
-//  * with `threads > 1`, the top of the tree is expanded into subtree
-//    tasks evaluated on a work-stealing pool (util/task_pool.hpp) over a
-//    sharded concurrent memo. Every task's pruning floor is fixed before
-//    the fan-out (never a racing sibling's incumbent), so lifetime and
-//    decisions are bit-identical for any thread count.
+//    node simulation, the idle skip and the bound walk all read, so no
+//    visit re-rounds an epoch or re-derives its draw rate. Building it
+//    runs rate_for on every job epoch up front, so a load the grid cannot
+//    realise throws before the search starts;
+//  * a warm start seeds the incumbent from one horizon-1 lookahead
+//    rollout, so pruning has a reference from node one; pruned children
+//    return upper bounds that never beat the incumbent, so the final
+//    optimum and its schedule stay exact.
+// Independent searches may run concurrently (a sweep runs one per cell);
+// each owns its memo and scratch state, so nothing is shared between them.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "kibam/bank.hpp"
@@ -54,46 +50,16 @@
 
 namespace bsched::opt {
 
-class memo_table;
-
 struct search_options {
   bool prune = true;            ///< Enable the admissible-bound pruning.
   std::uint64_t max_nodes = 200'000'000;  ///< Safety valve; throws beyond.
   /// Transposition-table size cap; 0 = unbounded. When the memo reaches
-  /// the cap the oldest entry is evicted (deterministic FIFO, per shard
-  /// when sharded), so large mixed banks cannot grow it without bound.
-  /// Evicted subtrees may be re-expanded (more nodes, identical exact
-  /// results); evictions are counted in search_stats::memo_evictions.
+  /// the cap the oldest entry is evicted (deterministic FIFO), so large
+  /// mixed banks cannot grow it without bound. Evicted subtrees may be
+  /// re-expanded (more nodes, identical exact results); evictions are
+  /// counted in search_stats::memo_evictions.
   std::uint64_t max_memo_entries = 0;
-  /// Warm-start horizon: seed the incumbent from lookahead rollouts at
-  /// horizons 1, 2, 4, ... up to this many jobs before the exhaustive
-  /// pass (0 = cold start). Maximisation only; the seeded incumbent is
-  /// reported in search_stats::incumbent_from_lookahead. The default
-  /// stays shallow: on the paper loads the trajectory bound does almost
-  /// all the pruning, and each extra horizon costs a full rollout
-  /// simulation — deepen it (opt:warm_start=8) for large mixed banks
-  /// where the first incumbent is far from optimal.
-  std::uint64_t warm_start = 1;
-  /// Worker threads for subtree evaluation (1 = the historic sequential
-  /// search, bit-identical stats included). More than one enables the
-  /// work-stealing pool and the sharded memo; lifetime and decisions stay
-  /// bit-identical whatever the count (only effort counters may differ).
-  /// An explicit count is honoured exactly — oversubscription included,
-  /// the TSan stress suite depends on it — while 0 means "auto": take
-  /// whatever the process thread budget (util::thread_budget) has left,
-  /// so auto-sized searches nested under a sweep pool never oversubscribe.
-  std::uint64_t threads = 1;
-  /// Optional transposition table shared between searches over the same
-  /// bank, load and direction (make_shared_memo); batch cells differing
-  /// only in policy knobs reuse each other's subtrees. Null = private.
-  std::shared_ptr<memo_table> shared_memo;
 };
-
-/// A shareable transposition table for search_options::shared_memo,
-/// sharded for concurrent use. All searches sharing it must run the same
-/// bank, load and direction (enforced via a fingerprint check).
-[[nodiscard]] std::shared_ptr<memo_table> make_shared_memo(
-    std::uint64_t max_entries = 0, std::size_t shards = 16);
 
 /// Statistics of one search or rollout run; surfaced unchanged through
 /// api::run_result so clients never need to call into opt:: for them.

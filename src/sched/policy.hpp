@@ -125,16 +125,12 @@ struct search_stats {
   /// Children cut specifically by the trajectory-aware admissible bound
   /// (a subset of `pruned`; the rest are bounded-memo reuses).
   std::uint64_t pruned_by_bound = 0;
-  /// Warm-start incumbent seeded from lookahead rollouts, in time steps
-  /// (0 when the warm start is off or seeded nothing).
+  /// Warm-start incumbent seeded from a lookahead rollout, in time steps
+  /// (0 when the warm start is off: minimisation or pruning disabled).
   std::uint64_t incumbent_from_lookahead = 0;
-  /// Subtree tasks a parallel search worker stole from a sibling's queue.
-  std::uint64_t stolen_subtrees = 0;
-  /// Shards backing the transposition table (1 = private single-lock).
-  std::uint64_t memo_shards = 0;
 
   /// Field-wise sum — how api::cell_summary folds per-replication stats
-  /// across a cell. memo_shards adds too (read it per run, not folded).
+  /// across a cell.
   search_stats& operator+=(const search_stats& o) noexcept {
     nodes += o.nodes;
     memo_hits += o.memo_hits;
@@ -144,8 +140,6 @@ struct search_stats {
     rollouts += o.rollouts;
     pruned_by_bound += o.pruned_by_bound;
     incumbent_from_lookahead += o.incumbent_from_lookahead;
-    stolen_subtrees += o.stolen_subtrees;
-    memo_shards += o.memo_shards;
     return *this;
   }
 

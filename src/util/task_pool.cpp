@@ -1,96 +1,14 @@
 #include "util/task_pool.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <deque>
-#include <mutex>
 #include <thread>
+#include <vector>
 
 namespace bsched::util {
 
-namespace {
-
-struct worker_queue {
-  std::mutex mutex;
-  std::deque<std::size_t> tasks;  // task indices dealt to this worker
-};
-
-std::atomic<std::size_t>& leased_threads() {
-  static std::atomic<std::size_t> count{0};
-  return count;
-}
-
-}  // namespace
-
-std::size_t task_pool::run(std::vector<std::function<void()>> tasks,
-                           std::size_t workers) {
-  if (workers < 2 || tasks.size() < 2) {
-    for (const auto& t : tasks) t();
-    return 0;
-  }
-  workers = std::min(workers, tasks.size());
-  std::vector<worker_queue> queues(workers);
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    queues[i % workers].tasks.push_back(i);
-  }
-
-  std::atomic<std::size_t> stolen{0};
-  const auto work = [&](std::size_t self) {
-    while (true) {
-      std::size_t task = tasks.size();
-      bool theft = false;
-      {
-        worker_queue& own = queues[self];
-        const std::scoped_lock lock(own.mutex);
-        if (!own.tasks.empty()) {
-          task = own.tasks.front();
-          own.tasks.pop_front();
-        }
-      }
-      if (task == tasks.size()) {
-        // Own deque drained: steal from the back of the next non-empty
-        // sibling (scan order fixed by worker id, contention-cheap).
-        for (std::size_t k = 1; k < workers && task == tasks.size(); ++k) {
-          worker_queue& victim = queues[(self + k) % workers];
-          const std::scoped_lock lock(victim.mutex);
-          if (!victim.tasks.empty()) {
-            task = victim.tasks.back();
-            victim.tasks.pop_back();
-            theft = true;
-          }
-        }
-      }
-      if (task == tasks.size()) return;  // every deque empty: done
-      if (theft) stolen.fetch_add(1, std::memory_order_relaxed);
-      tasks[task]();
-    }
-  };
-
-  {
-    std::vector<std::thread> pool;
-    pool.reserve(workers - 1);
-    for (std::size_t w = 1; w < workers; ++w) pool.emplace_back(work, w);
-    work(0);
-    for (std::thread& t : pool) t.join();
-  }
-  return stolen.load(std::memory_order_relaxed);
-}
-
-thread_budget::lease::lease(std::size_t count) : count_(count) {
-  leased_threads().fetch_add(count_, std::memory_order_relaxed);
-}
-
-thread_budget::lease::~lease() {
-  leased_threads().fetch_sub(count_, std::memory_order_relaxed);
-}
-
-std::size_t thread_budget::grant(std::size_t want) {
-  if (want <= 1) return 1;
-  const std::size_t hw = std::max<unsigned>(
-      1, std::thread::hardware_concurrency());
-  const std::size_t used = leased_threads().load(std::memory_order_relaxed);
-  const std::size_t free = hw > used ? hw - used : 1;
-  return std::clamp<std::size_t>(want, 1, std::max<std::size_t>(free, 1));
+void task_pool::run(std::size_t threads, const std::function<void()>& body) {
+  std::vector<std::jthread> pool;  // joins on destruction, throw included
+  pool.reserve(threads);
+  for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(body);
 }
 
 }  // namespace bsched::util

@@ -1,62 +1,26 @@
-// A small work-stealing task pool and the process-wide thread budget.
+// The one place library code starts threads.
 //
-// task_pool runs a fixed batch of independent tasks on `workers` threads
-// (the calling thread is worker 0). Tasks are dealt round-robin into
-// per-worker deques; a worker drains its own deque front-to-back and,
-// when empty, steals from the *back* of a sibling's deque — the classic
-// work-stealing discipline, here with striped locks instead of a lock-
-// free deque because tasks are coarse (whole search subtrees). run()
-// reports how many tasks were executed by a worker other than the one
-// they were dealt to (the steal count surfaced in search_stats).
+// task_pool::run starts `threads` fresh threads, runs the same body on
+// each, and joins them all before it returns; the calling thread only
+// waits. api::engine::run_sweep is the caller: every body claims sweep
+// jobs from a shared counter until none is left. Running each job on a
+// fresh thread, never on the caller, keeps a sweep's peak memory
+// independent of what the caller's allocator arena still holds.
 //
-// Correctness note: the pool guarantees nothing about execution order,
-// so callers must make task *results* order-independent. The parallel
-// exact search does this by fixing every task's pruning floor up front —
-// results are then bit-identical for any worker count (asserted in
-// tests/test_opt.cpp and the TSan stress suite).
-//
-// thread_budget is the oversubscription guard between nested parallel
-// layers: api::engine::run_sweep leases its worker count, and the search
-// pool sizes itself against what remains of the hardware concurrency.
-// Explicitly requested outer thread counts are always honoured (stress
-// tests oversubscribe on purpose); only the *inner* layer yields.
+// The pool guarantees nothing about which thread runs which job, so
+// callers must make their results independent of the schedule (the sweep
+// delivers in grid order whatever the thread count).
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <vector>
 
 namespace bsched::util {
 
-class task_pool {
- public:
-  /// Runs `tasks` to completion on `workers` threads (including the
-  /// caller; values < 2 run everything inline). Tasks must not throw —
-  /// they own their error channel. Returns the number of stolen tasks.
-  static std::size_t run(std::vector<std::function<void()>> tasks,
-                         std::size_t workers);
-};
-
-class thread_budget {
- public:
-  /// Leases `count` threads from the process budget for the lifetime of
-  /// the object (RAII). Never clamps — explicit outer parallelism is
-  /// honoured; the lease only makes the usage visible to grant().
-  class lease {
-   public:
-    explicit lease(std::size_t count);
-    lease(const lease&) = delete;
-    lease& operator=(const lease&) = delete;
-    ~lease();
-
-   private:
-    std::size_t count_;
-  };
-
-  /// How many of the `want` threads an *inner* parallel layer should
-  /// actually use right now: at least 1, at most `want`, and never more
-  /// than the hardware concurrency left over by active leases.
-  [[nodiscard]] static std::size_t grant(std::size_t want);
+struct task_pool {
+  /// Runs `body` once on each of `threads` newly started threads and
+  /// joins them. `body` must not throw — it owns its error channel.
+  static void run(std::size_t threads, const std::function<void()>& body);
 };
 
 }  // namespace bsched::util

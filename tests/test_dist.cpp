@@ -273,17 +273,17 @@ TEST(DistCodec, RejectsGarbageWithLineDiagnostics) {
   // Wrong magic (a future version included) is refused, not guessed at.
   EXPECT_THROW((void)decode_text(""), error);
   EXPECT_THROW((void)decode_text("not a shard file\n"), error);
-  EXPECT_THROW((void)decode_text("bsched-shard v2\n"), error);
+  EXPECT_THROW((void)decode_text("bsched-shard v3\n"), error);
   // Truncation after a valid prefix.
-  EXPECT_THROW((void)decode_text("bsched-shard v1\n"), error);
+  EXPECT_THROW((void)decode_text("bsched-shard v2\n"), error);
   EXPECT_THROW(
-      (void)decode_text("bsched-shard v1\nshard index=0 count=1 first=0 "
+      (void)decode_text("bsched-shard v2\nshard index=0 count=1 first=0 "
                         "last=0\n"),
       error);
   // Malformed numbers name the field.
   try {
     (void)decode_text(
-        "bsched-shard v1\nshard index=zero count=1 first=0 last=0\n");
+        "bsched-shard v2\nshard index=zero count=1 first=0 last=0\n");
     FAIL() << "expected bsched::error";
   } catch (const error& e) {
     EXPECT_NE(std::string{e.what()}.find("index"), std::string::npos);
@@ -291,7 +291,7 @@ TEST(DistCodec, RejectsGarbageWithLineDiagnostics) {
   }
   // A valid header whose cell list stops early.
   EXPECT_THROW(
-      (void)decode_text("bsched-shard v1\n"
+      (void)decode_text("bsched-shard v2\n"
                         "shard index=0 count=1 first=0 last=2\n"
                         "sweep cells=2 replications=1 seed=0 reseed=1 "
                         "pair_by_load=0\n"
@@ -347,7 +347,7 @@ TEST(DistCodec, ShardDiagnosticsNameLineAndSection) {
 
   // A malformed shard header names line 2 and the "shard header" section.
   expect_names_line_and_section(
-      decode_fn, "bsched-shard v1\nshard index=zero count=1 first=0 last=0\n",
+      decode_fn, "bsched-shard v2\nshard index=zero count=1 first=0 last=0\n",
       "2", "shard header");
 
   // Truncation inside the first cell's records names that cell.
@@ -367,6 +367,28 @@ TEST(DistCodec, ShardDiagnosticsNameLineAndSection) {
   } catch (const error& e) {
     EXPECT_NE(std::string{e.what()}.find("duplicated or out-of-place"),
               std::string::npos);
+  }
+}
+
+TEST(DistCodec, RejectsVersionOneShardNamingTheVersionLine) {
+  // v2 dropped two fields of the search record. The reader looks fields
+  // up by key and ignores extra ones, so only the version line tells a
+  // v1 document apart: it is refused on line 1, and the error shows
+  // both the version it saw and the one this reader speaks.
+  const api::sweep sw = random_grid(2);
+  const api::engine eng;
+  std::vector<std::string> lines =
+      lines_of(encode_str(run_shard(eng, plan_shard(sw, 0, 1))));
+  ASSERT_EQ(lines.front(), "bsched-shard v2");
+  lines.front() = "bsched-shard v1";
+  try {
+    (void)decode_str(join_lines(lines, lines.size()));
+    FAIL() << "expected bsched::error";
+  } catch (const error& e) {
+    const std::string what{e.what()};
+    EXPECT_NE(what.find("line 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("'bsched-shard v1'"), std::string::npos) << what;
+    EXPECT_NE(what.find("'bsched-shard v2'"), std::string::npos) << what;
   }
 }
 
@@ -407,7 +429,7 @@ TEST(DistCodec, SweepDecodeRejectsGarbageNamingLineAndSection) {
     return decode_sweep_str(text);
   };
   EXPECT_THROW((void)decode_sweep_str(""), error);
-  EXPECT_THROW((void)decode_sweep_str("bsched-shard v1\n"), error);
+  EXPECT_THROW((void)decode_sweep_str("bsched-shard v2\n"), error);
   EXPECT_THROW((void)decode_sweep_str("bsched-sweep v2\n"), error);
 
   const std::vector<std::string> lines =

@@ -532,58 +532,6 @@ TEST(TrajectoryBound, IsAdmissibleOnSeededRandomHeterogeneousBanks) {
   }
 }
 
-TEST(Parallel, ThreadCountsProduceBitIdenticalResults) {
-  // The parallel search fixes every subtree task's pruning floor before
-  // the fan-out, so lifetime and decisions must be bit-identical whatever
-  // the worker count — on homogeneous and mixed banks, both directions.
-  const kibam::bank mixed{{kibam::itsy_battery(5.5),
-                           kibam::itsy_battery(4.0)}};
-  const kibam::bank twins{kibam::discretization{kibam::battery_b1()}, 2};
-  for (const kibam::bank* bank : {&mixed, &twins}) {
-    for (const load::test_load l :
-         {load::test_load::ils_alt, load::test_load::ils_r1}) {
-      const load::trace t = load::paper_trace(l);
-      const optimal_result ref = optimal_schedule(*bank, t);
-      const optimal_result worst_ref = worst_schedule(*bank, t);
-      EXPECT_EQ(ref.stats.memo_shards, 1u);
-      for (const std::uint64_t threads : {2u, 4u}) {
-        search_options opts;
-        opts.threads = threads;
-        const optimal_result r = optimal_schedule(*bank, t, opts);
-        EXPECT_DOUBLE_EQ(r.lifetime_min, ref.lifetime_min)
-            << threads << " threads on " << load::name(l);
-        EXPECT_EQ(r.decisions, ref.decisions)
-            << threads << " threads on " << load::name(l);
-        EXPECT_GT(r.stats.memo_shards, 1u);
-        const optimal_result w = worst_schedule(*bank, t, opts);
-        EXPECT_DOUBLE_EQ(w.lifetime_min, worst_ref.lifetime_min)
-            << threads << " threads (worst) on " << load::name(l);
-        EXPECT_EQ(w.decisions, worst_ref.decisions)
-            << threads << " threads (worst) on " << load::name(l);
-      }
-    }
-  }
-}
-
-TEST(Parallel, SharedMemoReusesSubtreesAcrossSearches) {
-  // Two searches over the same bank + load + direction sharing one memo:
-  // the second starts on the first's table, so it expands strictly fewer
-  // nodes than a cold search while producing the identical exact result.
-  const auto d = disc_b1();
-  const load::trace t = load::paper_trace(load::test_load::ils_250);
-  const optimal_result cold = optimal_schedule(d, 2, t);
-  search_options opts;
-  opts.shared_memo = make_shared_memo();
-  const optimal_result first = optimal_schedule(d, 2, t, opts);
-  const optimal_result second = optimal_schedule(d, 2, t, opts);
-  EXPECT_DOUBLE_EQ(first.lifetime_min, cold.lifetime_min);
-  EXPECT_EQ(first.decisions, cold.decisions);
-  EXPECT_DOUBLE_EQ(second.lifetime_min, cold.lifetime_min);
-  EXPECT_EQ(second.decisions, cold.decisions);
-  EXPECT_LT(second.stats.nodes, cold.stats.nodes);
-  EXPECT_GT(second.stats.memo_hits, 0u);
-}
-
 TEST(Optimal, NodeBudgetEnforced) {
   const auto d = disc_b1();
   const load::trace t = load::paper_trace(load::test_load::ils_250);

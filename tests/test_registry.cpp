@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "kibam/bank.hpp"
@@ -128,6 +129,30 @@ TEST(Registry, UnknownParameterNamesTheAcceptedSet) {
   // Malformed values still name the key and value.
   const std::string value_msg = message_of(model, "opt:max_nodes=soon");
   EXPECT_NE(value_msg.find("max_nodes=soon"), std::string::npos) << value_msg;
+}
+
+TEST(Registry, RemovedSearchKnobsFailNamingTheKey) {
+  // The exact search has no thread-count or warm-start knob. A spec
+  // setting "threads" or "warm_start" fails loudly, naming the key,
+  // instead of being silently ignored.
+  const registry model = opt::model_registry();
+  const std::pair<const char*, const char*> cases[] = {
+      {"opt:threads=4", "threads"},
+      {"opt:warm_start=8", "warm_start"},
+      {"worst:threads=4", "threads"},
+      {"worst:warm_start=8", "warm_start"}};
+  for (const auto& [text, key] : cases) {
+    try {
+      (void)model.make(text);
+      ADD_FAILURE() << text << " should have thrown";
+    } catch (const error& e) {
+      const std::string what{e.what()};
+      EXPECT_NE(what.find(std::string{"unknown parameter '"} + key + "'"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("max_memo_entries"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(Registry, ModelRegistryAddsTheModelAwarePolicies) {

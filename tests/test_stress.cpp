@@ -36,6 +36,7 @@
 #include "net/message.hpp"
 #include "net/socket.hpp"
 #include "opt/search.hpp"
+#include "sched/simulator.hpp"
 #include "svc/coordinator.hpp"
 #include "svc/worker.hpp"
 #include "util/error.hpp"
@@ -138,40 +139,71 @@ TEST(StressSweep, DeliveryStaysInGridOrderUnderOversubscription) {
   for (std::size_t i = 0; i < total; ++i) EXPECT_EQ(seen[i], i);
 }
 
-// --- StressSearch: oversubscribed exact search over one shared memo -----
+// --- StressSearch: concurrent exact searches, each on a private memo ----
 
-TEST(StressSearch, OversubscribedSearchesOverOneSharedMemoStayExact) {
-  // Several exact searches of the same problem run concurrently, each on
-  // a work-stealing pool far wider than the core count, all hammering ONE
-  // sharded transposition table — the memo's striped locks, its FIFO
-  // eviction counters and the pool's deques under maximum interleaving.
-  // The contract is bit-identical results (lifetime AND decisions) against
-  // the single-threaded private-memo reference, every run, every round:
-  // a racing floor update or a torn memo entry shows up here as a wrong
-  // decision vector even when TSan is off, and as a report when it is on.
-  const kibam::bank bank{kibam::discretization{kibam::battery_b1()}, 2};
-  const load::trace t = load::paper_trace(load::test_load::ils_250);
-  const opt::optimal_result ref = opt::optimal_schedule(bank, t);
-
-  opt::search_options opts;
-  opts.threads = 8;  // well above this machine's core count
-  opts.shared_memo = opt::make_shared_memo();
-  const std::size_t searches = 8 / kLoadScale + 2;
-  for (int round = 0; round < 2; ++round) {
-    // Round 0 races to fill the cold table; round 1 reads it back warm.
-    std::vector<std::future<opt::optimal_result>> runs;
-    runs.reserve(searches);
-    for (std::size_t i = 0; i < searches; ++i) {
-      runs.push_back(std::async(std::launch::async, [&] {
-        return opt::optimal_schedule(bank, t, opts);
-      }));
+TEST(StressSearch, ConcurrentSearchesOnPrivateMemosStayExact) {
+  // Exact searches of 18 cells run at once on a 16-thread sweep pool, far
+  // wider than the core count: opt and worst on a homogeneous and a mixed
+  // 5.5 + 4.0 bank, plus a second opt cell per (bank, load) under a knob
+  // that leaves the search unchanged, so the same problem is solved twice
+  // concurrently. Every search owns its memo and scratch pool; the cells
+  // share only the engine's cached banks and the discretized loads'
+  // inputs. The contract is bit-identical results — lifetime, decisions,
+  // trace and search statistics — against a sequential reference, every
+  // round: shared mutable state between searches shows up here as a
+  // wrong decision vector even when TSan is off, and as a report when it
+  // is on.
+  const std::vector<std::vector<kibam::battery_parameters>> banks{
+      api::bank(2, kibam::battery_b1()),
+      {kibam::itsy_battery(5.5), kibam::itsy_battery(4.0)}};
+  api::sweep sw;
+  for (const auto& batteries : banks) {
+    for (const load::test_load l :
+         {load::test_load::ils_alt, load::test_load::ils_r1,
+          load::test_load::cl_alt}) {
+      for (const char* policy :
+           {"opt", "worst", "opt:max_nodes=100000000"}) {
+        sw.cells.push_back(api::scenario{.label = {},
+                                         .batteries = batteries,
+                                         .load = l,
+                                         .policy = policy,
+                                         .model = api::fidelity::discrete,
+                                         .steps = {},
+                                         .sim = {}});
+      }
     }
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      const opt::optimal_result r = runs[i].get();
-      EXPECT_DOUBLE_EQ(r.lifetime_min, ref.lifetime_min)
-          << "round " << round << " search " << i;
-      EXPECT_EQ(r.decisions, ref.decisions)
-          << "round " << round << " search " << i;
+  }
+  sw.replications = 1;
+
+  // Sequential references: the engine's single-call path on this thread,
+  // and the search itself, whose decision list the simulator replays.
+  const api::engine eng;
+  std::vector<api::run_result> ref;
+  for (const api::scenario& cell : sw.cells) {
+    ref.push_back(eng.run(cell));
+    const kibam::bank bank{cell.batteries};
+    const load::trace t = cell.load.materialize();
+    const opt::optimal_result plan = cell.policy == "worst"
+                                         ? opt::worst_schedule(bank, t)
+                                         : opt::optimal_schedule(bank, t);
+    std::vector<std::size_t> replayed;
+    for (const sched::decision& d : ref.back().sim.decisions) {
+      replayed.push_back(d.battery);
+    }
+    EXPECT_EQ(replayed, plan.decisions) << cell.describe();
+    EXPECT_EQ(ref.back().search, plan.stats) << cell.describe();
+  }
+
+  for (int round = 0; round < 2; ++round) {
+    std::vector<api::run_result> got(sw.cells.size());
+    const api::sweep_stats stats = eng.run_sweep(
+        sw, [&](const api::sweep_result& r) { got[r.cell] = r.result; }, 16);
+    EXPECT_EQ(stats.failures, 0u);
+    for (std::size_t c = 0; c < sw.cells.size(); ++c) {
+      EXPECT_EQ(got[c].sim.lifetime_min, ref[c].sim.lifetime_min)
+          << "round " << round << ", " << sw.cells[c].describe();
+      EXPECT_EQ(got[c], ref[c])
+          << "round " << round << ", " << sw.cells[c].describe();
     }
   }
 }
