@@ -75,6 +75,15 @@ Rules (see README "Correctness tooling"):
                     there, so a second, concurrent search path cannot grow
                     back unreviewed. Concurrency lives one level up: a
                     sweep runs independent searches on its thread pool.
+
+  search-flat-memo  src/opt/search.cpp keeps its per-node path free of
+                    node-based containers: no std::unordered_map,
+                    std::map, std::deque or std::list (nor their
+                    includes) there. The transposition table is one flat
+                    arena plus an open-addressed index, and the key and
+                    candidate frames live on searcher-owned stacks, so a
+                    node allocates nothing; a node-based table would
+                    cost several allocations per node again.
 """
 
 import argparse
@@ -117,6 +126,12 @@ THREAD_PATTERN = re.compile(r"std::j?thread\b(?!\s*::)|std::async\b")
 OPT_SEQUENTIAL_PATTERN = re.compile(
     r"#\s*include\s*<(?:mutex|shared_mutex|atomic|thread)>|\btask_pool\b|"
     r"std::(?:j?thread|(?:shared_|recursive_)?mutex|atomic\w*)\b")
+
+SEARCH_FLAT_MEMO_FILE = os.path.join("src", "opt", "search.cpp")
+
+SEARCH_FLAT_MEMO_PATTERN = re.compile(
+    r"#\s*include\s*<(?:unordered_map|map|deque|list)>|"
+    r"std::(?:unordered_map|map|deque|list)\b")
 
 WIRE_PATTERN = re.compile(r"std::getline\b|\.find\(\s*'='\s*\)")
 
@@ -340,6 +355,19 @@ def check_opt_sequential(rel, code):
     return findings
 
 
+def check_search_flat_memo(rel, code):
+    if rel != SEARCH_FLAT_MEMO_FILE:
+        return []
+    findings = []
+    for m in SEARCH_FLAT_MEMO_PATTERN.finditer(strip_strings(code)):
+        findings.append((line_of(code, m.start()), "search-flat-memo",
+                         f"'{m.group().strip()}' in the exact search — "
+                         f"node-based containers allocate per node; keep "
+                         f"the memo flat and the per-node frames on the "
+                         f"searcher's stacks"))
+    return findings
+
+
 def check_wire_reader(rel, code):
     if not rel.startswith("src" + os.sep):
         return []
@@ -372,7 +400,8 @@ def check_obs_detail(rel, code):
 
 CODE_CHECKS = (check_no_io, check_require_prefix, check_rng,
                check_version_literals, check_threads, check_obs_detail,
-               check_wire_reader, check_opt_sequential)
+               check_wire_reader, check_opt_sequential,
+               check_search_flat_memo)
 
 
 def lint_file(rel, text):
@@ -550,8 +579,24 @@ def self_test():
          "tests/test_stress.cpp", "std::thread t{[] {}};", []),
         ("a sequential search",
          "src/opt/search.cpp",
-         "#include <unordered_map>\nstd::unordered_map<int, int> memo;",
+         "#include <vector>\nstd::vector<std::uint64_t> memo;",
          []),
+        ("node-based memo in the search",
+         "src/opt/search.cpp",
+         "#include <unordered_map>\nstd::unordered_map<int, int> memo;",
+         ["search-flat-memo"]),
+        ("FIFO deque in the search",
+         "src/opt/search.cpp", "std::deque<const int*> fifo;",
+         ["search-flat-memo"]),
+        ("ordered map and list in the search",
+         "src/opt/search.cpp",
+         "#include <map>\nstd::map<int, int> a;\nstd::list<int> b;",
+         ["search-flat-memo"]),
+        ("node-based containers named in a search comment are fine",
+         "src/opt/search.cpp",
+         "// no std::unordered_map or std::deque here\n", []),
+        ("other opt files may use node-based containers",
+         "src/opt/policies.cpp", "std::map<int, int> cache;", []),
         ("mutex include in the search",
          "src/opt/search.cpp", "#include <mutex>\n", ["opt-sequential"]),
         ("atomic counter in the search",

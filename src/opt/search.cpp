@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <deque>
 #include <limits>
 #include <memory>
-#include <unordered_map>
+#include <optional>
 #include <utility>
 
 #include "kibam/scratch.hpp"
@@ -14,6 +13,7 @@
 #include "opt/policies.hpp"
 #include "sched/simulator.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace bsched::opt {
 
@@ -36,9 +36,13 @@ std::uint64_t pack(const kibam::discrete_state& b) {
          static_cast<std::uint64_t>(b.empty);
 }
 
-/// A candidate's identity for branch deduplication: batteries are
-/// interchangeable iff they share a type and a packed state.
-using candidate_sig = std::pair<std::size_t, std::uint64_t>;
+/// A branch candidate: a battery and its identity for deduplication.
+/// Batteries are interchangeable iff they share a type and a packed state.
+struct candidate {
+  std::size_t battery;
+  std::size_t type;
+  std::uint64_t state;
+};
 
 /// Steps in an epoch at the grid's granularity.
 std::int64_t epoch_steps(const load::epoch& e, const load::step_sizes& s) {
@@ -246,66 +250,156 @@ std::int64_t trajectory_walk(const kibam::bank& bank, const grid_load& grid,
 /// bound replaces a looser one. A nonzero `max_entries` caps the table:
 /// the oldest entry is evicted first (deterministic FIFO), so large mixed
 /// banks cannot grow it without bound.
+///
+/// Flat, so a node costs no allocation. Every key of one search has the
+/// same width, so keys are passed as *frames* of 1 + key_words words — the
+/// key's hash, then the key — and stored inline in one insertion-order
+/// arena of records [frame | packed entry]. An open-addressed index of
+/// entry numbers finds them: linear probing from the hash's low bits,
+/// doubled past load 1/2. A capped arena is a ring: the oldest record is
+/// overwritten in place and its index slot removed by backward-shift
+/// deletion, so eviction stays exactly FIFO and the index never carries
+/// tombstones.
 class memo_table {
  public:
-  using key = std::vector<std::uint64_t>;
   struct entry {
     std::int64_t value = 0;
     bool exact = false;
   };
 
-  explicit memo_table(std::uint64_t max_entries) : cap_(max_entries) {}
+  /// Marks an empty index slot. Entry numbers stay below it: at most
+  /// max_nodes entries are ever stored, numbered from 0.
+  static constexpr std::uint32_t k_no_entry =
+      std::numeric_limits<std::uint32_t>::max();
 
-  /// The usable entry for `k`: any exact entry, or an upper bound not
-  /// above `floor` (a value the caller discards against its incumbent
-  /// anyway). Null when there is none.
-  [[nodiscard]] const entry* lookup(const key& k, std::int64_t floor) const {
-    const auto it = map_.find(k);
-    if (it == map_.end()) return nullptr;
-    if (!it->second.exact && it->second.value > floor) return nullptr;
-    return &it->second;
+  memo_table(std::size_t key_words, std::uint64_t max_entries)
+      : frame_(1 + key_words), cap_(max_entries), index_(16, k_no_entry) {}
+
+  /// Words in a key frame: the hash, then `key_words` key words.
+  [[nodiscard]] std::size_t frame_words() const noexcept { return frame_; }
+
+  /// Seals a frame whose key words are written: sets its hash word,
+  /// chaining splitmix64's full-avalanche mix over the words so the low
+  /// bits linear probing reads are well spread.
+  void seal(std::uint64_t* frame) const noexcept {
+    std::uint64_t h = 0;
+    for (std::size_t w = 1; w < frame_; ++w) {
+      std::uint64_t state = h ^ frame[w];
+      h = splitmix64(state);
+    }
+    frame[0] = h;
   }
 
-  /// Inserts or improves the entry for `k`: exact beats inexact, and a
-  /// smaller upper bound beats a larger one. Returns the number of entries
-  /// evicted to stay within the cap.
-  std::uint64_t store(key k, entry e) {
-    const auto [it, inserted] = map_.emplace(std::move(k), e);
-    if (!inserted) {
-      entry& held = it->second;
+  /// The usable entry for the key in `frame`: any exact entry, or an upper
+  /// bound not above `floor` (a value the caller discards against its
+  /// incumbent anyway). Empty when there is none.
+  [[nodiscard]] std::optional<entry> lookup(const std::uint64_t* frame,
+                                            std::int64_t floor) const {
+    const std::uint32_t n = index_[find(frame)];
+    if (n == k_no_entry) return std::nullopt;
+    const entry e = unpack(record(n)[frame_]);
+    if (!e.exact && e.value > floor) return std::nullopt;
+    return e;
+  }
+
+  /// Inserts or improves the entry for the key in `frame`: exact beats
+  /// inexact, and a smaller upper bound beats a larger one. Returns the
+  /// number of entries evicted to stay within the cap.
+  std::uint64_t store(const std::uint64_t* frame, entry e) {
+    BSCHED_ASSERT(e.value >= 0);
+    std::size_t slot = find(frame);
+    if (index_[slot] != k_no_entry) {
+      std::uint64_t& held_word = record(index_[slot])[frame_];
+      const entry held = unpack(held_word);
       const bool better = (e.exact && !held.exact) ||
                           (e.exact == held.exact && e.value < held.value);
-      if (better) held = e;
+      if (better) held_word = pack_entry(e);
       return 0;  // a re-walk revisits a live entry
     }
-    if (cap_ == 0) return 0;  // unbounded: no bookkeeping
-    fifo_.push_back(&it->first);
-    if (map_.size() <= cap_) return 0;
-    map_.erase(*fifo_.front());
-    fifo_.pop_front();
-    return 1;
+    std::uint64_t evicted = 0;
+    std::uint32_t n = 0;
+    if (cap_ != 0 && count_ == cap_) {
+      n = oldest_;  // the ring is full: overwrite the oldest record
+      unlink(n);
+      oldest_ = oldest_ + 1 == cap_ ? 0 : oldest_ + 1;
+      slot = find(frame);  // the deletion may have shifted the probe run
+      evicted = 1;
+    } else {
+      n = static_cast<std::uint32_t>(count_++);
+      arena_.resize(arena_.size() + frame_ + 1);
+    }
+    std::uint64_t* rec = record(n);
+    std::copy_n(frame, frame_, rec);
+    rec[frame_] = pack_entry(e);
+    index_[slot] = n;
+    if (2 * count_ > index_.size()) grow();
+    return evicted;
   }
 
-  [[nodiscard]] std::uint64_t size() const noexcept { return map_.size(); }
+  [[nodiscard]] std::uint64_t size() const noexcept { return count_; }
 
  private:
-  struct key_hash {
-    std::size_t operator()(const key& v) const noexcept {
-      // FNV-1a over the words.
-      std::uint64_t h = 1469598103934665603ULL;
-      for (const std::uint64_t w : v) {
-        h ^= w;
-        h *= 1099511628211ULL;
-      }
-      return static_cast<std::size_t>(h);
-    }
-  };
+  static std::uint64_t pack_entry(entry e) noexcept {
+    return static_cast<std::uint64_t>(e.value) << 1 | (e.exact ? 1 : 0);
+  }
+  static entry unpack(std::uint64_t word) noexcept {
+    return {static_cast<std::int64_t>(word >> 1), (word & 1) != 0};
+  }
 
-  std::unordered_map<key, entry, key_hash> map_;
-  /// Keys in insertion order for FIFO eviction (key storage is stable
-  /// under rehashing, so the pointers hold).
-  std::deque<const key*> fifo_;
-  std::uint64_t cap_;
+  [[nodiscard]] std::uint64_t* record(std::uint32_t n) noexcept {
+    return arena_.data() + std::size_t{n} * (frame_ + 1);
+  }
+  [[nodiscard]] const std::uint64_t* record(std::uint32_t n) const noexcept {
+    return arena_.data() + std::size_t{n} * (frame_ + 1);
+  }
+
+  /// The index slot holding the frame's key, or the empty slot ending its
+  /// probe run (where it would be inserted).
+  [[nodiscard]] std::size_t find(const std::uint64_t* frame) const noexcept {
+    const std::size_t mask = index_.size() - 1;
+    for (std::size_t i = frame[0] & mask;; i = (i + 1) & mask) {
+      const std::uint32_t n = index_[i];
+      if (n == k_no_entry || std::equal(frame, frame + frame_, record(n))) {
+        return i;
+      }
+    }
+  }
+
+  /// Removes entry `n` from the index by backward-shift deletion: later
+  /// members of its probe run move up into the hole whenever their home
+  /// slot allows, so every remaining key stays reachable from its home.
+  void unlink(std::uint32_t n) noexcept {
+    const std::size_t mask = index_.size() - 1;
+    std::size_t hole = record(n)[0] & mask;
+    while (index_[hole] != n) hole = (hole + 1) & mask;
+    for (std::size_t j = (hole + 1) & mask; index_[j] != k_no_entry;
+         j = (j + 1) & mask) {
+      const std::size_t home = record(index_[j])[0] & mask;
+      if (((j - home) & mask) >= ((j - hole) & mask)) {
+        index_[hole] = index_[j];
+        hole = j;
+      }
+    }
+    index_[hole] = k_no_entry;
+  }
+
+  /// Doubles the index and re-inserts every record from its cached hash.
+  void grow() {
+    index_.assign(index_.size() * 2, k_no_entry);
+    const std::size_t mask = index_.size() - 1;
+    for (std::uint32_t n = 0; n < count_; ++n) {
+      std::size_t i = record(n)[0] & mask;
+      while (index_[i] != k_no_entry) i = (i + 1) & mask;
+      index_[i] = n;
+    }
+  }
+
+  std::size_t frame_;     ///< Words per key frame; records add one.
+  std::uint64_t cap_;     ///< Entry cap; 0 = unbounded.
+  std::uint64_t count_ = 0;
+  std::uint32_t oldest_ = 0;  ///< Ring position of the oldest record.
+  std::vector<std::uint64_t> arena_;   ///< Records in insertion order.
+  std::vector<std::uint32_t> index_;   ///< Entry numbers; power-of-two size.
 };
 
 /// The recursive branch-and-bound over one scratch pool and one memo.
@@ -323,7 +417,12 @@ class searcher {
         opts_(opts),
         minimize_(minimize),
         grid_(load, bank.steps()),
-        memo_(opts.max_memo_entries) {
+        memo_(1 + bank.size(), opts.max_memo_entries) {
+    // Every stored entry is an expanded node, so max_nodes bounds the
+    // entry numbers the memo's 32-bit index holds.
+    require(opts.max_nodes <= memo_table::k_no_entry,
+            "optimal_schedule: max_nodes above 2^32 - 1 overflows the "
+            "memo's 32-bit entry numbers");
     // Battery indices ordered by type: the memo key sorts states within
     // each contiguous same-type group, so permutations of interchangeable
     // batteries collapse while distinct types never mix.
@@ -382,6 +481,8 @@ class searcher {
     BSCHED_COUNTER_ADD("opt.search.pruned_total", out.stats.pruned);
     BSCHED_COUNTER_ADD("opt.search.pruned_by_bound_total",
                        out.stats.pruned_by_bound);
+    BSCHED_COUNTER_ADD("opt.search.memo_evictions_total",
+                       out.stats.memo_evictions);
     BSCHED_COUNTER_ADD("opt.search.rollouts_total", out.stats.rollouts);
     BSCHED_GAUGE_SET("opt.search.memo_entries",
                      static_cast<double>(out.stats.memo_entries));
@@ -402,72 +503,89 @@ class searcher {
     }
   }
 
-  memo_table::key make_key(const std::vector<kibam::discrete_state>& bats,
-                           std::size_t epoch) const {
-    memo_table::key key;
-    key.reserve(bats.size() + 1);
-    key.push_back(grid_.canonical(epoch));
+  /// Pushes the memo key frame of (`bats`, `epoch`) onto the key stack
+  /// and returns its offset there. Callers hold the offset, not a
+  /// pointer: deeper nodes push their own frames and may reallocate the
+  /// stack. The frame is popped with keys_.resize(offset).
+  std::size_t push_key(const std::vector<kibam::discrete_state>& bats,
+                       std::size_t epoch) {
+    const std::size_t at = keys_.size();
+    keys_.resize(at + memo_.frame_words());
+    std::uint64_t* frame = keys_.data() + at;
+    std::uint64_t* w = frame + 1;
+    *w++ = grid_.canonical(epoch);
     for (std::size_t t = 0; t + 1 < group_begin_.size(); ++t) {
-      const auto start = static_cast<std::ptrdiff_t>(key.size());
+      std::uint64_t* start = w;
       for (std::size_t i = group_begin_[t]; i < group_begin_[t + 1]; ++i) {
-        key.push_back(pack(bats[group_order_[i]]));
+        *w++ = pack(bats[group_order_[i]]);
       }
-      std::sort(key.begin() + start, key.end());
+      std::sort(start, w);
     }
-    return key;
+    memo_.seal(frame);
+    return at;
   }
 
-  /// Distinct branch candidates at a decision or hand-over point: one
-  /// representative (lowest index) per (type, state) class of the alive
-  /// batteries.
-  std::vector<std::size_t> distinct_candidates(
-      const std::vector<kibam::discrete_state>& bats) const {
-    std::vector<std::size_t> out;
-    std::vector<candidate_sig> tried;
+  /// Pushes the distinct branch candidates at a decision or hand-over
+  /// point onto the candidate stack — one representative (lowest index)
+  /// per (type, state) class of the alive batteries — and returns the
+  /// frame's offset; the frame ends at the stack's current size. Like key
+  /// frames, read it by offset and pop it with cands_.resize(offset).
+  std::size_t push_candidates(const std::vector<kibam::discrete_state>& bats) {
+    const std::size_t at = cands_.size();
     for (std::size_t i = 0; i < bats.size(); ++i) {
       if (bats[i].empty) continue;
-      const candidate_sig sig{bank_.type_of(i), pack(bats[i])};
-      if (std::ranges::find(tried, sig) != tried.end()) continue;
-      tried.push_back(sig);
-      out.push_back(i);
+      const candidate c{i, bank_.type_of(i), pack(bats[i])};
+      const bool seen = std::any_of(
+          cands_.begin() + static_cast<std::ptrdiff_t>(at), cands_.end(),
+          [&c](const candidate& o) {
+            return o.type == c.type && o.state == c.state;
+          });
+      if (!seen) cands_.push_back(c);
     }
-    return out;
+    return at;
   }
 
   /// Best additional steps from the start of job epoch `epoch`; exact when
   /// the result exceeds `floor`, otherwise an upper bound at most `floor`.
   std::int64_t node_value(const std::vector<kibam::discrete_state>& bats,
                           std::size_t epoch, std::int64_t floor) {
-    memo_table::key key = make_key(bats, epoch);
-    if (const memo_table::entry* hit = memo_.lookup(key, floor)) {
+    const std::size_t key = push_key(bats, epoch);
+    std::int64_t value = 0;
+    if (const auto hit = memo_.lookup(&keys_[key], floor)) {
       ++stats_.memo_hits;
       if (!hit->exact) ++stats_.pruned;  // bounded reuse: a cut, not a value
-      return hit->value;
+      value = hit->value;
+    } else {
+      value = expand(bats, epoch, floor, key);
     }
-    return expand(bats, epoch, floor, std::move(key));
+    keys_.resize(key);
+    return value;
   }
 
   /// The expansion half of node_value, for callers that already looked the
   /// state up (and missed): branches over the distinct candidates and
-  /// stores the result under the caller's key.
+  /// stores the result under the caller's key frame (an offset into the
+  /// key stack; the caller pops it).
   std::int64_t expand(const std::vector<kibam::discrete_state>& bats,
-                      std::size_t epoch, std::int64_t floor,
-                      memo_table::key key) {
+                      std::size_t epoch, std::int64_t floor, std::size_t key) {
     ++stats_.nodes;
     require(stats_.nodes <= opts_.max_nodes,
             "optimal_schedule: node budget exhausted; relax the load or "
             "coarsen the grid");
 
     std::int64_t best = minimize_ ? k_inf : -1;
-    for (const std::size_t i : distinct_candidates(bats)) {
+    const std::size_t first = push_candidates(bats);
+    const std::size_t last = cands_.size();
+    for (std::size_t k = first; k < last; ++k) {
       auto copy = scratch_.copy_of(bats);
-      const std::int64_t v =
-          run_from(*copy, epoch, 0, i, minimize_ ? 0 : std::max(best, floor));
+      const std::int64_t v = run_from(*copy, epoch, 0, cands_[k].battery,
+                                      minimize_ ? 0 : std::max(best, floor));
       best = minimize_ ? std::min(best, v) : std::max(best, v);
     }
+    cands_.resize(first);
     BSCHED_ASSERT(best >= 0 && best < k_inf);
     stats_.memo_evictions +=
-        memo_.store(std::move(key), {best, minimize_ || best > floor});
+        memo_.store(&keys_[key], {best, minimize_ || best > floor});
     return best;
   }
 
@@ -496,13 +614,16 @@ class searcher {
       if (all_empty) return local;
       // Forced hand-over: branch over the distinct alive batteries.
       std::int64_t best = minimize_ ? k_inf : -1;
-      for (const std::size_t b : distinct_candidates(bats)) {
+      const std::size_t first = push_candidates(bats);
+      const std::size_t last = cands_.size();
+      for (std::size_t k = first; k < last; ++k) {
         auto copy = scratch_.copy_of(bats);
         const std::int64_t v =
-            run_from(*copy, epoch, i, b,
+            run_from(*copy, epoch, i, cands_[k].battery,
                      minimize_ ? 0 : std::max(best, prune_below - local));
         best = minimize_ ? std::min(best, v) : std::max(best, v);
       }
+      cands_.resize(first);
       return local + best;
     }
 
@@ -520,24 +641,34 @@ class searcher {
     for (auto& b : bats) b.discharge_elapsed = 0;
 
     const std::int64_t floor = prune_below - consumed;
-    memo_table::key key = make_key(bats, next);
-    if (const memo_table::entry* hit = memo_.lookup(key, floor)) {
+    const std::size_t key = push_key(bats, next);
+    const std::int64_t value = follow_on(bats, next, floor, key);
+    keys_.resize(key);
+    return consumed + value;
+  }
+
+  /// run_from's follow-on decision point at `epoch`, whose key frame the
+  /// caller pushed at `key`: a memo hit, else a bound cut, else expansion.
+  std::int64_t follow_on(const std::vector<kibam::discrete_state>& bats,
+                         std::size_t epoch, std::int64_t floor,
+                         std::size_t key) {
+    if (const auto hit = memo_.lookup(&keys_[key], floor)) {
       ++stats_.memo_hits;
       if (!hit->exact) ++stats_.pruned;  // bounded reuse: a cut, not a value
-      return consumed + hit->value;
+      return hit->value;
     }
     if (!minimize_ && opts_.prune) {
       // The admissible trajectory bound, walked in the cursor buffer and
       // early-outing past the floor.
       const std::int64_t w = trajectory_walk(
-          bank_, grid_, bats, next, grid_.max_draw_units(), floor, cursors_);
+          bank_, grid_, bats, epoch, grid_.max_draw_units(), floor, cursors_);
       if (w <= floor) {
         ++stats_.pruned;
         ++stats_.pruned_by_bound;
-        return consumed + w;  // <= prune_below: an admissible upper bound.
+        return w;  // <= floor: an admissible upper bound.
       }
     }
-    return consumed + expand(bats, next, floor, std::move(key));
+    return expand(bats, epoch, floor, key);
   }
 
   /// Rebuilds the decision list of a finished run by re-walking the warmed
@@ -652,6 +783,8 @@ class searcher {
   std::vector<std::size_t> group_order_;  ///< Battery indices, type-grouped.
   std::vector<std::size_t> group_begin_;  ///< Group offsets in group_order_.
   memo_table memo_;
+  std::vector<std::uint64_t> keys_;  ///< Key stack: one frame per open node.
+  std::vector<candidate> cands_;     ///< Candidate stack: one frame per branch.
   kibam::scratch_pool scratch_;
   std::vector<supply_cursor> cursors_;  ///< trajectory_walk's buffer.
   search_stats stats_;

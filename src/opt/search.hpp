@@ -14,7 +14,14 @@
 //    within groups of identical battery types) merges permutations of
 //    interchangeable batteries (symmetry reduction); entries carry an
 //    exact/upper-bound flag, so incumbent-pruned subtrees may be reused
-//    as bounds without ever corrupting an exact value;
+//    as bounds without ever corrupting an exact value. The table is
+//    flat: keys are 1 + bank.size() words, stored inline beside their
+//    value and cached hash in one insertion-order arena, found through
+//    an open-addressed index (linear probing, doubled past load 1/2).
+//    Under max_memo_entries the arena is a ring, so eviction is exactly
+//    FIFO. Key and candidate frames live on stacks the search owns, so
+//    the per-node path allocates nothing: a search makes a logarithmic
+//    number of allocations in its node count (tests/test_alloc.cpp);
 //  * a trajectory-aware admissible bound (trajectory_bound_steps): per
 //    battery, the supply of charge units by wall-clock time T is capped
 //    by the initial available charge plus what the recovery process can
@@ -52,12 +59,15 @@ namespace bsched::opt {
 
 struct search_options {
   bool prune = true;            ///< Enable the admissible-bound pruning.
-  std::uint64_t max_nodes = 200'000'000;  ///< Safety valve; throws beyond.
+  /// Safety valve; throws beyond. At most 2^32 - 1, the memo's entry
+  /// numbering (a larger budget throws before the search starts).
+  std::uint64_t max_nodes = 200'000'000;
   /// Transposition-table size cap; 0 = unbounded. When the memo reaches
   /// the cap the oldest entry is evicted (deterministic FIFO), so large
   /// mixed banks cannot grow it without bound. Evicted subtrees may be
   /// re-expanded (more nodes, identical exact results); evictions are
-  /// counted in search_stats::memo_evictions.
+  /// counted in search_stats::memo_evictions and in the
+  /// opt.search.memo_evictions_total counter.
   std::uint64_t max_memo_entries = 0;
 };
 

@@ -1,8 +1,9 @@
 // Allocation-count regressions for the per-call hot paths: an obs counter
 // hook, the dKiBaM advance kernel, the draw-rate lookup, the search's
 // per-battery cap and a protocol message's field reads must not touch the
-// heap once warm; materializing a stochastic load and decoding a message
-// header must allocate a fixed number of blocks whatever their length;
+// heap once warm; an exact search must not allocate per node;
+// materializing a stochastic load and decoding a message header must
+// allocate a fixed number of blocks whatever their length;
 // decoding a shard aggregate allocates for what it builds, not per field
 // it looks up. These are counts, not timings, so they hold on any box and
 // under every sanitizer.
@@ -26,6 +27,7 @@
 #include "kibam/bank.hpp"
 #include "kibam/parameters.hpp"
 #include "load/discretize.hpp"
+#include "load/jobs.hpp"
 #include "net/message.hpp"
 #include "obs/obs.hpp"
 #include "opt/search.hpp"
@@ -102,6 +104,28 @@ TEST(Alloc, DeliverableUnitsAllocatesNothing) {
               }
             }),
             0u);
+}
+
+TEST(Alloc, ExactSearchAllocationsDoNotGrowWithTheNodeCount) {
+  // The memo, the key and candidate stacks and the scratch states all
+  // grow geometrically, so a search pays for its size in a logarithmic
+  // number of blocks, not per node. Measured: 162 blocks for the
+  // 80 159-node ILl 250 search and 67 for the 22-node CL alt one; a
+  // node-based memo made about 7.5 per node (599 764).
+  const kibam::discretization d{kibam::battery_b1()};
+  const load::trace large = load::paper_trace(load::test_load::ill_250);
+  const load::trace small = load::paper_trace(load::test_load::cl_alt);
+  (void)opt::optimal_schedule(d, 2, small);  // warms the obs hooks
+  opt::optimal_result large_run;
+  const std::uint64_t large_count =
+      allocations_in([&] { large_run = opt::optimal_schedule(d, 2, large); });
+  opt::optimal_result small_run;
+  const std::uint64_t small_count =
+      allocations_in([&] { small_run = opt::optimal_schedule(d, 2, small); });
+  ASSERT_EQ(large_run.stats.nodes, 80159u);
+  ASSERT_EQ(small_run.stats.nodes, 22u);
+  EXPECT_LT(large_count, 400u);
+  EXPECT_LE(large_count, 4 * small_count);
 }
 
 TEST(Alloc, MaterializeCostDoesNotGrowWithTheJobCount) {

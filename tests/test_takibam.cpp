@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "kibam/discrete.hpp"
+#include "kibam/parameters.hpp"
+#include "load/discretize.hpp"
 #include "load/jobs.hpp"
 #include "opt/search.hpp"
 #include "takibam/arrays.hpp"
 #include "takibam/network.hpp"
 #include "takibam/runner.hpp"
+#include "util/rng.hpp"
 
 namespace bsched::takibam {
 namespace {
@@ -94,25 +99,62 @@ TEST(TaValidation, LifetimePlusResidualBalancesCharge) {
 // optimal on a reduced instance (the central soundness argument for using
 // the specialized search in the Table 5 bench). ---
 
+/// How far the TA and branch-and-bound lifetimes may differ, in minutes.
+/// The engines share the dKiBaM but differ in when an empty battery is
+/// *observed*: the TA may defer the observation within one draw window
+/// of the job it dies in. So they agree to within one draw period of the
+/// slowest-drawing job, derived from the instance's step sizes.
+double observation_tolerance_min(const load::job_sequence& seq,
+                                 const load::step_sizes& steps) {
+  std::int64_t period = 0;
+  for (const double amps : seq.currents) {
+    period = std::max(period, load::rate_for(amps, steps).steps);
+  }
+  return static_cast<double>(period) * steps.time_step_min;
+}
+
+/// The full two-battery optimal search on both engines agrees within the
+/// observation tolerance, and the TA's timing freedom can only extend
+/// life, never shorten it.
+void expect_engines_agree(double capacity_amin,
+                          const load::job_sequence& seq) {
+  const kibam::discretization d{kibam::itsy_battery(capacity_amin)};
+  const load::trace t = seq.to_trace();
+  const result ta = analyze(d, t, 2);
+  const opt::optimal_result bnb = opt::optimal_schedule(d, 2, t);
+  EXPECT_NEAR(ta.lifetime_min, bnb.lifetime_min,
+              observation_tolerance_min(seq, d.steps()));
+  EXPECT_GE(ta.lifetime_min, bnb.lifetime_min - 1e-9);
+}
+
 TEST(TaOptimal, AgreesWithBranchAndBoundOnReducedInstance) {
   // Small battery, short jobs: a full two-battery optimal search stays
   // tractable for the explicit PTA engine.
-  const kibam::battery_parameters small = kibam::itsy_battery(0.6);
-  const kibam::discretization d{small};
   load::job_sequence seq;
   seq.currents = {load::high_current_a, load::low_current_a};
   seq.job_min = 0.2;
   seq.idle_min = 0.2;
-  const load::trace t = seq.to_trace();
+  // One low-current draw period: 4 steps of 0.01 min.
+  EXPECT_DOUBLE_EQ(observation_tolerance_min(seq, load::step_sizes{}), 0.04);
+  expect_engines_agree(0.6, seq);
+}
 
-  const result ta = analyze(d, t, 2);
-  const opt::optimal_result bnb = opt::optimal_schedule(d, 2, t);
-  // The engines share the dKiBaM but differ in when an empty battery is
-  // *observed* (the TA may defer the observation within one draw window),
-  // so allow a few ticks.
-  EXPECT_NEAR(ta.lifetime_min, bnb.lifetime_min, 0.05);
-  // The TA's timing freedom can only extend life, never shorten it.
-  EXPECT_GE(ta.lifetime_min, bnb.lifetime_min - 1e-9);
+TEST(TaOptimal, AgreesWithBranchAndBoundOnSeededReducedInstances) {
+  // The same shape drawn at random: capacity 0.5-0.7 A*min, two jobs of
+  // either paper current, jobs of 0.1-0.3 min and idles of 0.1-0.2 min.
+  for (const std::uint64_t seed : {2u, 8u}) {
+    SCOPED_TRACE(seed);
+    rng r{seed};
+    const double capacity = 0.5 + 0.05 * static_cast<double>(r.below(5));
+    load::job_sequence seq;
+    for (int job = 0; job < 2; ++job) {
+      seq.currents.push_back(r.bernoulli(0.5) ? load::high_current_a
+                                              : load::low_current_a);
+    }
+    seq.job_min = 0.1 * static_cast<double>(1 + r.below(3));
+    seq.idle_min = 0.1 * static_cast<double>(1 + r.below(2));
+    expect_engines_agree(capacity, seq);
+  }
 }
 
 TEST(TaOptimal, TwoBatteriesOutliveOne) {
