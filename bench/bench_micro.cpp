@@ -2,7 +2,7 @@
 // paper experiments — analytic segment advance, dKiBaM stepping, bank
 // construction, an obs counter hook, draw-rate lookup and load
 // materialization, sweep cell keys, policy simulation, the optimal
-// search, DBM closure and PTA successor generation.
+// search and PTA successor generation.
 #include <benchmark/benchmark.h>
 
 #include "api/engine.hpp"
@@ -15,7 +15,6 @@
 #include "load/jobs.hpp"
 #include "obs/obs.hpp"
 #include "opt/search.hpp"
-#include "pta/dbm.hpp"
 #include "pta/semantics.hpp"
 #include "sched/policy.hpp"
 #include "sched/simulator.hpp"
@@ -234,19 +233,6 @@ void bm_optimal_search(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_optimal_search);
-
-void bm_dbm_canonicalize(benchmark::State& state) {
-  const auto clocks = static_cast<std::size_t>(state.range(0));
-  pta::dbm z = pta::dbm::universal(clocks);
-  for (std::size_t i = 1; i <= clocks; ++i) {
-    z.constrain(i, 0, pta::dbm_bound::le(static_cast<std::int32_t>(i * 7)));
-  }
-  for (auto _ : state) {
-    pta::dbm copy = z;
-    benchmark::DoNotOptimize(copy.canonicalize());
-  }
-}
-BENCHMARK(bm_dbm_canonicalize)->Arg(4)->Arg(8)->Arg(16);
 
 void bm_ta_successors(benchmark::State& state) {
   const kibam::discretization d{kibam::battery_b1()};

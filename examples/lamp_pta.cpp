@@ -10,7 +10,6 @@
 
 #include "pta/mcr.hpp"
 #include "pta/model.hpp"
-#include "pta/zonegraph.hpp"
 
 int main() {
   using namespace bsched::pta;
@@ -47,16 +46,6 @@ int main() {
   const loc_id idle = user.add_location({"idle", false, {}, {}});
   user.set_initial(idle);
   user.add_edge({idle, idle, {}, {}, press, sync_dir::send, {}, {}, {}, {}});
-
-  // Dense-time sanity check first: bright is reachable at all.
-  const zg_result dense = symbolic_reach(
-      net, [&](std::span<const std::uint32_t> locs,
-               std::span<const std::int64_t>) {
-        return locs[lamp_id] == bright;
-      });
-  std::printf("dense-time reachability of 'bright': %s (%llu zones)\n",
-              dense.reachable ? "yes" : "no",
-              static_cast<unsigned long long>(dense.stored));
 
   // Cost-optimal schedule: shine brightly once, end with the lamp off.
   const semantics sem{net};

@@ -157,9 +157,9 @@ run_release() {
   # counts (exits non-zero when the multi-threaded aggregates mismatch
   # the single-threaded reference), Table 3 must render, the lookahead
   # ablation must complete (exercising the rollout hot path end to end),
-  # and the microbenchmarks must run (quick settings — this guards
-  # against crashes and lets gross regressions show up in the CI log,
-  # not a perf gate).
+  # lamp_pta must print its pinned optimum, and the microbenchmarks must
+  # run (quick settings — this guards against crashes and lets gross
+  # regressions show up in the CI log, not a perf gate).
   "$dir/scenario_sweep" --threads 4 --replications 10
   # Distributed-sweep equivalence smoke: three shard workers, merged
   # through the dist::codec files, must reproduce the single-process
@@ -239,6 +239,8 @@ run_release() {
     | grep -q "engine.run_sweep"
   "$dir/bench_table3" > /dev/null
   "$dir/bench_lookahead" > /dev/null
+  # The PTA engine end to end: the lamp's min-cost schedule is pinned.
+  "$dir/lamp_pta" | grep -q "cost 210 in 10 time units"
   # Perf gate: the microbenchmarks run in JSON mode and are judged
   # against the committed baseline (BENCH_micro.json). The tolerance is
   # loose — it exists to catch step-function regressions (an event

@@ -84,6 +84,13 @@ Rules (see README "Correctness tooling"):
                     candidate frames live on searcher-owned stacks, so a
                     node allocates nothing; a node-based table would
                     cost several allocations per node again.
+
+  orphan-header     (tree-level) every src/**/*.hpp is #included by some
+                    file under src/, tools/, examples/, bench/ or
+                    perfbench/ other than its own .cpp, so a module that
+                    only its tests still use cannot linger in the
+                    library. Allowlisted, with a reason per entry, in
+                    ORPHAN_HEADER_ALLOWLIST.
 """
 
 import argparse
@@ -138,6 +145,17 @@ WIRE_PATTERN = re.compile(r"std::getline\b|\.find\(\s*'='\s*\)")
 THREAD_ALLOW_PREFIXES = (
     os.path.join("src", "util") + os.sep,
 )
+
+# Directories whose files count as users of a src/ header.
+INCLUDER_DIRS = ("src", "tools", "examples", "bench", "perfbench")
+
+ORPHAN_HEADER_ALLOWLIST = {
+    os.path.join("src", "ode", "steppers.hpp"):
+        "test reference for the analytic KiBaM",
+}
+
+INCLUDE_PATTERN = re.compile(r'^[ \t]*#[ \t]*include[ \t]*"([^"\n]+)"',
+                             re.MULTILINE)
 
 
 
@@ -413,23 +431,58 @@ def lint_file(rel, text):
     return findings
 
 
-def lint_tree(root):
+def check_orphan_headers(files):
+    """Tree-level pass over {rel: text} of every source file under
+    INCLUDER_DIRS: flags each src/ header no file but its own .cpp
+    includes."""
+    users = {}
+    for rel, text in files.items():
+        if rel.split(os.sep)[0] not in INCLUDER_DIRS:
+            continue
+        for m in INCLUDE_PATTERN.finditer(strip_comments(text)):
+            header = os.path.join("src", *m.group(1).split("/"))
+            users.setdefault(header, set()).add(rel)
     findings = []
-    count = 0
-    for top in LINT_DIRS:
+    for rel in sorted(files):
+        if not (rel.startswith("src" + os.sep) and rel.endswith(".hpp")):
+            continue
+        if rel in ORPHAN_HEADER_ALLOWLIST:
+            continue
+        own_cpp = rel[:-len(".hpp")] + ".cpp"
+        if users.get(rel, set()) - {own_cpp}:
+            continue
+        findings.append((rel, 1, "orphan-header",
+                         "no file under " + "/, ".join(INCLUDER_DIRS) +
+                         "/ includes this header (its own .cpp does not "
+                         "count); delete it, or allowlist it with a "
+                         "reason in ORPHAN_HEADER_ALLOWLIST"))
+    return findings
+
+
+def read_sources(root, tops):
+    files = {}
+    for top in tops:
         for dirpath, _, names in sorted(os.walk(os.path.join(root, top))):
             for name in sorted(names):
                 if not name.endswith((".cpp", ".hpp")):
                     continue
                 path = os.path.join(dirpath, name)
-                rel = os.path.relpath(path, root)
                 with open(path, encoding="utf-8", errors="surrogateescape") \
                         as f:
-                    text = f.read()
-                count += 1
-                for line, rule, msg in lint_file(rel, text):
-                    findings.append(f"{rel}:{line}: {rule}: {msg}")
-    return findings, count
+                    files[os.path.relpath(path, root)] = f.read()
+    return files
+
+
+def lint_tree(root):
+    findings = []
+    files = read_sources(root, LINT_DIRS)
+    for rel, text in files.items():
+        for line, rule, msg in lint_file(rel, text):
+            findings.append(f"{rel}:{line}: {rule}: {msg}")
+    for rel, line, rule, msg in check_orphan_headers(
+            read_sources(root, INCLUDER_DIRS)):
+        findings.append(f"{rel}:{line}: {rule}: {msg}")
+    return findings, len(files)
 
 
 # --- self-test ---------------------------------------------------------------
@@ -647,7 +700,36 @@ def self_test():
          "auto f(const std::string& t) { return t.find(':'); }", []),
     ]
 
+    # Tree-level cases: (name, {path: content}, expected flagged headers).
+    tree_cases = [
+        ("orphan header",
+         {"src/kibam/dead.hpp": "#pragma once\n"}, ["src/kibam/dead.hpp"]),
+        ("allowlisted header",
+         {"src/ode/steppers.hpp": "#pragma once\n"}, []),
+        ("header used only by its own .cpp",
+         {"src/kibam/dead.hpp": "#pragma once\n",
+          "src/kibam/dead.cpp": '#include "kibam/dead.hpp"\n'},
+         ["src/kibam/dead.hpp"]),
+        ("header used only by a test",
+         {"src/kibam/dead.hpp": "#pragma once\n",
+          "tests/test_dead.cpp": '#include "kibam/dead.hpp"\n'},
+         ["src/kibam/dead.hpp"]),
+        ("header used by an example",
+         {"src/pta/mcr.hpp": "#pragma once\n",
+          "src/pta/mcr.cpp": '#include "pta/mcr.hpp"\n',
+          "examples/lamp_pta.cpp": '#include "pta/mcr.hpp"\n'}, []),
+        ("header used by another src header",
+         {"src/pta/model.hpp": "#pragma once\n",
+          "src/pta/mcr.hpp": '#pragma once\n#include "pta/model.hpp"\n',
+          "bench/bench_micro.cpp": '#include "pta/mcr.hpp"\n'}, []),
+        ("an include in a comment does not count",
+         {"src/kibam/dead.hpp": "#pragma once\n",
+          "tools/t.cpp": '// #include "kibam/dead.hpp"\n'},
+         ["src/kibam/dead.hpp"]),
+    ]
+
     failures = 0
+    total = len(cases) + len(tree_cases)
     for name, path, content, expected in cases:
         rel = path.replace("/", os.sep)
         got = rules(rel, content)
@@ -655,11 +737,18 @@ def self_test():
             print(f"self-test FAIL: {name}: expected {expected}, got {got}",
                   file=sys.stderr)
             failures += 1
+    for name, files, expected in tree_cases:
+        got = [rel for rel, _, _, _ in check_orphan_headers(
+            {p.replace("/", os.sep): t for p, t in files.items()})]
+        if got != [p.replace("/", os.sep) for p in expected]:
+            print(f"self-test FAIL: {name}: expected {expected}, got {got}",
+                  file=sys.stderr)
+            failures += 1
     if failures:
-        print(f"lint_bsched --self-test: {failures}/{len(cases)} failed",
+        print(f"lint_bsched --self-test: {failures}/{total} failed",
               file=sys.stderr)
         return 1
-    print(f"lint_bsched --self-test: OK ({len(cases)} cases)")
+    print(f"lint_bsched --self-test: OK ({total} cases)")
     return 0
 
 

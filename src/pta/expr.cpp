@@ -79,18 +79,6 @@ std::int64_t eval_node(const node& n, std::span<const std::int64_t> vars) {
   }
 }
 
-bool constant_node(const node& n) {
-  switch (n.kind) {
-    case op::constant: return true;
-    case op::variable:
-    case op::element: return false;
-    default:
-      if (n.left && !constant_node(*n.left)) return false;
-      if (n.right && !constant_node(*n.right)) return false;
-      return true;
-  }
-}
-
 std::string str_node(const node& n) {
   const auto bin = [&](const char* sym) {
     std::string out = "(";
@@ -149,11 +137,6 @@ node_ptr make(op kind, node_ptr left, node_ptr right) {
 std::int64_t expr::eval(std::span<const std::int64_t> vars) const {
   require(valid(), "expr: evaluating an empty expression");
   return detail::eval_node(*node_, vars);
-}
-
-bool expr::is_constant() const {
-  require(valid(), "expr: inspecting an empty expression");
-  return detail::constant_node(*node_);
 }
 
 std::string expr::str() const {

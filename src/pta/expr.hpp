@@ -35,9 +35,6 @@ class expr {
   /// or out-of-bounds array access.
   [[nodiscard]] std::int64_t eval(std::span<const std::int64_t> vars) const;
 
-  /// True when the expression contains no variable references.
-  [[nodiscard]] bool is_constant() const;
-
   /// Human-readable rendering (for traces and debugging).
   [[nodiscard]] std::string str() const;
 

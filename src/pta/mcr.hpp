@@ -15,7 +15,9 @@
 
 namespace bsched::pta {
 
-/// Goal predicate over discrete states.
+/// Goal predicate over discrete states. Goals are evaluated only where an
+/// accelerated delay run ends (see semantics), never inside one, so a goal
+/// must depend on locations and variables, not on clock values.
 using goal_predicate = std::function<bool(const dstate&)>;
 
 struct mcr_options {

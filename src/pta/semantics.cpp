@@ -8,6 +8,10 @@ namespace bsched::pta {
 
 namespace {
 
+// Bound on one collapsed delay run: a model that can idle this long
+// without enabling an edge or saturating its clocks is rejected.
+constexpr std::int64_t max_delay_run = 10'000'000;
+
 bool satisfies(const clock_constraint& cc, std::int32_t clock_value,
                std::span<const std::int64_t> vars) {
   const std::int64_t bound = cc.bound.eval(vars);
@@ -52,10 +56,7 @@ std::string transition::describe(const network& net) const {
   return out;
 }
 
-semantics::semantics(const network& net, semantics_options opts)
-    : net_(&net), opts_(opts) {
-  net.check();
-}
+semantics::semantics(const network& net) : net_(&net) { net.check(); }
 
 dstate semantics::initial() const {
   dstate s;
@@ -245,38 +246,36 @@ std::vector<transition> semantics::successors(const dstate& s) const {
   std::vector<transition> out;
   action_successors(s, out);
   transition delay;
-  if (try_delay(s, delay)) {
-    if (opts_.accelerate_delays && out.empty()) {
-      // Chase the delay chain until an action becomes enabled (or delay
-      // becomes illegal), merging the steps into one transition.
-      std::int64_t steps = delay.delay;
-      std::int64_t cost = delay.cost;
-      dstate cur = std::move(delay.target);
-      bool divergent = false;
-      while (steps < opts_.max_delay_run) {
-        std::vector<transition> actions;
-        action_successors(cur, actions);
-        if (!actions.empty()) break;
-        transition next;
-        if (!try_delay(cur, next)) break;
-        if (next.target == cur && next.cost == 0) {
-          // Clocks saturated at their caps and nothing will ever enable:
-          // a time-divergent dead end, not a successor.
-          divergent = true;
-          break;
-        }
-        ++steps;
-        cost += next.cost;
-        cur = std::move(next.target);
-      }
-      require(steps < opts_.max_delay_run,
-              "semantics: delay run exceeded max_delay_run "
-              "(model can idle forever?)");
-      if (!divergent) out.push_back({std::move(cur), cost, steps, {}});
-    } else {
-      out.push_back(std::move(delay));
-    }
+  if (!try_delay(s, delay)) return out;
+  if (!out.empty()) {
+    out.push_back(std::move(delay));
+    return out;
   }
+  // Chase the delay chain until an action becomes enabled (or delay
+  // becomes illegal), merging the steps into one transition.
+  std::int64_t steps = delay.delay;
+  std::int64_t cost = delay.cost;
+  dstate cur = std::move(delay.target);
+  while (steps < max_delay_run) {
+    std::vector<transition> actions;
+    action_successors(cur, actions);
+    if (!actions.empty()) break;
+    transition next;
+    if (!try_delay(cur, next)) break;
+    if (next.target == cur) {
+      // Clocks saturated at their caps: nothing will ever enable and
+      // idling only adds cost, so this is a time-divergent dead end, not
+      // a successor.
+      return {};
+    }
+    ++steps;
+    cost += next.cost;
+    cur = std::move(next.target);
+  }
+  require(steps < max_delay_run,
+          "semantics: delay run exceeded max_delay_run "
+          "(model can idle forever?)");
+  out.push_back({std::move(cur), cost, steps, {}});
   return out;
 }
 

@@ -53,19 +53,11 @@ struct transition {
   [[nodiscard]] std::string describe(const network& net) const;
 };
 
-struct semantics_options {
-  /// Collapse runs of states whose only successor is a unit delay into a
-  /// single delay transition (sound: no choice is skipped).
-  bool accelerate_delays = true;
-  /// Abort acceleration beyond this many steps (guards against models that
-  /// can delay forever without ever enabling an edge).
-  std::int64_t max_delay_run = 10'000'000;
-};
-
-/// Successor generator over a fixed network.
+/// Successor generator over a fixed network. A run of states whose only
+/// successor is a unit delay is always collapsed into one delay transition.
 class semantics {
  public:
-  explicit semantics(const network& net, semantics_options opts = {});
+  explicit semantics(const network& net);
 
   [[nodiscard]] dstate initial() const;
 
@@ -91,7 +83,6 @@ class semantics {
   [[nodiscard]] bool try_delay(const dstate& s, transition& out) const;
 
   const network* net_;
-  semantics_options opts_;
 };
 
 }  // namespace bsched::pta

@@ -136,5 +136,82 @@ TEST(Mcr, TraceDisabledSkipsReconstruction) {
   EXPECT_EQ(r->cost, 50);
 }
 
+TEST(Mcr, DeadlineReachability) {
+  // One clock x; location `wait` with invariant x <= inv and an edge to
+  // `hit` guarded x >= k (reachable iff k <= inv) or x > k (reachable iff
+  // k < inv).
+  for (const std::int64_t inv : {2, 3, 5}) {
+    for (std::int64_t k = 1; k <= 6; ++k) {
+      for (const bool strict : {false, true}) {
+        network net;
+        const clock_id x = net.add_clock("x", 10);
+        const automaton_id aid = net.add_automaton("a");
+        automaton& a = net.at(aid);
+        const loc_id wait = a.add_location(
+            {"wait", false, {clock_constraint{x, cmp::le, lit(inv)}}, {}});
+        const loc_id hit = a.add_location({"hit", false, {}, {}});
+        a.set_initial(wait);
+        a.add_edge({wait, hit,
+                    {clock_constraint{x, strict ? cmp::gt : cmp::ge, lit(k)}},
+                    {}, npos, sync_dir::none, {}, {}, {}, {}});
+        const semantics sem{net};
+        const auto r = min_cost_reach(sem, location_goal(aid, hit));
+        EXPECT_EQ(r.has_value(), strict ? k < inv : k <= inv)
+            << "inv=" << inv << " k=" << k << " strict=" << strict;
+      }
+    }
+  }
+}
+
+TEST(Mcr, ClockDifferenceAcrossResetIsRespected) {
+  // y is reset when leaving `first` at x = 2, so y >= 3 implies x >= 5,
+  // contradicting the x <= 4 half of the guard into `hit`.
+  network net;
+  const clock_id x = net.add_clock("x", 20);
+  const clock_id y = net.add_clock("y", 20);
+  const automaton_id aid = net.add_automaton("a");
+  automaton& a = net.at(aid);
+  const loc_id first = a.add_location(
+      {"first", false, {clock_constraint{x, cmp::le, lit(2)}}, {}});
+  const loc_id second = a.add_location({"second", false, {}, {}});
+  const loc_id hit = a.add_location({"hit", false, {}, {}});
+  a.set_initial(first);
+  a.add_edge({first, second, {clock_constraint{x, cmp::ge, lit(2)}},
+              {}, npos, sync_dir::none, {}, {y}, {}, {}});
+  a.add_edge({second, hit,
+              {clock_constraint{y, cmp::ge, lit(3)},
+               clock_constraint{x, cmp::le, lit(4)}},
+              {}, npos, sync_dir::none, {}, {}, {}, {}});
+  const semantics sem{net};
+  EXPECT_FALSE(min_cost_reach(sem, location_goal(aid, hit)).has_value());
+}
+
+TEST(Mcr, VariableSetOverAChannelGatesAnEdge) {
+  // `a` may only enter `hit` once `b` has armed it through channel `go`.
+  network net;
+  (void)net.add_clock("x", 5);
+  const chan_id go = net.add_channel("go");
+  const var_ref armed = net.add_var("armed", 0);
+  const automaton_id aid = net.add_automaton("a");
+  automaton& a = net.at(aid);
+  const loc_id w = a.add_location({"w", false, {}, {}});
+  const loc_id hit = a.add_location({"hit", false, {}, {}});
+  a.set_initial(w);
+  a.add_edge({w, w, {}, {}, go, sync_dir::receive,
+              {{armed.lv(), lit(1)}}, {}, {}, {}});
+  a.add_edge({w, hit, {}, expr{armed} == lit(1), npos, sync_dir::none,
+              {}, {}, {}, {}});
+  const automaton_id bid = net.add_automaton("b");
+  automaton& b = net.at(bid);
+  const loc_id s = b.add_location({"s", false, {}, {}});
+  b.set_initial(s);
+  b.add_edge({s, s, {}, {}, go, sync_dir::send, {}, {}, {}, {}});
+
+  const semantics sem{net};
+  const auto r = min_cost_reach(sem, location_goal(aid, hit));
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->trace.size(), 2u);
+}
+
 }  // namespace
 }  // namespace bsched::pta

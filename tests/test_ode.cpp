@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "ode/events.hpp"
 #include "ode/steppers.hpp"
 #include "util/error.hpp"
 
@@ -72,47 +71,6 @@ TEST(Adaptive, RejectsBackwardInterval) {
   EXPECT_THROW(integrate_adaptive(decay, 1, 0, state<1>{1.0}),
                bsched::error);
 }
-
-TEST(Events, FindsDecayCrossing) {
-  // y(t) = e^{-t} crosses 0.5 at t = ln 2.
-  const auto g = [](double, const state<1>& y) { return y[0] - 0.5; };
-  const auto hit =
-      first_crossing(rk4{}, decay, g, 0, 10, state<1>{1.0}, 1e-3);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_NEAR(hit->time, std::log(2.0), 1e-6);
-  EXPECT_NEAR(hit->value[0], 0.5, 1e-6);
-}
-
-TEST(Events, ReturnsNulloptWithoutCrossing) {
-  const auto g = [](double, const state<1>& y) { return y[0] + 1.0; };
-  EXPECT_FALSE(
-      first_crossing(rk4{}, decay, g, 0, 1, state<1>{1.0}, 1e-2).has_value());
-}
-
-TEST(Events, ImmediateCrossingAtStart) {
-  const auto g = [](double, const state<1>& y) { return y[0] - 2.0; };
-  const auto hit =
-      first_crossing(rk4{}, decay, g, 0, 1, state<1>{1.0}, 1e-2);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_DOUBLE_EQ(hit->time, 0.0);
-}
-
-// Parameterized sweep: event location error is bounded by the stepper's
-// one-step truncation error (the bisection re-integrates a single RK4 step
-// of up to h), so it scales like h^4.
-class EventStepSweep : public testing::TestWithParam<double> {};
-
-TEST_P(EventStepSweep, CrossingAccuracyScalesWithStep) {
-  const double h = GetParam();
-  const auto g = [](double, const state<1>& y) { return y[0] - 0.25; };
-  const auto hit = first_crossing(rk4{}, decay, g, 0, 10, state<1>{1.0}, h);
-  ASSERT_TRUE(hit.has_value());
-  const double tol = std::max(5e-7, h * h * h * h / 10.0);
-  EXPECT_NEAR(hit->time, std::log(4.0), tol);
-}
-
-INSTANTIATE_TEST_SUITE_P(Steps, EventStepSweep,
-                         testing::Values(0.5, 0.1, 0.02, 0.004));
 
 }  // namespace
 }  // namespace bsched::ode

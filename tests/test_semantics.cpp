@@ -35,9 +35,7 @@ TEST(Semantics, InitialStateIsWellFormed) {
 
 TEST(Semantics, BinarySyncFiresJointly) {
   const auto m = make_lamp();
-  semantics_options opts;
-  opts.accelerate_delays = false;
-  const semantics sem{m.net, opts};
+  const semantics sem{m.net};
   const dstate s = sem.initial();
   const auto succ = sem.successors(s);
   // From off: the press handshake plus a unit delay.
@@ -52,9 +50,7 @@ TEST(Semantics, BinarySyncFiresJointly) {
 
 TEST(Semantics, DelayAccruesLocationRates) {
   const auto m = make_lamp();
-  semantics_options opts;
-  opts.accelerate_delays = false;
-  const semantics sem{m.net, opts};
+  const semantics sem{m.net};
   // Drive to `low`, then delay once: rate 10.
   dstate s = sem.initial();
   const auto succ = sem.successors(s);
@@ -72,9 +68,7 @@ TEST(Semantics, DelayAccruesLocationRates) {
 
 TEST(Semantics, InvariantBlocksDelayAtDeadline) {
   const auto m = make_lamp();
-  semantics_options opts;
-  opts.accelerate_delays = false;
-  const semantics sem{m.net, opts};
+  const semantics sem{m.net};
   dstate s = sem.initial();
   // Enter low, then delay 10 times; the 11th delay must be rejected.
   const auto first = sem.successors(s);
@@ -95,9 +89,7 @@ TEST(Semantics, InvariantBlocksDelayAtDeadline) {
 
 TEST(Semantics, GuardPartitionsByClock) {
   const auto m = make_lamp();
-  semantics_options opts;
-  opts.accelerate_delays = false;
-  const semantics sem{m.net, opts};
+  const semantics sem{m.net};
   dstate s = sem.initial();
   s = sem.successors(s)[0].edges.empty() ? s : sem.successors(s)[0].target;
   // Ensure we are in `low` (take the action transition explicitly).
@@ -158,9 +150,7 @@ TEST(Semantics, CommittedLocationBlocksDelayAndOthers) {
   b.set_initial(b0);
   b.add_edge({b0, b0, {}, {}, npos, sync_dir::none, {}, {}, {}, {}});
 
-  semantics_options opts;
-  opts.accelerate_delays = false;
-  const semantics sem{net, opts};
+  const semantics sem{net};
   dstate s = sem.initial();
   // Step into the committed location.
   const auto succ0 = sem.successors(s);
@@ -221,31 +211,55 @@ TEST(Semantics, BroadcastReachesAllReadyReceivers) {
 }
 
 TEST(Semantics, ClockCapClampsGrowth) {
+  // A self-loop guarded x >= 3 keeps the idler live, so delays past the
+  // cap stay single steps and the clock must stop at 5.
   network net;
   const clock_id x = net.add_clock("x", 5);
   const automaton_id aid = net.add_automaton("idler");
   automaton& a = net.at(aid);
   const loc_id l = a.add_location({"l", false, {}, {}});
   a.set_initial(l);
-  (void)x;
+  a.add_edge({l, l, {clock_constraint{x, cmp::ge, lit(3)}},
+              {}, npos, sync_dir::none, {}, {}, {}, {}});
 
-  semantics_options opts;
-  opts.accelerate_delays = false;
-  const semantics sem{net, opts};
+  const semantics sem{net};
   dstate s = sem.initial();
   for (int i = 0; i < 12; ++i) {
     const auto succ = sem.successors(s);
-    ASSERT_EQ(succ.size(), 1u);
-    s = succ[0].target;
+    const transition* delay = find_delay(succ);
+    ASSERT_NE(delay, nullptr) << "delay blocked at step " << i;
+    s = delay->target;
   }
   EXPECT_EQ(s.clocks[0], 5);  // clamped at the cap
 }
 
+TEST(Semantics, IdlerWithNoEdgesIsATimeDivergentDeadEnd) {
+  network net;
+  (void)net.add_clock("x", 5);
+  const automaton_id aid = net.add_automaton("idler");
+  automaton& a = net.at(aid);
+  a.set_initial(a.add_location({"l", false, {}, {}}));
+
+  const semantics sem{net};
+  EXPECT_TRUE(sem.successors(sem.initial()).empty());
+}
+
+TEST(Semantics, PricedIdlerIsATimeDivergentDeadEnd) {
+  // Idling at the clock cap only adds cost and never enables an edge: no
+  // successor, rather than a delay run that spins to its bound.
+  network net;
+  (void)net.add_clock("x", 5);
+  const automaton_id aid = net.add_automaton("idler");
+  automaton& a = net.at(aid);
+  a.set_initial(a.add_location({"l", false, {}, lit(3)}));
+
+  const semantics sem{net};
+  EXPECT_TRUE(sem.successors(sem.initial()).empty());
+}
+
 TEST(Semantics, DescribeNamesTheParticipants) {
   const auto m = make_lamp();
-  semantics_options opts;
-  opts.accelerate_delays = false;
-  const semantics sem{m.net, opts};
+  const semantics sem{m.net};
   const auto succ = sem.successors(sem.initial());
   const auto action = std::ranges::find_if(
       succ, [](const transition& t) { return !t.edges.empty(); });
