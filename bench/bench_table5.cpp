@@ -2,21 +2,19 @@
 // scheduling schemes (sequential, round robin, best-of-two, optimal) with
 // differences relative to round robin, for all ten test loads.
 //
-// The whole table is one declarative scenario sweep — ten loads x four
-// policy specs, with the optimal column resolved by the registry's
+// The rows are exp::scheduling_table's — the ones the tests check: ten
+// loads x four policy specs as one batch of declarative scenarios on
+// api::engine, with the optimal column resolved by the registry's
 // model-aware exact branch-and-bound "opt" policy (the same schedule
 // space as the paper's Cora run; tests/test_takibam.cpp cross-checks it
-// against the PTA engine) — streamed through api::engine::run_sweep,
-// keeping only the lifetime and search stats of each cell rather than
-// full run_results.
+// against the PTA engine).
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "api/engine.hpp"
-#include "api/scenario.hpp"
-#include "api/sweep.hpp"
+#include "exp/experiments.hpp"
 #include "paper_reference.hpp"
+#include "util/error.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -26,60 +24,33 @@ int main() {
       "Lifetimes in minutes; diff %% is relative to round robin.\n"
       "Each cell shows reproduced (published) values.\n\n");
 
-  std::vector<api::load_spec> loads;
-  for (const bench::table5_ref& ref : bench::table5) {
-    loads.emplace_back(ref.load);
-  }
-  const std::vector<std::string> policies{"sequential", "round_robin",
-                                          "best_of_n", "opt"};
-  api::sweep sweep;
-  sweep.reseed = false;  // deterministic paper loads, run as declared
-  sweep.cells = api::cross({api::bank(2, kibam::battery_b1())}, loads,
-                           policies, {api::fidelity::discrete});
-
-  // Stream the sweep: per cell only the lifetime and the search effort
-  // are kept, aggregated as results arrive in grid order.
-  std::vector<double> lifetimes(sweep.cells.size(), 0.0);
-  opt::search_stats effort;
-  bool failed = false;
-  const api::engine engine;
-  engine.run_sweep(sweep, [&](const api::sweep_result& res) {
-    if (!res.result.ok()) {
-      std::fprintf(stderr, "scenario failed: %s\n",
-                   res.result.error.c_str());
-      failed = true;
-      return;
-    }
-    lifetimes[res.cell] = res.result.sim.lifetime_min;
-    effort.nodes += res.result.search.nodes;
-    effort.memo_hits += res.result.search.memo_hits;
-    effort.pruned += res.result.search.pruned;
-  });
-  if (failed) return 1;
-
+  const std::vector<exp::scheduling_row> rows =
+      exp::scheduling_table(kibam::battery_b1());
+  const auto with_ref = [](double ours, double paper) {
+    char buf[48];
+    std::snprintf(buf, sizeof buf, "%.2f (%.2f)", ours, paper);
+    return std::string{buf};
+  };
+  const auto pct = [](double percent) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%+.1f%%", percent);
+    return std::string{buf};
+  };
   text_table table{{"test load", "sequential", "diff %", "round robin",
                     "best-of-two", "diff %", "optimal", "diff %"}};
-  for (std::size_t l = 0; l < loads.size(); ++l) {
+  opt::search_stats effort;
+  for (std::size_t l = 0; l < rows.size(); ++l) {
+    const exp::scheduling_row& r = rows[l];
     const bench::table5_ref& ref = bench::table5[l];
-    const double* cell = &lifetimes[l * policies.size()];
-    const double s = cell[0];
-    const double r = cell[1];
-    const double b = cell[2];
-    const double o = cell[3];
-
-    const auto with_ref = [](double ours, double paper) {
-      char buf[48];
-      std::snprintf(buf, sizeof buf, "%.2f (%.2f)", ours, paper);
-      return std::string{buf};
-    };
-    const auto pct = [](double v, double base) {
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%+.1f%%", 100.0 * (v - base) / base);
-      return std::string{buf};
-    };
-    table.row({load::name(ref.load), with_ref(s, ref.sequential), pct(s, r),
-               with_ref(r, ref.round_robin), with_ref(b, ref.best_of_two),
-               pct(b, r), with_ref(o, ref.optimal), pct(o, r)});
+    require(ref.load == r.load, "bench_table5: reference out of order");
+    table.row({load::name(r.load), with_ref(r.sequential_min, ref.sequential),
+               pct(r.sequential_diff_percent),
+               with_ref(r.round_robin_min, ref.round_robin),
+               with_ref(r.best_of_two_min, ref.best_of_two),
+               pct(r.best_of_two_diff_percent),
+               with_ref(r.optimal_min, ref.optimal),
+               pct(r.optimal_diff_percent)});
+    effort += r.search;
   }
   std::fputs(table.str().c_str(), stdout);
   std::printf(

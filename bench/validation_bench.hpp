@@ -1,14 +1,20 @@
-// Shared driver for the Table 3 / Table 4 benches: computes the analytic
-// KiBaM, the dKiBaM stepper and the TA-KiBaM (PTA engine) lifetime for
-// every test load and prints them next to the published columns.
+// Shared driver for the Table 3 / Table 4 benches: prints the
+// exp::validation_table rows (analytic KiBaM and dKiBaM lifetimes, the
+// ones the tests check) next to the published columns. The TA-KiBaM
+// (PTA engine) column is computed here only: Table 4's runs take seconds,
+// too slow for the test suite.
 #pragma once
 
+#include <cstddef>
 #include <cstdio>
 #include <span>
+#include <vector>
 
+#include "exp/experiments.hpp"
+#include "exp/report.hpp"
 #include "paper_reference.hpp"
-#include "kibam/discrete.hpp"
 #include "takibam/runner.hpp"
+#include "util/error.hpp"
 #include "util/table.hpp"
 
 namespace bsched::bench {
@@ -23,24 +29,21 @@ inline void run_validation_bench(const char* title,
       "'TA engine' runs the full timed-automata\nnetwork through "
       "min-cost reachability.\n\n");
 
+  const std::vector<exp::validation_row> rows =
+      exp::validation_table(battery);
   const kibam::discretization disc{battery};
   text_table table{{"test load", "KiBaM paper", "KiBaM ours", "dKiBaM paper",
                     "dKiBaM ours", "TA engine", "diff %"}};
-  for (const table34_ref& ref : reference) {
-    const load::trace trace = load::paper_trace(ref.load);
-    const double analytic = kibam::lifetime(battery, trace);
-    const double discrete = kibam::discrete_lifetime(disc, trace);
-    const double ta = takibam::analyze(disc, trace, 1).lifetime_min;
-    const double diff = 100.0 * (discrete - analytic) / analytic;
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.1f%%", diff < 0 ? -diff : diff);
-    const auto fmt = [](double v) {
-      char b[32];
-      std::snprintf(b, sizeof b, "%.2f", v);
-      return std::string{b};
-    };
-    table.row({load::name(ref.load), fmt(ref.kibam_min), fmt(analytic),
-               fmt(ref.ta_kibam_min), fmt(discrete), fmt(ta), buf});
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const exp::validation_row& row = rows[i];
+    const table34_ref& ref = reference[i];
+    require(ref.load == row.load, "validation bench: reference out of order");
+    const double ta =
+        takibam::analyze(disc, load::paper_trace(row.load)).lifetime_min;
+    table.row({load::name(row.load), exp::fmt_min(ref.kibam_min),
+               exp::fmt_min(row.analytic_min), exp::fmt_min(ref.ta_kibam_min),
+               exp::fmt_min(row.discrete_min), exp::fmt_min(ta),
+               exp::fmt_pct(row.diff_percent)});
   }
   std::fputs(table.str().c_str(), stdout);
   std::printf("\n");

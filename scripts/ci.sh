@@ -2,9 +2,11 @@
 # CI entry point. Flavours:
 #   debug      — Debug build, warnings-as-errors, full test suite;
 #   release    — optimized Release build, full test suite plus smoke runs
-#                of the examples/benches, the observability smoke (the
-#                service's telemetry exposition and a traced sweep must
-#                parse through their readers) and the perf gate — run
+#                of the examples/benches, byte compares of the Table 3,
+#                Table 5 and Figure 6 outputs against tests/golden/, the
+#                observability smoke (the service's telemetry exposition
+#                and a traced sweep must parse through their readers)
+#                and the perf gate — run
 #                twice when google-benchmark is present: the default
 #                obs-on build and a BSCHED_OBS=OFF build, both against
 #                the same committed baseline, so the "macros compile to
@@ -155,8 +157,7 @@ run_release() {
     --output-on-failure -j "$JOBS"
   # Smoke runs: the replicated-sweep example must agree across thread
   # counts (exits non-zero when the multi-threaded aggregates mismatch
-  # the single-threaded reference), Table 3 must render, the lookahead
-  # ablation must complete (exercising the rollout hot path end to end),
+  # the single-threaded reference), the lookahead ablation must complete (exercising the rollout hot path end to end),
   # lamp_pta must print its pinned optimum, and the microbenchmarks must
   # run (quick settings — this guards against crashes and lets gross
   # regressions show up in the CI log, not a perf gate).
@@ -227,17 +228,26 @@ run_release() {
   # Observability smoke: the fleet run above also wrote its telemetry
   # exposition; it must parse (obs_report's strict decoder) and carry the
   # coordinator's item accounting. Then a traced sweep must produce a
-  # chrome-trace export that both readers (tools/obs_report and the
-  # stdlib-only scripts/trace_summary.py) can digest.
+  # chrome-trace export that scripts/trace_summary.py can digest.
   grep -q "^bsched-telemetry v1$" "$svc_dir/metrics.txt"
   "$dir/obs_report" --metrics "$svc_dir/metrics.txt" \
     | grep -q "svc.coordinator.results_accepted_total"
   "$dir/scenario_sweep" --threads 2 --replications 5 \
     --trace "$svc_dir/trace.json" > /dev/null
-  "$dir/obs_report" --trace "$svc_dir/trace.json" > /dev/null
   python3 scripts/trace_summary.py "$svc_dir/trace.json" \
     | grep -q "engine.run_sweep"
-  "$dir/bench_table3" > /dev/null
+  # The paper artefacts, byte for byte: Tables 3 and 5 and Figure 6
+  # (stdout plus both CSV series, written into the bench's working
+  # directory) must match the committed goldens in tests/golden/.
+  local golden fig_dir bin
+  golden="$PWD/tests/golden"
+  bin="$(cd "$dir" && pwd)"
+  "$bin/bench_table3" | cmp - "$golden/bench_table3.txt"
+  "$bin/bench_table5" | cmp - "$golden/bench_table5.txt"
+  fig_dir="$(tmpdir)"
+  (cd "$fig_dir" && "$bin/bench_fig6") | cmp - "$golden/bench_fig6.txt"
+  cmp "$fig_dir/fig6a_best_of_two.csv" "$golden/fig6a_best_of_two.csv"
+  cmp "$fig_dir/fig6b_optimal.csv" "$golden/fig6b_optimal.csv"
   "$dir/bench_lookahead" > /dev/null
   # The PTA engine end to end: the lamp's min-cost schedule is pinned.
   "$dir/lamp_pta" | grep -q "cost 210 in 10 time units"

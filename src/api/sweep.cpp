@@ -270,21 +270,6 @@ void summarize::consume(const sweep_result& r) {
   agg_[r.cell].finalize(cells_[r.cell]);
 }
 
-void summarize::merge(const summarize& other) {
-  require(cells_.size() == other.cells_.size(),
-          "summarize: merge needs summaries of the same sweep");
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    require(cells_[i].label == other.cells_[i].label &&
-                cells_[i].load == other.cells_[i].load &&
-                cells_[i].policy == other.cells_[i].policy &&
-                cells_[i].fidelity == other.cells_[i].fidelity,
-            "summarize: merge needs summaries of the same sweep (cell " +
-                std::to_string(i) + " differs)");
-    agg_[i].merge(other.agg_[i]);
-    agg_[i].finalize(cells_[i]);
-  }
-}
-
 namespace {
 
 constexpr std::size_t npos = static_cast<std::size_t>(-1);

@@ -196,9 +196,9 @@ struct cell_accumulator {
 /// Collecting sink computing per-cell statistics as results stream in
 /// (Welford's online algorithm): memory is O(cells), independent of the
 /// replication count. Because sinks are fed in deterministic grid order,
-/// the summaries are byte-identical for any worker-thread count. Two
-/// summaries of the same sweep over disjoint replication slices combine
-/// with `merge` (the distributed-sweep pipeline of src/dist).
+/// the summaries are byte-identical for any worker-thread count. The
+/// distributed-sweep pipeline does not merge summaries: dist::stream_merger
+/// folds the per-cell cell_accumulators of shard aggregates.
 class summarize final : public result_sink {
  public:
   /// Pre-sizes one summary per cell of `sw` (labels and scenario
@@ -206,12 +206,6 @@ class summarize final : public result_sink {
   explicit summarize(const sweep& sw);
 
   void consume(const sweep_result& r) override;
-
-  /// Position-wise parallel combine with a summary of the *same* sweep
-  /// (matching cell descriptors required): counts/extrema merge exactly,
-  /// mean/stddev/CI to ulp-scale rounding. Throws bsched::error on
-  /// shape or descriptor mismatch.
-  void merge(const summarize& other);
 
   [[nodiscard]] const std::vector<cell_summary>& cells() const noexcept {
     return cells_;

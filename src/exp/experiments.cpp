@@ -5,7 +5,6 @@
 #include "api/engine.hpp"
 #include "api/scenario.hpp"
 #include "opt/search.hpp"
-#include "sched/policy.hpp"
 #include "sched/registry.hpp"
 #include "util/error.hpp"
 
@@ -15,28 +14,6 @@ namespace {
 
 double percent_diff(double value, double reference) {
   return 100.0 * (value - reference) / reference;
-}
-
-/// Collects one lifetime per cell from a sweep, streaming through the
-/// sink instead of materializing run_result vectors; the first failure is
-/// rethrown after the sweep completes (one bad cell cannot sink the run
-/// mid-flight).
-std::vector<double> sweep_lifetimes(const api::engine& engine,
-                                    api::sweep sw) {
-  std::vector<double> lifetimes(sw.cells.size(), 0.0);
-  sw.replications = 1;
-  sw.reseed = false;  // run the cells exactly as declared
-  std::string first_error;
-  engine.run_sweep(sw, [&](const api::sweep_result& r) {
-    if (!r.result.ok()) {
-      if (first_error.empty()) first_error = r.result.error;
-      return;
-    }
-    lifetimes[r.cell] = r.result.sim.lifetime_min;
-  });
-  require(first_error.empty(),
-          "exp: scenario failed: " + first_error);
-  return lifetimes;
 }
 
 }  // namespace
@@ -56,13 +33,6 @@ std::vector<validation_row> validation_table(
   return rows;
 }
 
-double policy_lifetime(const kibam::discretization& disc,
-                       std::size_t battery_count, const load::trace& load,
-                       sched::policy& pol) {
-  return sched::simulate_discrete(disc, battery_count, load, pol)
-      .lifetime_min;
-}
-
 std::vector<scheduling_row> scheduling_table(
     const kibam::battery_parameters& battery, std::size_t battery_count,
     bool include_optimal, const load::step_sizes& steps) {
@@ -75,30 +45,36 @@ std::vector<scheduling_row> scheduling_table(
   for (const load::test_load l : load::all_test_loads()) {
     loads.emplace_back(l);
   }
-  api::sweep sweep;
-  sweep.cells = api::cross({api::bank(battery_count, battery)}, loads,
-                           policies, {api::fidelity::discrete});
-  for (api::scenario& s : sweep.cells) s.steps = steps;
+  std::vector<api::scenario> scenarios =
+      api::cross({api::bank(battery_count, battery)}, loads, policies,
+                 {api::fidelity::discrete});
+  for (api::scenario& s : scenarios) s.steps = steps;
 
-  const std::vector<double> lifetimes =
-      sweep_lifetimes(api::engine{}, std::move(sweep));
+  // Every cell runs before the first failure is rethrown: one bad cell
+  // cannot sink the batch mid-flight.
+  const std::vector<api::run_result> results =
+      api::engine{}.run_batch(scenarios);
+  for (const api::run_result& r : results) {
+    require(r.ok(), "exp: scenario failed: " + r.error);
+  }
 
   std::vector<scheduling_row> rows;
   rows.reserve(loads.size());
   const std::size_t cells = policies.size();
   for (std::size_t l = 0; l < loads.size(); ++l) {
-    const double* cell = &lifetimes[l * cells];
+    const api::run_result* cell = &results[l * cells];
     scheduling_row row{};
     row.load = load::all_test_loads()[l];
-    row.sequential_min = cell[0];
-    row.round_robin_min = cell[1];
-    row.best_of_two_min = cell[2];
+    row.sequential_min = cell[0].sim.lifetime_min;
+    row.round_robin_min = cell[1].sim.lifetime_min;
+    row.best_of_two_min = cell[2].sim.lifetime_min;
+    for (std::size_t c = 0; c < cells; ++c) row.search += cell[c].search;
     row.sequential_diff_percent =
         percent_diff(row.sequential_min, row.round_robin_min);
     row.best_of_two_diff_percent =
         percent_diff(row.best_of_two_min, row.round_robin_min);
     if (include_optimal) {
-      row.optimal_min = cell[3];
+      row.optimal_min = cell[3].sim.lifetime_min;
       row.optimal_diff_percent =
           percent_diff(row.optimal_min, row.round_robin_min);
     }

@@ -1,8 +1,10 @@
 // Experiment harness: programmatic versions of every table and figure in
-// the paper's evaluation (Sections 5 and 6), shared between the benches
-// and the integration tests. The multi-battery experiments are expressed
-// as declarative scenario sweeps evaluated through api::engine; only the
-// single-battery validation tables drive the kibam models directly.
+// the paper's evaluation (Sections 5 and 6). The paper-artefact benches
+// print the rows computed here and the tests check the same rows, so
+// every reported number has one producer. The multi-battery experiments
+// are expressed as declarative scenario sweeps evaluated through
+// api::engine; only the single-battery validation tables drive the kibam
+// models directly.
 #pragma once
 
 #include <cstddef>
@@ -11,6 +13,7 @@
 #include "kibam/discrete.hpp"
 #include "kibam/parameters.hpp"
 #include "load/jobs.hpp"
+#include "opt/search.hpp"
 #include "sched/simulator.hpp"
 
 namespace bsched::exp {
@@ -40,6 +43,9 @@ struct scheduling_row {
   double best_of_two_diff_percent;
   double optimal_min;
   double optimal_diff_percent;
+  /// Search effort summed over the row's cells (all zero for the blind
+  /// schedulers; only the optimal column searches).
+  opt::search_stats search;
 };
 
 /// Computes Table 5 for `battery_count` copies of `battery`.
@@ -47,12 +53,6 @@ struct scheduling_row {
 [[nodiscard]] std::vector<scheduling_row> scheduling_table(
     const kibam::battery_parameters& battery, std::size_t battery_count = 2,
     bool include_optimal = true, const load::step_sizes& steps = {});
-
-/// Lifetime of one policy on one load (discrete model).
-[[nodiscard]] double policy_lifetime(const kibam::discretization& disc,
-                                     std::size_t battery_count,
-                                     const load::trace& load,
-                                     sched::policy& pol);
 
 /// Figure 6: full charge-evolution traces and schedules for best-of-two
 /// and the optimal schedule on a load (the paper uses ILs alt, 2 x B1).

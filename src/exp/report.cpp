@@ -18,43 +18,6 @@ std::string fmt_pct(double percent) {
   return buf;
 }
 
-text_table validation_report(const std::vector<validation_row>& rows) {
-  text_table table{{"test load", "lifetime KiBaM (min)",
-                    "lifetime dKiBaM (min)", "difference %"}};
-  for (const validation_row& r : rows) {
-    table.row({load::name(r.load), fmt_min(r.analytic_min),
-               fmt_min(r.discrete_min), fmt_pct(r.diff_percent)});
-  }
-  return table;
-}
-
-text_table scheduling_report(const std::vector<scheduling_row>& rows,
-                             bool include_optimal) {
-  std::vector<std::string> header = {
-      "test load",   "sequential", "diff %", "round robin",
-      "best-of-two", "diff %"};
-  if (include_optimal) {
-    header.push_back("optimal");
-    header.push_back("diff %");
-  }
-  text_table table{header};
-  for (const scheduling_row& r : rows) {
-    std::vector<std::string> cells = {
-        load::name(r.load),
-        fmt_min(r.sequential_min),
-        fmt_pct(r.sequential_diff_percent),
-        fmt_min(r.round_robin_min),
-        fmt_min(r.best_of_two_min),
-        fmt_pct(r.best_of_two_diff_percent)};
-    if (include_optimal) {
-      cells.push_back(fmt_min(r.optimal_min));
-      cells.push_back(fmt_pct(r.optimal_diff_percent));
-    }
-    table.row(std::move(cells));
-  }
-  return table;
-}
-
 text_table residual_report(const std::vector<residual_point>& rows) {
   text_table table{{"capacity scale", "capacity (Amin)", "lifetime (min)",
                     "residual charge %"}};

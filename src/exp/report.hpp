@@ -1,5 +1,6 @@
-// Paper-style rendering of experiment results: the benches print these
-// tables so their output can be compared line by line with the paper.
+// Paper-style rendering of experiment results: the capacity and
+// discretization benches print these tables, and the Table 3/4 benches
+// format their cells with fmt_min/fmt_pct.
 #pragma once
 
 #include <string>
@@ -8,14 +9,6 @@
 #include "util/table.hpp"
 
 namespace bsched::exp {
-
-/// Renders Table 3/4: "test load | lifetime KiBaM | lifetime dKiBaM | %".
-[[nodiscard]] text_table validation_report(
-    const std::vector<validation_row>& rows);
-
-/// Renders Table 5: the four schedulers and differences vs round robin.
-[[nodiscard]] text_table scheduling_report(
-    const std::vector<scheduling_row>& rows, bool include_optimal = true);
 
 /// Renders the residual-charge sweep of Section 6.
 [[nodiscard]] text_table residual_report(

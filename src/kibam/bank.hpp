@@ -51,11 +51,6 @@ class bank {
     return discs_[type_of_[b]];
   }
 
-  /// The discretization of type `t`.
-  [[nodiscard]] const discretization& type_disc(std::size_t t) const {
-    return discs_[t];
-  }
-
   /// The common grid every battery is stepped on.
   [[nodiscard]] const load::step_sizes& steps() const noexcept {
     return discs_.front().steps();
@@ -71,8 +66,9 @@ class bank {
   /// Advances every battery of `states` by one time step: battery
   /// `active` draws at `rate`, every other battery rests (recovers).
   /// Returns the active battery's step event (`none` when idle). The
-  /// simulator, the exact search and the rollout scheduler all step
-  /// through here, so the three advance bit-identical per-battery state.
+  /// per-tick reference for tests and bench_micro: the simulator, the
+  /// exact search and the rollout scheduler all advance through
+  /// advance_all, which must stay bit-identical to repeated calls here.
   step_event step_all(std::vector<discrete_state>& states,
                       std::size_t active = idle,
                       const load::draw_rate& rate = {0, 0}) const;

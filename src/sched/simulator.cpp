@@ -102,10 +102,9 @@ sim_result run_simulation(Model& model, const load::trace& load, policy& pol,
 ///
 /// The bank is borrowed read-only (engine::run_sweep shares one across
 /// every job of the same shape); the per-battery state is a plain vector
-/// of discrete_state. Time advances through the event-horizon kernel
-/// (bank::advance_all) unless a trace is recorded — recording samples
-/// every tick, so it keeps the per-tick reference path (bank::step_all);
-/// both are bit-identical per step.
+/// of discrete_state. Time always advances through the event-horizon
+/// kernel (bank::advance_all); a recorded run only splits each advance at
+/// the sample ticks, so recording never changes the run.
 class discrete_model : public model_view {
  public:
   static constexpr const char* kName = "simulate_discrete";
@@ -147,19 +146,8 @@ class discrete_model : public model_view {
   void record_initial() { record(-1); }
 
   void idle(const load::epoch& e) {
-    const auto steps = epoch_steps(e);
-    if (!opts_.record_trace) {
-      if (steps > 0) {
-        bank_->advance_all(states_, kibam::bank::idle, {0, 0}, steps);
-        step_count_ += steps;
-      }
-      return;
-    }
-    for (std::int64_t i = 0; i < steps; ++i) {
-      ++step_count_;
-      bank_->step_all(states_);
-      record(-1);
-    }
+    std::int64_t steps = epoch_steps(e);
+    advance(kibam::bank::idle, {0, 0}, steps);
   }
 
   void begin_epoch(const load::epoch& e, std::size_t index) {
@@ -179,31 +167,12 @@ class discrete_model : public model_view {
   }
 
   serve_event serve(std::size_t active) {
-    if (!opts_.record_trace) {
-      while (remaining_ > 0) {
-        const kibam::advance_result a =
-            bank_->advance_all(states_, active, rate_, remaining_);
-        step_count_ += a.steps;
-        remaining_ -= a.steps;
-        if (a.event == kibam::step_event::died) {
-          if (all_empty()) return serve_event::system_dead;
-          return serve_event::handover;
-        }
-      }
+    if (advance(active, rate_, remaining_) != kibam::step_event::died) {
       return serve_event::epoch_done;
     }
-    while (remaining_ > 0) {
-      --remaining_;
-      ++step_count_;
-      const kibam::step_event ev = bank_->step_all(states_, active, rate_);
-      if (ev == kibam::step_event::died) {
-        if (all_empty()) return serve_event::system_dead;
-        pending_record_ = true;
-        return serve_event::handover;
-      }
-      record(static_cast<int>(active));
-    }
-    return serve_event::epoch_done;
+    if (all_empty()) return serve_event::system_dead;
+    pending_record_ = true;
+    return serve_event::handover;
   }
 
   void finish(std::size_t last_active) {
@@ -219,8 +188,9 @@ class discrete_model : public model_view {
   // --- model_view: decision-time rollouts on a scratch state copy. ---
   //
   // A rollout replays the simulator's own discrete semantics: the same
-  // integer stepping (bank::step_all), the same greedy most-available
-  // hand-over rule and the same job accounting as the run it forks from.
+  // event-horizon kernel (bank::advance_all), the same greedy
+  // most-available hand-over rule and the same job accounting as the run
+  // it forks from.
   // tests/test_lookahead pins the "lookahead" policy's lifetimes, decision
   // vectors and rollout counts on the Table 5 workloads.
 
@@ -229,8 +199,7 @@ class discrete_model : public model_view {
     BSCHED_ASSERT(load_ != nullptr && remaining_ >= 0);
     // Pooled bank snapshot (a lookahead policy rolls out at every decision
     // point — leasing from scratch_ makes the steady state allocation
-    // free); rollouts never record, so they always run on the
-    // event-horizon kernel.
+    // free).
     kibam::scratch_pool::lease snapshot = scratch_.copy_of(states_);
     std::vector<kibam::discrete_state>& bats = *snapshot;
     std::int64_t steps = 0;
@@ -286,6 +255,28 @@ class discrete_model : public model_view {
   }
 
  private:
+  /// Advances `steps` ticks with `active` drawing `rate` (bank::idle
+  /// rests every battery), counting `steps` down; stops early only when
+  /// the active battery dies. A recorded run caps each kernel call at the
+  /// next sample tick and samples there; the death-step sample is left to
+  /// begin_service or finish, which know whom to attribute it to.
+  kibam::step_event advance(std::size_t active, const load::draw_rate& rate,
+                            std::int64_t& steps) {
+    while (steps > 0) {
+      const std::int64_t span =
+          opts_.record_trace
+              ? std::min(steps, sample_period_ - step_count_ % sample_period_)
+              : steps;
+      const kibam::advance_result a =
+          bank_->advance_all(states_, active, rate, span);
+      step_count_ += a.steps;
+      steps -= a.steps;
+      if (a.event == kibam::step_event::died) return a.event;
+      record(active == kibam::bank::idle ? -1 : static_cast<int>(active));
+    }
+    return kibam::step_event::none;
+  }
+
   [[nodiscard]] bool all_empty() const {
     return std::ranges::all_of(
         states_, [](const kibam::discrete_state& s) { return s.empty; });
@@ -412,7 +403,7 @@ class continuous_model : public model_view {
     return out;
   }
 
-  void record_initial() { record(-1); }
+  void record_initial() { record(now_, states_, -1); }
 
   void idle(const load::epoch& e) {
     advance_recorded(e.duration_min, std::nullopt, 0);
@@ -544,15 +535,16 @@ class continuous_model : public model_view {
     return best;
   }
 
-  void record(int active) {
+  void record(double time_min, const std::vector<kibam::state>& states,
+              int active) {
     if (!opts_.record_trace) return;
     trace_point pt;
-    pt.time_min = now_;
+    pt.time_min = time_min;
     pt.active = active;
     for (std::size_t i = 0; i < batteries_.size(); ++i) {
-      pt.total_amin.push_back(states_[i].gamma);
+      pt.total_amin.push_back(states[i].gamma);
       pt.available_amin.push_back(
-          kibam::available_charge(batteries_[i], states_[i]));
+          kibam::available_charge(batteries_[i], states[i]));
     }
     res_->trace.push_back(std::move(pt));
   }
@@ -567,20 +559,25 @@ class continuous_model : public model_view {
     now_ += dt;
   }
 
-  // Advances in sampling sub-steps so the recorded trace is dense.
+  // Advances by dt exactly as an untraced run does; a recorded run also
+  // samples every sample_min into the segment (each evaluated on a copy
+  // from the segment's start state) and at its end.
   void advance_recorded(double dt, std::optional<std::size_t> active,
                         double current) {
-    if (!opts_.record_trace) {
-      advance_all(dt, active, current);
-      return;
+    const int who = active ? static_cast<int>(*active) : -1;
+    if (opts_.record_trace) {
+      std::vector<kibam::state> sample(states_.size());
+      for (double k = 1; k * opts_.sample_min < dt - 1e-12; ++k) {
+        const double offset = k * opts_.sample_min;
+        for (std::size_t i = 0; i < batteries_.size(); ++i) {
+          const double draw = (active && *active == i) ? current : 0.0;
+          sample[i] = kibam::advance(batteries_[i], states_[i], draw, offset);
+        }
+        record(now_ + offset, sample, who);
+      }
     }
-    double remaining = dt;
-    while (remaining > 1e-12) {
-      const double sub = std::min(opts_.sample_min, remaining);
-      advance_all(sub, active, current);
-      remaining -= sub;
-      record(active ? static_cast<int>(*active) : -1);
-    }
+    advance_all(dt, active, current);
+    if (dt > 1e-12) record(now_, states_, who);
   }
 
   std::vector<kibam::battery_parameters> batteries_;

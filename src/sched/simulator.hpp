@@ -52,7 +52,9 @@ struct trace_point {
 
 struct sim_options {
   double horizon_min = 1e6;      ///< Fail if the system outlives this.
-  bool record_trace = false;     ///< Collect `trace_point`s.
+  /// Collect `trace_point`s. Observation only: lifetime, residual and
+  /// decisions are bit-identical to an untraced run.
+  bool record_trace = false;
   double sample_min = 0.05;      ///< Trace sampling interval.
 
   friend bool operator==(const sim_options&, const sim_options&) = default;

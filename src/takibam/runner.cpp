@@ -22,9 +22,4 @@ result analyze(const kibam::discretization& disc, const load::trace& trace,
   return out;
 }
 
-double ta_lifetime(const kibam::discretization& disc,
-                   const load::trace& trace) {
-  return analyze(disc, trace, 1).lifetime_min;
-}
-
 }  // namespace bsched::takibam

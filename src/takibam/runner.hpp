@@ -27,8 +27,4 @@ struct result {
                              std::size_t battery_count = 1,
                              const pta::mcr_options& opts = {});
 
-/// Single-battery lifetime computed on the TA-KiBaM (Tables 3 and 4).
-[[nodiscard]] double ta_lifetime(const kibam::discretization& disc,
-                                 const load::trace& trace);
-
 }  // namespace bsched::takibam

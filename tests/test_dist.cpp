@@ -572,10 +572,17 @@ TEST(DistMerge, RejectsGapsOverlapsAndShapeMismatch) {
   EXPECT_THROW((void)merge_shards({parts[0], parts[0], parts[1], parts[2]}),
                error);
 
-  // A shard of a different sweep shape is refused.
+  // A shard of a different sweep shape is refused: another seed, a
+  // different cell count, or a cell whose policy differs.
   std::vector<shard_aggregate> mixed = parts;
   mixed[1].seed ^= 1;
   EXPECT_THROW((void)merge_shards(std::move(mixed)), error);
+  std::vector<shard_aggregate> shorter = parts;
+  shorter[1].cells.pop_back();
+  EXPECT_THROW((void)merge_shards(std::move(shorter)), error);
+  std::vector<shard_aggregate> different = parts;
+  different[1].cells[0].policy = "sequential";
+  EXPECT_THROW((void)merge_shards(std::move(different)), error);
 
   // Passing order must not matter: reversed parts merge fine.
   const shard_aggregate merged =

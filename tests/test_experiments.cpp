@@ -40,22 +40,11 @@ TEST(SchedulingTable, DeterministicColumnsMatchTable5) {
   EXPECT_NEAR(ils_alt.round_robin_min, 12.82, 0.09);
   EXPECT_NEAR(ils_alt.best_of_two_min, 16.30, 0.09);
   EXPECT_GT(ils_alt.best_of_two_diff_percent, 25.0);
-  // Sequential is always the loser.
+  // Sequential is always the loser, and blind schedulers never search.
   for (const scheduling_row& r : rows) {
     EXPECT_LT(r.sequential_diff_percent, 0.0) << load::name(r.load);
+    EXPECT_EQ(r.search, opt::search_stats{}) << load::name(r.load);
   }
-}
-
-TEST(SchedulingTable, OptimalColumnForOneLoad) {
-  // The full optimal column is covered by test_opt; one row here checks
-  // the harness plumbing end to end.
-  const load::trace t = load::paper_trace(load::test_load::cl_alt);
-  const kibam::discretization d{kibam::battery_b1()};
-  const auto rows =
-      scheduling_table(kibam::battery_b1(), 2, /*include_optimal=*/false);
-  (void)rows;
-  const auto seq = sched::sequential();
-  EXPECT_GT(policy_lifetime(d, 2, t, *seq), 5.0);
 }
 
 TEST(Figure6, TracesAndSchedulesAreComplete) {
@@ -112,18 +101,14 @@ TEST(AblationSweep, PaperGridStaysUnderOnePercent) {
 }
 
 TEST(Reports, RenderPaperStyleTables) {
-  const auto rows = validation_table(kibam::battery_b1());
-  const text_table table = validation_report(rows);
+  const auto points = discretization_sweep(
+      kibam::battery_b1(), load::test_load::cl_250, {{0.01, 0.01}});
+  const text_table table = ablation_report(points);
   const std::string s = table.str();
-  EXPECT_NE(s.find("CL 250"), std::string::npos);
-  EXPECT_NE(s.find("ILs alt"), std::string::npos);
+  EXPECT_NE(s.find("error %"), std::string::npos);
   EXPECT_NE(s.find("4.53"), std::string::npos);
-  EXPECT_EQ(table.size(), 10u);
+  EXPECT_EQ(table.size(), 1u);
 
-  const auto sched_rows =
-      scheduling_table(kibam::battery_b1(), 2, /*include_optimal=*/false);
-  const std::string s5 = scheduling_report(sched_rows, false).str();
-  EXPECT_NE(s5.find("round robin"), std::string::npos);
   EXPECT_EQ(fmt_min(4.527), "4.53");
   EXPECT_EQ(fmt_pct(-21.43), "-21.4%");
 }

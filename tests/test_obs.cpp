@@ -438,12 +438,17 @@ TEST(ObsSearchStats, CellSummaryFoldsSearchEffortAcrossReplications) {
   ASSERT_EQ(sink.cells().size(), 1u);
   EXPECT_EQ(sink.cells()[0].search, expect);
 
-  // And the accumulator merge (the shard path) preserves it exactly.
-  api::summarize left{sw};
-  eng.run_sweep(sw, left, 1);
-  api::summarize right{sw};
+  // And the accumulator merge (the shard path) preserves it exactly:
+  // replication 0 on one side, the other two on the other.
+  api::cell_accumulator left;
+  api::cell_accumulator right;
+  eng.run_sweep(sw, [&](const api::sweep_result& r) {
+    (r.replication == 0 ? left : right).add(r.result, r.cache_hit);
+  });
+  ASSERT_EQ(left.n, 1u);
+  ASSERT_EQ(right.n, 2u);
   left.merge(right);
-  EXPECT_EQ(left.cells()[0].search, expect);
+  EXPECT_EQ(left.search, expect);
 }
 
 // ------------------------------------------------------------------ fleet

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "kibam/discrete.hpp"
 #include "load/jobs.hpp"
+#include "opt/policies.hpp"
 #include "sched/policy.hpp"
+#include "sched/registry.hpp"
 #include "sched/simulator.hpp"
 
 namespace bsched::sched {
@@ -262,6 +266,52 @@ TEST(SimulatorDiscrete, HeterogeneousBankLivesLongerThanSmallPair) {
   const double continuous =
       simulate_continuous(mixed, t, *p3).lifetime_min;
   EXPECT_NEAR(lifetime_mixed, continuous, 0.02 * continuous);
+}
+
+// --- Recording a trace is observation only. ---
+
+/// Runs every paper load on 2 x B1 under two blind policies and the
+/// rollout scheduler, untraced and traced at two sample periods, and
+/// requires each traced run to reproduce the untraced one bit for bit.
+template <class Simulate>
+void expect_recording_does_not_change_the_run(const Simulate& simulate) {
+  const registry policies = opt::model_registry();
+  for (const load::test_load l : load::all_test_loads()) {
+    const load::trace t = load::paper_trace(l);
+    for (const char* spec :
+         {"best_of_n", "round_robin", "lookahead:horizon=2"}) {
+      const sim_result plain = simulate(t, *policies.make(spec), {});
+      for (const double sample_min : {0.05, 0.37}) {
+        sim_options opts;
+        opts.record_trace = true;
+        opts.sample_min = sample_min;
+        const sim_result traced = simulate(t, *policies.make(spec), opts);
+        const std::string where = std::string{spec} + " on " +
+                                  load::name(l) + ", sample_min " +
+                                  std::to_string(sample_min);
+        EXPECT_FALSE(traced.trace.empty()) << where;
+        EXPECT_EQ(traced.lifetime_min, plain.lifetime_min) << where;
+        EXPECT_EQ(traced.residual_amin, plain.residual_amin) << where;
+        EXPECT_EQ(traced.decisions, plain.decisions) << where;
+      }
+    }
+  }
+}
+
+TEST(SimulatorDiscrete, RecordingDoesNotChangeTheRun) {
+  const auto d = disc_b1();
+  expect_recording_does_not_change_the_run(
+      [&d](const load::trace& t, policy& pol, const sim_options& opts) {
+        return simulate_discrete(d, 2, t, pol, opts);
+      });
+}
+
+TEST(SimulatorContinuous, RecordingDoesNotChangeTheRun) {
+  const std::vector<kibam::battery_parameters> bank(2, kibam::battery_b1());
+  expect_recording_does_not_change_the_run(
+      [&bank](const load::trace& t, policy& pol, const sim_options& opts) {
+        return simulate_continuous(bank, t, pol, opts);
+      });
 }
 
 }  // namespace

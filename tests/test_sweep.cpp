@@ -666,58 +666,6 @@ TEST(SweepSummarize, QuantilesTrackTheLifetimeDistribution) {
   EXPECT_EQ(c.p90_min, c.mean_min);
 }
 
-TEST(SweepSummarize, MergeMatchesSequentialAggregation) {
-  // The distributed-sweep contract at the sink level: summaries built
-  // over disjoint replication slices and merged reproduce the sequential
-  // summary — counts/extrema/quantiles exactly (replications below the
-  // digest budget), moments to ulp-scale rounding of the Chan combine.
-  const engine eng;
-  const sweep sw = random_grid(6);
-
-  summarize ref{sw};
-  summarize front{sw};
-  summarize back{sw};
-  eng.run_sweep(sw, [&](const sweep_result& r) {
-    ref.consume(r);
-    (r.replication < 3 ? front : back).consume(r);
-  });
-
-  front.merge(back);
-  ASSERT_EQ(front.cells().size(), ref.cells().size());
-  for (std::size_t i = 0; i < ref.cells().size(); ++i) {
-    const cell_summary& m = front.cells()[i];
-    const cell_summary& r = ref.cells()[i];
-    EXPECT_EQ(m.label, r.label);
-    EXPECT_EQ(m.n, r.n);
-    EXPECT_EQ(m.failures, r.failures);
-    EXPECT_EQ(m.cache_hits, r.cache_hits);
-    EXPECT_EQ(m.min_min, r.min_min);
-    EXPECT_EQ(m.max_min, r.max_min);
-    EXPECT_EQ(m.p10_min, r.p10_min);
-    EXPECT_EQ(m.p50_min, r.p50_min);
-    EXPECT_EQ(m.p90_min, r.p90_min);
-    EXPECT_EQ(m.p50_residual_amin, r.p50_residual_amin);
-    EXPECT_NEAR(m.mean_min, r.mean_min, 1e-9 * (1.0 + r.mean_min));
-    EXPECT_NEAR(m.stddev_min, r.stddev_min, 1e-9 * (1.0 + r.stddev_min));
-    EXPECT_NEAR(m.ci95_min, r.ci95_min, 1e-9 * (1.0 + r.ci95_min));
-  }
-}
-
-TEST(SweepSummarize, MergeRejectsDifferentSweeps) {
-  const sweep a = random_grid(2);
-  sweep b = random_grid(2);
-  summarize sa{a};
-
-  b.cells.pop_back();
-  const summarize shorter{b};
-  EXPECT_THROW(sa.merge(shorter), error);
-
-  sweep c = random_grid(2);
-  c.cells[0].policy = "sequential";
-  const summarize different{c};
-  EXPECT_THROW(sa.merge(different), error);
-}
-
 namespace {
 
 run_result observation(double lifetime_min, double residual_amin) {

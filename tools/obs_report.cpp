@@ -1,23 +1,16 @@
-// Renders src/obs artifacts as human-readable summary tables.
+// Renders a src/obs telemetry exposition as human-readable summary
+// tables.
 //
 //   $ ./obs_report --metrics FILE           # "bsched-telemetry v1" file
-//   $ ./obs_report --trace FILE [--top K]   # chrome-trace JSON export
 //
 // --metrics prints the counters, gauges and histograms of a telemetry
 // exposition file (sweep_serve --metrics-out, or any encode_telemetry
-// output). --trace aggregates a write_chrome_trace export by span name
-// — call count, total/mean wall time — and prints the top K (default
-// 20) by total time; it parses exactly the JSON shape our exporter
-// writes (complete "X" events), not arbitrary chrome traces.
-#include <algorithm>
-#include <cctype>
+// output). Chrome-trace span exports are summarized by
+// scripts/trace_summary.py (total, mean and self time per span name).
 #include <cstdio>
+#include <exception>
 #include <fstream>
-#include <iterator>
-#include <map>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "obs/telemetry.hpp"
 #include "util/csv.hpp"
@@ -25,59 +18,6 @@
 #include "util/table.hpp"
 
 namespace {
-
-struct span_agg {
-  std::size_t count = 0;
-  double total_us = 0;
-};
-
-double json_number(const std::string& text, std::size_t& pos,
-                   const char* what) {
-  std::size_t end = pos;
-  while (end < text.size() &&
-         (std::isdigit(static_cast<unsigned char>(text[end])) != 0 ||
-          text[end] == '-' || text[end] == '+' || text[end] == '.' ||
-          text[end] == 'e' || text[end] == 'E')) {
-    ++end;
-  }
-  bsched::require(end > pos, std::string{"obs_report: malformed "} + what +
-                                 " number in trace");
-  const double v = std::stod(text.substr(pos, end - pos));
-  pos = end;
-  return v;
-}
-
-/// Aggregates the events of a write_chrome_trace document by name.
-std::map<std::string, span_agg> parse_trace(const std::string& text) {
-  std::map<std::string, span_agg> by_name;
-  std::size_t pos = 0;
-  const std::string name_key = "{\"name\":\"";
-  while ((pos = text.find(name_key, pos)) != std::string::npos) {
-    pos += name_key.size();
-    std::string name;
-    while (pos < text.size() && text[pos] != '"') {
-      if (text[pos] == '\\' && pos + 1 < text.size()) ++pos;  // unescape
-      name += text[pos++];
-    }
-    const std::size_t dur_pos = text.find("\"dur\":", pos);
-    bsched::require(dur_pos != std::string::npos,
-                    "obs_report: span without a dur field");
-    std::size_t num = dur_pos + 6;
-    const double dur_us = json_number(text, num, "dur");
-    span_agg& agg = by_name[name];
-    ++agg.count;
-    agg.total_us += dur_us;
-    pos = num;
-  }
-  return by_name;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in{path};
-  bsched::require(in.good(), "obs_report: cannot open " + path);
-  return std::string{std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>()};
-}
 
 int report_metrics(const std::string& path) {
   std::ifstream in{path};
@@ -123,73 +63,15 @@ int report_metrics(const std::string& path) {
   return 0;
 }
 
-int report_trace(const std::string& path, std::size_t top) {
-  const std::map<std::string, span_agg> by_name = parse_trace(slurp(path));
-  std::vector<std::pair<std::string, span_agg>> rows{by_name.begin(),
-                                                     by_name.end()};
-  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-    return a.second.total_us > b.second.total_us;
-  });
-  if (rows.size() > top) rows.resize(top);
-
-  bsched::text_table t{{"span", "count", "total ms", "mean us"}};
-  std::size_t events = 0;
-  for (const auto& [name, agg] : rows) {
-    events += agg.count;
-    t.row({name, std::to_string(agg.count),
-           bsched::format_double(agg.total_us / 1000.0, 3),
-           bsched::format_double(
-               agg.total_us / static_cast<double>(agg.count), 1)});
-  }
-  std::printf("%s\n", t.str().c_str());
-  std::printf("%zu span name(s), %zu event(s) shown\n", rows.size(), events);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string metrics_path;
-  std::string trace_path;
-  std::size_t top = 20;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--metrics") {
-      metrics_path = value();
-    } else if (arg == "--trace") {
-      trace_path = value();
-    } else if (arg == "--top") {
-      try {
-        top = std::stoul(value());
-      } catch (const std::exception&) {
-        top = 0;
-      }
-      if (top == 0) {
-        std::fprintf(stderr, "obs_report: --top must be a positive count\n");
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr,
-                   "usage: obs_report (--metrics FILE | --trace FILE) "
-                   "[--top K]\n");
-      return 2;
-    }
-  }
-  if (metrics_path.empty() == trace_path.empty()) {
-    std::fprintf(stderr,
-                 "obs_report: pass exactly one of --metrics or --trace\n");
+  if (argc != 3 || std::string{argv[1]} != "--metrics") {
+    std::fprintf(stderr, "usage: obs_report --metrics FILE\n");
     return 2;
   }
   try {
-    return metrics_path.empty() ? report_trace(trace_path, top)
-                                : report_metrics(metrics_path);
+    return report_metrics(argv[2]);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "obs_report: %s\n", e.what());
     return 1;
