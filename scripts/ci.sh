@@ -177,6 +177,18 @@ run_release() {
   done
   "$dir/sweep_merge" --expect "$shard_dir/ref.csv" "$shard_dir"/shard*.agg \
     > /dev/null
+  # A stale file is refused end to end: shard 0 with its magic line
+  # rewritten to version 0 must make sweep_merge exit non-zero, naming
+  # the bad magic on line 1. The version is matched by pattern, so a
+  # format bump needs no edit here.
+  sed '1s/ v[0-9]*$/ v0/' "$shard_dir/shard0.agg" > "$shard_dir/stale.agg"
+  if "$dir/sweep_merge" "$shard_dir/stale.agg" "$shard_dir/shard1.agg" \
+    "$shard_dir/shard2.agg" > /dev/null 2> "$shard_dir/stale.log"; then
+    echo "ci: sweep_merge accepted a stale shard file" >&2
+    exit 1
+  fi
+  grep -q "bad magic" "$shard_dir/stale.log"
+  grep -q "line 1" "$shard_dir/stale.log"
   # Sweep-service crash-recovery smoke: a coordinator plus three live
   # workers, one of which is kill -9'ed right after its first lease is
   # granted (gated on the coordinator log so the kill always lands

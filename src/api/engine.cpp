@@ -111,11 +111,6 @@ sweep_stats engine::run_sweep(const sweep& sw, result_sink& sink,
   std::vector<std::size_t> last_item;   // after it, the result is dropped
   std::vector<scenario> jobs;
   {
-    // Load groups once for the whole grid, so pair_by_load replication
-    // does not rescan the cells per (cell, replication).
-    const std::vector<std::size_t> groups =
-        sw.reseed && sw.pair_by_load ? load_groups(sw)
-                                     : std::vector<std::size_t>{};
     std::unordered_map<std::string, std::size_t> index;
     for (std::size_t cell = 0; cell < sw.cells.size(); ++cell) {
       const bool varies = sw.reseed && stochastic(sw.cells[cell]);
@@ -126,9 +121,7 @@ sweep_stats engine::run_sweep(const sweep& sw, result_sink& sink,
         if (repeated_job != none) {
           job = repeated_job;
         } else if (varies) {
-          scenario eff = groups.empty()
-                             ? replicate(sw, cell, rep)
-                             : replicate(sw, cell, rep, groups);
+          scenario eff = replicate(sw, cell, rep);
           const auto [it, inserted] =
               index.try_emplace(cell_key(eff), jobs.size());
           if (inserted) {

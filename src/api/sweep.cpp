@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <type_traits>
-#include <unordered_map>
 #include <variant>
 
 #include "util/error.hpp"
@@ -31,48 +29,16 @@ bool stochastic(const scenario& scn) {
   }
 }
 
-std::vector<std::size_t> load_groups(const sweep& sw) {
-  // The policy column of the value key blanked: cells agreeing on the
-  // rest form one group, anchored at its first grid index.
-  std::vector<std::size_t> out(sw.cells.size());
-  std::unordered_map<std::string, std::size_t> first;
-  for (std::size_t i = 0; i < sw.cells.size(); ++i) {
-    scenario probe = sw.cells[i];
-    probe.policy.clear();
-    out[i] = first.try_emplace(cell_key(probe), i).first->second;
-  }
-  return out;
-}
-
-std::size_t load_group(const sweep& sw, std::size_t cell) {
-  require(cell < sw.cells.size(), "load_group: cell index out of range");
-  return load_groups(sw)[cell];
-}
-
-namespace {
-
-/// `group_hint`, when set, is the cell's precomputed load-group index.
-scenario replicate_impl(const sweep& sw, std::size_t cell,
-                        std::size_t replication,
-                        const std::size_t* group_hint) {
+scenario replicate(const sweep& sw, std::size_t cell,
+                   std::size_t replication) {
   require(cell < sw.cells.size(), "replicate: cell index out of range");
   scenario out = sw.cells[cell];
   if (!sw.reseed) return out;
   const std::uint64_t base = rng::derive(sw.seed, cell, replication);
 
   if (const auto* r = std::get_if<random_load_spec>(&out.load.source())) {
-    // With pair_by_load the load stream is keyed by the cell's load
-    // group, so policies over the same workload grid draw identical
-    // per-replication workloads; the policy stream below stays
-    // per-cell either way.
-    std::uint64_t load_base = base;
-    if (sw.pair_by_load) {
-      const std::size_t group =
-          group_hint != nullptr ? *group_hint : load_group(sw, cell);
-      load_base = rng::derive(sw.seed, group, replication);
-    }
     random_load_spec reseeded = *r;
-    reseeded.seed = rng::derive(load_base, streams::load, r->seed);
+    reseeded.seed = rng::derive(base, streams::load, r->seed);
     out.load = load_spec{reseeded};
   }
 
@@ -91,22 +57,6 @@ scenario replicate_impl(const sweep& sw, std::size_t cell,
   } catch (const error&) {
   }
   return out;
-}
-
-}  // namespace
-
-scenario replicate(const sweep& sw, std::size_t cell,
-                   std::size_t replication) {
-  return replicate_impl(sw, cell, replication, nullptr);
-}
-
-scenario replicate(const sweep& sw, std::size_t cell,
-                   std::size_t replication,
-                   const std::vector<std::size_t>& groups) {
-  require(cell < sw.cells.size(), "replicate: cell index out of range");
-  require(groups.size() == sw.cells.size(),
-          "replicate: groups must come from load_groups(sw)");
-  return replicate_impl(sw, cell, replication, &groups[cell]);
 }
 
 namespace {
@@ -268,102 +218,6 @@ void summarize::consume(const sweep_result& r) {
   require(r.cell < cells_.size(), "summarize: cell index out of range");
   agg_[r.cell].add(r.result, r.cache_hit);
   agg_[r.cell].finalize(cells_[r.cell]);
-}
-
-namespace {
-
-constexpr std::size_t npos = static_cast<std::size_t>(-1);
-constexpr double unseen = std::numeric_limits<double>::quiet_NaN();
-
-}  // namespace
-
-paired::paired(const sweep& sw,
-               std::vector<std::pair<std::size_t, std::size_t>> cell_pairs)
-    : replications_(sw.replications), slot_of_(sw.cells.size(), npos) {
-  pairs_.reserve(cell_pairs.size());
-  m2_.assign(cell_pairs.size(), 0.0);
-  const auto slot = [&](std::size_t cell) {
-    require(cell < sw.cells.size(), "paired: cell index out of range");
-    if (slot_of_[cell] == npos) {
-      slot_of_[cell] = lifetimes_.size();
-      lifetimes_.emplace_back(replications_, unseen);
-    }
-    return slot_of_[cell];
-  };
-  const std::vector<std::size_t> groups =
-      cell_pairs.empty() ? std::vector<std::size_t>{} : load_groups(sw);
-  for (const auto& [a, b] : cell_pairs) {
-    require(a != b, "paired: a pair must name two distinct cells");
-    slot(a);
-    slot(b);
-    // Pairing is only meaningful against the same workload, so both
-    // cells must agree on everything but the policy...
-    require(groups[a] == groups[b],
-            "paired: cells " + std::to_string(a) + " and " +
-                std::to_string(b) + " differ in more than the policy");
-    // ...and replications of a *random* load must actually share their
-    // derived workload, which takes sweep::pair_by_load (without it the
-    // load stream is keyed per cell and the difference statistic would
-    // silently keep all the workload variance it exists to cancel).
-    require(!sw.reseed || sw.pair_by_load ||
-                !std::holds_alternative<random_load_spec>(
-                    sw.cells[a].load.source()),
-            "paired: random-load pairs need sweep::pair_by_load so "
-            "replications share a workload");
-    pair_summary p;
-    p.cell_a = a;
-    p.cell_b = b;
-    p.label = sw.cells[a].describe() + " vs " + sw.cells[b].describe();
-    pairs_.push_back(std::move(p));
-  }
-}
-
-void paired::consume(const sweep_result& r) {
-  require(r.cell < slot_of_.size(), "paired: cell index out of range");
-  require(r.replication < replications_,
-          "paired: replication index out of range");
-  const std::size_t slot = slot_of_[r.cell];
-  if (slot == npos) return;  // cell participates in no pair
-  lifetimes_[slot][r.replication] =
-      r.result.ok() ? r.result.sim.lifetime_min : unseen;
-  // A replication folds once its second side arrives. Failures on either
-  // side cannot be told apart from not-yet-delivered here, so fold from
-  // the pair's later cell (grid order: the larger index) and count the
-  // skip there.
-  for (std::size_t p = 0; p < pairs_.size(); ++p) {
-    const std::size_t later = std::max(pairs_[p].cell_a, pairs_[p].cell_b);
-    if (later == r.cell) fold(p, r.replication);
-  }
-}
-
-void paired::fold(std::size_t pair_index, std::size_t replication) {
-  pair_summary& p = pairs_[pair_index];
-  const double a = lifetimes_[slot_of_[p.cell_a]][replication];
-  const double b = lifetimes_[slot_of_[p.cell_b]][replication];
-  if (std::isnan(a) || std::isnan(b)) {
-    ++p.skipped;
-    return;
-  }
-  const double diff = a - b;
-  if (diff > 0) {
-    ++p.wins_a;
-  } else if (diff < 0) {
-    ++p.wins_b;
-  } else {
-    ++p.ties;
-  }
-  ++p.n;
-  const double delta = diff - p.mean_diff_min;
-  p.mean_diff_min += delta / static_cast<double>(p.n);
-  m2_[pair_index] += delta * (diff - p.mean_diff_min);
-  if (p.n >= 2) {
-    const double n = static_cast<double>(p.n);
-    p.stddev_min = std::sqrt(m2_[pair_index] / (n - 1));
-    p.ci95_min = 1.959963984540054 * p.stddev_min / std::sqrt(n);
-  } else {
-    p.stddev_min = 0;
-    p.ci95_min = 0;
-  }
 }
 
 }  // namespace bsched::api

@@ -46,15 +46,6 @@ struct sweep {
   /// `run_batch` compatibility mode: one replication of every cell with
   /// exactly the seeds the scenarios declare.
   bool reseed = true;
-  /// When true, the *load* stream of the seed derivation is keyed by the
-  /// cell's load group — the first grid cell identical in everything but
-  /// the policy — instead of the cell index. Replication r of "opt" and
-  /// replication r of "best_of_n" over the same random load spec then
-  /// materialize the *same* workload, which is what makes per-replication
-  /// policy comparisons paired (see `paired`). Policy streams stay keyed
-  /// by cell, so "random:..." policies in different cells never share a
-  /// stream. Off by default: grids keep their historical per-cell seeds.
-  bool pair_by_load = false;
 };
 
 /// One completed run, as delivered to a result_sink. A transient view —
@@ -230,82 +221,11 @@ class summarize final : public result_sink {
 /// "random:..." policy gets rng::derive(base, streams::policy, declared
 /// seed) (stream ids in util/streams.hpp), so the two never
 /// share a stream and cells with intentionally different declared seeds
-/// stay distinct. With sw.pair_by_load the load stream derives from
-/// load_group(sw, cell) instead of the cell index. Deterministic cells
-/// pass through unchanged (duplicates therefore still cache-hit); with
-/// !sw.reseed the cell is copied verbatim.
+/// stay distinct. Deterministic cells pass through unchanged (duplicates
+/// therefore still cache-hit); with !sw.reseed the cell is copied
+/// verbatim.
 [[nodiscard]] scenario replicate(const sweep& sw, std::size_t cell,
                                  std::size_t replication);
-
-/// Index of the first grid cell equal to `cell` in everything but the
-/// policy spec (bank, load, fidelity, steps, sim options — the policy
-/// column of cell_key blanked). Cells in one load group see identical
-/// per-replication workloads under sw.pair_by_load.
-[[nodiscard]] std::size_t load_group(const sweep& sw, std::size_t cell);
-
-/// load_group for every cell in one pass (O(cells) key builds). Pass the
-/// result to the four-argument `replicate` when replicating many
-/// (cell, replication) pairs of a pair_by_load sweep — run_sweep does —
-/// so the group lookup is not repeated per replication.
-[[nodiscard]] std::vector<std::size_t> load_groups(const sweep& sw);
-
-/// `replicate` with the load groups precomputed by `load_groups(sw)`.
-[[nodiscard]] scenario replicate(const sweep& sw, std::size_t cell,
-                                 std::size_t replication,
-                                 const std::vector<std::size_t>& groups);
-
-/// Per-replication paired comparison of two grid cells — the policy-A vs
-/// policy-B statistic the paper's outlook asks for under random
-/// workloads. Replication r of cell_a and of cell_b run the same
-/// workload (same derived load seed; requires sw.pair_by_load for random
-/// load specs — deterministic loads are trivially paired), so the
-/// difference distribution cancels the workload variance a pooled
-/// comparison would drown in.
-struct pair_summary {
-  std::size_t cell_a = 0;
-  std::size_t cell_b = 0;
-  std::string label;        ///< "<cell_a label> vs <cell_b label>".
-  std::size_t n = 0;        ///< Replications where both cells succeeded.
-  std::size_t skipped = 0;  ///< Replications with a failure on either side.
-  std::size_t wins_a = 0;   ///< Replications with lifetime A > B.
-  std::size_t wins_b = 0;
-  std::size_t ties = 0;
-  double mean_diff_min = 0;  ///< Mean of (lifetime A - lifetime B).
-  /// Sample standard deviation of the differences; 0 when n < 2.
-  double stddev_min = 0;
-  /// Normal-approximation 95% CI half-width of the mean difference.
-  double ci95_min = 0;
-
-  friend bool operator==(const pair_summary&, const pair_summary&) = default;
-};
-
-/// Collecting sink folding per-replication lifetime differences of cell
-/// pairs into mean-difference statistics (Welford, like `summarize`).
-/// Each pair must consist of cells equal in everything but the policy
-/// (checked at construction). Buffers one lifetime per participating
-/// cell per replication — O(cells_in_pairs x replications) memory.
-class paired final : public result_sink {
- public:
-  paired(const sweep& sw,
-         std::vector<std::pair<std::size_t, std::size_t>> cell_pairs);
-
-  void consume(const sweep_result& r) override;
-
-  [[nodiscard]] const std::vector<pair_summary>& pairs() const noexcept {
-    return pairs_;
-  }
-
- private:
-  void fold(std::size_t pair_index, std::size_t replication);
-
-  std::size_t replications_;
-  std::vector<pair_summary> pairs_;
-  std::vector<double> m2_;  ///< Welford running sums per pair.
-  /// Buffered lifetimes, one slot per (participating cell, replication);
-  /// NaN marks a failed replication.
-  std::vector<std::vector<double>> lifetimes_;
-  std::vector<std::size_t> slot_of_;  ///< cell -> lifetimes_ row or npos.
-};
 
 /// True when `replicate` would re-seed this cell — it has a random load
 /// spec or a "random:..." policy. Non-stochastic cells replicate

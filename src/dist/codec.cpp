@@ -70,8 +70,7 @@ void encode(const shard_aggregate& agg, std::ostream& out) {
       << " first=" << agg.first_item << " last=" << agg.last_item << '\n';
   out << "sweep cells=" << agg.grid_cells
       << " replications=" << agg.replications << " seed=" << agg.seed
-      << " reseed=" << (agg.reseed ? 1 : 0)
-      << " pair_by_load=" << (agg.pair_by_load ? 1 : 0) << '\n';
+      << " reseed=" << (agg.reseed ? 1 : 0) << '\n';
   out << "stats runs=" << agg.stats.runs
       << " evaluated=" << agg.stats.evaluated
       << " cache_hits=" << agg.stats.cache_hits
@@ -124,7 +123,6 @@ shard_aggregate decode_str(const std::string& text) {
   agg.replications = r.size("replications");
   agg.seed = r.u64("seed");
   agg.reseed = r.size("reseed") != 0;
-  agg.pair_by_load = r.size("pair_by_load") != 0;
 
   r.section("stats");
   r.expect("stats");
@@ -185,8 +183,7 @@ void encode_sweep(const api::sweep& sw, std::ostream& out) {
   out << "bsched-sweep v" << sweep_version << '\n';
   out << "sweep cells=" << sw.cells.size()
       << " replications=" << sw.replications << " seed=" << sw.seed
-      << " reseed=" << (sw.reseed ? 1 : 0)
-      << " pair_by_load=" << (sw.pair_by_load ? 1 : 0) << '\n';
+      << " reseed=" << (sw.reseed ? 1 : 0) << '\n';
   for (std::size_t i = 0; i < sw.cells.size(); ++i) {
     const api::scenario& scn = sw.cells[i];
     out << "cell index=" << i << " batteries=" << scn.batteries.size()
@@ -234,7 +231,6 @@ api::sweep decode_sweep_str(const std::string& text) {
   sw.replications = r.size("replications");
   sw.seed = r.u64("seed");
   sw.reseed = r.size("reseed") != 0;
-  sw.pair_by_load = r.size("pair_by_load") != 0;
 
   while (next_cell(r, sw.cells.size(), cell_count)) {
     const std::size_t batteries = r.size("batteries");

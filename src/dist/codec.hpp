@@ -8,9 +8,9 @@
 // strings (labels, load/policy specs) are carried as "key=<rest of
 // line>" records and may contain anything but a newline.
 //
-//   bsched-shard v2
+//   bsched-shard v3
 //   shard index=0 count=3 first=0 last=34
-//   sweep cells=10 replications=10 seed=2009 reseed=1 pair_by_load=0
+//   sweep cells=10 replications=10 seed=2009 reseed=1
 //   stats runs=34 evaluated=34 cache_hits=0 failures=0
 //   cell index=0
 //   label=2xC=5.5 | random:... | round_robin | discrete
@@ -28,21 +28,21 @@
 // Stability note: readers reject a different version line rather than
 // guessing, and any change to a record's fields bumps the version. v2
 // dropped two fields of the search record (the parallel search's steal
-// and memo-shard counts), so a v1 document is rejected on its magic
-// line. Decoding (util/wire.hpp) is strict: wrong
-// magic, truncation, a duplicated or out-of-place section, unknown tags,
-// malformed numbers and text after "end" throw bsched::error naming the
-// 1-based line number and the section being decoded — no silent partial
-// decode.
+// and memo-shard counts); v3 and sweep v2 dropped the sweep record's
+// pair-by-load flag, so older documents are rejected on their magic
+// line. Decoding (util/wire.hpp) is strict: wrong magic, truncation, a
+// duplicated or out-of-place section, unknown tags, malformed numbers
+// and text after "end" throw bsched::error naming the 1-based line
+// number and the section being decoded — no silent partial decode.
 //
-// A second section, "bsched-sweep v1", serializes a full api::sweep
+// A second section, "bsched-sweep v2", serializes a full api::sweep
 // *definition* (the grid itself, not results): per cell the battery
 // parameters, the load (its describe() round-trip form for paper/random
 // loads, explicit epochs for raw traces), the policy spec, fidelity,
-// discretization steps and sim options, plus the sweep's replications /
-// base seed / flags. decode_sweep(encode_sweep(sw)) == sw, which is what
-// lets the sweep service (src/svc) ship the whole campaign to workers
-// that have no grid definition compiled in.
+// discretization steps and sim options, plus the sweep's replications,
+// base seed and reseed flag. decode_sweep(encode_sweep(sw)) == sw, which
+// is what lets the sweep service (src/svc) ship the whole campaign to
+// workers that have no grid definition compiled in.
 #pragma once
 
 #include <cstddef>
@@ -55,10 +55,10 @@ namespace bsched::dist {
 
 /// Current wire-format versions: the N of "bsched-shard vN" and of
 /// "bsched-sweep vN". Each format bumps its own when its records change.
-inline constexpr std::size_t shard_version = 2;
-inline constexpr std::size_t sweep_version = 1;
+inline constexpr std::size_t shard_version = 3;
+inline constexpr std::size_t sweep_version = 2;
 
-/// Writes `agg` to `out` in the "bsched-shard v2" line format.
+/// Writes `agg` to `out` in the "bsched-shard v3" line format.
 void encode(const shard_aggregate& agg, std::ostream& out);
 
 /// Parses one aggregate back; strict inverse of encode. Throws
@@ -70,9 +70,9 @@ void encode(const shard_aggregate& agg, std::ostream& out);
 void write_file(const shard_aggregate& agg, const std::string& path);
 [[nodiscard]] shard_aggregate read_file(const std::string& path);
 
-/// Writes the full sweep *definition* to `out` ("bsched-sweep v1"):
+/// Writes the full sweep *definition* to `out` ("bsched-sweep v2"):
 /// cells with banks/loads/policies/steps/sim options, replications, base
-/// seed and flags. Round-trips bit-exactly through decode_sweep.
+/// seed and reseed flag. Round-trips bit-exactly through decode_sweep.
 void encode_sweep(const api::sweep& sw, std::ostream& out);
 
 /// Parses a sweep definition back; strict inverse of encode_sweep.

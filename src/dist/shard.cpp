@@ -37,7 +37,6 @@ shard_aggregate empty_aggregate(const api::sweep& sw) {
   out.replications = sw.replications;
   out.seed = sw.seed;
   out.reseed = sw.reseed;
-  out.pair_by_load = sw.pair_by_load;
   out.cells.resize(sw.cells.size());
   for (std::size_t i = 0; i < sw.cells.size(); ++i) {
     out.cells[i].cell = i;
@@ -75,7 +74,7 @@ void run_shard(const api::engine& engine, const shard& sh,
   require(into.grid_cells == sw.cells.size() &&
               into.cells.size() == sw.cells.size() &&
               into.replications == sw.replications && into.seed == sw.seed &&
-              into.reseed == sw.reseed && into.pair_by_load == sw.pair_by_load,
+              into.reseed == sw.reseed,
           "run_shard: the aggregate belongs to a different sweep");
   if (sh.first == sh.last) return;
 
@@ -83,9 +82,6 @@ void run_shard(const api::engine& engine, const shard& sh,
   // would evaluate: api::replicate with *global* (cell, replication)
   // indices, then run verbatim (reseed off, one replication per item).
   // Duplicate items within the slice still collapse into the cell cache.
-  const std::vector<std::size_t> groups =
-      sw.reseed && sw.pair_by_load ? api::load_groups(sw)
-                                   : std::vector<std::size_t>{};
   api::sweep slice;
   slice.replications = 1;
   slice.reseed = false;
@@ -94,9 +90,7 @@ void run_shard(const api::engine& engine, const shard& sh,
   for (std::size_t item = sh.first; item < sh.last; ++item) {
     const std::size_t cell = item / sw.replications;
     const std::size_t rep = item % sw.replications;
-    slice.cells.push_back(groups.empty()
-                              ? api::replicate(sw, cell, rep)
-                              : api::replicate(sw, cell, rep, groups));
+    slice.cells.push_back(api::replicate(sw, cell, rep));
   }
 
   api::callback_sink sink{[&](const api::sweep_result& r) {
@@ -115,8 +109,7 @@ namespace {
 void check_same_shape(const shard_aggregate& ref, const shard_aggregate& p) {
   require(p.grid_cells == ref.grid_cells &&
               p.replications == ref.replications && p.seed == ref.seed &&
-              p.reseed == ref.reseed && p.pair_by_load == ref.pair_by_load &&
-              p.shard_count == ref.shard_count,
+              p.reseed == ref.reseed && p.shard_count == ref.shard_count,
           "merge_shards: part [" + std::to_string(p.first_item) + ", " +
               std::to_string(p.last_item) +
               ") disagrees on the sweep shape");

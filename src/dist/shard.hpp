@@ -89,7 +89,6 @@ struct shard_aggregate {
   std::size_t replications = 0;  ///< sweep.replications.
   std::uint64_t seed = 0;        ///< sweep.seed.
   bool reseed = true;
-  bool pair_by_load = false;
   api::sweep_stats stats;  ///< Per-process accounting of the slice run.
   std::vector<cell_record> cells;
 
@@ -167,11 +166,11 @@ class stream_merger {
 
 /// Folds shard aggregates of one sweep into a single aggregate covering
 /// the whole stream. Validates that every part agrees on the sweep shape
-/// (cells/replications/seed/flags/shard count) and cell descriptors, and
-/// that the item ranges tile [0, cells x replications) exactly once;
-/// merging happens in stream order, so the result is independent of the
-/// order the parts are passed in. Throws bsched::error on overlap, gaps
-/// or shape mismatch. (One-shot form of stream_merger.)
+/// (cells/replications/seed/reseed flag/shard count) and cell
+/// descriptors, and that the item ranges tile [0, cells x replications)
+/// exactly once; merging happens in stream order, so the result is
+/// independent of the order the parts are passed in. Throws bsched::error
+/// on overlap, gaps or shape mismatch. (One-shot form of stream_merger.)
 [[nodiscard]] shard_aggregate merge_shards(std::vector<shard_aggregate> parts);
 
 /// The cell_summary rows of an aggregate — what api::summarize would

@@ -21,8 +21,8 @@
 //
 //   W->C  hello      proto=1 name=<token>        — first frame on connect
 //   C->W  sweep      session=S chunk=K
-//                    lease_timeout_ms=T          body: bsched-sweep v1
-//                    [telemetry_ms=M]            — snapshot cadence
+//                    lease_timeout_ms=T          body: bsched-sweep v2
+//                    telemetry_ms=M              — snapshot cadence
 //   W->C  ready      session=S                   — worker wants a lease
 //   C->W  lease      lease=L epoch=E first=A last=B
 //   C->W  shutdown   [reason=<token>]            — no work ever again
@@ -39,7 +39,7 @@
 //   W->C  trimmed    session=S lease=L epoch=E last=Y
 //                                                — actual cut, Y >= X or
 //                                                  the worker's frontier
-//   W->C  result     session=S lease=L epoch=E   body: bsched-shard v2
+//   W->C  result     session=S lease=L epoch=E   body: bsched-shard v3
 //   C->W  ack        lease=L epoch=E ok=0|1      — result accepted or
 //                                                  rejected (stale epoch,
 //                                                  duplicate, bad range)

@@ -74,7 +74,7 @@ struct coordinator::impl {
   net::listener lst;
   coordinator_counters counters;
   const util::monotonic_clock* clk = nullptr;
-  clock::time_point started;  ///< run() entry; progress.uptime_s base.
+  clock::time_point started;  ///< run() entry; uptime_s gauge base.
 
   /// Items of accepted lease results, keyed by metric_safe worker name
   /// (metric names are unique on the wire) — counted here, not
@@ -88,7 +88,6 @@ struct coordinator::impl {
 
   std::size_t total_items = 0;
   std::size_t lease_items = 0;
-  std::size_t min_steal = 0;
   int send_timeout_ms = 0;
   std::uint64_t session = 0;
   std::string sweep_body;
@@ -121,8 +120,6 @@ struct coordinator::impl {
                       : std::max<std::size_t>(
                             1, (total_items + workers * per_worker - 1) /
                                    (workers * per_worker));
-    min_steal = opts.min_steal_items != 0 ? opts.min_steal_items
-                                          : 2 * opts.chunk_items;
     send_timeout_ms = std::max(1000, lease_timeout_ms());
     // The session nonce fences this campaign off from workers of an
     // earlier run that happen to reconnect to a reused port: the seed's
@@ -150,19 +147,6 @@ struct coordinator::impl {
 
   void log(const std::string& line) const {
     if (opts.log != nullptr) *opts.log << "coordinator: " << line << '\n';
-  }
-
-  void emit_progress() const {
-    if (!opts.on_progress) return;
-    progress p;
-    p.total_items = total_items;
-    p.folded_items = merger.next();
-    p.buffered_parts = merger.buffered();
-    p.pending_leases = pending.size();
-    p.active_leases = active.size();
-    p.workers = peers.size();
-    p.uptime_s = std::chrono::duration<double>(clk->now() - started).count();
-    opts.on_progress(p);
   }
 
   /// The fleet view behind coordinator::telemetry().
@@ -213,7 +197,7 @@ struct coordinator::impl {
   void requeue(std::size_t first, std::size_t last) {
     if (first >= last) return;
     // Front of the queue: re-executing the gap first advances the merge
-    // frontier (and live progress) fastest.
+    // frontier fastest.
     pending.push_front(range{first, last});
   }
 
@@ -371,7 +355,8 @@ struct coordinator::impl {
     cut = victim->first +
           ((rel + opts.chunk_items - 1) / opts.chunk_items) * opts.chunk_items;
     cut = std::min(cut, victim->last);
-    if (victim->last - cut < min_steal) return;
+    // Never steal fewer than two chunks.
+    if (victim->last - cut < 2 * opts.chunk_items) return;
     net::message m = net::make("trim");
     m.fields["lease"] = std::to_string(victim->id);
     m.fields["epoch"] = std::to_string(victim->epoch);
@@ -429,7 +414,7 @@ struct coordinator::impl {
     } else if (m.type == "heartbeat") {
       if (!m.body.empty()) {
         // Piggybacked "bsched-telemetry v1" snapshot; a malformed body
-        // is counted, not fatal (old workers send empty bodies).
+        // is counted, not fatal.
         try {
           worker_snaps[peer.name] = obs::decode_telemetry_str(m.body);
         } catch (const error&) {
@@ -527,7 +512,6 @@ struct coordinator::impl {
       expire_leases(now);
       grant_leases(now);
       propose_steal();
-      emit_progress();
       if (opts.on_telemetry && now >= next_telemetry) {
         opts.on_telemetry(telemetry());
         next_telemetry = now + telemetry_step();
@@ -592,7 +576,6 @@ struct coordinator::impl {
       }
     }
 
-    emit_progress();
     if (opts.on_telemetry) opts.on_telemetry(telemetry());
     net::message bye = net::make("shutdown");
     bye.fields["reason"] = "complete";

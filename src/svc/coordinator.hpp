@@ -49,19 +49,6 @@
 
 namespace bsched::svc {
 
-/// Live progress snapshot handed to coordinator_options::on_progress.
-struct progress {
-  std::size_t total_items = 0;
-  std::size_t folded_items = 0;    ///< Folded into the contiguous prefix.
-  std::size_t buffered_parts = 0;  ///< Accepted, waiting for the prefix.
-  std::size_t pending_leases = 0;
-  std::size_t active_leases = 0;
-  std::size_t workers = 0;  ///< Currently connected workers.
-  /// Monotonic seconds since run() started (coordinator_options::clock),
-  /// so progress consumers stop re-deriving their own chrono math.
-  double uptime_s = 0;
-};
-
 struct coordinator_options {
   std::uint16_t port = 0;     ///< 0 = ephemeral; coordinator::port() tells.
   bool loopback_only = true;  ///< Bind 127.0.0.1 (tests/local fleets).
@@ -92,11 +79,9 @@ struct coordinator_options {
   /// run() throws instead of waiting forever for workers that will never
   /// come — the CI smoke's safety net.
   double deadline_s = 0.0;
-  bool steal = true;  ///< Enable work-stealing trims.
-  /// Never steal fewer than this many items (0 = 2 x chunk_items).
-  std::size_t min_steal_items = 0;
-  /// Invoked (from run()'s thread) whenever the service state changes.
-  std::function<void(const progress&)> on_progress;
+  /// Enable work-stealing trims. A trim never steals fewer than
+  /// 2 x chunk_items items.
+  bool steal = true;
   /// Optional human-readable event log (lease grants, expiries, trims).
   std::ostream* log = nullptr;
   /// Monotonic time source for lease deadlines, uptime and the telemetry

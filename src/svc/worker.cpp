@@ -18,6 +18,10 @@ namespace bsched::svc {
 
 namespace {
 
+/// How long connecting to the coordinator may take before the worker
+/// gives up.
+constexpr int connect_timeout_ms = 5000;
+
 struct session_ctx {
   net::connection conn;
   std::uint64_t session = 0;
@@ -90,8 +94,7 @@ bool run_lease(const api::engine& engine, session_ctx& ctx, dist::shard& sh,
     // Every heartbeat carries the frontier (steals need it). The worker's
     // metrics snapshot, from which the coordinator folds its fleet-wide
     // telemetry view, rides on the lease's first heartbeat and then at
-    // the coordinator's telemetry cadence; the body is advisory and an
-    // old coordinator simply ignores it.
+    // the coordinator's telemetry cadence.
     net::message hb = net::make("heartbeat");
     hb.fields["lease"] = std::to_string(id);
     hb.fields["epoch"] = std::to_string(epoch);
@@ -176,7 +179,7 @@ bool run_lease(const api::engine& engine, session_ctx& ctx, dist::shard& sh,
 worker_report run_worker(const api::engine& engine,
                          const worker_options& opts) {
   session_ctx ctx;
-  ctx.conn = net::connection::dial(opts.host, opts.port, opts.dial_timeout_ms);
+  ctx.conn = net::connection::dial(opts.host, opts.port, connect_timeout_ms);
   ctx.io_timeout_ms = opts.io_timeout_ms;
   ctx.name = opts.name;
   ctx.log_stream = opts.log;
@@ -201,11 +204,8 @@ worker_report run_worker(const api::engine& engine,
   ctx.session = sweep_msg.u64("session");
   ctx.chunk = std::max<std::size_t>(
       1, static_cast<std::size_t>(sweep_msg.u64("chunk")));
-  // A coordinator that announces no cadence gets a snapshot per heartbeat.
-  if (sweep_msg.has("telemetry_ms")) {
-    ctx.telemetry_every = std::chrono::milliseconds(
-        static_cast<long long>(sweep_msg.u64("telemetry_ms")));
-  }
+  ctx.telemetry_every = std::chrono::milliseconds(
+      static_cast<long long>(sweep_msg.u64("telemetry_ms")));
 
   // The whole grid arrives over the wire; nothing is compiled in. Its
   // empty aggregate (shape and cell descriptors) is built once and

@@ -32,7 +32,6 @@ struct worker_options {
   std::uint16_t port = 0;
   std::string name = "worker";  ///< Reported in the hello (logs only).
   std::size_t n_threads = 0;    ///< dist::run_shard pool; 0 = hardware.
-  int dial_timeout_ms = 5000;
   /// Max quiet period on the control socket (waiting for a lease, the
   /// sweep, or an ack) before the worker gives up on the coordinator.
   int io_timeout_ms = 120000;

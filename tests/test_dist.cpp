@@ -273,17 +273,17 @@ TEST(DistCodec, RejectsGarbageWithLineDiagnostics) {
   // Wrong magic (a future version included) is refused, not guessed at.
   EXPECT_THROW((void)decode_text(""), error);
   EXPECT_THROW((void)decode_text("not a shard file\n"), error);
-  EXPECT_THROW((void)decode_text("bsched-shard v3\n"), error);
+  EXPECT_THROW((void)decode_text("bsched-shard v4\n"), error);
   // Truncation after a valid prefix.
-  EXPECT_THROW((void)decode_text("bsched-shard v2\n"), error);
+  EXPECT_THROW((void)decode_text("bsched-shard v3\n"), error);
   EXPECT_THROW(
-      (void)decode_text("bsched-shard v2\nshard index=0 count=1 first=0 "
+      (void)decode_text("bsched-shard v3\nshard index=0 count=1 first=0 "
                         "last=0\n"),
       error);
   // Malformed numbers name the field.
   try {
     (void)decode_text(
-        "bsched-shard v2\nshard index=zero count=1 first=0 last=0\n");
+        "bsched-shard v3\nshard index=zero count=1 first=0 last=0\n");
     FAIL() << "expected bsched::error";
   } catch (const error& e) {
     EXPECT_NE(std::string{e.what()}.find("index"), std::string::npos);
@@ -291,10 +291,9 @@ TEST(DistCodec, RejectsGarbageWithLineDiagnostics) {
   }
   // A valid header whose cell list stops early.
   EXPECT_THROW(
-      (void)decode_text("bsched-shard v2\n"
+      (void)decode_text("bsched-shard v3\n"
                         "shard index=0 count=1 first=0 last=2\n"
-                        "sweep cells=2 replications=1 seed=0 reseed=1 "
-                        "pair_by_load=0\n"
+                        "sweep cells=2 replications=1 seed=0 reseed=1\n"
                         "stats runs=2 evaluated=2 cache_hits=0 failures=0\n"
                         "end\n"),
       error);
@@ -347,7 +346,7 @@ TEST(DistCodec, ShardDiagnosticsNameLineAndSection) {
 
   // A malformed shard header names line 2 and the "shard header" section.
   expect_names_line_and_section(
-      decode_fn, "bsched-shard v2\nshard index=zero count=1 first=0 last=0\n",
+      decode_fn, "bsched-shard v3\nshard index=zero count=1 first=0 last=0\n",
       "2", "shard header");
 
   // Truncation inside the first cell's records names that cell.
@@ -370,34 +369,51 @@ TEST(DistCodec, ShardDiagnosticsNameLineAndSection) {
   }
 }
 
-TEST(DistCodec, RejectsVersionOneShardNamingTheVersionLine) {
-  // v2 dropped two fields of the search record. The reader looks fields
-  // up by key and ignores extra ones, so only the version line tells a
-  // v1 document apart: it is refused on line 1, and the error shows
-  // both the version it saw and the one this reader speaks.
+TEST(DistCodec, RejectsVersionTwoShardNamingTheVersionLine) {
+  // v3 dropped the sweep record's pair-by-load flag. The reader looks
+  // fields up by key and ignores extra ones, so only the version line
+  // tells a v2 document apart: it is refused on line 1, and the error
+  // shows both the version it saw and the one this reader speaks.
   const api::sweep sw = random_grid(2);
   const api::engine eng;
   std::vector<std::string> lines =
       lines_of(encode_str(run_shard(eng, plan_shard(sw, 0, 1))));
-  ASSERT_EQ(lines.front(), "bsched-shard v2");
-  lines.front() = "bsched-shard v1";
+  ASSERT_EQ(lines.front(), "bsched-shard v3");
+  lines.front() = "bsched-shard v2";
   try {
     (void)decode_str(join_lines(lines, lines.size()));
     FAIL() << "expected bsched::error";
   } catch (const error& e) {
     const std::string what{e.what()};
     EXPECT_NE(what.find("line 1"), std::string::npos) << what;
-    EXPECT_NE(what.find("'bsched-shard v1'"), std::string::npos) << what;
     EXPECT_NE(what.find("'bsched-shard v2'"), std::string::npos) << what;
+    EXPECT_NE(what.find("'bsched-shard v3'"), std::string::npos) << what;
+  }
+}
+
+TEST(DistCodec, RejectsVersionOneSweepNamingTheVersionLine) {
+  // Sweep v2 dropped the pair-by-load flag too; a v1 definition is
+  // refused on line 1, naming both versions.
+  std::vector<std::string> lines = lines_of(encode_sweep_str(random_grid(2)));
+  ASSERT_EQ(lines.front(), "bsched-sweep v2");
+  lines.front() = "bsched-sweep v1";
+  try {
+    (void)decode_sweep_str(join_lines(lines, lines.size()));
+    FAIL() << "expected bsched::error";
+  } catch (const error& e) {
+    const std::string what{e.what()};
+    EXPECT_NE(what.find("line 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("'bsched-sweep v1'"), std::string::npos) << what;
+    EXPECT_NE(what.find("'bsched-sweep v2'"), std::string::npos) << what;
   }
 }
 
 TEST(DistCodec, SweepRoundTripsBitExactly) {
   // The service's wire form of the full sweep definition: cells (bank,
-  // load, policy, fidelity, steps, sim options), replications, seeds and
-  // flags all round-trip exactly — workers need no compiled-in grid.
+  // load, policy, fidelity, steps, sim options), replications, seed and
+  // the reseed flag all round-trip exactly — workers need no compiled-in
+  // grid.
   api::sweep sw = random_grid(5);
-  sw.pair_by_load = true;
   sw.cells[1].label = "a label with spaces and = signs";
   sw.cells[1].steps.time_step_min = 0.3;
   sw.cells[2].sim.horizon_min = 12345.678;
@@ -412,7 +428,6 @@ TEST(DistCodec, SweepRoundTripsBitExactly) {
   EXPECT_EQ(back.replications, sw.replications);
   EXPECT_EQ(back.seed, sw.seed);
   EXPECT_EQ(back.reseed, sw.reseed);
-  EXPECT_EQ(back.pair_by_load, sw.pair_by_load);
 
   // Deterministic paper grids round-trip too (test_load describe names).
   const api::sweep t5 = table5_grid(2);
@@ -429,8 +444,8 @@ TEST(DistCodec, SweepDecodeRejectsGarbageNamingLineAndSection) {
     return decode_sweep_str(text);
   };
   EXPECT_THROW((void)decode_sweep_str(""), error);
-  EXPECT_THROW((void)decode_sweep_str("bsched-shard v2\n"), error);
-  EXPECT_THROW((void)decode_sweep_str("bsched-sweep v2\n"), error);
+  EXPECT_THROW((void)decode_sweep_str("bsched-shard v3\n"), error);
+  EXPECT_THROW((void)decode_sweep_str("bsched-sweep v3\n"), error);
 
   const std::vector<std::string> lines =
       lines_of(encode_sweep_str(random_grid(2)));
@@ -601,24 +616,6 @@ TEST(DistEquivalence, ShardMergeReproducesSingleProcessOnRandomGrid) {
   // Sanity: the failing cell actually fails, so failures cross the merge.
   EXPECT_EQ(ref.back().failures, sw.replications);
   for (const std::size_t n : {1u, 2u, 3u, 7u}) {
-    expect_equivalent(sharded(sw, n), ref, /*exact_moments=*/false);
-  }
-}
-
-TEST(DistEquivalence, PairByLoadGridShardsIdentically) {
-  // pair_by_load keys the load stream by load group; shards must derive
-  // the very same workloads (global indices), so the equivalence holds
-  // unchanged.
-  api::sweep sw;
-  sw.cells.push_back(cell(api::load_spec::parse("markov:count=12,p=0.6,seed=5"),
-                          "best_of_n"));
-  sw.cells.push_back(cell(api::load_spec::parse("markov:count=12,p=0.6,seed=5"),
-                          "round_robin"));
-  sw.replications = 6;
-  sw.seed = 2009;
-  sw.pair_by_load = true;
-  const std::vector<api::cell_summary> ref = reference(sw);
-  for (const std::size_t n : {2u, 3u}) {
     expect_equivalent(sharded(sw, n), ref, /*exact_moments=*/false);
   }
 }

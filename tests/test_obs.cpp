@@ -488,15 +488,16 @@ TEST(ObsFleet, WorkerItemCountersSumExactlyToSweepItems) {
   opts.chunk_items = 1;
   opts.deadline_s = 120;
   std::size_t telemetry_emissions = 0;
-  opts.telemetry_interval_s = 0.01;
-  opts.on_telemetry = [&telemetry_emissions](const obs::snapshot&) {
-    ++telemetry_emissions;
-  };
   double last_uptime = -1.0;
   bool uptime_monotone = true;
-  opts.on_progress = [&](const svc::progress& p) {
-    if (p.uptime_s < last_uptime) uptime_monotone = false;
-    last_uptime = p.uptime_s;
+  opts.telemetry_interval_s = 0.01;
+  opts.on_telemetry = [&](const obs::snapshot& s) {
+    ++telemetry_emissions;
+    for (const auto& g : s.gauges) {
+      if (g.name != "svc.coordinator.uptime_s") continue;
+      if (g.value < last_uptime) uptime_monotone = false;
+      last_uptime = g.value;
+    }
   };
   svc::coordinator coord{sw, opts};
   auto served = std::async(std::launch::async, [&coord] {
@@ -557,7 +558,7 @@ TEST(ObsFleet, WorkerItemCountersSumExactlyToSweepItems) {
   const std::string wire = encode_telemetry_str(snap);
   EXPECT_EQ(encode_telemetry_str(decode_telemetry_str(wire)), wire);
 
-  // Interval + completion emissions fired, and progress uptime counted
+  // Interval + completion emissions fired, and the uptime gauge counted
   // monotonically upward.
   EXPECT_GE(telemetry_emissions, 1u);
   EXPECT_TRUE(uptime_monotone);

@@ -1,11 +1,13 @@
 // The fault-tolerant sweep service (src/net + src/svc), exercised over
 // loopback sockets: a healthy multi-worker fleet, lease expiry and
-// reassignment, a worker dying mid-shard, work-steal splits, and
-// duplicate/stale result rejection. The acceptance property throughout:
-// whatever the failure pattern, the merged aggregate reproduces the
-// single-process run_sweep + summarize statistics (exact counts/extrema/
-// quantiles below the digest budget, ulp-scale moments).
+// reassignment, a worker dying mid-shard, work-steal splits,
+// duplicate/stale result rejection, and corrupt results and oversized
+// frames from a worker holding a live lease. The acceptance property
+// throughout: whatever the failure pattern, the merged aggregate
+// reproduces the single-process run_sweep + summarize statistics (exact
+// counts/extrema/quantiles below the digest budget, ulp-scale moments).
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <chrono>
 #include <cmath>
@@ -407,6 +409,85 @@ TEST(SvcService, DuplicateResultForSameLeaseEpochRejected) {
   expect_equivalent(dist::summaries(merged), ref);
   const coordinator_counters& c = coord.counters();
   EXPECT_GE(c.results_rejected, 1u);
+  EXPECT_EQ(c.expired, 0u);
+}
+
+TEST(SvcService, CorruptResultAndOversizedFrameAreRequeued) {
+  const api::sweep sw = grid(4);
+  const std::vector<api::cell_summary> ref = reference(sw);
+  const std::size_t total = sw.cells.size() * sw.replications;
+
+  coordinator_options opts;
+  opts.lease_items = total / 2;
+  opts.steal = false;
+  opts.deadline_s = 120;
+  coordinator coord{sw, opts};
+  auto served = serve(coord);
+
+  fake_worker corrupt{coord.port()};
+  fake_worker oversized{coord.port()};
+  const net::message lease = corrupt.take_lease();
+  const net::message held = oversized.take_lease();
+  const api::engine engine;
+  const auto result_for = [&engine](const fake_worker& fake,
+                                    const net::message& l) {
+    dist::shard sh;
+    sh.sweep = fake.sw;
+    sh.first = static_cast<std::size_t>(l.u64("first"));
+    sh.last = static_cast<std::size_t>(l.u64("last"));
+    net::message result = net::make("result");
+    result.fields["lease"] = l.str("lease");
+    result.fields["epoch"] = l.str("epoch");
+    result.body = dist::encode_str(dist::run_shard(engine, sh, 1));
+    return result;
+  };
+
+  // A truncated aggregate for a live lease: refused, not folded.
+  net::message truncated = result_for(corrupt, lease);
+  truncated.body.resize(truncated.body.size() / 2);
+  corrupt.send(std::move(truncated));
+  const net::message nack = corrupt.recv();
+  ASSERT_EQ(nack.type, "ack");
+  EXPECT_EQ(nack.str("lease"), lease.str("lease"));
+  EXPECT_EQ(nack.u64("ok"), 0u);
+
+  // The connection stays up, and the refused range is back in play: the
+  // same worker is granted it again and this time folds it honestly.
+  const net::message again = corrupt.take_lease();
+  EXPECT_EQ(again.u64("first"), lease.u64("first"));
+  EXPECT_EQ(again.u64("last"), lease.u64("last"));
+  corrupt.send(result_for(corrupt, again));
+  const net::message ack = corrupt.recv();
+  ASSERT_EQ(ack.type, "ack");
+  EXPECT_EQ(ack.u64("ok"), 1u);
+  corrupt.conn.close();
+
+  // Mid-lease, after an honest heartbeat, the other fake announces a
+  // frame past net::max_frame_bytes. The coordinator must drop it
+  // without buffering the promised bytes and re-queue its lease.
+  net::message hb = net::make("heartbeat");
+  hb.fields["lease"] = held.str("lease");
+  hb.fields["epoch"] = held.str("epoch");
+  hb.fields["done"] = held.str("first");
+  oversized.send(std::move(hb));
+  const std::size_t announced = net::max_frame_bytes + 1;
+  const char prefix[4] = {static_cast<char>((announced >> 24) & 0xff),
+                          static_cast<char>((announced >> 16) & 0xff),
+                          static_cast<char>((announced >> 8) & 0xff),
+                          static_cast<char>(announced & 0xff)};
+  ASSERT_EQ(::send(oversized.conn.fd(), prefix, sizeof prefix, MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof prefix));
+  EXPECT_THROW((void)oversized.recv(), error);  // the coordinator hung up
+
+  auto w = join_fleet(engine, coord.port(), "healthy");
+  const dist::shard_aggregate merged = served.get();
+  const worker_report report = w.get();
+
+  expect_equivalent(dist::summaries(merged), ref);
+  EXPECT_EQ(report.items, held.u64("last") - held.u64("first"));
+  const coordinator_counters& c = coord.counters();
+  EXPECT_GE(c.results_rejected, 1u);
+  EXPECT_GE(c.requeued_disconnect, 1u);
   EXPECT_EQ(c.expired, 0u);
 }
 

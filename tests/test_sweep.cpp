@@ -516,113 +516,6 @@ TEST(SweepBankCache, FailingShapeIsNotCachedAndCarriesRunError) {
 #endif
 }
 
-TEST(SweepPaired, PairByLoadSharesWorkloadsAcrossPolicies) {
-  // With pair_by_load, replication r of two cells differing only in the
-  // policy materializes the same workload — the pairing prerequisite.
-  sweep sw;
-  sw.cells.push_back(base_cell(
-      load_spec::parse("markov:count=15,p=0.7,seed=2"), "best_of_n"));
-  sw.cells.push_back(base_cell(
-      load_spec::parse("markov:count=15,p=0.7,seed=2"), "opt"));
-  sw.replications = 4;
-  sw.seed = 7;
-  EXPECT_EQ(load_group(sw, 0), 0u);
-  EXPECT_EQ(load_group(sw, 1), 0u);
-  EXPECT_EQ(load_groups(sw), (std::vector<std::size_t>{0, 0}));
-  // The precomputed-groups overload replicates identically.
-  sw.pair_by_load = true;
-  EXPECT_EQ(replicate(sw, 1, 2, load_groups(sw)).load,
-            replicate(sw, 1, 2).load);
-  sw.pair_by_load = false;
-  for (std::size_t rep = 0; rep < sw.replications; ++rep) {
-    // Without the flag the cells draw per-cell load seeds...
-    EXPECT_NE(replicate(sw, 0, rep).load, replicate(sw, 1, rep).load);
-    // ...with it they share the workload, while still varying per
-    // replication.
-    sw.pair_by_load = true;
-    EXPECT_EQ(replicate(sw, 0, rep).load, replicate(sw, 1, rep).load);
-    if (rep > 0) {
-      EXPECT_NE(replicate(sw, 0, rep).load, replicate(sw, 0, rep - 1).load);
-    }
-    sw.pair_by_load = false;
-  }
-}
-
-TEST(SweepPaired, OptVsGreedyGapUnderRandomLoads) {
-  // The ROADMAP ask: the opt-vs-greedy lifetime gap under random
-  // workloads as a per-replication paired statistic. Every workload's
-  // exact optimum dominates greedy, so all differences are >= 0.
-  sweep sw;
-  sw.cells.push_back(base_cell(
-      load_spec::parse("markov:count=12,p=0.6,seed=5"), "opt"));
-  sw.cells.push_back(base_cell(
-      load_spec::parse("markov:count=12,p=0.6,seed=5"), "best_of_n"));
-  sw.replications = 8;
-  sw.seed = 2009;
-  sw.pair_by_load = true;
-
-  const engine eng;
-  paired sink{sw, {{0, 1}}};
-  const sweep_stats stats = eng.run_sweep(sw, sink, 2);
-  EXPECT_EQ(stats.failures, 0u);
-  ASSERT_EQ(sink.pairs().size(), 1u);
-  const pair_summary& p = sink.pairs()[0];
-  EXPECT_EQ(p.n, sw.replications);
-  EXPECT_EQ(p.skipped, 0u);
-  EXPECT_EQ(p.wins_b, 0u) << "greedy beat the exact optimum";
-  EXPECT_EQ(p.wins_a + p.ties, sw.replications);
-  EXPECT_GE(p.mean_diff_min, 0.0);
-  EXPECT_GE(p.ci95_min, 0.0);
-
-  // Byte-identical across thread counts, like every sink aggregate.
-  paired serial{sw, {{0, 1}}};
-  eng.run_sweep(sw, serial, 1);
-  EXPECT_EQ(serial.pairs(), sink.pairs());
-}
-
-TEST(SweepPaired, RejectsPairsDifferingBeyondThePolicy) {
-  sweep sw;
-  sw.cells.push_back(base_cell(load::test_load::cl_250, "best_of_n"));
-  sw.cells.push_back(base_cell(load::test_load::cl_500, "opt"));
-  sw.cells.push_back(base_cell(load::test_load::cl_250, "best_of_n"));
-  EXPECT_THROW((paired{sw, {{0, 1}}}), error);
-  EXPECT_THROW((paired{sw, {{0, 0}}}), error);
-  EXPECT_NO_THROW((paired{sw, {{0, 2}}}));
-}
-
-TEST(SweepPaired, RejectsRandomLoadsWithoutPairByLoad) {
-  // Re-seeded random loads are only paired when the sweep keys their
-  // load stream by group; without the flag the statistic would silently
-  // keep the workload variance, so construction refuses.
-  sweep sw;
-  sw.cells.push_back(base_cell(
-      load_spec::parse("random:count=10,p=0.5,seed=1"), "best_of_n"));
-  sw.cells.push_back(base_cell(
-      load_spec::parse("random:count=10,p=0.5,seed=1"), "opt"));
-  EXPECT_THROW((paired{sw, {{0, 1}}}), error);
-  sw.pair_by_load = true;
-  EXPECT_NO_THROW((paired{sw, {{0, 1}}}));
-  // Verbatim (non-reseeded) sweeps repeat the declared workload every
-  // replication, so they are paired by construction.
-  sw.pair_by_load = false;
-  sw.reseed = false;
-  EXPECT_NO_THROW((paired{sw, {{0, 1}}}));
-}
-
-TEST(SweepPaired, FailingSidesAreSkippedPerReplication) {
-  sweep sw;
-  sw.cells.push_back(base_cell(load::test_load::cl_250, "best_of_n"));
-  sw.cells.push_back(base_cell(load::test_load::cl_250, "no_such_policy"));
-  sw.replications = 3;
-  const engine eng;
-  paired sink{sw, {{0, 1}}};
-  eng.run_sweep(sw, sink, 2);
-  const pair_summary& p = sink.pairs()[0];
-  EXPECT_EQ(p.n, 0u);
-  EXPECT_EQ(p.skipped, sw.replications);
-  EXPECT_EQ(p.mean_diff_min, 0.0);
-}
-
 TEST(SweepSummarize, SummariesCarryScenarioDescriptors) {
   // cell_summary is self-describing: the load description (a parse()
   // round-trip), the policy spec and the fidelity name ride on the row,
