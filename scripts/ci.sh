@@ -175,6 +175,10 @@ run_release() {
     "$dir/sweep_worker" --shard "$k" --of 3 --replications 10 --threads 2 \
       --out "$shard_dir/shard$k.agg"
   done
+  # The stdout form is the same document as the file form: shard 0 again,
+  # to stdout, byte for byte.
+  "$dir/sweep_worker" --shard 0 --of 3 --replications 10 --threads 2 \
+    2> /dev/null | cmp - "$shard_dir/shard0.agg"
   "$dir/sweep_merge" --expect "$shard_dir/ref.csv" "$shard_dir"/shard*.agg \
     > /dev/null
   # A stale file is refused end to end: shard 0 with its magic line

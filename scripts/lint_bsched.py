@@ -19,7 +19,7 @@ Rules (see README "Correctness tooling"):
                     must be prefixed "<origin>: " where <origin> names
                     the throwing module — the file's directory ("net:"),
                     its stem ("spec:"), or a function/class defined in
-                    the file ("plan_shards:", "csv_writer:", "round
+                    the file ("plan_shard:", "csv_writer:", "round
                     robin:") — so a thrown bsched::error names its
                     source without a stack trace, and a rename cannot
                     leave a stale or foreign prefix behind.
@@ -89,8 +89,8 @@ Rules (see README "Correctness tooling"):
                     file under src/, tools/, examples/, bench/ or
                     perfbench/ other than its own .cpp, so a module that
                     only its tests still use cannot linger in the
-                    library. Allowlisted, with a reason per entry, in
-                    ORPHAN_HEADER_ALLOWLIST.
+                    library. No exceptions: reference code that only
+                    tests use lives in tests/support/.
 """
 
 import argparse
@@ -148,11 +148,6 @@ THREAD_ALLOW_PREFIXES = (
 
 # Directories whose files count as users of a src/ header.
 INCLUDER_DIRS = ("src", "tools", "examples", "bench", "perfbench")
-
-ORPHAN_HEADER_ALLOWLIST = {
-    os.path.join("src", "ode", "steppers.hpp"):
-        "test reference for the analytic KiBaM",
-}
 
 INCLUDE_PATTERN = re.compile(r'^[ \t]*#[ \t]*include[ \t]*"([^"\n]+)"',
                              re.MULTILINE)
@@ -446,16 +441,14 @@ def check_orphan_headers(files):
     for rel in sorted(files):
         if not (rel.startswith("src" + os.sep) and rel.endswith(".hpp")):
             continue
-        if rel in ORPHAN_HEADER_ALLOWLIST:
-            continue
         own_cpp = rel[:-len(".hpp")] + ".cpp"
         if users.get(rel, set()) - {own_cpp}:
             continue
         findings.append((rel, 1, "orphan-header",
                          "no file under " + "/, ".join(INCLUDER_DIRS) +
                          "/ includes this header (its own .cpp does not "
-                         "count); delete it, or allowlist it with a "
-                         "reason in ORPHAN_HEADER_ALLOWLIST"))
+                         "count); delete it, or move it to tests/support/ "
+                         "when only tests use it"))
     return findings
 
 
@@ -704,8 +697,6 @@ def self_test():
     tree_cases = [
         ("orphan header",
          {"src/kibam/dead.hpp": "#pragma once\n"}, ["src/kibam/dead.hpp"]),
-        ("allowlisted header",
-         {"src/ode/steppers.hpp": "#pragma once\n"}, []),
         ("header used only by its own .cpp",
          {"src/kibam/dead.hpp": "#pragma once\n",
           "src/kibam/dead.cpp": '#include "kibam/dead.hpp"\n'},

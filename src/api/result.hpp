@@ -16,7 +16,7 @@ struct run_result {
   /// "best-of-n", "opt", "lookahead".
   std::string policy_name;
   /// Planning statistics the policy reported (policy::stats()): exact
-  /// search effort (nodes, memo hits, pruned, memo entries, evictions)
+  /// search effort (nodes, memo hits, pruned, memo entries)
   /// or rollout counts for the model-aware policies; all-zero for blind
   /// ones.
   opt::search_stats search;

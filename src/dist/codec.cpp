@@ -1,7 +1,6 @@
 #include "dist/codec.hpp"
 
 #include <fstream>
-#include <istream>
 #include <ostream>
 #include <sstream>
 #include <string_view>
@@ -64,7 +63,8 @@ tdigest decode_digest(const wire::reader& r) {
 
 }  // namespace
 
-void encode(const shard_aggregate& agg, std::ostream& out) {
+std::string encode_str(const shard_aggregate& agg) {
+  std::ostringstream out;
   out << "bsched-shard v" << shard_version << '\n';
   out << "shard index=" << agg.shard_index << " count=" << agg.shard_count
       << " first=" << agg.first_item << " last=" << agg.last_item << '\n';
@@ -89,7 +89,6 @@ void encode(const shard_aggregate& agg, std::ostream& out) {
     const sched::search_stats& s = c.agg.search;
     out << "search nodes=" << s.nodes << " memo_hits=" << s.memo_hits
         << " pruned=" << s.pruned << " memo_entries=" << s.memo_entries
-        << " memo_evictions=" << s.memo_evictions
         << " rollouts=" << s.rollouts
         << " pruned_by_bound=" << s.pruned_by_bound
         << " incumbent_from_lookahead=" << s.incumbent_from_lookahead
@@ -98,11 +97,7 @@ void encode(const shard_aggregate& agg, std::ostream& out) {
     encode_digest("residual", c.agg.residual, out);
   }
   out << "end\n";
-  require(out.good(), "dist::codec: stream write failed");
-}
-
-shard_aggregate decode(std::istream& in) {
-  return decode_str(wire::read_all(in));
+  return std::move(out).str();
 }
 
 shard_aggregate decode_str(const std::string& text) {
@@ -151,7 +146,6 @@ shard_aggregate decode_str(const std::string& text) {
     c.agg.search.memo_hits = r.u64("memo_hits");
     c.agg.search.pruned = r.u64("pruned");
     c.agg.search.memo_entries = r.u64("memo_entries");
-    c.agg.search.memo_evictions = r.u64("memo_evictions");
     c.agg.search.rollouts = r.u64("rollouts");
     c.agg.search.pruned_by_bound = r.u64("pruned_by_bound");
     c.agg.search.incumbent_from_lookahead =
@@ -179,7 +173,8 @@ void encode_epochs(const char* tag, const std::vector<load::epoch>& es,
 
 }  // namespace
 
-void encode_sweep(const api::sweep& sw, std::ostream& out) {
+std::string encode_sweep_str(const api::sweep& sw) {
+  std::ostringstream out;
   out << "bsched-sweep v" << sweep_version << '\n';
   out << "sweep cells=" << sw.cells.size()
       << " replications=" << sw.replications << " seed=" << sw.seed
@@ -213,11 +208,7 @@ void encode_sweep(const api::sweep& sw, std::ostream& out) {
         << " sample=" << shortest_double(scn.sim.sample_min) << '\n';
   }
   out << "end\n";
-  require(out.good(), "dist::codec: stream write failed");
-}
-
-api::sweep decode_sweep(std::istream& in) {
-  return decode_sweep_str(wire::read_all(in));
+  return std::move(out).str();
 }
 
 api::sweep decode_sweep_str(const std::string& text) {
@@ -284,29 +275,17 @@ api::sweep decode_sweep_str(const std::string& text) {
   return sw;
 }
 
-std::string encode_sweep_str(const api::sweep& sw) {
-  std::ostringstream out;
-  encode_sweep(sw, out);
-  return std::move(out).str();
-}
-
-std::string encode_str(const shard_aggregate& agg) {
-  std::ostringstream out;
-  encode(agg, out);
-  return std::move(out).str();
-}
-
 void write_file(const shard_aggregate& agg, const std::string& path) {
   std::ofstream out{path};
   require(out.good(), "dist::codec: cannot open " + path + " for writing");
-  encode(agg, out);
+  out << encode_str(agg);
   require(out.good(), "dist::codec: writing " + path + " failed");
 }
 
 shard_aggregate read_file(const std::string& path) {
   std::ifstream in{path};
   require(in.good(), "dist::codec: cannot open " + path);
-  return decode(in);
+  return decode_str(wire::read_all(in));
 }
 
 }  // namespace bsched::dist

@@ -8,7 +8,7 @@
 // strings (labels, load/policy specs) are carried as "key=<rest of
 // line>" records and may contain anything but a newline.
 //
-//   bsched-shard v3
+//   bsched-shard v4
 //   shard index=0 count=3 first=0 last=34
 //   sweep cells=10 replications=10 seed=2009 reseed=1
 //   stats runs=34 evaluated=34 cache_hits=0 failures=0
@@ -18,8 +18,8 @@
 //   policy=round_robin
 //   fidelity=discrete
 //   agg n=4 failures=0 cache_hits=0 mean=... m2=... min=... max=...
-//   search nodes=0 memo_hits=0 pruned=0 memo_entries=0 memo_evictions=0
-//          rollouts=0 pruned_by_bound=0 incumbent_from_lookahead=0
+//   search nodes=0 memo_hits=0 pruned=0 memo_entries=0 rollouts=0
+//          pruned_by_bound=0 incumbent_from_lookahead=0
 //   lifetime budget=64 centroids=4 m:w m:w m:w m:w
 //   residual budget=64 centroids=4 m:w m:w m:w m:w
 //   ...
@@ -29,8 +29,8 @@
 // guessing, and any change to a record's fields bumps the version. v2
 // dropped two fields of the search record (the parallel search's steal
 // and memo-shard counts); v3 and sweep v2 dropped the sweep record's
-// pair-by-load flag, so older documents are rejected on their magic
-// line. Decoding (util/wire.hpp) is strict: wrong magic, truncation, a
+// pair-by-load flag; v4 dropped the search record's memo-eviction count.
+// Older documents are rejected on their magic line. Decoding (util/wire.hpp) is strict: wrong magic, truncation, a
 // duplicated or out-of-place section, unknown tags, malformed numbers
 // and text after "end" throw bsched::error naming the 1-based line
 // number and the section being decoded — no silent partial decode.
@@ -40,13 +40,13 @@
 // parameters, the load (its describe() round-trip form for paper/random
 // loads, explicit epochs for raw traces), the policy spec, fidelity,
 // discretization steps and sim options, plus the sweep's replications,
-// base seed and reseed flag. decode_sweep(encode_sweep(sw)) == sw, which
+// base seed and reseed flag. decode_sweep_str(encode_sweep_str(sw)) == sw,
+// which
 // is what lets the sweep service (src/svc) ship the whole campaign to
 // workers that have no grid definition compiled in.
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <string>
 
 #include "dist/shard.hpp"
@@ -55,35 +55,30 @@ namespace bsched::dist {
 
 /// Current wire-format versions: the N of "bsched-shard vN" and of
 /// "bsched-sweep vN". Each format bumps its own when its records change.
-inline constexpr std::size_t shard_version = 3;
+inline constexpr std::size_t shard_version = 4;
 inline constexpr std::size_t sweep_version = 2;
 
-/// Writes `agg` to `out` in the "bsched-shard v3" line format.
-void encode(const shard_aggregate& agg, std::ostream& out);
+/// Renders `agg` in the "bsched-shard v4" line format — the form shard
+/// files hold and the sweep service puts on the wire (net/message.hpp
+/// bodies).
+[[nodiscard]] std::string encode_str(const shard_aggregate& agg);
 
-/// Parses one aggregate back; strict inverse of encode. Throws
+/// Parses one aggregate back; strict inverse of encode_str. Throws
 /// bsched::error on version mismatch or malformed input.
-[[nodiscard]] shard_aggregate decode(std::istream& in);
+[[nodiscard]] shard_aggregate decode_str(const std::string& text);
 
-/// File convenience wrappers around encode/decode. Throw bsched::error
-/// when the file cannot be opened.
+/// File convenience wrappers around encode_str/decode_str. Throw
+/// bsched::error when the file cannot be opened.
 void write_file(const shard_aggregate& agg, const std::string& path);
 [[nodiscard]] shard_aggregate read_file(const std::string& path);
 
-/// Writes the full sweep *definition* to `out` ("bsched-sweep v2"):
-/// cells with banks/loads/policies/steps/sim options, replications, base
-/// seed and reseed flag. Round-trips bit-exactly through decode_sweep.
-void encode_sweep(const api::sweep& sw, std::ostream& out);
-
-/// Parses a sweep definition back; strict inverse of encode_sweep.
-/// Throws bsched::error (line + section named) on malformed input.
-[[nodiscard]] api::sweep decode_sweep(std::istream& in);
-
-/// String convenience wrappers — the forms the sweep service puts on the
-/// wire (net/message.hpp bodies).
+/// Renders the full sweep *definition* ("bsched-sweep v2"): cells with
+/// banks/loads/policies/steps/sim options, replications, base seed and
+/// reseed flag. Round-trips bit-exactly through decode_sweep_str.
 [[nodiscard]] std::string encode_sweep_str(const api::sweep& sw);
+
+/// Parses a sweep definition back; strict inverse of encode_sweep_str.
+/// Throws bsched::error (line + section named) on malformed input.
 [[nodiscard]] api::sweep decode_sweep_str(const std::string& text);
-[[nodiscard]] std::string encode_str(const shard_aggregate& agg);
-[[nodiscard]] shard_aggregate decode_str(const std::string& text);
 
 }  // namespace bsched::dist

@@ -8,7 +8,7 @@
 namespace bsched::dist {
 
 shard plan_shard(const api::sweep& sw, std::size_t k, std::size_t n) {
-  require(n >= 1, "plan_shards: need at least one shard");
+  require(n >= 1, "plan_shard: need at least one shard");
   require(k < n, "plan_shard: shard index " + std::to_string(k) +
                      " out of range for " + std::to_string(n) + " shards");
   const std::size_t total = sw.cells.size() * sw.replications;
@@ -21,14 +21,6 @@ shard plan_shard(const api::sweep& sw, std::size_t k, std::size_t n) {
   sh.last = (k + 1) * total / n;
   sh.sweep = sw;
   return sh;
-}
-
-std::vector<shard> plan_shards(const api::sweep& sw, std::size_t n) {
-  require(n >= 1, "plan_shards: need at least one shard");
-  std::vector<shard> out;
-  out.reserve(n);
-  for (std::size_t k = 0; k < n; ++k) out.push_back(plan_shard(sw, k, n));
-  return out;
 }
 
 shard_aggregate empty_aggregate(const api::sweep& sw) {
@@ -172,10 +164,6 @@ void stream_merger::fold_ready() {
     next_ = merged_.last_item;
     pending_.erase(pending_.begin());
   }
-}
-
-std::size_t stream_merger::buffered() const noexcept {
-  return pending_.size();
 }
 
 bool stream_merger::complete(std::size_t last) const noexcept {

@@ -4,9 +4,10 @@
 // A sweep is one deterministic value: every (cell, replication) item
 // derives its seeds from *global* indices (api::replicate -> rng::derive),
 // so any contiguous slice of the flattened item stream can be reproduced
-// anywhere — no shared state, no coordination. `plan_shards` partitions
-// the stream [0, cells x replications) into n balanced contiguous ranges
-// (cells outer, replication ranges inner); `run_shard` expands its range
+// anywhere — no shared state, no coordination. `plan_shard` cuts the
+// stream [0, cells x replications) into n balanced contiguous ranges
+// (cells outer, replication ranges inner) and returns range k;
+// `run_shard` expands its range
 // into the exact effective scenarios the full sweep would have run
 // (verbatim, reseed off) and folds the results into one mergeable
 // api::cell_accumulator per *original* grid cell — into a fresh aggregate,
@@ -47,18 +48,13 @@ struct shard {
   api::sweep sweep;
 };
 
-/// Deterministically partitions `sw` into `n` shards with balanced
+/// Shard k of a deterministic n-shard partition of `sw` with balanced
 /// contiguous item ranges (sizes differ by at most one; empty ranges are
-/// allowed when n exceeds the item count). The ranges tile
+/// allowed when n exceeds the item count). For k = 0..n-1 the ranges tile
 /// [0, cells x replications) exactly, so the union of the shards is the
-/// original (cell, replication) seed stream. Throws bsched::error when
-/// n == 0.
-[[nodiscard]] std::vector<shard> plan_shards(const api::sweep& sw,
-                                             std::size_t n);
-
-/// Shard k of the n-shard plan alone — what a worker process wants
-/// (plan_shards(sw, n)[k] without copying the sweep into all n shards;
-/// the boundaries are closed-form). Throws bsched::error when k >= n.
+/// original (cell, replication) seed stream. The boundaries are
+/// closed-form, so a worker process computes its own shard alone. Throws
+/// bsched::error when n == 0 or k >= n.
 [[nodiscard]] shard plan_shard(const api::sweep& sw, std::size_t k,
                                std::size_t n);
 
@@ -143,9 +139,7 @@ class stream_merger {
 
   /// One past the last item folded into the contiguous prefix.
   [[nodiscard]] std::size_t next() const noexcept { return next_; }
-  /// Parts waiting for the prefix to reach them (out-of-order arrivals).
-  [[nodiscard]] std::size_t buffered() const noexcept;
-  /// True when the folded prefix reaches `last` with nothing buffered.
+    /// True when the folded prefix reaches `last` with nothing buffered.
   [[nodiscard]] bool complete(std::size_t last) const noexcept;
 
   /// The merged aggregate covering [0, last). Throws bsched::error

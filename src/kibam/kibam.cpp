@@ -86,16 +86,4 @@ double lifetime(const battery_parameters& p, const load::trace& load,
   throw error("lifetime: battery survived the analysis horizon");
 }
 
-double constant_current_lifetime(const battery_parameters& p,
-                                 double current_a) {
-  validate(p);
-  require(current_a > 0, "constant_current_lifetime: current must be > 0");
-  const state s = full(p);
-  // An upper bound: the lifetime can never exceed C / I (energy balance).
-  const double bound = p.capacity_amin / current_a + 1.0;
-  const auto hit = time_to_empty(p, s, current_a, bound);
-  BSCHED_ASSERT(hit.has_value());
-  return *hit;
-}
-
 }  // namespace bsched::kibam

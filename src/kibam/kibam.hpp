@@ -11,7 +11,6 @@
 // bisection fallback).
 #pragma once
 
-#include <array>
 #include <optional>
 
 #include "kibam/parameters.hpp"
@@ -70,36 +69,5 @@ struct state {
 [[nodiscard]] double lifetime(const battery_parameters& p,
                               const load::trace& load,
                               double horizon_min = 1e6);
-
-/// Lifetime for constant current `current_a` (closed form via eq. (3)).
-[[nodiscard]] double constant_current_lifetime(const battery_parameters& p,
-                                               double current_a);
-
-/// Right-hand side of eq. (2) for use with the generic ODE steppers
-/// (state vector = {delta, gamma}). Used to cross-validate the analytic
-/// solution in tests.
-struct transformed_rhs {
-  battery_parameters params;
-  double current_a;
-
-  [[nodiscard]] std::array<double, 2> operator()(
-      double /*t*/, const std::array<double, 2>& y) const noexcept {
-    return {current_a / params.c - params.k_prime * y[0], -current_a};
-  }
-};
-
-/// Right-hand side of eq. (1) in well coordinates (state = {y1, y2}).
-struct wells_rhs {
-  battery_parameters params;
-  double current_a;
-
-  [[nodiscard]] std::array<double, 2> operator()(
-      double /*t*/, const std::array<double, 2>& y) const noexcept {
-    const double h1 = y[0] / params.c;
-    const double h2 = y[1] / (1 - params.c);
-    const double flow = params.k() * (h2 - h1);
-    return {-current_a + flow, -flow};
-  }
-};
 
 }  // namespace bsched::kibam

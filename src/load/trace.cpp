@@ -1,7 +1,6 @@
 #include "load/trace.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/error.hpp"
 
@@ -45,37 +44,6 @@ trace::trace(std::vector<epoch> prefix, std::vector<epoch> cycle)
 const epoch& trace::at(std::size_t index) const noexcept {
   if (index < prefix_.size()) return prefix_[index];
   return cycle_[(index - prefix_.size()) % cycle_.size()];
-}
-
-double trace::current_at(double t_min) const {
-  return at(position_at(t_min).index).current_a;
-}
-
-trace::position trace::position_at(double t_min) const {
-  require(t_min >= 0, "trace: time must be non-negative");
-  double start = 0;
-  std::size_t index = 0;
-  if (t_min >= prefix_minutes_) {
-    // Skip the prefix, then whole cycles, then walk the remainder.
-    start = prefix_minutes_;
-    index = prefix_.size();
-    const double into_cycles = t_min - prefix_minutes_;
-    const double whole = std::floor(into_cycles / cycle_minutes_);
-    start += whole * cycle_minutes_;
-    index += static_cast<std::size_t>(whole) * cycle_.size();
-    for (const epoch& e : cycle_) {
-      if (t_min < start + e.duration_min) break;
-      start += e.duration_min;
-      ++index;
-    }
-    return {index, start};
-  }
-  for (const epoch& e : prefix_) {
-    if (t_min < start + e.duration_min) break;
-    start += e.duration_min;
-    ++index;
-  }
-  return {index, start};
 }
 
 }  // namespace bsched::load

@@ -34,16 +34,6 @@ class trace {
   /// Epoch by global index (prefix first, then the cycle repeated).
   [[nodiscard]] const epoch& at(std::size_t index) const noexcept;
 
-  /// Current at absolute time `t_min` (minutes from system start).
-  [[nodiscard]] double current_at(double t_min) const;
-
-  /// Global index of the epoch active at `t_min` and its start time.
-  struct position {
-    std::size_t index;
-    double epoch_start_min;
-  };
-  [[nodiscard]] position position_at(double t_min) const;
-
   [[nodiscard]] const std::vector<epoch>& prefix() const noexcept {
     return prefix_;
   }

@@ -39,7 +39,7 @@
 //   W->C  trimmed    session=S lease=L epoch=E last=Y
 //                                                — actual cut, Y >= X or
 //                                                  the worker's frontier
-//   W->C  result     session=S lease=L epoch=E   body: bsched-shard v3
+//   W->C  result     session=S lease=L epoch=E   body: bsched-shard v4
 //   C->W  ack        lease=L epoch=E ok=0|1      — result accepted or
 //                                                  rejected (stale epoch,
 //                                                  duplicate, bad range)

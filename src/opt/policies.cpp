@@ -120,13 +120,11 @@ class lookahead_rollout_policy final : public sched::policy {
 };
 
 /// Spec-parameter overrides for the exact search, e.g.
-/// "opt:max_nodes=1000,prune=0,max_memo_entries=50000".
+/// "opt:max_nodes=1000,prune=0".
 search_options search_opts_from(const spec& s, search_options opts) {
-  s.require_only({"max_nodes", "prune", "max_memo_entries"});
+  s.require_only({"max_nodes", "prune"});
   opts.max_nodes = s.get_u64("max_nodes", opts.max_nodes);
   opts.prune = s.get_u64("prune", opts.prune ? 1 : 0) != 0;
-  opts.max_memo_entries =
-      s.get_u64("max_memo_entries", opts.max_memo_entries);
   return opts;
 }
 

@@ -41,9 +41,8 @@ namespace bsched::opt {
     std::size_t horizon_jobs);
 
 /// Registers the model-aware factories into `r`:
-///   "opt", "worst"         — optional spec parameters max_nodes=N,
-///                            prune=0/1, max_memo_entries=N overriding
-///                            `defaults`;
+///   "opt", "worst"         — optional spec parameters max_nodes=N and
+///                            prune=0/1 overriding `defaults`;
 ///   "lookahead"            — horizon=N (default 4).
 /// Existing entries of the same name are replaced.
 void register_model_policies(sched::registry& r,

@@ -247,19 +247,15 @@ std::int64_t trajectory_walk(const kibam::bank& bank, const grid_load& grid,
 /// node's true optimum; an inexact one is an admissible *upper bound*
 /// computed under some pruning floor (see searcher), which stays valid at
 /// any floor at or above it. Exact entries win over bounds, and a tighter
-/// bound replaces a looser one. A nonzero `max_entries` caps the table:
-/// the oldest entry is evicted first (deterministic FIFO), so large mixed
-/// banks cannot grow it without bound.
+/// bound replaces a looser one. Nothing is evicted: every entry is an
+/// expanded node, so the search's max_nodes bounds the table.
 ///
 /// Flat, so a node costs no allocation. Every key of one search has the
 /// same width, so keys are passed as *frames* of 1 + key_words words — the
 /// key's hash, then the key — and stored inline in one insertion-order
 /// arena of records [frame | packed entry]. An open-addressed index of
 /// entry numbers finds them: linear probing from the hash's low bits,
-/// doubled past load 1/2. A capped arena is a ring: the oldest record is
-/// overwritten in place and its index slot removed by backward-shift
-/// deletion, so eviction stays exactly FIFO and the index never carries
-/// tombstones.
+/// doubled past load 1/2.
 class memo_table {
  public:
   struct entry {
@@ -272,8 +268,8 @@ class memo_table {
   static constexpr std::uint32_t k_no_entry =
       std::numeric_limits<std::uint32_t>::max();
 
-  memo_table(std::size_t key_words, std::uint64_t max_entries)
-      : frame_(1 + key_words), cap_(max_entries), index_(16, k_no_entry) {}
+  explicit memo_table(std::size_t key_words)
+      : frame_(1 + key_words), index_(16, k_no_entry) {}
 
   /// Words in a key frame: the hash, then `key_words` key words.
   [[nodiscard]] std::size_t frame_words() const noexcept { return frame_; }
@@ -303,37 +299,25 @@ class memo_table {
   }
 
   /// Inserts or improves the entry for the key in `frame`: exact beats
-  /// inexact, and a smaller upper bound beats a larger one. Returns the
-  /// number of entries evicted to stay within the cap.
-  std::uint64_t store(const std::uint64_t* frame, entry e) {
+  /// inexact, and a smaller upper bound beats a larger one.
+  void store(const std::uint64_t* frame, entry e) {
     BSCHED_ASSERT(e.value >= 0);
-    std::size_t slot = find(frame);
+    const std::size_t slot = find(frame);
     if (index_[slot] != k_no_entry) {
       std::uint64_t& held_word = record(index_[slot])[frame_];
       const entry held = unpack(held_word);
       const bool better = (e.exact && !held.exact) ||
                           (e.exact == held.exact && e.value < held.value);
       if (better) held_word = pack_entry(e);
-      return 0;  // a re-walk revisits a live entry
+      return;  // a re-walk revisits a live entry
     }
-    std::uint64_t evicted = 0;
-    std::uint32_t n = 0;
-    if (cap_ != 0 && count_ == cap_) {
-      n = oldest_;  // the ring is full: overwrite the oldest record
-      unlink(n);
-      oldest_ = oldest_ + 1 == cap_ ? 0 : oldest_ + 1;
-      slot = find(frame);  // the deletion may have shifted the probe run
-      evicted = 1;
-    } else {
-      n = static_cast<std::uint32_t>(count_++);
-      arena_.resize(arena_.size() + frame_ + 1);
-    }
+    const auto n = static_cast<std::uint32_t>(count_++);
+    arena_.resize(arena_.size() + frame_ + 1);
     std::uint64_t* rec = record(n);
     std::copy_n(frame, frame_, rec);
     rec[frame_] = pack_entry(e);
     index_[slot] = n;
     if (2 * count_ > index_.size()) grow();
-    return evicted;
   }
 
   [[nodiscard]] std::uint64_t size() const noexcept { return count_; }
@@ -365,24 +349,6 @@ class memo_table {
     }
   }
 
-  /// Removes entry `n` from the index by backward-shift deletion: later
-  /// members of its probe run move up into the hole whenever their home
-  /// slot allows, so every remaining key stays reachable from its home.
-  void unlink(std::uint32_t n) noexcept {
-    const std::size_t mask = index_.size() - 1;
-    std::size_t hole = record(n)[0] & mask;
-    while (index_[hole] != n) hole = (hole + 1) & mask;
-    for (std::size_t j = (hole + 1) & mask; index_[j] != k_no_entry;
-         j = (j + 1) & mask) {
-      const std::size_t home = record(index_[j])[0] & mask;
-      if (((j - home) & mask) >= ((j - hole) & mask)) {
-        index_[hole] = index_[j];
-        hole = j;
-      }
-    }
-    index_[hole] = k_no_entry;
-  }
-
   /// Doubles the index and re-inserts every record from its cached hash.
   void grow() {
     index_.assign(index_.size() * 2, k_no_entry);
@@ -395,9 +361,7 @@ class memo_table {
   }
 
   std::size_t frame_;     ///< Words per key frame; records add one.
-  std::uint64_t cap_;     ///< Entry cap; 0 = unbounded.
   std::uint64_t count_ = 0;
-  std::uint32_t oldest_ = 0;  ///< Ring position of the oldest record.
   std::vector<std::uint64_t> arena_;   ///< Records in insertion order.
   std::vector<std::uint32_t> index_;   ///< Entry numbers; power-of-two size.
 };
@@ -417,7 +381,7 @@ class searcher {
         opts_(opts),
         minimize_(minimize),
         grid_(load, bank.steps()),
-        memo_(1 + bank.size(), opts.max_memo_entries) {
+        memo_(1 + bank.size()) {
     // Every stored entry is an expanded node, so max_nodes bounds the
     // entry numbers the memo's 32-bit index holds.
     require(opts.max_nodes <= memo_table::k_no_entry,
@@ -481,8 +445,6 @@ class searcher {
     BSCHED_COUNTER_ADD("opt.search.pruned_total", out.stats.pruned);
     BSCHED_COUNTER_ADD("opt.search.pruned_by_bound_total",
                        out.stats.pruned_by_bound);
-    BSCHED_COUNTER_ADD("opt.search.memo_evictions_total",
-                       out.stats.memo_evictions);
     BSCHED_COUNTER_ADD("opt.search.rollouts_total", out.stats.rollouts);
     BSCHED_GAUGE_SET("opt.search.memo_entries",
                      static_cast<double>(out.stats.memo_entries));
@@ -584,8 +546,7 @@ class searcher {
     }
     cands_.resize(first);
     BSCHED_ASSERT(best >= 0 && best < k_inf);
-    stats_.memo_evictions +=
-        memo_.store(&keys_[key], {best, minimize_ || best > floor});
+    memo_.store(&keys_[key], {best, minimize_ || best > floor});
     return best;
   }
 
@@ -791,39 +752,6 @@ class searcher {
 };
 
 }  // namespace
-
-std::int64_t drain_bound_steps(const load::step_sizes& steps,
-                               const load::trace& load,
-                               std::size_t epoch_index,
-                               std::int64_t alive_units) {
-  require(alive_units >= 0, "drain_bound_steps: negative charge");
-  if (alive_units == 0) return 0;
-  std::int64_t total_steps = 0;
-  std::int64_t remaining = alive_units;
-  std::size_t idx = epoch_index;
-  // The cycle always drains charge, so this loop terminates; the guard is a
-  // hard cap against degenerate almost-idle loads.
-  for (std::size_t guard = 0; guard < 100'000'000; ++guard, ++idx) {
-    const load::epoch& e = load.at(idx);
-    const std::int64_t len = epoch_steps(e, steps);
-    if (e.current_a <= 0) {
-      total_steps += len;
-      continue;
-    }
-    const load::draw_rate rate = load::rate_for(e.current_a, steps);
-    const std::int64_t draws = len / rate.steps;
-    const std::int64_t drawable = draws * rate.units;
-    if (drawable < remaining) {
-      remaining -= drawable;
-      total_steps += len;
-      continue;
-    }
-    const std::int64_t needed_draws =
-        (remaining + rate.units - 1) / rate.units;
-    return total_steps + needed_draws * rate.steps;
-  }
-  throw error("drain_bound_steps: load drains too slowly to bound");
-}
 
 std::int64_t deliverable_units(const kibam::discretization& d, std::int64_t n,
                                std::int64_t max_draw_units) {

@@ -18,10 +18,11 @@
 //    flat: keys are 1 + bank.size() words, stored inline beside their
 //    value and cached hash in one insertion-order arena, found through
 //    an open-addressed index (linear probing, doubled past load 1/2).
-//    Under max_memo_entries the arena is a ring, so eviction is exactly
-//    FIFO. Key and candidate frames live on stacks the search owns, so
-//    the per-node path allocates nothing: a search makes a logarithmic
-//    number of allocations in its node count (tests/test_alloc.cpp);
+//    Nothing is evicted: every entry is an expanded node, so max_nodes
+//    bounds the table. Key and candidate frames live on stacks the
+//    search owns, so the per-node path allocates nothing: a search makes
+//    a logarithmic number of allocations in its node count
+//    (tests/test_alloc.cpp);
 //  * a trajectory-aware admissible bound (trajectory_bound_steps): per
 //    battery, the supply of charge units by wall-clock time T is capped
 //    by the initial available charge plus what the recovery process can
@@ -60,15 +61,9 @@ namespace bsched::opt {
 struct search_options {
   bool prune = true;            ///< Enable the admissible-bound pruning.
   /// Safety valve; throws beyond. At most 2^32 - 1, the memo's entry
-  /// numbering (a larger budget throws before the search starts).
+  /// numbering (a larger budget throws before the search starts). Every
+  /// memo entry is an expanded node, so this also bounds the memo.
   std::uint64_t max_nodes = 200'000'000;
-  /// Transposition-table size cap; 0 = unbounded. When the memo reaches
-  /// the cap the oldest entry is evicted (deterministic FIFO), so large
-  /// mixed banks cannot grow it without bound. Evicted subtrees may be
-  /// re-expanded (more nodes, identical exact results); evictions are
-  /// counted in search_stats::memo_evictions and in the
-  /// opt.search.memo_evictions_total counter.
-  std::uint64_t max_memo_entries = 0;
 };
 
 /// Statistics of one search or rollout run; surfaced unchanged through
@@ -97,16 +92,6 @@ struct optimal_result {
     const kibam::discretization& disc, std::size_t battery_count,
     const load::trace& load, const search_options& opts = {});
 
-/// Admissible upper bound (in time steps) on the remaining system lifetime
-/// from the start of epoch `epoch_index`, given `alive_units` total charge
-/// units across non-empty batteries (unit-additive because the bank shares
-/// one grid). The flat drain cap: death no later than the time at which
-/// the load has drawn every remaining unit. Exposed for property tests.
-[[nodiscard]] std::int64_t drain_bound_steps(const load::step_sizes& steps,
-                                             const load::trace& load,
-                                             std::size_t epoch_index,
-                                             std::int64_t alive_units);
-
 /// Admissible per-battery cap on the charge units a battery with `n`
 /// remaining units can ever deliver, given that single draws never exceed
 /// `max_draw_units`. A KiBaM battery is observed empty while still
@@ -128,9 +113,9 @@ struct optimal_result {
 /// recovery_steps(M) where M bounds every future *alive* height (the
 /// empty criterion caps M by the remaining charge). Summing these supply
 /// curves and walking the load's cumulative demand gives the first draw
-/// the system provably cannot serve. Never exceeds the flat
-/// drain_bound_steps over deliverable_units, and never undercuts a
-/// realizable lifetime (property-tested on random heterogeneous banks).
+/// the system provably cannot serve. Never exceeds the flat drain cap
+/// over deliverable_units, and never undercuts a realizable lifetime
+/// (property-tested on random heterogeneous banks).
 /// `max_draw_units` is the largest single draw in the load. Discretizes
 /// `load` per call (the search builds that table once and reuses it).
 [[nodiscard]] std::int64_t trajectory_bound_steps(

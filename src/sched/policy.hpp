@@ -120,7 +120,6 @@ struct search_stats {
   std::uint64_t memo_hits = 0;
   std::uint64_t pruned = 0;     ///< Children cut (bound or bounded memo hit).
   std::uint64_t memo_entries = 0;
-  std::uint64_t memo_evictions = 0;  ///< Entries evicted by the memo cap.
   std::uint64_t rollouts = 0;   ///< Candidate futures simulated (lookahead).
   /// Children cut specifically by the trajectory-aware admissible bound
   /// (a subset of `pruned`; the rest are bounded-memo reuses).
@@ -136,7 +135,6 @@ struct search_stats {
     memo_hits += o.memo_hits;
     pruned += o.pruned;
     memo_entries += o.memo_entries;
-    memo_evictions += o.memo_evictions;
     rollouts += o.rollouts;
     pruned_by_bound += o.pruned_by_bound;
     incumbent_from_lookahead += o.incumbent_from_lookahead;

@@ -1,0 +1,113 @@
+// Shared harness of the distributed-sweep tests (dist, svc, stress): the
+// single-process reference, the merge equivalence contract, and a
+// scripted worker speaking raw protocol frames.
+#pragma once
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "api/engine.hpp"
+#include "api/sweep.hpp"
+#include "dist/codec.hpp"
+#include "net/message.hpp"
+#include "net/socket.hpp"
+#include "util/error.hpp"
+
+namespace bsched::support {
+
+/// Single-process reference: run_sweep + summarize.
+inline std::vector<api::cell_summary> reference(const api::sweep& sw) {
+  const api::engine eng;
+  api::summarize sink{sw};
+  eng.run_sweep(sw, sink, 2);
+  return sink.cells();
+}
+
+/// The dist equivalence contract: descriptors, counts and extrema exact;
+/// quantiles exact below the digest budget (the sketches keep every
+/// sample there); moments exact when `exact_moments` (deterministic
+/// grids), else within ulp-scale rounding of the Chan combine. Cache
+/// accounting is per-process and not compared.
+inline void expect_equivalent(const std::vector<api::cell_summary>& merged,
+                              const std::vector<api::cell_summary>& ref,
+                              bool exact_moments = false) {
+  ASSERT_EQ(merged.size(), ref.size());
+  const auto tol = [](double x) { return 1e-9 * std::max(1.0, std::fabs(x)); };
+  for (std::size_t i = 0; i < merged.size(); ++i) {
+    const api::cell_summary& m = merged[i];
+    const api::cell_summary& r = ref[i];
+    EXPECT_EQ(m.cell, r.cell);
+    EXPECT_EQ(m.label, r.label);
+    EXPECT_EQ(m.load, r.load);
+    EXPECT_EQ(m.policy, r.policy);
+    EXPECT_EQ(m.fidelity, r.fidelity);
+    EXPECT_EQ(m.n, r.n) << r.label;
+    EXPECT_EQ(m.failures, r.failures) << r.label;
+    EXPECT_EQ(m.min_min, r.min_min) << r.label;
+    EXPECT_EQ(m.max_min, r.max_min) << r.label;
+    if (exact_moments) {
+      EXPECT_EQ(m.mean_min, r.mean_min) << r.label;
+      EXPECT_EQ(m.stddev_min, r.stddev_min) << r.label;
+      EXPECT_EQ(m.ci95_min, r.ci95_min) << r.label;
+    } else {
+      EXPECT_NEAR(m.mean_min, r.mean_min, tol(r.mean_min)) << r.label;
+      EXPECT_NEAR(m.stddev_min, r.stddev_min, tol(r.stddev_min)) << r.label;
+      EXPECT_NEAR(m.ci95_min, r.ci95_min, tol(r.ci95_min)) << r.label;
+    }
+    EXPECT_EQ(m.p10_min, r.p10_min) << r.label;
+    EXPECT_EQ(m.p50_min, r.p50_min) << r.label;
+    EXPECT_EQ(m.p90_min, r.p90_min) << r.label;
+    EXPECT_EQ(m.p50_residual_amin, r.p50_residual_amin) << r.label;
+  }
+}
+
+/// A scripted worker speaking raw protocol frames — the misbehaving half
+/// of the crash-recovery tests (the real svc::run_worker would never go
+/// silent, die mid-shard, or send a result twice).
+struct fake_worker {
+  net::connection conn;
+  int io_timeout_ms;
+  std::uint64_t session = 0;
+  api::sweep sw;
+
+  /// hello -> sweep handshake. The timeout is generous: these are tests,
+  /// not liveness checks.
+  explicit fake_worker(std::uint16_t port, int timeout_ms = 20000)
+      : io_timeout_ms(timeout_ms) {
+    conn = net::connection::dial("127.0.0.1", port, io_timeout_ms);
+    net::message hello = net::make("hello");
+    hello.fields["proto"] = std::to_string(net::protocol_version);
+    hello.fields["name"] = "fake";
+    conn.send_frame(net::encode(hello), io_timeout_ms);
+    const net::message sweep_msg = recv();
+    EXPECT_EQ(sweep_msg.type, "sweep");
+    session = sweep_msg.u64("session");
+    sw = dist::decode_sweep_str(sweep_msg.body);
+  }
+
+  void send(net::message m) {
+    m.fields["session"] = std::to_string(session);
+    conn.send_frame(net::encode(m), io_timeout_ms);
+  }
+
+  [[nodiscard]] net::message recv() {
+    auto frame = conn.recv_frame(io_timeout_ms);
+    if (!frame.has_value()) throw error("fake worker: recv timed out");
+    return net::decode(*frame);
+  }
+
+  /// ready -> lease.
+  [[nodiscard]] net::message take_lease() {
+    send(net::make("ready"));
+    const net::message lease = recv();
+    EXPECT_EQ(lease.type, "lease");
+    return lease;
+  }
+};
+
+}  // namespace bsched::support

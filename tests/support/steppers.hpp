@@ -1,9 +1,10 @@
 // Explicit ODE steppers, hand-rolled (no external numerics dependency).
 //
 // All steppers operate on fixed-dimension states `std::array<double, N>` and
-// a right-hand side callable `f(double t, const state&) -> state`. They are
-// the substrate for the continuous Kinetic Battery Model (eq. (1)/(2) of the
-// paper) and are validated against its closed-form constant-current solution.
+// a right-hand side callable `f(double t, const state&) -> state`. Test
+// reference code: the tests integrate the Kinetic Battery Model's ODEs
+// (eq. (1)/(2) of the paper) with them to cross-check the library's
+// closed-form solution.
 #pragma once
 
 #include <array>

@@ -321,12 +321,6 @@ TEST(Engine, SearchSpecParametersOverrideDefaults) {
   const run_result pruned = eng.run(scn);
   EXPECT_DOUBLE_EQ(unpruned.sim.lifetime_min, pruned.sim.lifetime_min);
 
-  scn.policy = "opt:max_memo_entries=2000";
-  const run_result capped = eng.run(scn);
-  EXPECT_DOUBLE_EQ(capped.sim.lifetime_min, pruned.sim.lifetime_min);
-  EXPECT_LE(capped.search.memo_entries, 2000u);
-  EXPECT_GT(capped.search.memo_evictions, 0u);
-
   scn.policy = "opt:budget=1";  // unknown parameter -> spec error
   EXPECT_THROW((void)eng.run(scn), error);
 }

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,10 +18,15 @@
 #include "dist/shard.hpp"
 #include "load/jobs.hpp"
 #include "load/trace.hpp"
+#include "support/fleet.hpp"
+#include "support/plan_shards.hpp"
 #include "util/error.hpp"
 
 namespace bsched::dist {
 namespace {
+
+using support::expect_equivalent;
+using support::reference;
 
 const kibam::battery_parameters b1 = kibam::battery_b1();
 
@@ -69,14 +73,6 @@ api::sweep table5_grid(std::size_t replications) {
   return sw;
 }
 
-/// Single-process reference: run_sweep + summarize.
-std::vector<api::cell_summary> reference(const api::sweep& sw) {
-  const api::engine eng;
-  api::summarize sink{sw};
-  eng.run_sweep(sw, sink, 2);
-  return sink.cells();
-}
-
 /// Shard -> codec round-trip -> merge, with per-shard worker-thread
 /// counts cycling through 1..3 to exercise thread independence.
 std::vector<api::cell_summary> sharded(const api::sweep& sw,
@@ -85,52 +81,11 @@ std::vector<api::cell_summary> sharded(const api::sweep& sw,
   std::vector<shard_aggregate> parts;
   for (const shard& sh : plan_shards(sw, n_shards)) {
     const shard_aggregate agg = run_shard(eng, sh, sh.index % 3 + 1);
-    std::stringstream wire;
-    encode(agg, wire);
-    const shard_aggregate decoded = decode(wire);
+    const shard_aggregate decoded = decode_str(encode_str(agg));
     EXPECT_EQ(decoded, agg) << "codec round-trip of shard " << sh.index;
     parts.push_back(decoded);
   }
   return summaries(merge_shards(std::move(parts)));
-}
-
-/// The equivalence contract: descriptors, counts and extrema exact;
-/// quantiles exact below the digest budget; moments exact when
-/// `exact_moments` (deterministic grids), else within ulp-scale rounding
-/// of the Chan combine. Cache accounting is per-process and not compared.
-void expect_equivalent(const std::vector<api::cell_summary>& merged,
-                       const std::vector<api::cell_summary>& ref,
-                       bool exact_moments) {
-  ASSERT_EQ(merged.size(), ref.size());
-  const auto tol = [](double x) { return 1e-9 * std::max(1.0, std::fabs(x)); };
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    const api::cell_summary& m = merged[i];
-    const api::cell_summary& r = ref[i];
-    EXPECT_EQ(m.cell, r.cell);
-    EXPECT_EQ(m.label, r.label);
-    EXPECT_EQ(m.load, r.load);
-    EXPECT_EQ(m.policy, r.policy);
-    EXPECT_EQ(m.fidelity, r.fidelity);
-    EXPECT_EQ(m.n, r.n) << r.label;
-    EXPECT_EQ(m.failures, r.failures) << r.label;
-    EXPECT_EQ(m.min_min, r.min_min) << r.label;
-    EXPECT_EQ(m.max_min, r.max_min) << r.label;
-    if (exact_moments) {
-      EXPECT_EQ(m.mean_min, r.mean_min) << r.label;
-      EXPECT_EQ(m.stddev_min, r.stddev_min) << r.label;
-      EXPECT_EQ(m.ci95_min, r.ci95_min) << r.label;
-    } else {
-      EXPECT_NEAR(m.mean_min, r.mean_min, tol(r.mean_min)) << r.label;
-      EXPECT_NEAR(m.stddev_min, r.stddev_min, tol(r.stddev_min)) << r.label;
-      EXPECT_NEAR(m.ci95_min, r.ci95_min, tol(r.ci95_min)) << r.label;
-    }
-    // Below the digest budget the sketches keep every sample, so the
-    // merged quantiles are the single-process ones bit for bit.
-    EXPECT_EQ(m.p10_min, r.p10_min) << r.label;
-    EXPECT_EQ(m.p50_min, r.p50_min) << r.label;
-    EXPECT_EQ(m.p90_min, r.p90_min) << r.label;
-    EXPECT_EQ(m.p50_residual_amin, r.p50_residual_amin) << r.label;
-  }
 }
 
 TEST(DistShard, PlanTilesTheItemStream) {
@@ -254,36 +209,29 @@ TEST(DistCodec, RoundTripsBitExactly) {
   const shard_aggregate agg = run_shard(eng, plan[1], 2);
   ASSERT_GT(agg.stats.runs, 0u);
 
-  std::stringstream wire;
-  encode(agg, wire);
-  const shard_aggregate decoded = decode(wire);
-  EXPECT_EQ(decoded, agg);
+  EXPECT_EQ(decode_str(encode_str(agg)), agg);
 
-  // And the file wrappers agree with the stream ones.
+  // And the file wrappers agree with the string ones.
   const std::string path = testing::TempDir() + "bsched_codec_rt.agg";
   write_file(agg, path);
   EXPECT_EQ(read_file(path), agg);
 }
 
 TEST(DistCodec, RejectsGarbageWithLineDiagnostics) {
-  const auto decode_text = [](const std::string& text) {
-    std::stringstream in{text};
-    return decode(in);
-  };
   // Wrong magic (a future version included) is refused, not guessed at.
-  EXPECT_THROW((void)decode_text(""), error);
-  EXPECT_THROW((void)decode_text("not a shard file\n"), error);
-  EXPECT_THROW((void)decode_text("bsched-shard v4\n"), error);
+  EXPECT_THROW((void)decode_str(""), error);
+  EXPECT_THROW((void)decode_str("not a shard file\n"), error);
+  EXPECT_THROW((void)decode_str("bsched-shard v5\n"), error);
   // Truncation after a valid prefix.
-  EXPECT_THROW((void)decode_text("bsched-shard v3\n"), error);
+  EXPECT_THROW((void)decode_str("bsched-shard v4\n"), error);
   EXPECT_THROW(
-      (void)decode_text("bsched-shard v3\nshard index=0 count=1 first=0 "
-                        "last=0\n"),
+      (void)decode_str("bsched-shard v4\nshard index=0 count=1 first=0 "
+                       "last=0\n"),
       error);
   // Malformed numbers name the field.
   try {
-    (void)decode_text(
-        "bsched-shard v3\nshard index=zero count=1 first=0 last=0\n");
+    (void)decode_str(
+        "bsched-shard v4\nshard index=zero count=1 first=0 last=0\n");
     FAIL() << "expected bsched::error";
   } catch (const error& e) {
     EXPECT_NE(std::string{e.what()}.find("index"), std::string::npos);
@@ -291,11 +239,11 @@ TEST(DistCodec, RejectsGarbageWithLineDiagnostics) {
   }
   // A valid header whose cell list stops early.
   EXPECT_THROW(
-      (void)decode_text("bsched-shard v3\n"
-                        "shard index=0 count=1 first=0 last=2\n"
-                        "sweep cells=2 replications=1 seed=0 reseed=1\n"
-                        "stats runs=2 evaluated=2 cache_hits=0 failures=0\n"
-                        "end\n"),
+      (void)decode_str("bsched-shard v4\n"
+                       "shard index=0 count=1 first=0 last=2\n"
+                       "sweep cells=2 replications=1 seed=0 reseed=1\n"
+                       "stats runs=2 evaluated=2 cache_hits=0 failures=0\n"
+                       "end\n"),
       error);
 }
 
@@ -346,7 +294,7 @@ TEST(DistCodec, ShardDiagnosticsNameLineAndSection) {
 
   // A malformed shard header names line 2 and the "shard header" section.
   expect_names_line_and_section(
-      decode_fn, "bsched-shard v3\nshard index=zero count=1 first=0 last=0\n",
+      decode_fn, "bsched-shard v4\nshard index=zero count=1 first=0 last=0\n",
       "2", "shard header");
 
   // Truncation inside the first cell's records names that cell.
@@ -369,25 +317,25 @@ TEST(DistCodec, ShardDiagnosticsNameLineAndSection) {
   }
 }
 
-TEST(DistCodec, RejectsVersionTwoShardNamingTheVersionLine) {
-  // v3 dropped the sweep record's pair-by-load flag. The reader looks
+TEST(DistCodec, RejectsVersionThreeShardNamingTheVersionLine) {
+  // v4 dropped the search record's memo-eviction count. The reader looks
   // fields up by key and ignores extra ones, so only the version line
-  // tells a v2 document apart: it is refused on line 1, and the error
+  // tells a v3 document apart: it is refused on line 1, and the error
   // shows both the version it saw and the one this reader speaks.
   const api::sweep sw = random_grid(2);
   const api::engine eng;
   std::vector<std::string> lines =
       lines_of(encode_str(run_shard(eng, plan_shard(sw, 0, 1))));
-  ASSERT_EQ(lines.front(), "bsched-shard v3");
-  lines.front() = "bsched-shard v2";
+  ASSERT_EQ(lines.front(), "bsched-shard v4");
+  lines.front() = "bsched-shard v3";
   try {
     (void)decode_str(join_lines(lines, lines.size()));
     FAIL() << "expected bsched::error";
   } catch (const error& e) {
     const std::string what{e.what()};
     EXPECT_NE(what.find("line 1"), std::string::npos) << what;
-    EXPECT_NE(what.find("'bsched-shard v2'"), std::string::npos) << what;
     EXPECT_NE(what.find("'bsched-shard v3'"), std::string::npos) << what;
+    EXPECT_NE(what.find("'bsched-shard v4'"), std::string::npos) << what;
   }
 }
 
@@ -444,7 +392,7 @@ TEST(DistCodec, SweepDecodeRejectsGarbageNamingLineAndSection) {
     return decode_sweep_str(text);
   };
   EXPECT_THROW((void)decode_sweep_str(""), error);
-  EXPECT_THROW((void)decode_sweep_str("bsched-shard v3\n"), error);
+  EXPECT_THROW((void)decode_sweep_str("bsched-shard v4\n"), error);
   EXPECT_THROW((void)decode_sweep_str("bsched-sweep v3\n"), error);
 
   const std::vector<std::string> lines =
@@ -535,6 +483,7 @@ TEST(DistMerge, StreamMergerFoldsOutOfOrderIncrementally) {
   // The coordinator's incremental fold: parts arrive out of stream
   // order, the contiguous prefix advances eagerly, gaps and overlaps are
   // rejected, and the final take() equals the one-shot merge_shards.
+  // A buffered part shows only through next() and complete().
   const api::sweep sw = random_grid(4);
   const std::size_t total = sw.cells.size() * sw.replications;
   const api::engine eng;
@@ -549,14 +498,14 @@ TEST(DistMerge, StreamMergerFoldsOutOfOrderIncrementally) {
   EXPECT_EQ(m.next(), 0u);
   m.add(parts[2]);  // out of order: buffered, prefix unchanged
   EXPECT_EQ(m.next(), 0u);
-  EXPECT_EQ(m.buffered(), 1u);
+  EXPECT_FALSE(m.complete(parts[2].last_item));
   m.add(parts[0]);  // prefix folds through part 0 only
   EXPECT_EQ(m.next(), parts[0].last_item);
   EXPECT_FALSE(m.complete(total));
   EXPECT_THROW((void)m.take(total), error);  // gap at parts[1]
   m.add(parts[1]);  // bridges the gap; prefix reaches parts[2] too
   EXPECT_EQ(m.next(), parts[2].last_item);
-  EXPECT_EQ(m.buffered(), 0u);
+  EXPECT_TRUE(m.complete(parts[2].last_item));  // nothing left buffered
   EXPECT_THROW(m.add(parts[1]), error);  // duplicate overlaps the prefix
   m.add(parts[3]);
   EXPECT_TRUE(m.complete(total));

@@ -5,7 +5,8 @@
 #include "kibam/kibam.hpp"
 #include "kibam/parameters.hpp"
 #include "load/jobs.hpp"
-#include "ode/steppers.hpp"
+#include "support/kibam_reference.hpp"
+#include "support/steppers.hpp"
 #include "util/error.hpp"
 
 namespace bsched::kibam {

@@ -62,22 +62,6 @@ TEST(Trace, PrefixThenCycle) {
   EXPECT_DOUBLE_EQ(t.prefix_minutes(), 0.5);
 }
 
-TEST(Trace, CurrentAtRespectsBoundaries) {
-  const trace t{{{1.0, 0.5}, {1.0, 0.0}}};
-  EXPECT_DOUBLE_EQ(t.current_at(0.0), 0.5);
-  EXPECT_DOUBLE_EQ(t.current_at(0.999), 0.5);
-  EXPECT_DOUBLE_EQ(t.current_at(1.0), 0.0);   // boundary starts next epoch
-  EXPECT_DOUBLE_EQ(t.current_at(2.0), 0.5);   // wrapped
-  EXPECT_DOUBLE_EQ(t.current_at(137.5), 0.0);
-}
-
-TEST(Trace, PositionAtDeepTime) {
-  const trace t{{{1.0, 0.5}, {1.0, 0.0}}};
-  const auto pos = t.position_at(1000.25);
-  EXPECT_EQ(pos.index, 1000u);
-  EXPECT_DOUBLE_EQ(pos.epoch_start_min, 1000.0);
-}
-
 TEST(Trace, PeakCurrent) {
   const trace t{{{1.0, 0.25}, {1.0, 0.5}, {2.0, 0.0}}};
   EXPECT_DOUBLE_EQ(t.peak_current(), 0.5);

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "ode/steppers.hpp"
+#include "support/steppers.hpp"
 #include "util/error.hpp"
 
 namespace bsched::ode {

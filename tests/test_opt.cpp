@@ -5,17 +5,16 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "kibam/bank.hpp"
 #include "kibam/discrete.hpp"
 #include "load/jobs.hpp"
-#include "obs/metrics.hpp"
 #include "opt/policies.hpp"
 #include "opt/search.hpp"
 #include "sched/policy.hpp"
 #include "sched/simulator.hpp"
+#include "support/drain_bound.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -457,86 +456,6 @@ TEST(Optimal, HomogeneousBanksUseTheTrajectoryBoundToo) {
   EXPECT_EQ(a.decisions, b.decisions);
   EXPECT_LE(a.stats.nodes, b.stats.nodes);
   EXPECT_GT(a.stats.pruned_by_bound, 0u);
-}
-
-TEST(Optimal, MemoCapEvictsWithoutChangingTheResult) {
-  // A capped transposition table re-expands evicted subtrees; the exact
-  // result — lifetime, decisions — is unaffected, entries stay within
-  // the cap, and the evictions surface in the stats. The effort counts
-  // pin the eviction order itself: the oldest entry goes first (FIFO), and
-  // evicting any other entry re-expands a different set of subtrees. The
-  // rows were recorded on the node-based table the flat one replaced.
-  struct capped_case {
-    std::uint64_t cap;
-    std::uint64_t opt_nodes;
-    std::uint64_t opt_memo_hits;
-    std::uint64_t opt_evictions;
-    std::uint64_t worst_nodes;
-    std::uint64_t worst_evictions;
-  };
-  const capped_case cases[] = {
-      {1, 56748, 0, 56747, 149313, 149312},
-      {2, 36953, 6, 36951, 95759, 95757},
-      {64, 35949, 130, 35885, 95555, 95491},
-      {2000, 24475, 2139, 22475, 79454, 77454},
-  };
-  const auto d = disc_b1();
-  const load::trace t = load::paper_trace(load::test_load::ils_250);
-  const optimal_result unbounded = optimal_schedule(d, 2, t);
-  const optimal_result unbounded_worst = worst_schedule(d, 2, t);
-  ASSERT_GT(unbounded.stats.memo_entries, 2000u);
-  EXPECT_EQ(unbounded.stats.memo_evictions, 0u);
-  EXPECT_EQ(unbounded.lifetime_min, 0x1.46147ae147ae1p+5);
-  for (const capped_case& c : cases) {
-    SCOPED_TRACE(c.cap);
-    search_options capped;
-    capped.max_memo_entries = c.cap;
-    const optimal_result r = optimal_schedule(d, 2, t, capped);
-    EXPECT_EQ(r.lifetime_min, 0x1.46147ae147ae1p+5);
-    EXPECT_EQ(r.decisions, unbounded.decisions);
-    EXPECT_EQ(r.stats.memo_entries, c.cap);
-    EXPECT_EQ(r.stats.nodes, c.opt_nodes);
-    EXPECT_EQ(r.stats.memo_hits, c.opt_memo_hits);
-    EXPECT_EQ(r.stats.memo_evictions, c.opt_evictions);
-    const optimal_result w = worst_schedule(d, 2, t, capped);
-    EXPECT_EQ(w.lifetime_min, unbounded_worst.lifetime_min);
-    EXPECT_EQ(w.decisions, unbounded_worst.decisions);
-    EXPECT_EQ(w.stats.nodes, c.worst_nodes);
-    EXPECT_EQ(w.stats.memo_evictions, c.worst_evictions);
-  }
-  // Deterministic: the same cap reproduces the same effort counters.
-  search_options capped;
-  capped.max_memo_entries = 2000;
-  EXPECT_EQ(optimal_schedule(d, 2, t, capped).stats,
-            optimal_schedule(d, 2, t, capped).stats);
-}
-
-/// The process-wide total of counter `name` (0 when it has not registered
-/// or the instrumentation is compiled out).
-std::uint64_t counter_total(std::string_view name) {
-  for (const auto& c : obs::registry::global().scrape().counters) {
-    if (c.name == name) return c.value;
-  }
-  return 0;
-}
-
-TEST(Optimal, MemoEvictionsReachTheRegistry) {
-  // Live telemetry sees a capped memo churning, not only the end-of-run
-  // stats: each search adds exactly its own evictions to the counter.
-  const auto d = disc_b1();
-  const load::trace t = load::paper_trace(load::test_load::ils_alt);
-  search_options capped;
-  capped.max_memo_entries = 4;
-  const std::uint64_t before =
-      counter_total("opt.search.memo_evictions_total");
-  const optimal_result r = optimal_schedule(d, 2, t, capped);
-  EXPECT_GT(r.stats.memo_evictions, 0u);
-#ifdef BSCHED_OBS_ENABLED
-  EXPECT_EQ(counter_total("opt.search.memo_evictions_total") - before,
-            r.stats.memo_evictions);
-#else
-  EXPECT_EQ(counter_total("opt.search.memo_evictions_total"), before);
-#endif
 }
 
 TEST(Optimal, StatsAreReported) {

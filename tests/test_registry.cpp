@@ -112,7 +112,9 @@ TEST(Registry, UnknownParameterNamesTheAcceptedSet) {
   EXPECT_NE(opt_msg.find("max_nodez"), std::string::npos) << opt_msg;
   EXPECT_NE(opt_msg.find("max_nodes"), std::string::npos) << opt_msg;
   EXPECT_NE(opt_msg.find("prune"), std::string::npos) << opt_msg;
-  EXPECT_NE(opt_msg.find("max_memo_entries"), std::string::npos) << opt_msg;
+  // The accepted set is exactly the two search knobs.
+  EXPECT_NE(opt_msg.find("(accepted: max_nodes, prune)"), std::string::npos)
+      << opt_msg;
 
   const std::string random_msg =
       message_of(registry::global(), "random:sede=42");
@@ -132,15 +134,17 @@ TEST(Registry, UnknownParameterNamesTheAcceptedSet) {
 }
 
 TEST(Registry, RemovedSearchKnobsFailNamingTheKey) {
-  // The exact search has no thread-count or warm-start knob. A spec
-  // setting "threads" or "warm_start" fails loudly, naming the key,
-  // instead of being silently ignored.
+  // The exact search has no thread-count, warm-start or memo-cap knob. A
+  // spec setting "threads", "warm_start" or "max_memo_entries" fails
+  // loudly, naming the key, instead of being silently ignored.
   const registry model = opt::model_registry();
   const std::pair<const char*, const char*> cases[] = {
       {"opt:threads=4", "threads"},
       {"opt:warm_start=8", "warm_start"},
+      {"opt:max_memo_entries=2000", "max_memo_entries"},
       {"worst:threads=4", "threads"},
-      {"worst:warm_start=8", "warm_start"}};
+      {"worst:warm_start=8", "warm_start"},
+      {"worst:max_memo_entries=2000", "max_memo_entries"}};
   for (const auto& [text, key] : cases) {
     try {
       (void)model.make(text);
@@ -150,7 +154,8 @@ TEST(Registry, RemovedSearchKnobsFailNamingTheKey) {
       EXPECT_NE(what.find(std::string{"unknown parameter '"} + key + "'"),
                 std::string::npos)
           << what;
-      EXPECT_NE(what.find("max_memo_entries"), std::string::npos) << what;
+      EXPECT_NE(what.find("(accepted: max_nodes, prune)"), std::string::npos)
+          << what;
     }
   }
 }

@@ -14,7 +14,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <future>
@@ -37,6 +36,7 @@
 #include "net/socket.hpp"
 #include "opt/search.hpp"
 #include "sched/simulator.hpp"
+#include "support/fleet.hpp"
 #include "svc/coordinator.hpp"
 #include "svc/worker.hpp"
 #include "util/error.hpp"
@@ -210,61 +210,6 @@ TEST(StressSearch, ConcurrentSearchesOnPrivateMemosStayExact) {
 
 // --- StressSvc: coordinator + in-process fleet under forced failures ----
 
-/// Exact-or-ulp equivalence against the single-process reference — the
-/// same contract tests/test_svc.cpp asserts, compressed.
-void expect_equivalent(const std::vector<api::cell_summary>& merged,
-                       const std::vector<api::cell_summary>& ref) {
-  ASSERT_EQ(merged.size(), ref.size());
-  const auto tol = [](double x) { return 1e-9 * std::max(1.0, std::fabs(x)); };
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    const api::cell_summary& m = merged[i];
-    const api::cell_summary& r = ref[i];
-    EXPECT_EQ(m.n, r.n) << r.label;
-    EXPECT_EQ(m.failures, r.failures) << r.label;
-    EXPECT_EQ(m.min_min, r.min_min) << r.label;
-    EXPECT_EQ(m.max_min, r.max_min) << r.label;
-    EXPECT_NEAR(m.mean_min, r.mean_min, tol(r.mean_min)) << r.label;
-    EXPECT_NEAR(m.stddev_min, r.stddev_min, tol(r.stddev_min)) << r.label;
-    EXPECT_EQ(m.p50_min, r.p50_min) << r.label;
-  }
-}
-
-/// A scripted worker speaking raw frames — the misbehaving quarter of the
-/// fleet (goes silent to force expiry, or vanishes to force a re-queue).
-struct fake_worker {
-  net::connection conn;
-  std::uint64_t session = 0;
-
-  explicit fake_worker(std::uint16_t port) {
-    conn = net::connection::dial("127.0.0.1", port, kIoTimeoutMs);
-    net::message hello = net::make("hello");
-    hello.fields["proto"] = std::to_string(net::protocol_version);
-    hello.fields["name"] = "fake";
-    conn.send_frame(net::encode(hello), kIoTimeoutMs);
-    const net::message sweep_msg = recv();
-    EXPECT_EQ(sweep_msg.type, "sweep");
-    session = sweep_msg.u64("session");
-  }
-
-  void send(net::message m) {
-    m.fields["session"] = std::to_string(session);
-    conn.send_frame(net::encode(m), kIoTimeoutMs);
-  }
-
-  [[nodiscard]] net::message recv() {
-    auto frame = conn.recv_frame(kIoTimeoutMs);
-    if (!frame.has_value()) throw error("fake worker: recv timed out");
-    return net::decode(*frame);
-  }
-
-  [[nodiscard]] net::message take_lease() {
-    send(net::make("ready"));
-    const net::message lease = recv();
-    EXPECT_EQ(lease.type, "lease");
-    return lease;
-  }
-};
-
 TEST(StressSvc, FleetSurvivesSilenceDisconnectsAndSteals) {
   api::sweep sw;
   for (const char* load : {"random:count=12,p=0.4,seed=1",
@@ -283,9 +228,8 @@ TEST(StressSvc, FleetSurvivesSilenceDisconnectsAndSteals) {
   sw.replications = 8;
   sw.seed = 2009;
 
+  const std::vector<api::cell_summary> ref = support::reference(sw);
   const api::engine eng;
-  api::summarize ref_sink{sw};
-  eng.run_sweep(sw, ref_sink, 2);
 
   // Tiny leases and one-item chunks maximize protocol traffic; the short
   // lease timeout guarantees the silent fake's lease expires mid-run.
@@ -301,10 +245,10 @@ TEST(StressSvc, FleetSurvivesSilenceDisconnectsAndSteals) {
   // real fleet churns: one fake holds a lease in silence until it has
   // expired (its late result must be rejected), another takes a lease
   // and vanishes (abrupt close -> immediate re-queue).
-  fake_worker silent{coord.port()};
+  support::fake_worker silent{coord.port(), kIoTimeoutMs};
   const net::message held = silent.take_lease();
   {
-    fake_worker vanishing{coord.port()};
+    support::fake_worker vanishing{coord.port(), kIoTimeoutMs};
     (void)vanishing.take_lease();
     vanishing.conn.close();
   }
@@ -344,7 +288,7 @@ TEST(StressSvc, FleetSurvivesSilenceDisconnectsAndSteals) {
   (void)w1.get();
   (void)w2.get();
 
-  expect_equivalent(dist::summaries(merged), ref_sink.cells());
+  support::expect_equivalent(dist::summaries(merged), ref);
   const svc::coordinator_counters& c = coord.counters();
   EXPECT_GE(c.expired, 1u);
   EXPECT_GE(c.requeued_disconnect, 1u);

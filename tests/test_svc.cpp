@@ -10,7 +10,6 @@
 #include <sys/socket.h>
 
 #include <chrono>
-#include <cmath>
 #include <future>
 #include <string>
 #include <thread>
@@ -23,6 +22,7 @@
 #include "dist/shard.hpp"
 #include "net/message.hpp"
 #include "net/socket.hpp"
+#include "support/fleet.hpp"
 #include "svc/coordinator.hpp"
 #include "svc/worker.hpp"
 #include "util/error.hpp"
@@ -30,7 +30,9 @@
 namespace bsched::svc {
 namespace {
 
-constexpr int kIoTimeoutMs = 20000;  ///< Generous — tests, not liveness.
+using support::expect_equivalent;
+using support::fake_worker;
+using support::reference;
 
 api::scenario cell(api::load_spec load, std::string policy) {
   return api::scenario{.label = {},
@@ -59,41 +61,6 @@ api::sweep grid(std::size_t replications) {
   return sw;
 }
 
-std::vector<api::cell_summary> reference(const api::sweep& sw) {
-  const api::engine eng;
-  api::summarize sink{sw};
-  eng.run_sweep(sw, sink, 2);
-  return sink.cells();
-}
-
-/// The dist equivalence contract (same as tests/test_dist.cpp): counts,
-/// extrema and below-budget quantiles exact, moments within ulp-scale
-/// rounding of the Chan combine.
-void expect_equivalent(const std::vector<api::cell_summary>& merged,
-                       const std::vector<api::cell_summary>& ref) {
-  ASSERT_EQ(merged.size(), ref.size());
-  const auto tol = [](double x) { return 1e-9 * std::max(1.0, std::fabs(x)); };
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    const api::cell_summary& m = merged[i];
-    const api::cell_summary& r = ref[i];
-    EXPECT_EQ(m.label, r.label);
-    EXPECT_EQ(m.load, r.load);
-    EXPECT_EQ(m.policy, r.policy);
-    EXPECT_EQ(m.fidelity, r.fidelity);
-    EXPECT_EQ(m.n, r.n) << r.label;
-    EXPECT_EQ(m.failures, r.failures) << r.label;
-    EXPECT_EQ(m.min_min, r.min_min) << r.label;
-    EXPECT_EQ(m.max_min, r.max_min) << r.label;
-    EXPECT_NEAR(m.mean_min, r.mean_min, tol(r.mean_min)) << r.label;
-    EXPECT_NEAR(m.stddev_min, r.stddev_min, tol(r.stddev_min)) << r.label;
-    EXPECT_NEAR(m.ci95_min, r.ci95_min, tol(r.ci95_min)) << r.label;
-    EXPECT_EQ(m.p10_min, r.p10_min) << r.label;
-    EXPECT_EQ(m.p50_min, r.p50_min) << r.label;
-    EXPECT_EQ(m.p90_min, r.p90_min) << r.label;
-    EXPECT_EQ(m.p50_residual_amin, r.p50_residual_amin) << r.label;
-  }
-}
-
 /// Launches coordinator::run() on a thread; future.get() re-throws any
 /// coordinator-side error in the test body.
 std::future<dist::shard_aggregate> serve(coordinator& coord) {
@@ -111,47 +78,6 @@ std::future<worker_report> join_fleet(const api::engine& engine,
     return run_worker(engine, opts);
   });
 }
-
-/// A scripted worker speaking raw protocol frames — the misbehaving half
-/// of the crash-recovery tests (the real svc::run_worker would never go
-/// silent, die mid-shard, or send a result twice).
-struct fake_worker {
-  net::connection conn;
-  std::uint64_t session = 0;
-  api::sweep sw;
-
-  /// hello -> sweep handshake.
-  explicit fake_worker(std::uint16_t port) {
-    conn = net::connection::dial("127.0.0.1", port, kIoTimeoutMs);
-    net::message hello = net::make("hello");
-    hello.fields["proto"] = std::to_string(net::protocol_version);
-    hello.fields["name"] = "fake";
-    conn.send_frame(net::encode(hello), kIoTimeoutMs);
-    const net::message sweep_msg = recv();
-    EXPECT_EQ(sweep_msg.type, "sweep");
-    session = sweep_msg.u64("session");
-    sw = dist::decode_sweep_str(sweep_msg.body);
-  }
-
-  void send(net::message m) {
-    m.fields["session"] = std::to_string(session);
-    conn.send_frame(net::encode(m), kIoTimeoutMs);
-  }
-
-  [[nodiscard]] net::message recv() {
-    auto frame = conn.recv_frame(kIoTimeoutMs);
-    if (!frame.has_value()) throw error("fake worker: recv timed out");
-    return net::decode(*frame);
-  }
-
-  /// ready -> lease.
-  [[nodiscard]] net::message take_lease() {
-    send(net::make("ready"));
-    const net::message lease = recv();
-    EXPECT_EQ(lease.type, "lease");
-    return lease;
-  }
-};
 
 TEST(SvcService, ThreeWorkerFleetReproducesSingleProcess) {
   const api::sweep sw = grid(8);

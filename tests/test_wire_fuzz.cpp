@@ -113,7 +113,7 @@ std::vector<format> formats() {
        {net::encode(hb), net::encode(hello)},
        [](const std::string& x) { return net::encode(net::decode(x)); }},
       {"spec",
-       {"opt:max_memo_entries=8,max_nodes=1000,prune=0", "random:seed=42",
+       {"opt:max_nodes=1000,prune=0", "random:seed=42",
         "fixed:decisions=0-1-0-1"},
        [](const std::string& x) { return parse_spec(x).str(); }},
       {"load spec",

@@ -177,7 +177,7 @@ int main(int argc, char** argv) {
     const dist::shard_aggregate agg =
         dist::run_shard(engine, sh, n_threads);
     if (out_path == "-") {
-      dist::encode(agg, std::cout);
+      std::cout << dist::encode_str(agg);
     } else {
       dist::write_file(agg, out_path);
       std::fprintf(stderr, "sweep_worker: wrote %s (%zu runs, %zu failures)\n",
