@@ -5,6 +5,11 @@
 // search and PTA successor generation.
 #include <benchmark/benchmark.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <random>
+#include <vector>
+
 #include "api/engine.hpp"
 #include "api/scenario.hpp"
 #include "api/sweep.hpp"
@@ -18,6 +23,7 @@
 #include "pta/semantics.hpp"
 #include "sched/policy.hpp"
 #include "sched/simulator.hpp"
+#include "support/bank_reference.hpp"
 #include "takibam/network.hpp"
 
 namespace {
@@ -74,28 +80,77 @@ void bm_bank_step_all(benchmark::State& state) {
   const load::draw_rate rate{1, 4};
   for (auto _ : state) {
     std::vector<kibam::discrete_state> s = bk.full_states();
-    while (bk.step_all(s, 0, rate) != kibam::step_event::died) {
+    while (kibam::step_all(bk, s, 0, rate) != kibam::step_event::died) {
     }
     benchmark::DoNotOptimize(s);
   }
 }
 BENCHMARK(bm_bank_step_all);
 
+/// `count` mid-life states of a mixed B1 + B2 bank: battery 0 partly
+/// drained (n >= N/2, alive) with a running recovery timer, battery 1
+/// resting with a height difference to recover.
+std::vector<std::vector<kibam::discrete_state>> drawn_states(
+    const kibam::bank& bk, std::size_t count) {
+  std::mt19937_64 rng{2009};
+  std::vector<std::vector<kibam::discrete_state>> out;
+  out.reserve(count);
+  while (out.size() < count) {
+    std::vector<kibam::discrete_state> s = bk.full_states();
+    for (std::size_t b = 0; b < s.size(); ++b) {
+      const kibam::discretization& d = bk.disc(b);
+      const std::int64_t n0 = d.total_units();
+      s[b].n = std::uniform_int_distribution<std::int64_t>{n0 / 2, n0}(rng);
+      s[b].m = std::uniform_int_distribution<std::int64_t>{2, 90}(rng);
+      s[b].recovery_elapsed = std::uniform_int_distribution<std::int64_t>{
+          0, d.recovery_steps(s[b].m) - 1}(rng);
+    }
+    if (bk.disc(0).available_permille(s[0].n, s[0].m) > 0) {
+      out.push_back(std::move(s));
+    }
+  }
+  return out;
+}
+
 void bm_bank_advance_all(benchmark::State& state) {
   // The same full discharge through the event-horizon kernel: gaps
   // between draw/recovery events are jumped in O(1), so the cost scales
-  // with events, not ticks.
+  // with events, not ticks. Each iteration starts from a different
+  // pre-drawn mid-life state (8 per slot of the transition memo), and a
+  // window the active battery dies in is never memoised, so this times
+  // the kernel behind the memo's misses (the recovering battery's rest
+  // is a memo miss too, unless a state repeats its key).
   const kibam::bank bk{{kibam::battery_b1(), kibam::battery_b2()}};
+  const auto starts = drawn_states(bk, 1 << 14);
   const load::draw_rate rate{1, 4};
+  std::size_t i = 0;
   for (auto _ : state) {
-    std::vector<kibam::discrete_state> s = bk.full_states();
+    std::vector<kibam::discrete_state> s = starts[i];
     while (bk.advance_all(s, 0, rate, 1 << 20).event !=
            kibam::step_event::died) {
     }
     benchmark::DoNotOptimize(s);
+    i = (i + 1) % starts.size();
   }
 }
 BENCHMARK(bm_bank_advance_all);
+
+void bm_bank_advance_all_repeat(benchmark::State& state) {
+  // One discharge from one state every iteration, in the 100-step spans
+  // of a rollout: after the first iteration every window the battery
+  // survives is a memo hit, and only the fatal one runs the kernel. What
+  // a rollout pays for a future another candidate's rollout already saw.
+  const kibam::bank bk{{kibam::battery_b1(), kibam::battery_b2()}};
+  const auto start = drawn_states(bk, 1).front();
+  const load::draw_rate rate{1, 4};
+  for (auto _ : state) {
+    std::vector<kibam::discrete_state> s = start;
+    while (bk.advance_all(s, 0, rate, 100).event != kibam::step_event::died) {
+    }
+    benchmark::DoNotOptimize(s);
+  }
+}
+BENCHMARK(bm_bank_advance_all_repeat);
 
 void bm_bank_build(benchmark::State& state) {
   // Discretizing a 2 x B1 bank on the default grid: what every discrete

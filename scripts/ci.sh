@@ -109,17 +109,21 @@ run_tsan() {
   local dir="$BUILD_PREFIX-tsan"
   configure_and_build "$dir" RelWithDebInfo -DBSCHED_SANITIZE=thread
   # The stress suite is the point of this flavour — run it first and
-  # standalone (fail loudly if the filter ever goes empty), then the
-  # rest of the concurrency surface: the sweep pool, the svc fleet, the
-  # net framing, the api engine's thread-count-independence tests, the
-  # exact search (concurrent searches on the sweep pool, each with its
-  # own memo) and the allocation counts (their operator new replacement must hold under
-  # the TSan runtime too).
+  # standalone (fail loudly if the filter ever goes empty; StressKibam
+  # runs rollouts and searches over the per-thread transition memos of
+  # bank::advance_all on an 8-thread pool), then the rest of the
+  # concurrency surface: the sweep pool, the svc fleet, the net framing,
+  # the api engine's thread-count-independence tests, the exact search
+  # (concurrent searches on the sweep pool, each with its own memo), the
+  # transition memo's differential tests (BankAdvanceAll) and the
+  # allocation counts (their operator new replacement must hold under
+  # the TSan runtime too, and two of them start a thread).
   TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
     ctest --test-dir "$dir" -R "Stress" --no-tests=error \
     --output-on-failure -j "$JOBS"
   TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
-    ctest --test-dir "$dir" -R "Svc|Sweep|Api|Dist|Net|Obs|Opt|Alloc" \
+    ctest --test-dir "$dir" \
+    -R "Svc|Sweep|Api|Dist|Net|Obs|Opt|BankAdvanceAll|Alloc" \
     --no-tests=error --output-on-failure -j "$JOBS"
 }
 

@@ -14,6 +14,14 @@
 //   * counters at every return point equal the per-tick counters after
 //     the same number of steps (differential-tested in
 //     tests/test_discrete.cpp).
+//
+// n enters a window only through the death draw: it caps each run of
+// draws at the fatal one and is otherwise never read. So two states that
+// differ only in n take the same steps (m, both timers, number of draws)
+// until one of them meets a fatal draw. Draw j is fatal iff
+//   c n <= (1000 - c) m_j + c u j        (eq. (8) after j draws of u)
+// — the survival bound bank::advance_all's transition memo checks before
+// it reuses a window recorded at another n.
 #pragma once
 
 #include <algorithm>
@@ -45,13 +53,25 @@ inline void advance_rest(const discretization& d, std::int64_t& m,
   recovery_elapsed = 0;  // step() zeroes the timer every tick while m < 2
 }
 
+/// The draw observer of plain advances: ignores every draw.
+struct ignore_draws {
+  void operator()(const discrete_state& /*after*/) const noexcept {}
+};
+
 /// The event-horizon advance behind kibam::advance_until and
 /// bank::advance_all. Consumes up to `max_steps` steps, returning early
 /// only at the death draw; see the header comment for the invariant.
+/// `on_draws` sees the state right after each draw or closed-form run of
+/// draws. Every draw of a run lowers the available charge by 1000 u
+/// permille, so the states it sees carry the window's lowest available
+/// charge, which is what bank::advance_all's transition memo keys its
+/// survival bound on.
+template <typename OnDraws = ignore_draws>
 inline advance_result advance_state(const discretization& d,
                                     discrete_state& s,
                                     const load::draw_rate& rate,
-                                    std::int64_t max_steps) {
+                                    std::int64_t max_steps,
+                                    OnDraws on_draws = {}) {
   BSCHED_ASSERT(max_steps > 0);
   if (rate.steps <= 0 || s.empty) {
     advance_rest(d, s.m, s.recovery_elapsed, max_steps);
@@ -79,6 +99,7 @@ inline advance_result advance_state(const discretization& d,
           s.m += u;
           s.discharge_elapsed = 0;
           BSCHED_ASSERT(s.n >= 0);
+          on_draws(s);
           if (d.is_empty(s.n, s.m)) {
             s.empty = true;
             return {done, step_event::died};
@@ -140,6 +161,7 @@ inline advance_result advance_state(const discretization& d,
     }
     done += consumed;
     BSCHED_ASSERT(s.n >= 0);
+    on_draws(s);
     if (batch == death_j) {
       BSCHED_ASSERT(d.is_empty(s.n, s.m));
       s.empty = true;

@@ -9,6 +9,27 @@
 // heterogeneous in capacity and KiBaM parameters; the grid is common, so
 // charge units are additive across batteries (the drain bound relies on
 // this) and available-charge permille values are comparable between types.
+//
+// advance_all memoises single-battery transitions. Between scheduling
+// points the dKiBaM is deterministic, and the exact search, the simulator
+// and the lookahead rollouts feed the kernel the same per-battery inputs
+// over and over (every candidate's rollout replays nearly the same
+// future). Each calling thread owns one fixed-size, direct-mapped table,
+// heap-allocated (one block, 176 KiB) on the thread's first advance and
+// freed at thread exit; a colliding entry simply replaces the old one.
+// Two kinds of entry:
+//   * resting:  (m, re, len)           -> (m', re')
+//   * drawing:  (m, re, de, rate, len) -> (m', re', de', draws, need)
+// A drawing entry is recorded from a window the battery survived. Until
+// its first fatal draw, a window's steps do not depend on n (see
+// advance.hpp), and draw j is fatal iff c n <= (1000 - c) m_j + c u j.
+// `need` is the largest right-hand side over the window's draws, so
+// c n > need proves that no draw is fatal and the stored outcome applies
+// (n drops by draws * u); otherwise the exact kernel runs. Keys carry the
+// discretization's process-unique serial(), so banks of different
+// parameters share a thread's table without confusion, and a bank freed
+// and rebuilt at the same address can never hit stale entries. There is
+// nothing to configure.
 #pragma once
 
 #include <cstdint>
@@ -63,22 +84,17 @@ class bank {
   /// No battery serves (all rest/recover) this step.
   static constexpr std::size_t idle = static_cast<std::size_t>(-1);
 
-  /// Advances every battery of `states` by one time step: battery
-  /// `active` draws at `rate`, every other battery rests (recovers).
-  /// Returns the active battery's step event (`none` when idle). The
-  /// per-tick reference for tests and bench_micro: the simulator, the
-  /// exact search and the rollout scheduler all advance through
-  /// advance_all, which must stay bit-identical to repeated calls here.
-  step_event step_all(std::vector<discrete_state>& states,
-                      std::size_t active = idle,
-                      const load::draw_rate& rate = {0, 0}) const;
-
   /// Advances every battery by up to `max_steps` time steps in O(events),
-  /// bit-identical to that many step_all calls. Batteries never interact
-  /// within a step, so the active battery is advanced with the full
-  /// event-horizon kernel and every other battery recovers by exactly the
-  /// number of steps it consumed. Stops early only when the active battery
-  /// is observed empty (`died` at its exact step).
+  /// bit-identical to that many per-tick kibam::step calls (battery
+  /// `active` drawing at `rate`, every other battery resting; `idle`
+  /// rests them all). Batteries never interact within a step, so the
+  /// active battery is advanced with the full event-horizon kernel and
+  /// every other battery recovers by exactly the number of steps it
+  /// consumed. Stops early only when the active battery is observed empty
+  /// (`died` at its exact step).
+  ///
+  /// Single-battery transitions are memoised per thread (see the file
+  /// comment); the result is the kernel's, hit or miss.
   advance_result advance_all(std::vector<discrete_state>& states,
                              std::size_t active,
                              const load::draw_rate& rate,

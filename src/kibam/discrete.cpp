@@ -1,5 +1,6 @@
 #include "kibam/discrete.hpp"
 
+#include <atomic>
 #include <cmath>
 
 #include "kibam/advance.hpp"
@@ -7,9 +8,18 @@
 
 namespace bsched::kibam {
 
+namespace {
+
+std::uint64_t next_serial() noexcept {
+  static std::atomic<std::uint64_t> last{0};
+  return last.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+}  // namespace
+
 discretization::discretization(const battery_parameters& params,
                                load::step_sizes steps)
-    : params_(params), steps_(steps) {
+    : serial_(next_serial()), params_(params), steps_(steps) {
   validate(params_);
   require(steps_.time_step_min > 0 && steps_.charge_unit_amin > 0,
           "discretization: step sizes must be positive");

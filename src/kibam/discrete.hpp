@@ -75,7 +75,15 @@ class discretization {
   /// gamma = n Gamma, delta = m Gamma / c.
   [[nodiscard]] state to_continuous(std::int64_t n, std::int64_t m) const;
 
+  /// Process-unique identity, drawn from a global counter at construction
+  /// and shared by copies (which are equal: the class is immutable). The
+  /// transition memo behind bank::advance_all keys on it, so a
+  /// discretization rebuilt at a freed one's address never sees the old
+  /// one's entries. Never 0.
+  [[nodiscard]] std::uint64_t serial() const noexcept { return serial_; }
+
  private:
+  std::uint64_t serial_;
   battery_parameters params_;
   load::step_sizes steps_;
   std::int64_t n0_;

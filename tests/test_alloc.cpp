@@ -1,7 +1,8 @@
 // Allocation-count regressions for the per-call hot paths: an obs counter
 // hook, the dKiBaM advance kernel, the draw-rate lookup, the search's
 // per-battery cap and a protocol message's field reads must not touch the
-// heap once warm; an exact search must not allocate per node;
+// heap once warm, and the advance kernel's transition memo costs one
+// block per thread; an exact search must not allocate per node;
 // materializing a stochastic load and decoding a message header must
 // allocate a fixed number of blocks whatever their length;
 // decoding a shard aggregate allocates for what it builds, not per field
@@ -11,8 +12,9 @@
 // This file replaces the global operator new/delete with counting
 // pass-throughs to malloc/free, so it builds as its own executable
 // (bsched_alloc_tests): the main suite keeps the sanitizers' own
-// new/delete checks. Every suite here is single-threaded, so a global
-// counter measures exactly the code between two reads of it.
+// new/delete checks. Every suite here runs one thread at a time (the
+// memo tests start a fresh thread and wait for it), so a global counter
+// measures exactly the code between two reads of it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +22,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/scenario.hpp"
@@ -87,6 +90,33 @@ TEST(Alloc, BankAdvanceAllocatesNothing) {
             0u);
 }
 
+TEST(Alloc, TransitionMemoIsOneBlockPerThreadOnItsFirstAdvance) {
+  // bank::advance_all memoises transitions in one block per thread,
+  // allocated on that thread's first advance: a fresh thread pays exactly
+  // one allocation there and none after. An advance here registers the
+  // kernel's obs counters and the bump there the thread's obs shard, so
+  // only the memo is left to count.
+  const kibam::bank bank{{kibam::battery_b1(), kibam::battery_b2()}};
+  std::vector<kibam::discrete_state> warm = bank.full_states();
+  (void)bank.advance_all(warm, 0, {1, 4}, 100);
+  std::uint64_t first = 0;
+  std::uint64_t later = 0;
+  std::thread fresh{[&] {
+    bump_counter();
+    std::vector<kibam::discrete_state> states = bank.full_states();
+    first = allocations_in(
+        [&] { (void)bank.advance_all(states, 0, {1, 4}, 100); });
+    later = allocations_in([&] {
+      for (int i = 0; i < 10; ++i) {
+        (void)bank.advance_all(states, i % 2, {1, 4}, 100);
+      }
+    });
+  }};
+  fresh.join();
+  EXPECT_EQ(first, 1u);
+  EXPECT_EQ(later, 0u);
+}
+
 TEST(Alloc, RateForAllocatesNothing) {
   EXPECT_EQ(allocations_in([] {
               for (const double amps : {0.25, 0.5, 0.3, 0.07}) {
@@ -126,6 +156,22 @@ TEST(Alloc, ExactSearchAllocationsDoNotGrowWithTheNodeCount) {
   ASSERT_EQ(small_run.stats.nodes, 22u);
   EXPECT_LT(large_count, 400u);
   EXPECT_LE(large_count, 4 * small_count);
+}
+
+TEST(Alloc, RepeatedSearchOnOneThreadAllocatesNoMore) {
+  // The first search on a fresh thread also pays for the thread's
+  // transition memo; a second identical search reuses it.
+  const kibam::discretization d{kibam::battery_b1()};
+  const load::trace t = load::paper_trace(load::test_load::ill_250);
+  std::uint64_t first = 0;
+  std::uint64_t second = 0;
+  std::thread fresh{[&] {
+    first = allocations_in([&] { (void)opt::optimal_schedule(d, 2, t); });
+    second = allocations_in([&] { (void)opt::optimal_schedule(d, 2, t); });
+  }};
+  fresh.join();
+  EXPECT_LE(second, first);
+  EXPECT_GT(first, 0u);
 }
 
 TEST(Alloc, MaterializeCostDoesNotGrowWithTheJobCount) {

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "kibam/bank.hpp"
 #include "kibam/discrete.hpp"
 #include "load/jobs.hpp"
+#include "support/bank_reference.hpp"
 #include "util/error.hpp"
 
 namespace bsched::kibam {
@@ -208,7 +212,7 @@ TEST(DiscreteLifetime, MatchesPerTickReference) {
   }
 }
 
-// --- bank::advance_all against the per-tick reference bank::step_all. ---
+// --- bank::advance_all against the per-tick reference step_all. ---
 
 /// Random alternation of jobs (random active battery, random rate), idle
 /// phases and go_on discharge-clock resets — the protocol shapes the
@@ -258,7 +262,7 @@ TEST(BankAdvanceAll, BitIdenticalToStepAll) {
       ASSERT_GE(a.steps, 1);
       ASSERT_LE(a.steps, seg.steps);
       for (std::int64_t i = 1; i <= a.steps; ++i) {
-        const step_event ev = bk.step_all(ref, seg.active, seg.rate);
+        const step_event ev = step_all(bk, ref, seg.active, seg.rate);
         if (ev == step_event::died) {
           ASSERT_EQ(i, a.steps) << "per-tick death before advance return";
           ASSERT_EQ(a.event, step_event::died);
@@ -268,6 +272,123 @@ TEST(BankAdvanceAll, BitIdenticalToStepAll) {
         ASSERT_EQ(a.steps, seg.steps);
       }
       ASSERT_EQ(fast, ref) << "trial " << trial;
+    }
+  }
+}
+
+/// Runs `seg` from `from` through advance_all, checked against step_all
+/// tick by tick; returns the advanced states.
+std::vector<discrete_state> checked_advance(
+    const bank& bk, const std::vector<discrete_state>& from,
+    const segment& seg) {
+  std::vector<discrete_state> fast = from;
+  std::vector<discrete_state> ref = from;
+  const advance_result a = bk.advance_all(fast, seg.active, seg.rate,
+                                          seg.steps);
+  std::int64_t ticks = 0;
+  step_event ev = step_event::none;
+  while (ticks < seg.steps && ev != step_event::died) {
+    ev = step_all(bk, ref, seg.active, seg.rate);
+    ++ticks;
+  }
+  EXPECT_EQ(a.steps, ticks);
+  EXPECT_EQ(a.event == step_event::died, ev == step_event::died);
+  EXPECT_EQ(fast, ref);
+  return fast;
+}
+
+/// The largest (1000 - c) m_j + c u j over the draws j of a `len`-step
+/// window of `rate` from `s`, stepped per tick with n lifted to the full
+/// capacity; -1 when the window has no draw. Fails the test if the
+/// battery dies even at full charge.
+std::int64_t window_need(const discretization& d, discrete_state s,
+                         const load::draw_rate& rate, std::int64_t len) {
+  s.n = d.total_units();
+  const std::int64_t c = d.c_permille();
+  std::int64_t need = -1;
+  std::int64_t draws = 0;
+  for (std::int64_t i = 0; i < len; ++i) {
+    const step_event ev = step(d, s, rate);
+    EXPECT_NE(ev, step_event::died);
+    if (ev == step_event::drew) {
+      ++draws;
+      need = std::max(need, (1000 - c) * s.m + c * rate.units * draws);
+    }
+  }
+  return need;
+}
+
+TEST(BankAdvanceAll, MemoHitsMatchStepAll) {
+  // Two banks whose batteries differ only in k' and c (the second's larger
+  // c keeps every state the first reaches alive in both), on one thread.
+  // Every segment runs from one snapshot on the first bank, on the second
+  // and on the first again: the second call on a bank hits the entry the
+  // first recorded, and the other bank's call has the very same key but
+  // for the discretization. Every result is checked against step_all.
+  const battery_parameters pa = battery_b1();
+  const battery_parameters pb{pa.capacity_amin, 0.25, 0.3};
+  std::optional<bank> a{std::in_place,
+                        std::vector<battery_parameters>{pa, pa, pa}};
+  const bank b{{pb, pb, pb}};
+  std::mt19937_64 rng{23};
+  for (int trial = 0; trial < 6; ++trial) {
+    std::vector<std::pair<std::vector<discrete_state>, segment>> done;
+    std::vector<discrete_state> states = a->full_states();
+    for (const segment& seg : random_plan(rng, a->size(), 50)) {
+      if (seg.active != bank::idle && states[seg.active].empty) continue;
+      if (seg.reset_clock && seg.active != bank::idle) {
+        states[seg.active].discharge_elapsed = 0;
+      }
+      const std::vector<discrete_state> first =
+          checked_advance(*a, states, seg);
+      (void)checked_advance(b, states, seg);
+      EXPECT_EQ(checked_advance(*a, states, seg), first);
+      if (HasFailure()) return;
+      done.emplace_back(states, seg);
+      states = first;
+    }
+    // Rebuild the first bank with the second's parameters: its
+    // discretization may land at the old one's address, and replaying
+    // the old bank's windows must not hit the old bank's entries.
+    a.reset();
+    a.emplace(std::vector<battery_parameters>{pb, pb, pb});
+    for (const auto& [from, seg] : done) (void)checked_advance(*a, from, seg);
+    if (HasFailure()) return;
+    a.reset();
+    a.emplace(std::vector<battery_parameters>{pa, pa, pa});
+  }
+
+  // The survival bound at its edge. c = 0.2 makes every need_j a multiple
+  // of c (1000 m_j is), so there is an n with c n == need exactly: a
+  // recorded window must not apply there (its fatal draw lands inside
+  // the window), and must apply at need / c + 1.
+  const battery_parameters pc{pa.capacity_amin, 0.2, pa.k_prime};
+  const bank c_bank{{pc, pc}};
+  const discretization& d = c_bank.disc(0);
+  const load::draw_rate rate{2, 3};
+  const std::int64_t len = 90;
+  for (const discrete_state base :
+       {discrete_state{0, 7, 5, 1, false}, discrete_state{0, 30, 0, 2, false},
+        discrete_state{0, 1, 0, 0, false}}) {
+    const std::int64_t need = window_need(d, base, rate, len);
+    ASSERT_GT(need, 0);
+    ASSERT_EQ(need % d.c_permille(), 0);
+    const std::int64_t edge = need / d.c_permille();
+    for (const std::int64_t n :
+         {edge, edge + 1, edge, edge - 5, edge + 1, edge - 20}) {
+      discrete_state s = base;
+      s.n = n;
+      ASSERT_GT(d.available_permille(s.n, s.m), 0) << n;
+      // Record the window at full charge, then replay it at n.
+      std::vector<discrete_state> full = c_bank.full_states();
+      full[0] = base;
+      full[0].n = d.total_units();
+      (void)checked_advance(c_bank, full, {0, rate, len, false});
+      std::vector<discrete_state> at_n = c_bank.full_states();
+      at_n[0] = s;
+      const std::vector<discrete_state> out =
+          checked_advance(c_bank, at_n, {0, rate, len, false});
+      EXPECT_EQ(out[0].empty, n <= edge) << "n " << n << ", need " << need;
     }
   }
 }

@@ -208,6 +208,64 @@ TEST(StressSearch, ConcurrentSearchesOnPrivateMemosStayExact) {
   }
 }
 
+// --- StressKibam: per-thread transition memos under the sweep pool -----
+
+TEST(StressKibam, MemoizedRolloutsAndSearchesMatchOneThreadBitForBit) {
+  // bank::advance_all memoises single-battery transitions in a table per
+  // thread. Lookahead rollouts and exact searches on a mixed 5.5 + 11.0
+  // Amin bank run on an 8-thread pool, so each pool thread's memo sees an
+  // arbitrary slice of the cells (starting cold on its first advance),
+  // while the 1-thread run pushes every cell through one memo. Any entry
+  // leaking between threads or applying where it should not shows up as
+  // a run_result that differs from the 1-thread one.
+  api::sweep sw;
+  const std::vector<kibam::battery_parameters> mixed{
+      kibam::itsy_battery(5.5), kibam::itsy_battery(11.0)};
+  const auto add = [&](const api::load_spec& load, const char* policy) {
+    sw.cells.push_back(api::scenario{.label = {},
+                                     .batteries = mixed,
+                                     .load = load,
+                                     .policy = policy,
+                                     .model = api::fidelity::discrete,
+                                     .steps = {},
+                                     .sim = {}});
+  };
+  for (const char* policy : {"lookahead:horizon=2", "opt"}) {
+    add(api::load_spec::parse("markov:count=12,p=0.6,seed=5"), policy);
+    add(load::test_load::ils_alt, policy);
+    add(load::test_load::cl_alt, policy);
+  }
+  // A longer random load for the rollouts only (its exact search is ten
+  // times the markov one's).
+  add(api::load_spec::parse("random:count=12,p=0.4,seed=3"),
+      "lookahead:horizon=2");
+  sw.replications = 8 / kLoadScale;
+  sw.seed = 2009;
+
+  const api::engine eng;
+  const auto run = [&](std::size_t threads) {
+    std::vector<api::run_result> got(sw.cells.size() * sw.replications);
+    const api::sweep_stats stats = eng.run_sweep(
+        sw,
+        [&](const api::sweep_result& r) {
+          got[r.cell * sw.replications + r.replication] = r.result;
+        },
+        threads);
+    EXPECT_EQ(stats.failures, 0u);
+    return got;
+  };
+  const std::vector<api::run_result> ref = run(1);
+  for (int round = 0; round < 2; ++round) {
+    const std::vector<api::run_result> got = run(8);
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      EXPECT_EQ(got[i], ref[i])
+          << "round " << round << ", "
+          << sw.cells[i / sw.replications].describe() << ", replication "
+          << i % sw.replications;
+    }
+  }
+}
+
 // --- StressSvc: coordinator + in-process fleet under forced failures ----
 
 TEST(StressSvc, FleetSurvivesSilenceDisconnectsAndSteals) {
