@@ -159,6 +159,12 @@ run_release() {
   # too (they also run under TSan in the tsan flavour).
   ctest --test-dir "$dir" -R "Opt|Lookahead|Stress" --no-tests=error \
     --output-on-failure -j "$JOBS"
+  # Fleet determinism guard: the fleet tests that need every worker to
+  # take part hold each worker at its first chunk (worker_options::clock)
+  # instead of racing it, so they must pass every time, not most times.
+  # A hundred repetitions take under two seconds.
+  "$dir/bsched_tests" --gtest_brief=1 --gtest_repeat=100 \
+    --gtest_filter='SvcService.ThreeWorker*:SvcService.Straggler*:ObsFleet.*'
   # Smoke runs: the replicated-sweep example must agree across thread
   # counts (exits non-zero when the multi-threaded aggregates mismatch
   # the single-threaded reference), the lookahead ablation must complete (exercising the rollout hot path end to end),

@@ -25,7 +25,8 @@
 //                    telemetry_ms=M              — snapshot cadence
 //   W->C  ready      session=S                   — worker wants a lease
 //   C->W  lease      lease=L epoch=E first=A last=B
-//   C->W  shutdown   [reason=<token>]            — no work ever again
+//   C->W  shutdown   reason=complete|deadline|   — no work ever again;
+//                    protocol-mismatch             may replace sweep
 //   W->C  heartbeat  session=S lease=L epoch=E done=F
 //                                                — F: global item frontier
 //                                                body (optional):

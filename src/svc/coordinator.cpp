@@ -98,7 +98,6 @@ struct coordinator::impl {
   std::map<std::uint64_t, lease_state> active;
   std::uint64_t next_lease = 0;
   std::uint64_t next_epoch = 0;
-  bool gang_released = false;  ///< start_workers quorum reached once.
 
   impl(api::sweep sweep_in, coordinator_options opts_in)
       : sw(std::move(sweep_in)),
@@ -112,14 +111,10 @@ struct coordinator::impl {
                              "(cells x replications == 0)");
     require(opts.chunk_items > 0, "svc: chunk_items must be positive");
     require(opts.lease_timeout_s > 0, "svc: lease_timeout_s must be positive");
-    const std::size_t workers = std::max<std::size_t>(1, opts.workers_expected);
-    const std::size_t per_worker =
-        std::max<std::size_t>(1, opts.leases_per_worker);
-    lease_items = opts.lease_items != 0
-                      ? opts.lease_items
-                      : std::max<std::size_t>(
-                            1, (total_items + workers * per_worker - 1) /
-                                   (workers * per_worker));
+    const std::size_t leases = std::max<std::size_t>(1, opts.workers_expected) *
+                               coordinator_options::leases_per_worker;
+    lease_items = opts.lease_items != 0 ? opts.lease_items
+                                        : (total_items + leases - 1) / leases;
     send_timeout_ms = std::max(1000, lease_timeout_ms());
     // The session nonce fences this campaign off from workers of an
     // earlier run that happen to reconnect to a reused port: the seed's
@@ -264,20 +259,6 @@ struct coordinator::impl {
   }
 
   void grant_leases(clock::time_point now) {
-    // Gang start: every lease waits until the configured quorum of
-    // workers is ready to take one (monotone — once released, later
-    // disconnects don't re-arm it). Gating on *ready* rather than hello
-    // means steals can be proposed in the same pass the first lease goes
-    // out, before any worker has a head start.
-    if (!gang_released) {
-      std::size_t ready = 0;
-      for (const auto& [fd, peer] : peers) {
-        (void)fd;
-        if (peer.greeted && peer.idle) ++ready;
-      }
-      if (ready < opts.start_workers) return;
-      gang_released = true;
-    }
     // Snapshot the candidate fds: send() may drop a peer mid-loop, and
     // erasing from `peers` would invalidate a live range-for iterator.
     std::vector<int> idle_fds;
@@ -362,9 +343,11 @@ struct coordinator::impl {
     m.fields["epoch"] = std::to_string(victim->epoch);
     m.fields["last"] = std::to_string(cut);
     victim->trim_outstanding = true;
-    log("proposing trim of lease " + std::to_string(victim->id) + " at " +
-        std::to_string(cut));
-    (void)send(victim->worker_fd, m);
+    // Logged after the send: when the line shows, the frame is on the wire.
+    if (send(victim->worker_fd, m)) {
+      log("proposing trim of lease " + m.str("lease") + " at " +
+          std::to_string(cut));
+    }
   }
 
   /// Looks up the lease a worker message names; returns nullptr (stale)
@@ -490,6 +473,23 @@ struct coordinator::impl {
     }
   }
 
+  /// The one end of a campaign ("late worker" in coordinator.hpp): every
+  /// accepted connection, greeted or not, hears `shutdown reason=<why>`;
+  /// then the listener closes.
+  void end_campaign(const char* why) {
+    net::message bye = net::make("shutdown");
+    bye.fields["reason"] = why;
+    for (auto& [fd, peer] : peers) {
+      (void)fd;
+      try {
+        peer.conn.send_frame(net::encode(bye), 1000);
+      } catch (const error&) {
+        // Peer already gone; nothing to tell it.
+      }
+    }
+    lst.close();
+  }
+
   dist::shard_aggregate run() {
     const auto start = clk->now();
     started = start;
@@ -504,6 +504,7 @@ struct coordinator::impl {
     while (!merger.complete(total_items)) {
       const auto now = clk->now();
       if (bounded && now >= hard_deadline) {
+        end_campaign("deadline");
         throw error("svc: coordinator deadline (" +
                     std::to_string(opts.deadline_s) + " s) elapsed with " +
                     std::to_string(merger.next()) + "/" +
@@ -577,16 +578,7 @@ struct coordinator::impl {
     }
 
     if (opts.on_telemetry) opts.on_telemetry(telemetry());
-    net::message bye = net::make("shutdown");
-    bye.fields["reason"] = "complete";
-    for (auto& [fd, peer] : peers) {
-      (void)fd;
-      try {
-        peer.conn.send_frame(net::encode(bye), 1000);
-      } catch (const error&) {
-        // Peer already gone; nothing to tell it.
-      }
-    }
+    end_campaign("complete");
     log("sweep complete: " + std::to_string(counters.results_accepted) +
         " lease result(s) folded, " + std::to_string(counters.expired) +
         " expired, " + std::to_string(counters.steals) + " steal(s)");

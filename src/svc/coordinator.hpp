@@ -27,6 +27,11 @@
 //                                tail re-queued — the two-phase handshake
 //                                means a lost worker can at worst expire,
 //                                never double-cover;
+//   * late worker             -> when run() returns or throws on
+//                                deadline_s, every accepted connection
+//                                gets `shutdown reason=complete|deadline`
+//                                and the listener closes: a later dial is
+//                                refused, one still in the backlog reset;
 //   * coordinator dies        -> workers' polls time out and they exit;
 //                                the campaign is simply re-run.
 //
@@ -55,17 +60,10 @@ struct coordinator_options {
   /// Sizing hint only — the fleet may be larger or smaller; leases are
   /// handed to whoever connects. Used to pick the default lease size.
   std::size_t workers_expected = 1;
-  /// Gang start: hold every lease until this many workers are connected
-  /// AND ready for work (0 = grant to whoever connects first). Makes
-  /// small fleets deterministic when the work is quick enough for the
-  /// first worker to drain the stream before the rest even dial — with
-  /// the quorum ready, work-steal trims are proposed in the same pass
-  /// the first leases go out.
-  std::size_t start_workers = 0;
-  /// Items per lease; 0 derives a default of about leases_per_worker
-  /// leases per expected worker.
+  /// Items per lease; 0 = ceil(items / (max(1, workers_expected) x
+  /// leases_per_worker)).
   std::size_t lease_items = 0;
-  std::size_t leases_per_worker = 8;
+  static constexpr std::size_t leases_per_worker = 8;
   /// Worker chunk granularity: workers run leases in chunks of this many
   /// items, appending each to the lease's one aggregate and heartbeating
   /// their frontier between chunks (also the trim/steal resolution). A
@@ -124,10 +122,10 @@ class coordinator {
 
   [[nodiscard]] std::uint16_t port() const noexcept;
 
-  /// Serves until every item of the sweep has been folded, then shuts
-  /// connected workers down and returns the merged aggregate (equivalent
-  /// to running dist::merge_shards over a disjoint shard tiling). Throws
-  /// bsched::error if deadline_s elapses first.
+  /// Serves until every item of the sweep has been folded, then ends the
+  /// campaign ("late worker" above) and returns the merged aggregate (as
+  /// dist::merge_shards over a disjoint shard tiling). Throws
+  /// bsched::error, campaign ended, if deadline_s elapses first.
   [[nodiscard]] dist::shard_aggregate run();
 
   /// Post-run accounting (valid after run() returns or throws).

@@ -54,12 +54,21 @@ struct session_ctx {
                                    std::to_string(io_timeout_ms) + " ms)");
     return net::decode(*frame);
   }
+
+  /// A `shutdown` ends the session: normally for reason=complete, with a
+  /// bsched::error naming any other reason (deadline, protocol-mismatch).
+  void shut_down(const net::message& m) const {
+    const std::string why = m.has("reason") ? m.str("reason") : "no reason";
+    log("shutdown (" + why + ")");
+    require(why == "complete", "svc: coordinator ended the session (" + why +
+                                   ")");
+  }
 };
 
 /// One lease's execution: chunked run_shard calls appended to one lease
 /// aggregate (`blank`, the session's empty aggregate, copied), heartbeats
-/// and trim handling between chunks. Returns false when a mid-lease
-/// `shutdown` aborted the lease (nothing was sent).
+/// and trim handling between chunks. Returns false when the campaign
+/// completed mid-lease (nothing was sent).
 bool run_lease(const api::engine& engine, session_ctx& ctx, dist::shard& sh,
                const dist::shard_aggregate& blank, const net::message& lease,
                std::size_t n_threads, worker_report& report) {
@@ -111,9 +120,7 @@ bool run_lease(const api::engine& engine, session_ctx& ctx, dist::shard& sh,
     while (auto frame = ctx.conn.recv_frame(0)) {
       const net::message m = net::decode(*frame);
       if (m.type == "shutdown") {
-        ctx.log("shutdown mid-lease (" +
-                (m.has("reason") ? m.str("reason") : "no reason") +
-                "); abandoning lease " + std::to_string(id));
+        ctx.shut_down(m);
         return false;
       }
       if (m.type != "trim" || m.u64("lease") != id ||
@@ -148,7 +155,10 @@ bool run_lease(const api::engine& engine, session_ctx& ctx, dist::shard& sh,
   // finished lease answers with its end, making the steal empty.
   while (true) {
     const net::message m = ctx.recv("result ack");
-    if (m.type == "shutdown") return false;
+    if (m.type == "shutdown") {
+      ctx.shut_down(m);
+      return false;
+    }
     if (m.type == "trim") {
       if (m.u64("lease") == id && m.u64("epoch") == epoch) {
         net::message trimmed = net::make("trimmed");
@@ -193,10 +203,8 @@ worker_report run_worker(const api::engine& engine,
 
   const net::message sweep_msg = ctx.recv("the sweep definition");
   if (sweep_msg.type == "shutdown") {
-    throw error("svc: coordinator refused the connection (" +
-                (sweep_msg.has("reason") ? sweep_msg.str("reason")
-                                         : "no reason") +
-                ")");
+    ctx.shut_down(sweep_msg);  // joined a campaign that just completed
+    return {};
   }
   require(sweep_msg.type == "sweep",
           "svc: worker expected the sweep definition, got '" +
@@ -222,8 +230,7 @@ worker_report run_worker(const api::engine& engine,
     ctx.send(net::make("ready"));
     net::message m = ctx.recv("a lease");
     if (m.type == "shutdown") {
-      ctx.log("shutdown (" +
-              (m.has("reason") ? m.str("reason") : "no reason") + ")");
+      ctx.shut_down(m);
       break;
     }
     if (m.type == "trim" || m.type == "ack") continue;  // stale traffic

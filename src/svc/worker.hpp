@@ -50,10 +50,11 @@ struct worker_report {
   std::size_t trims = 0;     ///< Work-steal trims honored.
 };
 
-/// Runs the worker loop until the coordinator sends `shutdown` (returns)
-/// or the connection dies / times out (throws bsched::error). `engine`
-/// supplies the policy registry — a worker fleet must register the same
-/// custom policies the sweep references.
+/// Runs the worker loop until the coordinator sends `shutdown
+/// reason=complete` (returns; an empty report in place of the sweep). Any
+/// other shutdown reason throws bsched::error naming it, as do a dial after
+/// the campaign and a dead or timed-out connection. `engine` supplies the
+/// policy registry — a fleet must register the sweep's custom policies.
 worker_report run_worker(const api::engine& engine,
                          const worker_options& opts);
 

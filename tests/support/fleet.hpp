@@ -1,21 +1,30 @@
 // Shared harness of the distributed-sweep tests (dist, svc, stress): the
-// single-process reference, the merge equivalence contract, and a
-// scripted worker speaking raw protocol frames.
+// single-process reference, the merge equivalence contract, a scripted
+// worker speaking raw protocol frames, and a clock that holds a real
+// worker at its first chunk.
 #pragma once
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <future>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/engine.hpp"
 #include "api/sweep.hpp"
 #include "dist/codec.hpp"
+#include "dist/shard.hpp"
 #include "net/message.hpp"
 #include "net/socket.hpp"
+#include "svc/worker.hpp"
+#include "util/clock.hpp"
 #include "util/error.hpp"
 
 namespace bsched::support {
@@ -66,6 +75,44 @@ inline void expect_equivalent(const std::vector<api::cell_summary>& merged,
   }
 }
 
+/// A worker_options::clock whose first now() runs `hook` before it
+/// answers. svc::run_worker first reads its clock when it starts the
+/// first chunk of its first lease, so the hook holds the worker there:
+/// it holds a lease and has computed nothing. Fleet tests use it to make
+/// every worker take part (the hook waits on a latch all of them arrive
+/// at) or to start a straggler only once its trim is on the wire. If
+/// run_worker ever read its clock earlier, the hook would fire earlier
+/// and those tests would lose their guarantee.
+class first_chunk_clock final : public util::monotonic_clock {
+ public:
+  explicit first_chunk_clock(std::function<void()> hook)
+      : hook_(std::move(hook)) {}
+
+  [[nodiscard]] time_point now() const noexcept override {
+    std::call_once(once_, hook_);
+    return system().now();
+  }
+
+ private:
+  std::function<void()> hook_;
+  mutable std::once_flag once_;
+};
+
+/// Runs svc::run_worker on a thread with a one-thread pool. A `clock`
+/// replaces the system clock and must outlive the future.
+inline std::future<svc::worker_report> join_fleet(
+    const api::engine& engine, std::uint16_t port, const std::string& name,
+    const util::monotonic_clock* clock = nullptr) {
+  return std::async(std::launch::async, [&engine, port, name, clock] {
+    svc::worker_options opts;
+    opts.port = port;
+    opts.name = name;
+    opts.n_threads = 1;
+    opts.clock = clock;
+    return svc::run_worker(engine, opts);
+  });
+}
+
 /// A scripted worker speaking raw protocol frames — the misbehaving half
 /// of the crash-recovery tests (the real svc::run_worker would never go
 /// silent, die mid-shard, or send a result twice).
@@ -107,6 +154,34 @@ struct fake_worker {
     const net::message lease = recv();
     EXPECT_EQ(lease.type, "lease");
     return lease;
+  }
+
+  /// The honest `result` for `lease`, computed over the wire-decoded
+  /// sweep (no compiled-in grid).
+  [[nodiscard]] net::message result_for(const api::engine& engine,
+                                        const net::message& lease) const {
+    dist::shard sh;
+    sh.sweep = sw;
+    sh.first = static_cast<std::size_t>(lease.u64("first"));
+    sh.last = static_cast<std::size_t>(lease.u64("last"));
+    net::message result = net::make("result");
+    result.fields["lease"] = lease.str("lease");
+    result.fields["epoch"] = lease.str("epoch");
+    result.body = dist::encode_str(dist::run_shard(engine, sh, 1));
+    return result;
+  }
+
+  /// Writes the length prefix of a frame past net::max_frame_bytes and
+  /// nothing else: the coordinator must hang up without buffering the
+  /// promised bytes.
+  void announce_oversized_frame() {
+    const std::size_t announced = net::max_frame_bytes + 1;
+    const char prefix[4] = {static_cast<char>((announced >> 24) & 0xff),
+                            static_cast<char>((announced >> 16) & 0xff),
+                            static_cast<char>((announced >> 8) & 0xff),
+                            static_cast<char>(announced & 0xff)};
+    ASSERT_EQ(::send(conn.fd(), prefix, sizeof prefix, MSG_NOSIGNAL),
+              static_cast<ssize_t>(sizeof prefix));
   }
 };
 

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <future>
+#include <latch>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -19,6 +20,7 @@
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
+#include "support/fleet.hpp"
 #include "svc/coordinator.hpp"
 #include "svc/worker.hpp"
 #include "util/clock.hpp"
@@ -471,16 +473,17 @@ api::sweep fleet_grid(std::size_t replications) {
   return sw;
 }
 
+// Every fleet test here holds each worker at its first chunk until the
+// whole fleet holds a lease (support::first_chunk_clock on a latch), so
+// every worker takes part however quickly the first could drain the
+// sweep.
+
 TEST(ObsFleet, WorkerItemCountersSumExactlyToSweepItems) {
   const api::sweep sw = fleet_grid(9);
   const std::size_t total = sw.cells.size() * sw.replications;
 
   svc::coordinator_options opts;
   opts.workers_expected = 3;
-  // Gang start: without it two workers can drain this small sweep before
-  // the third dials, leaving it waiting io_timeout_ms for a sweep message
-  // that never comes. With it, each of the three takes a first lease.
-  opts.start_workers = 3;
   // Small leases cut into smaller chunks: every lease spans several
   // chunk boundaries, so every worker that takes one heartbeats (and
   // piggybacks its telemetry snapshot) before finishing it.
@@ -504,19 +507,13 @@ TEST(ObsFleet, WorkerItemCountersSumExactlyToSweepItems) {
     return coord.run();
   });
 
+  std::latch all_leased{3};
+  const auto hold = [&all_leased] { all_leased.arrive_and_wait(); };
+  const support::first_chunk_clock c0{hold}, c1{hold}, c2{hold};
   const api::engine engine;
-  const auto join = [&engine, &coord](const std::string& name) {
-    return std::async(std::launch::async, [&engine, &coord, name] {
-      svc::worker_options wopts;
-      wopts.port = coord.port();
-      wopts.name = name;
-      wopts.n_threads = 1;
-      return svc::run_worker(engine, wopts);
-    });
-  };
-  auto w0 = join("w0");
-  auto w1 = join("w1");
-  auto w2 = join("w2");
+  auto w0 = support::join_fleet(engine, coord.port(), "w0", &c0);
+  auto w1 = support::join_fleet(engine, coord.port(), "w1", &c1);
+  auto w2 = support::join_fleet(engine, coord.port(), "w2", &c2);
 
   const dist::shard_aggregate merged = served.get();
   (void)w0.get();
@@ -589,25 +586,18 @@ TEST(ObsFleet, WorkerNamesThatShareAMetricNameShareOneCounter) {
   const std::size_t total = sw.cells.size() * sw.replications;
   svc::coordinator_options opts;
   opts.workers_expected = 2;
-  opts.start_workers = 2;
   opts.lease_items = 1;
   opts.deadline_s = 120;
   svc::coordinator coord{sw, opts};
   auto served = std::async(std::launch::async, [&coord] {
     return coord.run();
   });
+  std::latch all_leased{2};
+  const auto hold = [&all_leased] { all_leased.arrive_and_wait(); };
+  const support::first_chunk_clock c0{hold}, c1{hold};
   const api::engine engine;
-  const auto join = [&engine, &coord](const std::string& name) {
-    return std::async(std::launch::async, [&engine, &coord, name] {
-      svc::worker_options wopts;
-      wopts.port = coord.port();
-      wopts.name = name;
-      wopts.n_threads = 1;
-      return svc::run_worker(engine, wopts);
-    });
-  };
-  auto w0 = join("w/0");
-  auto w1 = join("w_0");
+  auto w0 = support::join_fleet(engine, coord.port(), "w/0", &c0);
+  auto w1 = support::join_fleet(engine, coord.port(), "w_0", &c1);
   (void)served.get();
   (void)w0.get();
   (void)w1.get();
@@ -633,7 +623,6 @@ TEST(ObsFleet, LongTelemetryIntervalStillSeesEveryLeasedWorker) {
   const api::sweep sw = fleet_grid(12);
   svc::coordinator_options opts;
   opts.workers_expected = 3;
-  opts.start_workers = 3;
   opts.lease_items = 4;
   opts.chunk_items = 1;
   opts.deadline_s = 120;
@@ -642,19 +631,17 @@ TEST(ObsFleet, LongTelemetryIntervalStillSeesEveryLeasedWorker) {
   auto served = std::async(std::launch::async, [&coord] {
     return coord.run();
   });
+  std::latch all_leased{3};
+  const auto hold = [&all_leased] { all_leased.arrive_and_wait(); };
+  const support::first_chunk_clock c0{hold}, c1{hold}, c2{hold};
   const api::engine engine;
-  std::vector<std::future<svc::worker_report>> fleet;
-  for (const char* name : {"w0", "w1", "w2"}) {
-    fleet.push_back(std::async(std::launch::async, [&engine, &coord, name] {
-      svc::worker_options wopts;
-      wopts.port = coord.port();
-      wopts.name = name;
-      wopts.n_threads = 1;
-      return svc::run_worker(engine, wopts);
-    }));
-  }
+  auto w0 = support::join_fleet(engine, coord.port(), "w0", &c0);
+  auto w1 = support::join_fleet(engine, coord.port(), "w1", &c1);
+  auto w2 = support::join_fleet(engine, coord.port(), "w2", &c2);
   const dist::shard_aggregate merged = served.get();
-  for (auto& w : fleet) (void)w.get();
+  (void)w0.get();
+  (void)w1.get();
+  (void)w2.get();
   ASSERT_EQ(merged.last_item, sw.cells.size() * sw.replications);
 
   const snapshot snap = coord.telemetry();
@@ -665,7 +652,7 @@ TEST(ObsFleet, LongTelemetryIntervalStillSeesEveryLeasedWorker) {
     return false;
   };
   for (const char* name : {"w0", "w1", "w2"}) {
-    // Gang start hands each worker a first lease.
+    // Every worker holds a lease before any computes (see above).
     EXPECT_TRUE(has_counter(std::string{"svc.worker."} + name +
                             ".items_total"))
         << name;

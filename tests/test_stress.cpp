@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <future>
 #include <iterator>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,6 +40,7 @@
 #include "support/fleet.hpp"
 #include "svc/coordinator.hpp"
 #include "svc/worker.hpp"
+#include "util/clock.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -299,16 +301,40 @@ TEST(StressSvc, FleetSurvivesSilenceDisconnectsAndSteals) {
   svc::coordinator coord{sw, opts};
   auto served = std::async(std::launch::async, [&coord] { return coord.run(); });
 
-  // Misbehaving quarter first, so both holds are in flight while the
-  // real fleet churns: one fake holds a lease in silence until it has
-  // expired (its late result must be rejected), another takes a lease
-  // and vanishes (abrupt close -> immediate re-queue).
+  // Misbehaving fakes first, each holding a lease of its own: one holds
+  // its lease in silence until it has expired (its late result must be
+  // rejected), one takes a lease and vanishes (abrupt close -> immediate
+  // re-queue), one ships a truncated aggregate (rejected, range
+  // re-queued) and one announces a frame past net::max_frame_bytes
+  // mid-lease (dropped, lease re-queued).
   support::fake_worker silent{coord.port(), kIoTimeoutMs};
   const net::message held = silent.take_lease();
   {
     support::fake_worker vanishing{coord.port(), kIoTimeoutMs};
     (void)vanishing.take_lease();
     vanishing.conn.close();
+  }
+  {
+    support::fake_worker truncating{coord.port(), kIoTimeoutMs};
+    net::message result =
+        truncating.result_for(eng, truncating.take_lease());
+    result.body.resize(result.body.size() / 2);
+    truncating.send(std::move(result));
+    const net::message nack = truncating.recv();
+    ASSERT_EQ(nack.type, "ack");
+    EXPECT_EQ(nack.u64("ok"), 0u);
+    truncating.conn.close();
+  }
+  {
+    support::fake_worker oversized{coord.port(), kIoTimeoutMs};
+    const net::message lease = oversized.take_lease();
+    net::message hb = net::make("heartbeat");
+    hb.fields["lease"] = lease.str("lease");
+    hb.fields["epoch"] = lease.str("epoch");
+    hb.fields["done"] = lease.str("first");
+    oversized.send(std::move(hb));
+    oversized.announce_oversized_frame();
+    EXPECT_THROW((void)oversized.recv(), error);  // the coordinator hung up
   }
 
   // Outlive the held lease, then ship its result anyway: the epoch is
@@ -327,19 +353,28 @@ TEST(StressSvc, FleetSurvivesSilenceDisconnectsAndSteals) {
   EXPECT_EQ(ack.u64("ok"), 0u);
   silent.conn.close();
 
-  const auto join = [&](const std::string& name) {
-    return std::async(std::launch::async, [&eng, port = coord.port(), name] {
-      svc::worker_options wopts;
-      wopts.port = port;
-      wopts.name = name;
-      wopts.n_threads = 2;  // worker-internal pool on top of the fleet
-      wopts.io_timeout_ms = kIoTimeoutMs;
-      return svc::run_worker(eng, wopts);
-    });
+  // The real fleet: each worker holds its first chunk until all three
+  // hold a lease, so none is late to a campaign the others finished.
+  std::latch all_leased{3};
+  const auto hold = [&all_leased] { all_leased.arrive_and_wait(); };
+  const support::first_chunk_clock c0{hold}, c1{hold}, c2{hold};
+  const auto join = [&](const std::string& name,
+                        const util::monotonic_clock& clock) {
+    return std::async(std::launch::async,
+                      [&eng, port = coord.port(), name, &clock] {
+                        svc::worker_options wopts;
+                        wopts.port = port;
+                        wopts.name = name;
+                        // worker-internal pool on top of the fleet
+                        wopts.n_threads = 2;
+                        wopts.io_timeout_ms = kIoTimeoutMs;
+                        wopts.clock = &clock;
+                        return svc::run_worker(eng, wopts);
+                      });
   };
-  auto w0 = join("w0");
-  auto w1 = join("w1");
-  auto w2 = join("w2");
+  auto w0 = join("w0", c0);
+  auto w1 = join("w1", c1);
+  auto w2 = join("w2", c2);
 
   const dist::shard_aggregate merged = served.get();
   (void)w0.get();
@@ -349,9 +384,11 @@ TEST(StressSvc, FleetSurvivesSilenceDisconnectsAndSteals) {
   support::expect_equivalent(dist::summaries(merged), ref);
   const svc::coordinator_counters& c = coord.counters();
   EXPECT_GE(c.expired, 1u);
-  EXPECT_GE(c.requeued_disconnect, 1u);
-  EXPECT_GE(c.results_rejected, 1u);
-  EXPECT_GE(c.workers_seen, 5u);
+  // The vanished fake's lease and the oversized frame's; the truncated
+  // and the late result.
+  EXPECT_GE(c.requeued_disconnect, 2u);
+  EXPECT_GE(c.results_rejected, 2u);
+  EXPECT_EQ(c.workers_seen, 7u);  // four fakes, three real workers
 }
 
 // --- StressNet: full-duplex framed traffic under concurrency ------------

@@ -2,17 +2,24 @@
 // loopback sockets: a healthy multi-worker fleet, lease expiry and
 // reassignment, a worker dying mid-shard, work-steal splits,
 // duplicate/stale result rejection, and corrupt results and oversized
-// frames from a worker holding a live lease. The acceptance property
-// throughout: whatever the failure pattern, the merged aggregate
-// reproduces the single-process run_sweep + summarize statistics (exact
-// counts/extrema/quantiles below the digest budget, ulp-scale moments).
+// frames from a worker holding a live lease, and the end of a campaign
+// (completion or deadline) as late workers and held leases see it. The
+// acceptance property throughout: whatever the failure pattern, the
+// merged aggregate reproduces the single-process run_sweep + summarize
+// statistics (exact counts/extrema/quantiles below the digest budget,
+// ulp-scale moments).
 #include <gtest/gtest.h>
-#include <sys/socket.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <future>
+#include <latch>
+#include <mutex>
+#include <ostream>
+#include <streambuf>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/engine.hpp"
@@ -25,6 +32,7 @@
 #include "support/fleet.hpp"
 #include "svc/coordinator.hpp"
 #include "svc/worker.hpp"
+#include "util/clock.hpp"
 #include "util/error.hpp"
 
 namespace bsched::svc {
@@ -32,6 +40,8 @@ namespace {
 
 using support::expect_equivalent;
 using support::fake_worker;
+using support::first_chunk_clock;
+using support::join_fleet;
 using support::reference;
 
 api::scenario cell(api::load_spec load, std::string policy) {
@@ -67,37 +77,62 @@ std::future<dist::shard_aggregate> serve(coordinator& coord) {
   return std::async(std::launch::async, [&coord] { return coord.run(); });
 }
 
-std::future<worker_report> join_fleet(const api::engine& engine,
-                                      std::uint16_t port,
-                                      const std::string& name) {
-  return std::async(std::launch::async, [&engine, port, name] {
-    worker_options opts;
-    opts.port = port;
-    opts.name = name;
-    opts.n_threads = 1;
-    return run_worker(engine, opts);
-  });
-}
+/// A coordinator_options::log sink another thread can wait on: it keeps
+/// everything written and wakes waiters on every write.
+class log_watch final : public std::streambuf {
+ public:
+  /// Blocks until the log so far contains `text`.
+  void wait_for(const std::string& text) {
+    std::unique_lock lock{mu_};
+    seen_.wait(lock, [&] { return text_.find(text) != std::string::npos; });
+  }
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    append(std::string(s, static_cast<std::size_t>(n)));
+    return n;
+  }
+  int_type overflow(int_type ch) override {
+    if (!traits_type::eq_int_type(ch, traits_type::eof())) {
+      append(std::string(1, traits_type::to_char_type(ch)));
+    }
+    return traits_type::not_eof(ch);
+  }
+
+ private:
+  void append(const std::string& part) {
+    {
+      const std::lock_guard lock{mu_};
+      text_ += part;
+    }
+    seen_.notify_all();
+  }
+
+  std::mutex mu_;
+  std::condition_variable seen_;
+  std::string text_;
+};
 
 TEST(SvcService, ThreeWorkerFleetReproducesSingleProcess) {
   const api::sweep sw = grid(8);
   const std::vector<api::cell_summary> ref = reference(sw);
 
-  // Gang start: without it two workers can drain this small sweep before
-  // the third dials, leaving it connected to the listener backlog and
-  // waiting io_timeout_ms for a sweep message that never comes.
   coordinator_options opts;
   opts.workers_expected = 3;
-  opts.start_workers = 3;
   opts.chunk_items = 2;
   opts.deadline_s = 120;
   coordinator coord{sw, opts};
   auto served = serve(coord);
 
+  // Each worker holds its first chunk until all three hold a lease, so
+  // none can drain this small sweep before another has joined.
+  std::latch all_leased{3};
+  const auto hold = [&all_leased] { all_leased.arrive_and_wait(); };
+  const first_chunk_clock c0{hold}, c1{hold}, c2{hold};
   const api::engine engine;
-  auto w0 = join_fleet(engine, coord.port(), "w0");
-  auto w1 = join_fleet(engine, coord.port(), "w1");
-  auto w2 = join_fleet(engine, coord.port(), "w2");
+  auto w0 = join_fleet(engine, coord.port(), "w0", &c0);
+  auto w1 = join_fleet(engine, coord.port(), "w1", &c1);
+  auto w2 = join_fleet(engine, coord.port(), "w2", &c2);
 
   const dist::shard_aggregate merged = served.get();
   const worker_report r0 = w0.get();
@@ -235,43 +270,31 @@ TEST(SvcService, WorkerDyingMidShardStillMergesExactly) {
 }
 
 TEST(SvcService, StragglerSplitKeepsCoverageDisjoint) {
-  // A grid heavy enough (five batteries, long episodes, lookahead
-  // rollouts at every decision) that the lease runtime dwarfs any
-  // scheduler hiccup between the coordinator granting it and its trim
-  // proposal landing — the event-horizon kernels drain grid() faster
-  // than the handshake can complete.
-  api::sweep sw;
-  for (const char* load : {"random:count=2000,p=0.2,seed=1",
-                           "markov:count=2000,p=0.6,seed=2"}) {
-    sw.cells.push_back(
-        api::scenario{.label = {},
-                      .batteries = api::bank(5, kibam::battery_b1()),
-                      .load = api::load_spec::parse(load),
-                      .policy = "lookahead:horizon=4",
-                      .model = api::fidelity::discrete,
-                      .steps = {},
-                      .sim = {}});
-  }
-  sw.replications = 24;
-  sw.seed = 2009;
+  const api::sweep sw = grid(8);
   const std::vector<api::cell_summary> ref = reference(sw);
   const std::size_t total = sw.cells.size() * sw.replications;
 
   // One lease spans the whole stream, so the first worker to connect
   // becomes the straggler; the second can only ever get work through a
-  // steal. Chunk 1 gives the trim handshake item resolution, and the
-  // gang start keeps the lease on hold until both workers are ready.
+  // steal. Chunk 1 gives the trim handshake item resolution. Neither
+  // worker starts computing until the coordinator has put a trim on the
+  // wire (it logs the proposal after the send), so the straggler reads
+  // that trim after its first chunk, however fast the grid runs.
+  log_watch watch;
+  std::ostream log_stream{&watch};
   coordinator_options opts;
   opts.lease_items = total;
   opts.chunk_items = 1;
-  opts.start_workers = 2;
   opts.deadline_s = 120;
+  opts.log = &log_stream;
   coordinator coord{sw, opts};
   auto served = serve(coord);
 
+  const auto trim_sent = [&watch] { watch.wait_for("proposing trim"); };
+  const first_chunk_clock c0{trim_sent}, c1{trim_sent};
   const api::engine engine;
-  auto w0 = join_fleet(engine, coord.port(), "straggler");
-  auto w1 = join_fleet(engine, coord.port(), "thief");
+  auto w0 = join_fleet(engine, coord.port(), "straggler", &c0);
+  auto w1 = join_fleet(engine, coord.port(), "thief", &c1);
 
   const dist::shard_aggregate merged = served.get();
   const worker_report r0 = w0.get();
@@ -305,14 +328,7 @@ TEST(SvcService, DuplicateResultForSameLeaseEpochRejected) {
   fake_worker fake{coord.port()};
   const net::message lease = fake.take_lease();
   const api::engine engine;
-  dist::shard sh;
-  sh.sweep = fake.sw;
-  sh.first = static_cast<std::size_t>(lease.u64("first"));
-  sh.last = static_cast<std::size_t>(lease.u64("last"));
-  net::message result = net::make("result");
-  result.fields["lease"] = lease.str("lease");
-  result.fields["epoch"] = lease.str("epoch");
-  result.body = dist::encode_str(dist::run_shard(engine, sh, 1));
+  const net::message result = fake.result_for(engine, lease);
 
   fake.send(result);
   const net::message first_ack = fake.recv();
@@ -355,21 +371,9 @@ TEST(SvcService, CorruptResultAndOversizedFrameAreRequeued) {
   const net::message lease = corrupt.take_lease();
   const net::message held = oversized.take_lease();
   const api::engine engine;
-  const auto result_for = [&engine](const fake_worker& fake,
-                                    const net::message& l) {
-    dist::shard sh;
-    sh.sweep = fake.sw;
-    sh.first = static_cast<std::size_t>(l.u64("first"));
-    sh.last = static_cast<std::size_t>(l.u64("last"));
-    net::message result = net::make("result");
-    result.fields["lease"] = l.str("lease");
-    result.fields["epoch"] = l.str("epoch");
-    result.body = dist::encode_str(dist::run_shard(engine, sh, 1));
-    return result;
-  };
 
   // A truncated aggregate for a live lease: refused, not folded.
-  net::message truncated = result_for(corrupt, lease);
+  net::message truncated = corrupt.result_for(engine, lease);
   truncated.body.resize(truncated.body.size() / 2);
   corrupt.send(std::move(truncated));
   const net::message nack = corrupt.recv();
@@ -382,7 +386,7 @@ TEST(SvcService, CorruptResultAndOversizedFrameAreRequeued) {
   const net::message again = corrupt.take_lease();
   EXPECT_EQ(again.u64("first"), lease.u64("first"));
   EXPECT_EQ(again.u64("last"), lease.u64("last"));
-  corrupt.send(result_for(corrupt, again));
+  corrupt.send(corrupt.result_for(engine, again));
   const net::message ack = corrupt.recv();
   ASSERT_EQ(ack.type, "ack");
   EXPECT_EQ(ack.u64("ok"), 1u);
@@ -396,13 +400,7 @@ TEST(SvcService, CorruptResultAndOversizedFrameAreRequeued) {
   hb.fields["epoch"] = held.str("epoch");
   hb.fields["done"] = held.str("first");
   oversized.send(std::move(hb));
-  const std::size_t announced = net::max_frame_bytes + 1;
-  const char prefix[4] = {static_cast<char>((announced >> 24) & 0xff),
-                          static_cast<char>((announced >> 16) & 0xff),
-                          static_cast<char>((announced >> 8) & 0xff),
-                          static_cast<char>(announced & 0xff)};
-  ASSERT_EQ(::send(oversized.conn.fd(), prefix, sizeof prefix, MSG_NOSIGNAL),
-            static_cast<ssize_t>(sizeof prefix));
+  oversized.announce_oversized_frame();
   EXPECT_THROW((void)oversized.recv(), error);  // the coordinator hung up
 
   auto w = join_fleet(engine, coord.port(), "healthy");
@@ -415,6 +413,158 @@ TEST(SvcService, CorruptResultAndOversizedFrameAreRequeued) {
   EXPECT_GE(c.results_rejected, 1u);
   EXPECT_GE(c.requeued_disconnect, 1u);
   EXPECT_EQ(c.expired, 0u);
+}
+
+TEST(SvcService, LateDialAfterRunIsRefusedAtOnce) {
+  const api::sweep sw = grid(2);
+  coordinator_options opts;
+  opts.deadline_s = 120;
+  coordinator coord{sw, opts};
+  auto served = serve(coord);
+  const api::engine engine;
+  auto w = join_fleet(engine, coord.port(), "on-time");
+  (void)served.get();
+  EXPECT_EQ(w.get().items, sw.cells.size() * sw.replications);
+
+  // run() has returned but the coordinator still exists: its listener is
+  // closed, so the dial itself fails instead of waiting in the backlog
+  // for a sweep message until io_timeout_ms.
+  worker_options late;
+  late.port = coord.port();
+  late.name = "late";
+  late.n_threads = 1;
+  late.io_timeout_ms = 3000;
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    (void)run_worker(engine, late);
+    ADD_FAILURE() << "a late worker joined a finished campaign";
+  } catch (const error& e) {
+    EXPECT_NE(std::string{e.what()}.find("refused"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+}
+
+TEST(SvcService, DeadlineEndsTheCampaignForEveryPeer) {
+  const api::sweep sw = grid(2);
+  const std::size_t total = sw.cells.size() * sw.replications;
+  // A manual clock: the deadline can only pass once the fake holds its
+  // lease, however slowly the fake connects.
+  util::manual_clock clock;
+  coordinator_options opts;
+  opts.lease_timeout_s = 60;
+  opts.deadline_s = 0.3;
+  opts.steal = false;
+  opts.clock = &clock;
+  coordinator coord{sw, opts};
+  auto served = serve(coord);
+
+  fake_worker fake{coord.port()};
+  (void)fake.take_lease();
+  clock.advance(std::chrono::seconds(1));
+
+  // The holder of a live lease hears the end at once, not when the
+  // coordinator object is destroyed.
+  const auto frame = fake.conn.recv_frame(1000);
+  ASSERT_TRUE(frame.has_value()) << "no shutdown within 1 s of the deadline";
+  const net::message bye = net::decode(*frame);
+  EXPECT_EQ(bye.type, "shutdown");
+  EXPECT_EQ(bye.str("reason"), "deadline");
+
+  try {
+    (void)served.get();
+    ADD_FAILURE() << "run() returned past its deadline";
+  } catch (const error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("deadline"), std::string::npos) << what;
+    EXPECT_NE(what.find("0/" + std::to_string(total) + " items folded"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_THROW((void)net::connection::dial("127.0.0.1", coord.port(), 1000),
+               error);
+}
+
+TEST(SvcService, ForeignProtocolIsRefusedAndCounted) {
+  const api::sweep sw = grid(2);
+  coordinator_options opts;
+  opts.deadline_s = 120;
+  coordinator coord{sw, opts};
+  auto served = serve(coord);
+
+  // A worker speaking a different protocol version is told so and
+  // dropped.
+  net::connection raw = net::connection::dial("127.0.0.1", coord.port(), 20000);
+  net::message hello = net::make("hello");
+  hello.fields["proto"] = std::to_string(net::protocol_version + 1);
+  hello.fields["name"] = "future";
+  raw.send_frame(net::encode(hello), 20000);
+  const auto frame = raw.recv_frame(20000);
+  ASSERT_TRUE(frame.has_value());
+  const net::message bye = net::decode(*frame);
+  EXPECT_EQ(bye.type, "shutdown");
+  EXPECT_EQ(bye.str("reason"), "protocol-mismatch");
+
+  const api::engine engine;
+  auto w = join_fleet(engine, coord.port(), "current");
+  (void)served.get();
+  (void)w.get();
+  EXPECT_EQ(coord.counters().disconnects, 1u);
+  EXPECT_EQ(coord.counters().workers_seen, 1u);
+}
+
+/// run_worker against a scripted coordinator that answers the worker's
+/// hello with `shutdown reason=<reason>` or, when `after_sweep`, sends a
+/// sweep and answers the worker's first `ready` with it.
+worker_report scripted_shutdown(const std::string& reason, bool after_sweep) {
+  net::listener lst{0};
+  const api::engine engine;
+  auto w = join_fleet(engine, lst.port(), "scripted");
+  net::connection conn = lst.accept();
+  const auto expect = [&conn](const std::string& type) {
+    const auto frame = conn.recv_frame(20000);
+    EXPECT_EQ(frame ? net::decode(*frame).type : "nothing", type);
+  };
+  expect("hello");
+  if (after_sweep) {
+    net::message sweep = net::make("sweep");
+    sweep.fields["session"] = "1";
+    sweep.fields["chunk"] = "1";
+    sweep.fields["lease_timeout_ms"] = "30000";
+    sweep.fields["telemetry_ms"] = "1000";
+    sweep.body = dist::encode_sweep_str(grid(1));
+    conn.send_frame(net::encode(sweep), 20000);
+    expect("ready");
+  }
+  net::message bye = net::make("shutdown");
+  bye.fields["reason"] = reason;
+  conn.send_frame(net::encode(bye), 20000);
+  return w.get();
+}
+
+TEST(SvcService, ShutdownEndsTheSessionCleanlyOnlyWhenComplete) {
+  // `complete` in place of the sweep: accepted just before the campaign
+  // completed. Nothing to do, and not an error.
+  const worker_report r = scripted_shutdown("complete", false);
+  EXPECT_EQ(r.leases, 0u);
+  EXPECT_EQ(r.rejected, 0u);
+  EXPECT_EQ(r.items, 0u);
+  EXPECT_EQ(r.trims, 0u);
+
+  // Any other reason, before or after the sweep, fails the worker as the
+  // campaign failed, and the error names it.
+  for (const auto& [reason, after_sweep] :
+       {std::pair{"protocol-mismatch", false}, std::pair{"deadline", true}}) {
+    try {
+      (void)scripted_shutdown(reason, after_sweep);
+      ADD_FAILURE() << "a worker told '" << reason << "' returned";
+    } catch (const error& e) {
+      EXPECT_NE(std::string{e.what()}.find(
+                    "ended the session (" + std::string{reason} + ")"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SvcNet, MessageRoundTripAndVersionGate) {
