@@ -1,18 +1,20 @@
 // Engine microbenchmarks (google-benchmark): the hot paths underneath the
 // paper experiments — analytic segment advance, dKiBaM stepping, bank
 // construction, an obs counter hook, draw-rate lookup and load
-// materialization, sweep cell keys, policy simulation, the optimal
-// search and PTA successor generation.
+// materialization, sweep cell keys, policy simulation, a fleet worker's
+// chunk, the optimal search and PTA successor generation.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "api/engine.hpp"
 #include "api/scenario.hpp"
 #include "api/sweep.hpp"
+#include "dist/shard.hpp"
 #include "kibam/bank.hpp"
 #include "kibam/discrete.hpp"
 #include "kibam/kibam.hpp"
@@ -25,6 +27,7 @@
 #include "sched/simulator.hpp"
 #include "support/bank_reference.hpp"
 #include "takibam/network.hpp"
+#include "../tools/sweep_common.hpp"
 
 namespace {
 
@@ -230,8 +233,10 @@ void bm_sweep_cell_reps(benchmark::State& state) {
 BENCHMARK(bm_sweep_cell_reps);
 
 void bm_cell_key(benchmark::State& state) {
-  // The sweep cache's value key of one replicated stochastic item, which
-  // run_sweep's dedup pass builds for every such (cell, replication).
+  // The sweep cache's value key of one scenario, which run_sweep builds
+  // once per deterministic cell. (The scenario timed here is a replicated
+  // stochastic item: the key run_sweep once built per such item, before
+  // items that can never repeat stopped being keyed.)
   api::sweep sw;
   sw.cells = {api::scenario{.label = {},
                             .batteries = api::bank(2, kibam::battery_b1()),
@@ -245,6 +250,29 @@ void bm_cell_key(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_cell_key);
+
+void bm_run_shard_chunk(benchmark::State& state) {
+  // One 4-item chunk of the fleet demo grid (tools/sweep_common.hpp, 2 500
+  // replications) appended to a lease aggregate by dist::run_shard, as
+  // svc::run_worker runs every chunk: the per-chunk engine cost a fleet
+  // worker pays 6 250 times per pass over the grid. Chunks walk the item
+  // stream, so every iteration runs items it has not run before.
+  api::sweep sw = tools::demo_sweep(2500);
+  const std::size_t total = sw.cells.size() * sw.replications;
+  const dist::shard_aggregate blank = dist::empty_aggregate(sw);
+  dist::shard sh;
+  sh.sweep = std::move(sw);
+  const api::engine engine;
+  dist::shard_aggregate lease = blank;
+  for (auto _ : state) {
+    if (lease.last_item + 4 > total) lease = blank;
+    sh.first = lease.last_item;
+    sh.last = sh.first + 4;
+    dist::run_shard(engine, sh, lease, 1);
+  }
+  benchmark::DoNotOptimize(lease.cells);
+}
+BENCHMARK(bm_run_shard_chunk);
 
 void bm_simulate_lookahead(benchmark::State& state) {
   // The online-rollout policy: every job start rolls each candidate

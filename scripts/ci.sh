@@ -113,7 +113,9 @@ run_tsan() {
   # runs rollouts and searches over the per-thread transition memos of
   # bank::advance_all on an 8-thread pool), then the rest of the
   # concurrency surface: the sweep pool, the svc fleet, the net framing,
-  # the api engine's thread-count-independence tests, the exact search
+  # the worker's heartbeat cadence and lease liveness (SvcHeartbeat), the
+  # item ranges of run_sweep (SweepRange), the api engine's
+  # thread-count-independence tests, the exact search
   # (concurrent searches on the sweep pool, each with its own memo), the
   # transition memo's differential tests (BankAdvanceAll) and the
   # allocation counts (their operator new replacement must hold under
@@ -161,10 +163,12 @@ run_release() {
     --output-on-failure -j "$JOBS"
   # Fleet determinism guard: the fleet tests that need every worker to
   # take part hold each worker at its first chunk (worker_options::clock)
-  # instead of racing it, so they must pass every time, not most times.
-  # A hundred repetitions take under two seconds.
+  # instead of racing it, and the heartbeat tests drive the worker's
+  # cadence and the lease-timeout liveness on manual clocks, so they must
+  # pass every time, not most times. A hundred repetitions take under two
+  # seconds.
   "$dir/bsched_tests" --gtest_brief=1 --gtest_repeat=100 \
-    --gtest_filter='SvcService.ThreeWorker*:SvcService.Straggler*:ObsFleet.*'
+    --gtest_filter='SvcService.ThreeWorker*:SvcService.Straggler*:ObsFleet.*:SvcHeartbeat.*'
   # Smoke runs: the replicated-sweep example must agree across thread
   # counts (exits non-zero when the multi-threaded aggregates mismatch
   # the single-threaded reference), the lookahead ablation must complete (exercising the rollout hot path end to end),

@@ -88,11 +88,20 @@ run_result engine::run(const scenario& scn) const {
 }
 
 sweep_stats engine::run_sweep(const sweep& sw, result_sink& sink,
-                              std::size_t n_threads) const {
+                              std::size_t n_threads, item_range items) const {
   sweep_stats stats;
   const std::size_t total = sw.cells.size() * sw.replications;
-  if (total == 0) return stats;
-  stats.runs = total;
+  const std::size_t first = items.first;
+  const std::size_t last =
+      items.last == item_range::to_end ? total : items.last;
+  if (first > last || last > total) {
+    throw error("run_sweep: item range [" + std::to_string(first) + ", " +
+                std::to_string(last) + ") exceeds the sweep's " +
+                std::to_string(total) + " items");
+  }
+  const std::size_t count = last - first;
+  if (count == 0) return stats;
+  stats.runs = count;
 
   BSCHED_TRACE_SPAN(sweep_span, "engine.run_sweep");
   // Pool threads open their spans against this id explicitly — the
@@ -100,55 +109,42 @@ sweep_stats engine::run_sweep(const sweep& sw, result_sink& sink,
   // BSCHED_OBS=OFF, where the span macros drop their arguments.)
   [[maybe_unused]] const std::uint64_t sweep_parent = sweep_span.id();
 
-  // Dedup pass: one job per distinct effective scenario, in first-seen
-  // grid order. Duplicate (cell, replication) items — repeated grid cells,
-  // or replications of a deterministic cell, where re-seeding is a no-op —
-  // share the job and are later delivered as cache hits. Deterministic
-  // cells key (and copy) once per cell, not once per replication.
-  constexpr std::size_t none = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> job_of(total);
-  std::vector<std::size_t> first_item;  // grid item that evaluates the job
-  std::vector<std::size_t> last_item;   // after it, the result is dropped
-  std::vector<scenario> jobs;
+  // Job planning, in first-seen grid order. An item of a re-seeded
+  // stochastic cell derives its seeds from its own global (cell,
+  // replication), so no other item can repeat it: it is its own job, never
+  // keyed, and its scenario is built only when it is evaluated. Every item
+  // of a deterministic cell runs the cell verbatim, so the cell is keyed
+  // once; its other items, and the items of identical cells, share its
+  // job and are delivered as cache hits.
+  struct job {
+    std::size_t first_item;  ///< The grid item that evaluates the job.
+    std::size_t last_item;   ///< After it, the result is dropped.
+    bool reseeded;           ///< Evaluates replicate(first_item).
+  };
+  std::vector<std::size_t> job_of(count);  // by item - first
+  std::vector<job> jobs;
   {
     std::unordered_map<std::string, std::size_t> index;
-    for (std::size_t cell = 0; cell < sw.cells.size(); ++cell) {
-      const bool varies = sw.reseed && stochastic(sw.cells[cell]);
-      std::size_t repeated_job = none;
-      for (std::size_t rep = 0; rep < sw.replications; ++rep) {
-        const std::size_t item = cell * sw.replications + rep;
-        std::size_t job;
-        if (repeated_job != none) {
-          job = repeated_job;
-        } else if (varies) {
-          scenario eff = replicate(sw, cell, rep);
-          const auto [it, inserted] =
-              index.try_emplace(cell_key(eff), jobs.size());
-          if (inserted) {
-            jobs.push_back(std::move(eff));
-            first_item.push_back(item);
-            last_item.push_back(item);
-          }
-          job = it->second;
-        } else {
-          // Deterministic cell: key it in place, copy only on insertion.
-          const auto [it, inserted] =
-              index.try_emplace(cell_key(sw.cells[cell]), jobs.size());
-          if (inserted) {
-            jobs.push_back(sw.cells[cell]);
-            first_item.push_back(item);
-            last_item.push_back(item);
-          }
-          job = it->second;
-          repeated_job = job;
+    for (std::size_t item = first; item < last;) {
+      const std::size_t cell = item / sw.replications;
+      const std::size_t cell_end =
+          std::min(last, (cell + 1) * sw.replications);
+      if (sw.reseed && stochastic(sw.cells[cell])) {
+        for (; item < cell_end; ++item) {
+          job_of[item - first] = jobs.size();
+          jobs.push_back(job{item, item, true});
         }
-        job_of[item] = job;
-        last_item[job] = item;
+        continue;
       }
+      const auto [it, inserted] =
+          index.try_emplace(cell_key(sw.cells[cell]), jobs.size());
+      if (inserted) jobs.push_back(job{item, item, false});
+      for (; item < cell_end; ++item) job_of[item - first] = it->second;
+      jobs[it->second].last_item = cell_end - 1;
     }
   }
   stats.evaluated = jobs.size();
-  stats.cache_hits = total - jobs.size();
+  stats.cache_hits = count - jobs.size();
 
   if (n_threads == 0) n_threads = std::thread::hardware_concurrency();
   n_threads = std::clamp<std::size_t>(n_threads, 1, jobs.size());
@@ -160,8 +156,12 @@ sweep_stats engine::run_sweep(const sweep& sw, result_sink& sink,
   // cached bank (run() takes it from the engine's bank cache).
   const auto evaluate = [&](std::size_t j) noexcept {
     BSCHED_TRACE_SPAN(job_span, "engine.job", sweep_parent);
+    const std::size_t item = jobs[j].first_item;
+    const std::size_t cell = item / sw.replications;
     try {
-      results[j] = run(jobs[j]);
+      results[j] = jobs[j].reseeded
+                       ? run(replicate(sw, cell, item % sw.replications))
+                       : run(sw.cells[cell]);
     } catch (const std::exception& e) {
       results[j] = run_result{};
       results[j].error = e.what();
@@ -184,12 +184,13 @@ sweep_stats engine::run_sweep(const sweep& sw, result_sink& sink,
   std::exception_ptr sink_error = nullptr;  // guarded by deliver_mutex
   const auto flush = [&]() {
     const std::scoped_lock lock(deliver_mutex);
-    while (delivered < total &&
+    while (delivered < count &&
            done[job_of[delivered]].load(std::memory_order_acquire)) {
-      const std::size_t item = delivered;
-      const std::size_t j = job_of[item];
+      const std::size_t item = first + delivered;
+      const std::size_t j = job_of[delivered];
+      const bool cache_hit = item != jobs[j].first_item;
       BSCHED_COUNTER_ADD("engine.items_total", 1);
-      if (item != first_item[j]) BSCHED_COUNTER_ADD("engine.cache_hits_total", 1);
+      if (cache_hit) BSCHED_COUNTER_ADD("engine.cache_hits_total", 1);
       if (!results[j].ok()) {
         ++stats.failures;
         BSCHED_COUNTER_ADD("engine.failures_total", 1);
@@ -197,8 +198,8 @@ sweep_stats engine::run_sweep(const sweep& sw, result_sink& sink,
       if (sink_error == nullptr) {
         try {
           sink.consume(sweep_result{item / sw.replications,
-                                    item % sw.replications,
-                                    item != first_item[j], results[j]});
+                                    item % sw.replications, cache_hit,
+                                    results[j]});
         } catch (...) {
           sink_error = std::current_exception();
         }
@@ -207,7 +208,7 @@ sweep_stats engine::run_sweep(const sweep& sw, result_sink& sink,
       // so retained results track the delivery frontier. (Workers take
       // no backpressure from that frontier, so a slow early job can
       // still buffer later completions until it delivers.)
-      if (item == last_item[j]) results[j] = run_result{};
+      if (item == jobs[j].last_item) results[j] = run_result{};
       ++delivered;
     }
   };
@@ -233,7 +234,7 @@ sweep_stats engine::run_sweep(const sweep& sw, result_sink& sink,
     // work freed.
     util::task_pool::run(n_threads, worker);
   }
-  BSCHED_ASSERT(delivered == total);
+  BSCHED_ASSERT(delivered == count);
   if (sink_error != nullptr) std::rethrow_exception(sink_error);
   return stats;
 }

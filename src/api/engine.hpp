@@ -13,10 +13,13 @@
 // loads and at either fidelity. Planning statistics are reported in
 // run_result::search for all of them.
 //
-// `run_sweep` evaluates a replicated scenario grid (api/sweep.hpp) on
-// `n_threads` workers, streaming every completed run_result through a
-// result_sink in deterministic grid order and caching duplicate cells by
-// value. `run_batch` is a thin collecting sink over run_sweep.
+// `run_sweep` evaluates a range of a replicated scenario grid's items
+// (api/sweep.hpp; the whole grid by default) on `n_threads` workers,
+// streaming every completed run_result through a result_sink in
+// deterministic grid order. Deterministic cells are keyed by value once
+// and replayed for their other replications and duplicates; an item of a
+// re-seeded stochastic cell can never repeat, so it is never keyed.
+// `run_batch` is a thin collecting sink over run_sweep.
 //
 // Discrete runs step a kibam::bank, whose discretization is the costly
 // part to build. The engine owns a small bank cache, keyed by value on
@@ -65,16 +68,22 @@ class engine {
   /// exceeded, ...). Safe to call concurrently.
   [[nodiscard]] run_result run(const scenario& scn) const;
 
-  /// Evaluates a replicated scenario grid on a pool of `n_threads`
-  /// workers (0 = hardware concurrency), pushing each completed result
-  /// through `sink` as it finishes — in grid order (cells outer,
-  /// replications inner), serialized, so sink aggregates are
-  /// deterministic whatever the thread count. Distinct cells are
-  /// evaluated once and replayed for duplicates (sweep_result::
-  /// cache_hit); per-cell failures are captured in run_result::error,
-  /// never thrown. Returns the run/evaluation/cache-hit/failure counts.
+  /// Evaluates the items `items` of a replicated scenario grid (all of
+  /// them by default) on a pool of `n_threads` workers (0 = hardware
+  /// concurrency), pushing each completed result through `sink` as it
+  /// finishes — in grid order (cells outer, replications inner),
+  /// serialized, so sink aggregates are deterministic whatever the thread
+  /// count. Results carry their global (cell, replication), and every
+  /// item runs exactly the scenario the whole sweep would run for it. A
+  /// deterministic cell is evaluated once per call and replayed for its
+  /// other items and for identical cells (sweep_result::cache_hit); each
+  /// item of a re-seeded stochastic cell is evaluated on its own.
+  /// Per-cell failures are captured in run_result::error, never thrown.
+  /// Returns the run/evaluation/cache-hit/failure counts. Throws
+  /// bsched::error when the range exceeds the item stream.
   sweep_stats run_sweep(const sweep& sw, result_sink& sink,
-                        std::size_t n_threads = 0) const;
+                        std::size_t n_threads = 0,
+                        item_range items = {}) const;
 
   /// Callable convenience overload of run_sweep.
   sweep_stats run_sweep(const sweep& sw,

@@ -11,10 +11,14 @@
 // (cells outer, replications inner), so every aggregate a sink builds is
 // byte-identical whatever the worker-thread count.
 //
-// Cells are cached by value: run_sweep evaluates each distinct
-// (bank, load, policy, fidelity, steps, sim options) cell once and replays
-// the result for duplicates (e.g. Table 5's opt/worst pairs repeated
-// across fidelity grids, or replications of a deterministic cell).
+// Only items that can repeat are cached. A deterministic cell runs the
+// same scenario every replication, so run_sweep keys it by value
+// (bank, load, policy, fidelity, steps, sim options) once and replays the
+// result for its other replications and for duplicate cells (e.g. Table
+// 5's opt/worst pairs repeated across fidelity grids). An item of a
+// re-seeded stochastic cell derives its seeds from its own global
+// (cell, replication), so no other item can equal it: it is evaluated
+// without a key and never replayed.
 #pragma once
 
 #include <cstddef>
@@ -48,6 +52,15 @@ struct sweep {
   bool reseed = true;
 };
 
+/// A contiguous range [first, last) of a sweep's flattened item stream,
+/// where item i is (cell, replication) = (i / replications,
+/// i % replications). The default range is the whole stream.
+struct item_range {
+  static constexpr std::size_t to_end = static_cast<std::size_t>(-1);
+  std::size_t first = 0;
+  std::size_t last = to_end;  ///< to_end = cells x replications.
+};
+
 /// One completed run, as delivered to a result_sink. A transient view —
 /// `result` references the sweep's internal cache and is only valid for
 /// the duration of the consume() call.
@@ -55,7 +68,8 @@ struct sweep_result {
   std::size_t cell;         ///< Index into sweep.cells.
   std::size_t replication;  ///< 0 .. replications-1.
   /// True when the result was replayed from the cell cache rather than
-  /// simulated (an earlier grid position evaluated an identical cell).
+  /// simulated (an earlier item of the same run_sweep call evaluated an
+  /// identical deterministic cell).
   bool cache_hit;
   const run_result& result;
 };
@@ -87,8 +101,8 @@ class callback_sink final : public result_sink {
 
 /// Aggregate accounting of one run_sweep call.
 struct sweep_stats {
-  std::size_t runs = 0;       ///< Deliveries: cells x replications.
-  std::size_t evaluated = 0;  ///< Distinct cells actually simulated.
+  std::size_t runs = 0;       ///< Deliveries: the items of the range.
+  std::size_t evaluated = 0;  ///< Scenarios actually simulated.
   std::size_t cache_hits = 0; ///< runs - evaluated.
   std::size_t failures = 0;   ///< Deliveries with run_result::error set.
 
@@ -229,7 +243,7 @@ class summarize final : public result_sink {
 
 /// True when `replicate` would re-seed this cell — it has a random load
 /// spec or a "random:..." policy. Non-stochastic cells replicate
-/// bit-identically, so run_sweep evaluates them once per sweep.
+/// bit-identically, so run_sweep evaluates them once per call.
 [[nodiscard]] bool stochastic(const scenario& scn);
 
 /// Canonical value key of a scenario: every lifetime-relevant field —

@@ -68,29 +68,13 @@ void run_shard(const api::engine& engine, const shard& sh,
               into.replications == sw.replications && into.seed == sw.seed &&
               into.reseed == sw.reseed,
           "run_shard: the aggregate belongs to a different sweep");
-  if (sh.first == sh.last) return;
 
-  // Expand the slice into the exact effective scenarios the full sweep
-  // would evaluate: api::replicate with *global* (cell, replication)
-  // indices, then run verbatim (reseed off, one replication per item).
-  // Duplicate items within the slice still collapse into the cell cache.
-  api::sweep slice;
-  slice.replications = 1;
-  slice.reseed = false;
-  slice.seed = sw.seed;
-  slice.cells.reserve(sh.last - sh.first);
-  for (std::size_t item = sh.first; item < sh.last; ++item) {
-    const std::size_t cell = item / sw.replications;
-    const std::size_t rep = item % sw.replications;
-    slice.cells.push_back(api::replicate(sw, cell, rep));
-  }
-
-  api::callback_sink sink{[&](const api::sweep_result& r) {
-    // Slice grid index -> global item -> original cell.
-    const std::size_t item = sh.first + r.cell;
-    into.cells[item / sw.replications].agg.add(r.result, r.cache_hit);
+  // Items carry their global (cell, replication), so each runs exactly
+  // the scenario the full sweep would, and lands in its own cell.
+  api::callback_sink sink{[&into](const api::sweep_result& r) {
+    into.cells[r.cell].agg.add(r.result, r.cache_hit);
   }};
-  into.stats += engine.run_sweep(slice, sink, n_threads);
+  into.stats += engine.run_sweep(sw, sink, n_threads, {sh.first, sh.last});
   into.last_item = sh.last;
 }
 

@@ -7,10 +7,10 @@
 // anywhere — no shared state, no coordination. `plan_shard` cuts the
 // stream [0, cells x replications) into n balanced contiguous ranges
 // (cells outer, replication ranges inner) and returns range k;
-// `run_shard` expands its range
-// into the exact effective scenarios the full sweep would have run
-// (verbatim, reseed off) and folds the results into one mergeable
-// api::cell_accumulator per *original* grid cell — into a fresh aggregate,
+// `run_shard` runs its range of the original sweep through
+// engine::run_sweep (so every item is the exact scenario the full sweep
+// would have run) and folds the results into one mergeable
+// api::cell_accumulator per grid cell — into a fresh aggregate,
 // or appended to one that ends where the range starts (how a fleet worker
 // folds a lease chunk by chunk); `merge_shards` checks
 // that a set of shard aggregates tiles the stream exactly once and folds
@@ -102,15 +102,16 @@ struct shard_aggregate {
 /// Runs items [sh.first, sh.last) of the shard's sweep on `n_threads`
 /// workers and appends them to `into`, which must be an aggregate of that
 /// sweep ending where the range starts (into.last_item == sh.first); on
-/// return into.last_item == sh.last. Items are expanded through
-/// api::replicate with their global indices (so the slice reproduces
-/// exactly what the full sweep would run), evaluated as a verbatim
-/// sub-sweep — duplicate items within the range still dedupe — and added
-/// to their original grid cell's accumulator one by one in stream order.
-/// Appending consecutive ranges therefore gives exactly the aggregate of
-/// one call over their union, cache accounting (stats.evaluated and
-/// cache_hits) aside. Throws bsched::error on a range that does not
-/// continue `into` or exceeds the sweep, or a shape mismatch.
+/// return into.last_item == sh.last. The range runs as
+/// engine::run_sweep over the shard's sweep with the item range
+/// [sh.first, sh.last), so every item runs the scenario the full sweep
+/// would run for it (deterministic cells within the range still dedupe),
+/// and each result is added to its grid cell's accumulator one by one in
+/// stream order. Appending consecutive ranges therefore gives exactly the
+/// aggregate of one call over their union, cache accounting
+/// (stats.evaluated and cache_hits) aside. Throws bsched::error on a
+/// range that does not continue `into` or exceeds the sweep, or a shape
+/// mismatch.
 void run_shard(const api::engine& engine, const shard& sh,
                shard_aggregate& into, std::size_t n_threads = 0);
 

@@ -22,20 +22,25 @@
 //   W->C  hello      proto=1 name=<token>        — first frame on connect
 //   C->W  sweep      session=S chunk=K
 //                    lease_timeout_ms=T          body: bsched-sweep v2
-//                    telemetry_ms=M              — snapshot cadence
+//                    telemetry_ms=M              — T and M set the
+//                                                  heartbeat interval
 //   W->C  ready      session=S                   — worker wants a lease
 //   C->W  lease      lease=L epoch=E first=A last=B
 //   C->W  shutdown   reason=complete|deadline|   — no work ever again;
 //                    protocol-mismatch             may replace sweep
 //   W->C  heartbeat  session=S lease=L epoch=E done=F
-//                                                — F: global item frontier
-//                                                body (optional):
-//                                                bsched-telemetry v1, the
-//                                                worker's metrics snapshot
-//                                                (obs/telemetry.hpp), on a
-//                                                lease's first heartbeat
-//                                                and then at most every M
-//                                                ms; empty bodies are fine
+//                                                — F: global item frontier;
+//                                                after a lease's first
+//                                                chunk, then after the
+//                                                first chunk to end
+//                                                min(M, T/4) ms or more
+//                                                after the last heartbeat.
+//                                                body: bsched-telemetry
+//                                                v1, the worker's metrics
+//                                                snapshot
+//                                                (obs/telemetry.hpp), on
+//                                                every heartbeat; empty
+//                                                bodies are fine
 //   C->W  trim       lease=L epoch=E last=X      — work-steal proposal
 //   W->C  trimmed    session=S lease=L epoch=E last=Y
 //                                                — actual cut, Y >= X or

@@ -12,8 +12,10 @@
 //
 // Failure model:
 //   * worker disconnects      -> its active leases re-queue immediately;
-//   * worker goes quiet       -> a lease with no heartbeat/result within
-//                                lease_timeout expires and re-queues; the
+//   * worker goes quiet       -> a lease with no heartbeat, trim answer
+//                                or result within lease_timeout expires
+//                                and re-queues (a live worker heartbeats
+//                                at least every lease_timeout / 4); the
 //                                lease's (id, epoch) is retired, so a
 //                                late or duplicate result is rejected
 //                                (ack ok=0) instead of double-folded;
@@ -65,10 +67,10 @@ struct coordinator_options {
   std::size_t lease_items = 0;
   static constexpr std::size_t leases_per_worker = 8;
   /// Worker chunk granularity: workers run leases in chunks of this many
-  /// items, appending each to the lease's one aggregate and heartbeating
-  /// their frontier between chunks (also the trim/steal resolution). A
-  /// chunk costs one small run_sweep plus a header-only heartbeat; the
-  /// metrics snapshot follows telemetry_interval_s, not this.
+  /// items, appending each to the lease's one aggregate and reading
+  /// trim proposals after each (the trim/steal resolution). A chunk costs
+  /// one small run_sweep over its item range; heartbeats follow
+  /// telemetry_interval_s and lease_timeout_s, not this.
   std::size_t chunk_items = 4;
   /// A lease with no heartbeat, trim answer or result for this long
   /// expires and re-queues. Must comfortably exceed one chunk's runtime.
@@ -91,10 +93,12 @@ struct coordinator_options {
   /// `sweep_serve --metrics-out` encodes to its exposition file.
   std::function<void(const obs::snapshot&)> on_telemetry;
   /// The telemetry cadence, also announced to workers (the sweep
-  /// message's telemetry_ms): a worker's heartbeat carries its metrics
-  /// snapshot on the first chunk of each lease and then only once its
-  /// last snapshot is this old, so per-worker views in telemetry() may
-  /// lag by up to one interval (or one lease).
+  /// message's telemetry_ms). A worker heartbeats, snapshot included,
+  /// after the first chunk of each lease and then after the first chunk
+  /// to end min(telemetry_interval_s, lease_timeout_s / 4) or more after
+  /// its last heartbeat, so per-worker views in telemetry() lag by up to
+  /// one interval plus one chunk, and a long interval never starves a
+  /// lease of heartbeats.
   double telemetry_interval_s = 1.0;
 };
 

@@ -26,11 +26,13 @@ struct session_ctx {
   net::connection conn;
   std::uint64_t session = 0;
   std::size_t chunk = 1;
-  /// The coordinator's telemetry cadence: how stale the last heartbeat
-  /// snapshot may get before the next heartbeat carries a fresh one.
-  util::monotonic_clock::duration telemetry_every{};
-  /// Start of the chunk whose heartbeat carried the last snapshot.
-  util::monotonic_clock::time_point scraped_at{};
+  /// How old the last heartbeat may get before a chunk sends the next:
+  /// min(telemetry_ms, lease_timeout_ms / 4) from the sweep message, so
+  /// the coordinator's telemetry view lags by at most one interval and a
+  /// lease hears from its worker four times per lease timeout.
+  util::monotonic_clock::duration heartbeat_every{};
+  /// End of the chunk that sent the last heartbeat.
+  util::monotonic_clock::time_point heartbeat_at{};
   int io_timeout_ms = 0;
   std::string name;
   std::ostream* log_stream = nullptr;
@@ -66,8 +68,9 @@ struct session_ctx {
 };
 
 /// One lease's execution: chunked run_shard calls appended to one lease
-/// aggregate (`blank`, the session's empty aggregate, copied), heartbeats
-/// and trim handling between chunks. Returns false when the campaign
+/// aggregate (`blank`, the session's empty aggregate, copied), with trim
+/// handling after every chunk and a heartbeat after the first chunk and
+/// then once per heartbeat interval. Returns false when the campaign
 /// completed mid-lease (nothing was sent).
 bool run_lease(const api::engine& engine, session_ctx& ctx, dist::shard& sh,
                const dist::shard_aggregate& blank, const net::message& lease,
@@ -93,30 +96,34 @@ bool run_lease(const api::engine& engine, session_ctx& ctx, dist::shard& sh,
     sh.last = std::min(sh.first + ctx.chunk, last);
     const auto chunk_start = ctx.clk->now();
     dist::run_shard(engine, sh, agg, n_threads);
+    const auto chunk_end = ctx.clk->now();
     BSCHED_HISTOGRAM_OBSERVE(
         "svc.worker.chunk_seconds",
-        std::chrono::duration<double>(ctx.clk->now() - chunk_start).count(),
+        std::chrono::duration<double>(chunk_end - chunk_start).count(),
         0.001, 0.01, 0.1, 1.0, 10.0, 60.0);
     BSCHED_COUNTER_ADD("svc.worker.items_total", sh.last - sh.first);
     report.items += sh.last - sh.first;
 
-    // Every heartbeat carries the frontier (steals need it). The worker's
-    // metrics snapshot, from which the coordinator folds its fleet-wide
-    // telemetry view, rides on the lease's first heartbeat and then at
-    // the coordinator's telemetry cadence.
-    net::message hb = net::make("heartbeat");
-    hb.fields["lease"] = std::to_string(id);
-    hb.fields["epoch"] = std::to_string(epoch);
-    hb.fields["done"] = std::to_string(agg.last_item);
+    // A heartbeat keeps the lease alive and carries the frontier plus the
+    // worker's metrics snapshot, from which the coordinator folds its
+    // fleet-wide telemetry view. It goes out on the lease's first chunk
+    // and then once per interval, not per chunk: steals learn the true
+    // frontier from the trim handshake below, whatever the last
+    // heartbeat said.
     if (sh.first == first ||
-        chunk_start - ctx.scraped_at >= ctx.telemetry_every) {
+        chunk_end - ctx.heartbeat_at >= ctx.heartbeat_every) {
+      net::message hb = net::make("heartbeat");
+      hb.fields["lease"] = std::to_string(id);
+      hb.fields["epoch"] = std::to_string(epoch);
+      hb.fields["done"] = std::to_string(agg.last_item);
       hb.body = obs::encode_telemetry_str(obs::registry::global().scrape());
-      ctx.scraped_at = chunk_start;
+      ctx.send(std::move(hb));
+      ctx.heartbeat_at = chunk_end;
     }
-    ctx.send(std::move(hb));
 
     // Drain whatever the coordinator pushed meanwhile — work-steal
-    // proposals, or the end of the campaign.
+    // proposals, or the end of the campaign — after every chunk, so a
+    // trim is answered at chunk resolution.
     while (auto frame = ctx.conn.recv_frame(0)) {
       const net::message m = net::decode(*frame);
       if (m.type == "shutdown") {
@@ -212,8 +219,9 @@ worker_report run_worker(const api::engine& engine,
   ctx.session = sweep_msg.u64("session");
   ctx.chunk = std::max<std::size_t>(
       1, static_cast<std::size_t>(sweep_msg.u64("chunk")));
-  ctx.telemetry_every = std::chrono::milliseconds(
-      static_cast<long long>(sweep_msg.u64("telemetry_ms")));
+  ctx.heartbeat_every = std::chrono::milliseconds(
+      static_cast<long long>(std::min(sweep_msg.u64("telemetry_ms"),
+                                      sweep_msg.u64("lease_timeout_ms") / 4)));
 
   // The whole grid arrives over the wire; nothing is compiled in. Its
   // empty aggregate (shape and cell descriptors) is built once and

@@ -5,16 +5,20 @@
 // A lease's item range is executed in chunks of the coordinator-announced
 // size, each appended by dist::run_shard to one lease aggregate (copied
 // from the session's dist::empty_aggregate) item by item in stream order,
-// so the lease result is exactly that of a single contiguous run. Between
-// chunks the worker heartbeats its global item frontier and answers
-// work-steal `trim` proposals with the actual cut — never below what it
-// has already computed — then ships the finished lease as one `result`
-// frame and waits for the ack. A rejected ack (stale epoch after an
-// expiry) just discards the work and asks for the next lease.
+// so the lease result is exactly that of a single contiguous run. After
+// every chunk the worker answers work-steal `trim` proposals with the
+// actual cut — never below what it has already computed; it then ships
+// the finished lease as one `result` frame and waits for the ack. A
+// rejected ack (stale epoch after an expiry) just discards the work and
+// asks for the next lease.
 //
-// A heartbeat carries the worker's metrics snapshot on the first chunk of
-// each lease, and after that only once the last snapshot is at least the
-// coordinator-announced telemetry interval old — not a scrape per chunk.
+// Heartbeats run on a clock, not per chunk: one after a lease's first
+// chunk, then one after any chunk that ends at least
+// min(telemetry_ms, lease_timeout_ms / 4) after the last — both announced
+// in the sweep message. Each carries the global item frontier and the
+// worker's metrics snapshot, so the coordinator's telemetry view lags by
+// at most one interval and a lease hears from its worker about four
+// times per lease timeout, however long the lease runs.
 #pragma once
 
 #include <cstddef>
@@ -37,8 +41,9 @@ struct worker_options {
   int io_timeout_ms = 120000;
   std::ostream* log = nullptr;
   /// Monotonic time source for chunk timing (the
-  /// svc.worker.chunk_seconds histogram) and the heartbeat snapshot
-  /// cadence; null = util::monotonic_clock::system().
+  /// svc.worker.chunk_seconds histogram) and the heartbeat cadence, read
+  /// at the start and at the end of every chunk;
+  /// null = util::monotonic_clock::system().
   const util::monotonic_clock* clock = nullptr;
 };
 

@@ -2,16 +2,19 @@
 // loopback sockets: a healthy multi-worker fleet, lease expiry and
 // reassignment, a worker dying mid-shard, work-steal splits,
 // duplicate/stale result rejection, and corrupt results and oversized
-// frames from a worker holding a live lease, and the end of a campaign
-// (completion or deadline) as late workers and held leases see it. The
+// frames from a worker holding a live lease, the end of a campaign
+// (completion or deadline) as late workers and held leases see it, and
+// the worker's heartbeat cadence against a scripted coordinator. The
 // acceptance property throughout: whatever the failure pattern, the
 // merged aggregate reproduces the single-process run_sweep + summarize
 // statistics (exact counts/extrema/quantiles below the digest budget,
 // ulp-scale moments).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <future>
 #include <latch>
 #include <mutex>
@@ -19,6 +22,7 @@
 #include <streambuf>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -29,6 +33,7 @@
 #include "dist/shard.hpp"
 #include "net/message.hpp"
 #include "net/socket.hpp"
+#include "obs/telemetry.hpp"
 #include "support/fleet.hpp"
 #include "svc/coordinator.hpp"
 #include "svc/worker.hpp"
@@ -565,6 +570,240 @@ TEST(SvcService, ShutdownEndsTheSessionCleanlyOnlyWhenComplete) {
           << e.what();
     }
   }
+}
+
+/// A clock that reads `base` but first runs `on_read` with the 1-based
+/// index of the call. run_worker reads its clock at the start and at the
+/// end of every chunk, so read 2k - 1 starts chunk k and read 2k ends it;
+/// the heartbeat tests below count on that, as the fleet tests count on
+/// support::first_chunk_clock's first read being the first chunk start.
+class hooked_clock final : public util::monotonic_clock {
+ public:
+  hooked_clock(const util::monotonic_clock& base,
+               std::function<void(std::size_t)> on_read)
+      : base_(base), on_read_(std::move(on_read)) {}
+
+  [[nodiscard]] time_point now() const noexcept override {
+    on_read_(++reads_);
+    return base_.now();
+  }
+
+ private:
+  const util::monotonic_clock& base_;
+  std::function<void(std::size_t)> on_read_;
+  mutable std::atomic<std::size_t> reads_{0};
+};
+
+/// What a real worker sent for one lease, and its report.
+struct scripted_lease {
+  std::vector<net::message> frames;  ///< After `ready`, up to `result`.
+  worker_report report;
+};
+
+/// One real worker on `clock` against a scripted coordinator (a plain
+/// listener): the sweep announces one-item chunks and the given
+/// telemetry_ms and lease_timeout_ms, then one lease of the items [0,
+/// `items`) of grid(4) is granted and `after_lease` runs. Every frame the
+/// worker sends up to its `result` is kept; the lease is then acked and
+/// the campaign completed.
+scripted_lease run_scripted_lease(
+    const util::monotonic_clock& clock, std::size_t items, int telemetry_ms,
+    int lease_timeout_ms,
+    const std::function<void(net::connection&)>& after_lease = {}) {
+  net::listener lst{0};
+  const api::engine engine;
+  auto w = join_fleet(engine, lst.port(), "scripted", &clock);
+  net::connection conn = lst.accept();
+  const auto recv = [&conn] {
+    const auto frame = conn.recv_frame(20000);
+    if (!frame) throw error("scripted coordinator: recv timed out");
+    return net::decode(*frame);
+  };
+  const auto send = [&conn](const net::message& m) {
+    conn.send_frame(net::encode(m), 20000);
+  };
+  EXPECT_EQ(recv().type, "hello");
+  net::message sweep = net::make("sweep");
+  sweep.fields["session"] = "1";
+  sweep.fields["chunk"] = "1";
+  sweep.fields["lease_timeout_ms"] = std::to_string(lease_timeout_ms);
+  sweep.fields["telemetry_ms"] = std::to_string(telemetry_ms);
+  sweep.body = dist::encode_sweep_str(grid(4));
+  send(sweep);
+  EXPECT_EQ(recv().type, "ready");
+  net::message lease = net::make("lease");
+  lease.fields["lease"] = "1";
+  lease.fields["epoch"] = "1";
+  lease.fields["first"] = "0";
+  lease.fields["last"] = std::to_string(items);
+  send(lease);
+  if (after_lease) after_lease(conn);
+
+  scripted_lease out;
+  do {
+    out.frames.push_back(recv());
+  } while (out.frames.back().type != "result");
+  net::message ack = net::make("ack");
+  ack.fields["lease"] = "1";
+  ack.fields["epoch"] = "1";
+  ack.fields["ok"] = "1";
+  send(ack);
+  EXPECT_EQ(recv().type, "ready");
+  net::message bye = net::make("shutdown");
+  bye.fields["reason"] = "complete";
+  send(bye);
+  out.report = w.get();
+  return out;
+}
+
+/// A heartbeat for lease 1 at frontier `done`, carrying a snapshot.
+void expect_heartbeat(const net::message& m, std::size_t done) {
+  ASSERT_EQ(m.type, "heartbeat");
+  EXPECT_EQ(m.u64("lease"), 1u);
+  EXPECT_EQ(m.u64("done"), done);
+  EXPECT_NO_THROW((void)obs::decode_telemetry_str(m.body));
+}
+
+/// The `result` for lease 1 covering [0, last).
+void expect_result(const net::message& m, std::size_t last) {
+  ASSERT_EQ(m.type, "result");
+  const dist::shard_aggregate part = dist::decode_str(m.body);
+  EXPECT_EQ(part.first_item, 0u);
+  EXPECT_EQ(part.last_item, last);
+}
+
+TEST(SvcHeartbeat, FrozenClockLeaseSendsOneHeartbeat) {
+  // Sixteen one-item chunks in no time at all: the lease's first chunk
+  // heartbeats, and no later one is an interval past it.
+  const util::manual_clock frozen;
+  const scripted_lease s = run_scripted_lease(frozen, 16, 1000, 30000);
+  ASSERT_EQ(s.frames.size(), 2u);
+  expect_heartbeat(s.frames[0], 1);
+  expect_result(s.frames[1], 16);
+  EXPECT_EQ(s.report.items, 16u);
+  EXPECT_EQ(s.report.leases, 1u);
+}
+
+TEST(SvcHeartbeat, IntervalIsTheShorterOfTelemetryAndAQuarterLeaseTimeout) {
+  // (telemetry_ms, lease_timeout_ms) -> interval: the lease timeout rules
+  // in the first case, the telemetry cadence in the second.
+  for (const auto& [telemetry_ms, lease_timeout_ms, interval_ms] :
+       {std::tuple{1000, 2000, 500}, std::tuple{300, 30000, 300}}) {
+    SCOPED_TRACE("telemetry_ms=" + std::to_string(telemetry_ms) +
+                 " lease_timeout_ms=" + std::to_string(lease_timeout_ms));
+    const std::chrono::milliseconds interval{interval_ms};
+    const std::chrono::milliseconds tick{1};
+    util::manual_clock time;
+    // Chunks 2 and 4 end one millisecond short of an interval after the
+    // last heartbeat; chunks 3 and 5 end exactly one interval after it.
+    const hooked_clock clock{time, [&](std::size_t read) {
+                               if (read == 3 || read == 7) {
+                                 time.advance(interval - tick);
+                               }
+                               if (read == 5 || read == 9) time.advance(tick);
+                             }};
+    const scripted_lease s =
+        run_scripted_lease(clock, 16, telemetry_ms, lease_timeout_ms);
+    ASSERT_EQ(s.frames.size(), 4u);
+    expect_heartbeat(s.frames[0], 1);
+    expect_heartbeat(s.frames[1], 3);
+    expect_heartbeat(s.frames[2], 5);
+    expect_result(s.frames[3], 16);
+  }
+}
+
+TEST(SvcHeartbeat, TrimIsAnsweredAtTheNextChunkBoundary) {
+  // The worker starts its first chunk only once a trim to [0, 4) is on
+  // the wire, so it reads that trim after the chunk — with no heartbeat
+  // due, the answer does not wait for one.
+  std::promise<void> trim_sent;
+  std::shared_future<void> sent = trim_sent.get_future().share();
+  const util::manual_clock frozen;
+  const hooked_clock clock{frozen, [sent](std::size_t read) {
+                             if (read == 1) sent.wait();
+                           }};
+  const scripted_lease s =
+      run_scripted_lease(clock, 16, 1000, 30000, [&](net::connection& conn) {
+        net::message trim = net::make("trim");
+        trim.fields["lease"] = "1";
+        trim.fields["epoch"] = "1";
+        trim.fields["last"] = "4";
+        conn.send_frame(net::encode(trim), 20000);
+        trim_sent.set_value();
+      });
+  ASSERT_EQ(s.frames.size(), 3u);
+  expect_heartbeat(s.frames[0], 1);
+  EXPECT_EQ(s.frames[1].type, "trimmed");
+  EXPECT_EQ(s.frames[1].u64("lease"), 1u);
+  EXPECT_EQ(s.frames[1].u64("last"), 4u);
+  expect_result(s.frames[2], 4);
+  EXPECT_EQ(s.report.items, 4u);
+  EXPECT_EQ(s.report.trims, 1u);
+}
+
+TEST(SvcHeartbeat, LeaseLongerThanTheTimeoutKeepsItsLease) {
+  // One lease of 20 one-item chunks, each an eighth of the lease timeout
+  // long on a shared manual clock: the lease runs 2.5 timeouts, and a
+  // telemetry interval of an hour would never heartbeat. The worker
+  // heartbeats every quarter timeout, every second chunk, instead.
+  const api::sweep sw = grid(4);
+  const std::vector<api::cell_summary> ref = reference(sw);
+  const std::size_t total = sw.cells.size() * sw.replications;
+  const std::chrono::milliseconds chunk_time{500};
+
+  // The worker must not run ahead of the coordinator's loop, or a burst
+  // of chunks could move the clock past a deadline before the
+  // coordinator has read the heartbeat already in its socket. The
+  // coordinator reads its clock at the top of each pass, before it sleeps
+  // and when it wakes, so four reads after a frame arrived mean the frame
+  // has been handled. Before the clock moves into chunk k, four reads
+  // have passed since chunk k - 4 started, so every heartbeat sent before
+  // that has been handled; the last of them, from chunk k - 6 or later,
+  // set a deadline past chunk k + 2. (Each heartbeat wakes the
+  // coordinator for three reads, so the wait is short.)
+  util::manual_clock time;
+  std::atomic<std::size_t> coordinator_reads{0};
+  const hooked_clock coordinator_clock{time, [&](std::size_t) {
+                                         ++coordinator_reads;
+                                         coordinator_reads.notify_all();
+                                       }};
+  std::vector<std::size_t> reads_at_start;  // per chunk; worker thread only
+  const hooked_clock worker_clock{time, [&](std::size_t read) {
+    if (read % 2 == 0) return;  // a chunk end
+    if (reads_at_start.size() >= 4) {
+      const std::size_t target = reads_at_start[reads_at_start.size() - 4] + 4;
+      for (std::size_t seen = coordinator_reads.load(); seen < target;
+           seen = coordinator_reads.load()) {
+        coordinator_reads.wait(seen);
+      }
+    }
+    reads_at_start.push_back(coordinator_reads.load());
+    time.advance(chunk_time);
+  }};
+
+  coordinator_options opts;
+  opts.lease_items = total;
+  opts.chunk_items = 1;
+  opts.steal = false;
+  opts.lease_timeout_s = 4;
+  opts.telemetry_interval_s = 3600;
+  opts.deadline_s = 20;  // on the manual clock; the lease takes 10 s
+  opts.clock = &coordinator_clock;
+  coordinator coord{sw, opts};
+  auto served = serve(coord);
+  const api::engine engine;
+  auto w = join_fleet(engine, coord.port(), "long", &worker_clock);
+  const dist::shard_aggregate merged = served.get();
+  const worker_report r = w.get();
+
+  EXPECT_GT(chunk_time * total, std::chrono::seconds(4) * 2);
+  expect_equivalent(dist::summaries(merged), ref);
+  EXPECT_EQ(r.items, total);
+  EXPECT_EQ(r.leases, 1u);
+  const coordinator_counters& c = coord.counters();
+  EXPECT_EQ(c.expired, 0u);
+  EXPECT_EQ(c.leases_granted, 1u);
+  EXPECT_EQ(c.results_accepted, 1u);
 }
 
 TEST(SvcNet, MessageRoundTripAndVersionGate) {

@@ -1,14 +1,19 @@
 // The sweep surface: per-replication seed derivation, deterministic
-// grid-order streaming across thread counts, the by-value cell cache,
-// per-cell statistics, and failure isolation. All suite names start with
+// grid-order streaming across thread counts, item ranges, the by-value
+// cache of cells that can repeat, per-cell statistics, and failure
+// isolation. All suite names start with
 // "Sweep" so CI can re-run them serially and in parallel via
 // `ctest -R Sweep` (scripts/ci.sh).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 #include <variant>
+#include <vector>
 
+#include "../tools/sweep_common.hpp"
 #include "api/engine.hpp"
 #include "api/scenario.hpp"
 #include "api/sweep.hpp"
@@ -194,6 +199,120 @@ TEST(SweepCache, RandomCellsGetFreshSeedsNotCacheHits) {
   // …and the lifetimes actually vary across replications.
   EXPECT_GT(sink.cells()[0].stddev_min, 0.0);
   EXPECT_GT(sink.cells()[0].ci95_min, 0.0);
+}
+
+/// One delivery of a run_sweep call, copied out of the transient view.
+struct delivery {
+  std::size_t cell;
+  std::size_t replication;
+  bool cache_hit;
+  run_result result;
+
+  friend bool operator==(const delivery&, const delivery&) = default;
+};
+
+std::vector<delivery> deliveries(const engine& eng, const sweep& sw,
+                                 item_range items, std::size_t threads,
+                                 sweep_stats& stats) {
+  std::vector<delivery> out;
+  callback_sink sink{[&out](const sweep_result& r) {
+    out.push_back(delivery{r.cell, r.replication, r.cache_hit, r.result});
+  }};
+  stats = eng.run_sweep(sw, sink, threads, items);
+  return out;
+}
+
+/// A grid with every caching case: deterministic cells (one duplicated),
+/// a random load, and a "random:" policy on a fixed load.
+sweep mixed_grid() {
+  sweep sw;
+  sw.cells.push_back(base_cell(load::test_load::ils_alt, "best_of_n"));
+  sw.cells.push_back(base_cell(
+      load_spec::parse("random:count=20,p=0.5,seed=1"), "round_robin"));
+  sw.cells.push_back(base_cell(load::test_load::cl_250, "random:seed=3"));
+  sw.cells.push_back(base_cell(load::test_load::ils_alt, "best_of_n"));
+  sw.cells.push_back(base_cell(load::test_load::cl_250, "round_robin"));
+  sw.replications = 5;
+  sw.seed = 7;
+  return sw;
+}
+
+TEST(SweepRange, WholeSweepKeysOnlyCellsThatCanRepeat) {
+  const engine eng;
+  const sweep sw = mixed_grid();
+  summarize sink{sw};
+  const sweep_stats stats = eng.run_sweep(sw, sink, 3);
+  // Ten re-seeded items, each evaluated; two distinct deterministic
+  // cells, each evaluated once for its 10 (duplicated) or 5 items.
+  EXPECT_EQ(stats.runs, 25u);
+  EXPECT_EQ(stats.evaluated, 12u);
+  EXPECT_EQ(stats.cache_hits, 13u);
+  const std::vector<std::size_t> hits = {4, 0, 0, 5, 4};
+  for (std::size_t c = 0; c < sw.cells.size(); ++c) {
+    EXPECT_EQ(sink.cells()[c].cache_hits, hits[c]) << "cell " << c;
+  }
+}
+
+TEST(SweepRange, TilingsDeliverTheWholeSweepItemForItem) {
+  const engine eng;
+  for (const sweep& sw : {tools::demo_sweep(6), mixed_grid()}) {
+    const std::size_t total = sw.cells.size() * sw.replications;
+    sweep_stats whole_stats;
+    const std::vector<delivery> whole =
+        deliveries(eng, sw, item_range{}, 2, whole_stats);
+    ASSERT_EQ(whole.size(), total);
+
+    rng gen{sw.seed};
+    for (std::size_t trial = 0; trial < 6; ++trial) {
+      // A random tiling of [0, total) into 1..6 ranges.
+      std::vector<std::size_t> cuts = {0, total};
+      for (std::size_t k = trial % 6; k > 0; --k) {
+        cuts.push_back(static_cast<std::size_t>(
+            gen.uniform() * static_cast<double>(total)));
+      }
+      std::sort(cuts.begin(), cuts.end());
+      for (std::size_t r = 0; r + 1 < cuts.size(); ++r) {
+        const std::size_t a = cuts[r];
+        const std::size_t b = cuts[r + 1];
+        sweep_stats stats;
+        const std::vector<delivery> part =
+            deliveries(eng, sw, item_range{a, b}, trial % 3 + 1, stats);
+        ASSERT_EQ(part.size(), b - a);
+        // Within the range, an item is a cache hit exactly when an earlier
+        // item of the range ran an identical deterministic cell.
+        std::set<std::string> seen;
+        std::size_t hits = 0;
+        for (std::size_t i = a; i < b; ++i) {
+          const delivery& got = part[i - a];
+          const delivery& want = whole[i];
+          EXPECT_EQ(got.cell, want.cell);
+          EXPECT_EQ(got.replication, want.replication);
+          EXPECT_EQ(got.result, want.result) << "item " << i;
+          const scenario& scn = sw.cells[want.cell];
+          const bool repeats = !stochastic(scn);
+          const bool hit = repeats && !seen.insert(cell_key(scn)).second;
+          EXPECT_EQ(got.cache_hit, hit) << "item " << i;
+          if (!repeats) {
+            EXPECT_FALSE(want.cache_hit) << "item " << i;
+          }
+          hits += hit ? 1 : 0;
+        }
+        EXPECT_EQ(stats.runs, b - a);
+        EXPECT_EQ(stats.cache_hits, hits);
+        EXPECT_EQ(stats.evaluated, b - a - hits);
+      }
+    }
+  }
+}
+
+TEST(SweepRange, RangeBeyondTheStreamThrows) {
+  const engine eng;
+  const sweep sw = mixed_grid();
+  sweep_stats stats;
+  EXPECT_THROW((void)deliveries(eng, sw, item_range{0, 26}, 1, stats), error);
+  EXPECT_THROW((void)deliveries(eng, sw, item_range{4, 3}, 1, stats), error);
+  EXPECT_TRUE(deliveries(eng, sw, item_range{25, 25}, 1, stats).empty());
+  EXPECT_EQ(stats, sweep_stats{});
 }
 
 TEST(SweepStatistics, TenCellGridThirtyReplications) {
