@@ -232,6 +232,24 @@ void bm_sweep_cell_reps(benchmark::State& state) {
 }
 BENCHMARK(bm_sweep_cell_reps);
 
+void bm_sweep_cheap_items(benchmark::State& state) {
+  // The product path on cheap items: the 2 500-item demo grid
+  // (tools/sweep_common.hpp, 250 replications) through run_sweep into
+  // summarize, at 1 and 4 threads. Items cost a few microseconds, so any
+  // per-item synchronisation shows as lost scaling: compare the real
+  // times of /4 and /1. cpu_time counts every thread's work.
+  const api::sweep sw = tools::demo_sweep(250);
+  const api::engine engine;
+  const auto n_threads = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    api::summarize sink{sw};
+    engine.run_sweep(sw, sink, n_threads);
+    benchmark::DoNotOptimize(sink.cells());
+  }
+}
+BENCHMARK(bm_sweep_cheap_items)->Arg(1)->Arg(4)->UseRealTime()
+    ->MeasureProcessCPUTime();
+
 void bm_cell_key(benchmark::State& state) {
   // The sweep cache's value key of one scenario, which run_sweep builds
   // once per deterministic cell. (The scenario timed here is a replicated

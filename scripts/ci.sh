@@ -112,7 +112,10 @@ run_tsan() {
   # standalone (fail loudly if the filter ever goes empty; StressKibam
   # runs rollouts and searches over the per-thread transition memos of
   # bank::advance_all on an 8-thread pool), then the rest of the
-  # concurrency surface: the sweep pool, the svc fleet, the net framing,
+  # concurrency surface: the sweep pool and its combining delivery flush
+  # (SweepDelivery: grid order, one sink entrant at a time, a throwing
+  # sink), the per-thread bank slot in front of the engine's bank cache
+  # (SweepBankIdentity), the svc fleet, the net framing,
   # the worker's heartbeat cadence and lease liveness (SvcHeartbeat), the
   # item ranges of run_sweep (SweepRange), the api engine's
   # thread-count-independence tests, the exact search
@@ -165,10 +168,13 @@ run_release() {
   # take part hold each worker at its first chunk (worker_options::clock)
   # instead of racing it, and the heartbeat tests drive the worker's
   # cadence and the lease-timeout liveness on manual clocks, so they must
-  # pass every time, not most times. A hundred repetitions take under two
-  # seconds.
+  # pass every time, not most times. The sweep's delivery contract under
+  # load (SweepDelivery) and the bank slot's identity rules
+  # (SweepBankIdentity) ride along: a lost or doubled flush shows up
+  # only in some interleavings. The fleet tests take under two seconds
+  # for a hundred repetitions, the delivery tests under a minute.
   "$dir/bsched_tests" --gtest_brief=1 --gtest_repeat=100 \
-    --gtest_filter='SvcService.ThreeWorker*:SvcService.Straggler*:ObsFleet.*:SvcHeartbeat.*'
+    --gtest_filter='SvcService.ThreeWorker*:SvcService.Straggler*:ObsFleet.*:SvcHeartbeat.*:SweepDelivery.*:SweepBankIdentity.*'
   # Smoke runs: the replicated-sweep example must agree across thread
   # counts (exits non-zero when the multi-threaded aggregates mismatch
   # the single-threaded reference), the lookahead ablation must complete (exercising the rollout hot path end to end),

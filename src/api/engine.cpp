@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -14,17 +15,65 @@
 
 namespace bsched::api {
 
+namespace {
+
+/// Serials of bank caches, unique per process: a thread's last-used slot
+/// (below) names its cache by serial, never by address, so a cache
+/// allocated where a destroyed one lived never matches a stale slot.
+std::atomic<std::uint64_t> next_cache_serial{1};
+
+/// The bank this thread looked up last, with the shape and the cache it
+/// came from. A hit returns the bank without a lock or a write to a
+/// shared reference count; the slot's own reference keeps the bank alive
+/// until this thread's next miss or its exit.
+struct last_bank {
+  std::uint64_t cache = 0;  ///< 0: empty.
+  std::vector<kibam::battery_parameters> batteries;
+  load::step_sizes steps;
+  std::shared_ptr<const kibam::bank> bank;
+};
+thread_local last_bank last_used;
+
+}  // namespace
+
 /// Immutable banks interned by value on (batteries, steps). A fleet worker
 /// runs thousands of few-item sweeps of one shape, so the discretization
 /// build is paid once per engine rather than once per call. Holds at most
-/// `capacity` shapes, evicting the least recently used; callers keep
-/// their bank alive through the shared_ptr either way.
+/// `capacity` shapes, evicting the least recently used; a thread's
+/// last-used slot keeps its bank alive either way.
 class engine::bank_cache {
  public:
   /// The bank of (batteries, steps), built on first use. Throws the
-  /// construction error when the shape is invalid; such a shape is not
-  /// cached, so each use reports the error again.
-  std::shared_ptr<const kibam::bank> get(
+  /// construction error when the shape is invalid; such a shape is neither
+  /// cached nor put in the thread's slot, so each use reports the error
+  /// again. The bank stays valid until this thread's next lookup misses.
+  const kibam::bank& get(
+      const std::vector<kibam::battery_parameters>& batteries,
+      const load::step_sizes& steps) {
+    last_bank& slot = last_used;
+    if (slot.cache == serial_ && slot.steps == steps &&
+        slot.batteries == batteries) {
+      return *slot.bank;
+    }
+    std::shared_ptr<const kibam::bank> bank = find_or_build(batteries, steps);
+    slot.cache = 0;  // stays empty should the copy below throw
+    slot.batteries.assign(batteries.begin(), batteries.end());
+    slot.steps = steps;
+    slot.bank = std::move(bank);
+    slot.cache = serial_;
+    return *slot.bank;
+  }
+
+ private:
+  static constexpr std::size_t capacity = 32;
+
+  struct entry {
+    std::vector<kibam::battery_parameters> batteries;
+    load::step_sizes steps;
+    std::shared_ptr<const kibam::bank> bank;
+  };
+
+  std::shared_ptr<const kibam::bank> find_or_build(
       const std::vector<kibam::battery_parameters>& batteries,
       const load::step_sizes& steps) {
     const std::scoped_lock lock(mutex_);
@@ -43,15 +92,8 @@ class engine::bank_cache {
     return bank;
   }
 
- private:
-  static constexpr std::size_t capacity = 32;
-
-  struct entry {
-    std::vector<kibam::battery_parameters> batteries;
-    load::step_sizes steps;
-    std::shared_ptr<const kibam::bank> bank;
-  };
-
+  const std::uint64_t serial_ =
+      next_cache_serial.fetch_add(1, std::memory_order_relaxed);
   std::mutex mutex_;
   std::vector<entry> entries_;  ///< Most recently used first.
 };
@@ -68,8 +110,8 @@ run_result engine::run(const scenario& scn) const {
   require(!scn.batteries.empty(), "engine: scenario needs >= 1 battery");
   // The bank comes first, so an invalid (batteries, steps) shape reports
   // its construction error before any load or policy error.
-  const std::shared_ptr<const kibam::bank> bank =
-      scn.model == fidelity::discrete ? banks_->get(scn.batteries, scn.steps)
+  const kibam::bank* const bank =
+      scn.model == fidelity::discrete ? &banks_->get(scn.batteries, scn.steps)
                                       : nullptr;
   const load::trace trace = scn.load.materialize();
   const std::unique_ptr<sched::policy> pol = resolve_policy(scn);
@@ -172,18 +214,24 @@ sweep_stats engine::run_sweep(const sweep& sw, result_sink& sink,
     done[j].store(true, std::memory_order_release);
   };
 
-  // Ordered streaming delivery: after every evaluation, whichever worker
-  // holds the mutex flushes the contiguous run of grid items whose jobs
-  // have completed. The sink therefore sees results strictly in grid
-  // order from one thread at a time, and the last evaluation to finish
-  // drains the tail — no post-join sweep-up needed. A throwing sink
-  // (contract violation) stops further deliveries; the first exception
-  // is rethrown on the calling thread once the pool has drained.
-  std::mutex deliver_mutex;
-  std::size_t delivered = 0;                // guarded by deliver_mutex
-  std::exception_ptr sink_error = nullptr;  // guarded by deliver_mutex
-  const auto flush = [&]() {
-    const std::scoped_lock lock(deliver_mutex);
+  // Ordered streaming delivery, as a combining flush: a finishing worker
+  // never waits for another. Each completion is announced on `pending`;
+  // the worker whose announcement finds no flush under way becomes the
+  // flusher and delivers the contiguous run of grid items whose jobs have
+  // completed, while later finishers go straight back to their next job.
+  // Before it steps down the flusher takes back the announcements it
+  // served; if more arrived meanwhile, it flushes again. The sink
+  // therefore sees results strictly in grid order from one thread at a
+  // time, and the last evaluation to finish drains the tail — no
+  // post-join sweep-up needed. With one worker every announcement finds
+  // the count at zero, so that worker flushes after each job. A throwing
+  // sink (contract violation) stops further deliveries; the first
+  // exception is rethrown on the calling thread once the pool has
+  // drained.
+  std::atomic<std::size_t> pending{0};
+  std::size_t delivered = 0;                // owned by the flusher
+  std::exception_ptr sink_error = nullptr;  // owned by the flusher
+  const auto drain = [&]() {
     while (delivered < count &&
            done[job_of[delivered]].load(std::memory_order_acquire)) {
       const std::size_t item = first + delivered;
@@ -210,6 +258,20 @@ sweep_stats engine::run_sweep(const sweep& sw, result_sink& sink,
       // still buffer later completions until it delivers.)
       if (item == jobs[j].last_item) results[j] = run_result{};
       ++delivered;
+    }
+  };
+  const auto flush = [&]() {
+    // acq_rel on both ends: the count's modification order hands the
+    // flusher role, and everything the previous flusher wrote, from one
+    // flusher to the next. The count itself is the lock: a try_lock may
+    // fail spuriously, and an announcement it turned away would be lost.
+    if (pending.fetch_add(1, std::memory_order_acq_rel) != 0) return;
+    for (std::size_t served = 1;;) {
+      drain();
+      const std::size_t announced =
+          pending.fetch_sub(served, std::memory_order_acq_rel);
+      if (announced == served) return;
+      served = announced - served;
     }
   };
 

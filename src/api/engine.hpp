@@ -25,10 +25,19 @@
 // part to build. The engine owns a small bank cache, keyed by value on
 // (batteries, steps) and shared by copies of the engine, so every run()
 // and run_sweep() job of one shape — across calls too, e.g. a fleet
-// worker's many small chunks — reads one immutable bank. Scenarios are
-// self-contained (per-scenario RNG seeding; the shared banks are
-// read-only), so sweep aggregates and batch results are byte-identical
-// whatever the thread count — determinism is asserted in
+// worker's many small chunks — reads one immutable bank. In front of the
+// cache each thread keeps a one-entry slot: the bank it looked up last,
+// keyed on that shape and on a process-unique serial of the cache (never
+// its address, so a new engine never inherits a destroyed one's bank).
+// A run of the same shape on the same thread takes its bank from the
+// slot without a lock or a write to shared memory; only a miss locks the
+// cache. The slot holds a reference, so at most one bank per thread
+// outlives its engine, until that thread's next miss or its exit. A
+// shape that fails to build never enters the cache or a slot.
+//
+// Scenarios are self-contained (per-scenario RNG seeding; the shared
+// banks are read-only), so sweep aggregates and batch results are
+// byte-identical whatever the thread count — determinism is asserted in
 // tests/test_api.cpp and tests/test_sweep.cpp.
 #pragma once
 
@@ -114,7 +123,7 @@ class engine {
   class bank_cache;
 
   engine_options opts_;
-  /// Shared, not copied, by copies of the engine; internally locked.
+  /// Shared, not copied, by copies of the engine; locked on a slot miss.
   std::shared_ptr<bank_cache> banks_;
 };
 

@@ -204,7 +204,9 @@ void cell_accumulator::finalize(cell_summary& out) const {
 }
 
 summarize::summarize(const sweep& sw)
-    : cells_(sw.cells.size()), agg_(sw.cells.size()) {
+    : cells_(sw.cells.size()),
+      agg_(sw.cells.size()),
+      stale_(sw.cells.size(), false) {
   for (std::size_t i = 0; i < sw.cells.size(); ++i) {
     cells_[i].cell = i;
     cells_[i].label = sw.cells[i].describe();
@@ -217,7 +219,16 @@ summarize::summarize(const sweep& sw)
 void summarize::consume(const sweep_result& r) {
   require(r.cell < cells_.size(), "summarize: cell index out of range");
   agg_[r.cell].add(r.result, r.cache_hit);
-  agg_[r.cell].finalize(cells_[r.cell]);
+  stale_[r.cell] = true;
+}
+
+const std::vector<cell_summary>& summarize::cells() const {
+  for (std::size_t c = 0; c < cells_.size(); ++c) {
+    if (!stale_[c]) continue;
+    agg_[c].finalize(cells_[c]);
+    stale_[c] = false;
+  }
+  return cells_;
 }
 
 }  // namespace bsched::api

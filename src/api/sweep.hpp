@@ -204,6 +204,11 @@ struct cell_accumulator {
 /// the summaries are byte-identical for any worker-thread count. The
 /// distributed-sweep pipeline does not merge summaries: dist::stream_merger
 /// folds the per-cell cell_accumulators of shard aggregates.
+///
+/// consume() only folds the result into its cell's accumulator and marks
+/// the cell; cells() finalizes the marked cells when it is read. finalize
+/// is a pure function of the accumulator, so a summary read once at the
+/// end equals one finalized after every delivery, byte for byte.
 class summarize final : public result_sink {
  public:
   /// Pre-sizes one summary per cell of `sw` (labels and scenario
@@ -212,9 +217,9 @@ class summarize final : public result_sink {
 
   void consume(const sweep_result& r) override;
 
-  [[nodiscard]] const std::vector<cell_summary>& cells() const noexcept {
-    return cells_;
-  }
+  /// The per-cell summaries, finalized on read. Single reader: not to be
+  /// called concurrently with itself or with consume().
+  [[nodiscard]] const std::vector<cell_summary>& cells() const;
 
   /// The raw mergeable state, one accumulator per cell (serialized by
   /// dist::codec).
@@ -224,8 +229,10 @@ class summarize final : public result_sink {
   }
 
  private:
-  std::vector<cell_summary> cells_;
+  mutable std::vector<cell_summary> cells_;
   std::vector<cell_accumulator> agg_;
+  /// Per cell: consumed since cells() last finalized it.
+  mutable std::vector<bool> stale_;
 };
 
 /// The scenario run_sweep actually evaluates for (cell, replication).

@@ -1,15 +1,19 @@
 // The sweep surface: per-replication seed derivation, deterministic
-// grid-order streaming across thread counts, item ranges, the by-value
-// cache of cells that can repeat, per-cell statistics, and failure
-// isolation. All suite names start with
+// grid-order streaming across thread counts (and the delivery contract
+// under load), item ranges, the by-value cache of cells that can repeat,
+// the engine's bank cache and per-thread bank slot, per-cell statistics
+// finalized on read, and failure isolation. All suite names start with
 // "Sweep" so CI can re-run them serially and in parallel via
 // `ctest -R Sweep` (scripts/ci.sh).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <variant>
 #include <vector>
 
@@ -17,10 +21,13 @@
 #include "api/engine.hpp"
 #include "api/scenario.hpp"
 #include "api/sweep.hpp"
+#include "kibam/bank.hpp"
 #include "load/trace.hpp"
 #include "obs/metrics.hpp"
+#include "sched/policy.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/spec.hpp"
 
 namespace bsched::api {
 namespace {
@@ -150,6 +157,76 @@ TEST(SweepDeterminism, SinkSeesGridOrderUnderManyThreads) {
   for (std::size_t i = 0; i < order.size(); ++i) {
     EXPECT_EQ(order[i].first, i / sw.replications);
     EXPECT_EQ(order[i].second, i % sw.replications);
+  }
+}
+
+/// Checks the delivery contract as it is fed: every item once and in grid
+/// order, and never two threads inside consume() at once. Throws at item
+/// `throw_at` (item_range::to_end: never) and counts any delivery after
+/// that.
+class contract_sink final : public result_sink {
+ public:
+  contract_sink(std::size_t replications, std::size_t throw_at)
+      : replications_(replications), throw_at_(throw_at) {}
+
+  void consume(const sweep_result& r) override {
+    if (inside_.exchange(true)) ++overlaps;
+    const std::size_t item = r.cell * replications_ + r.replication;
+    if (item != delivered) ++misordered;
+    if (delivered > throw_at_) ++after_throw;
+    ++delivered;
+    std::this_thread::yield();  // widen the window for a second entrant
+    inside_.store(false);
+    if (item == throw_at_) {
+      throw error{"sink broke at " + std::to_string(item)};
+    }
+  }
+
+  std::atomic<std::size_t> overlaps{0};
+  std::size_t delivered = 0;
+  std::size_t misordered = 0;
+  std::size_t after_throw = 0;
+
+ private:
+  std::size_t replications_;
+  std::size_t throw_at_;
+  std::atomic<bool> inside_{false};
+};
+
+TEST(SweepDelivery, GridOrderOneSinkAtATimeUnderLoad) {
+  // Cheap items on more threads than cores: completions pile up while
+  // another thread delivers, which is when a finisher must hand its
+  // result over without blocking and without the flush losing it.
+  const engine eng;
+  const sweep sw = tools::demo_sweep(200);
+  const std::size_t count = sw.cells.size() * sw.replications;
+  for (int run = 0; run < 50; ++run) {
+    contract_sink sink{sw.replications, item_range::to_end};
+    const sweep_stats stats = eng.run_sweep(sw, sink, 8);
+    ASSERT_EQ(sink.overlaps.load(), 0u) << "run " << run;
+    ASSERT_EQ(sink.misordered, 0u) << "run " << run;
+    ASSERT_EQ(sink.delivered, count) << "run " << run;
+    ASSERT_EQ(stats.runs, count) << "run " << run;
+  }
+}
+
+TEST(SweepDelivery, ThrowingSinkGetsNoLaterDeliveries) {
+  const engine eng;
+  const sweep sw = tools::demo_sweep(200);
+  const std::size_t count = sw.cells.size() * sw.replications;
+  for (std::size_t run = 0; run < 50; ++run) {
+    const std::size_t k = run * 997 % count;  // early, late and in between
+    contract_sink sink{sw.replications, k};
+    try {
+      (void)eng.run_sweep(sw, sink, 8);
+      ADD_FAILURE() << "run_sweep must rethrow the sink's exception";
+    } catch (const error& e) {
+      EXPECT_EQ(std::string{e.what()}, "sink broke at " + std::to_string(k));
+    }
+    ASSERT_EQ(sink.overlaps.load(), 0u) << "k " << k;
+    ASSERT_EQ(sink.misordered, 0u) << "k " << k;
+    ASSERT_EQ(sink.delivered, k + 1) << "k " << k;
+    ASSERT_EQ(sink.after_throw, 0u) << "k " << k;
   }
 }
 
@@ -635,6 +712,94 @@ TEST(SweepBankCache, FailingShapeIsNotCachedAndCarriesRunError) {
 #endif
 }
 
+/// An engine whose "probe" policy records, in `*bound`, the bank each of
+/// its runs was bound to. The probe serves the first usable battery.
+engine probe_engine(const kibam::bank** bound) {
+  class probe final : public sched::policy {
+   public:
+    explicit probe(const kibam::bank** bound) : bound_(bound) {}
+    std::size_t choose(const sched::decision_context& ctx) override {
+      for (const sched::battery_view& b : ctx.batteries) {
+        if (!b.empty) return b.index;
+      }
+      throw error("probe: all batteries empty");
+    }
+    std::string name() const override { return "probe"; }
+    void bind_model(const sched::model_info& model) override {
+      *bound_ = model.bank;
+    }
+
+   private:
+    const kibam::bank** bound_;
+  };
+  engine_options opts;
+  opts.policies.add("probe", [bound](const spec& s) {
+    s.require_only({});
+    return std::make_unique<probe>(bound);
+  });
+  return engine{std::move(opts)};
+}
+
+TEST(SweepBankIdentity, EachEngineRunsOnItsOwnBankOnOneThread) {
+  // Every lookup below runs on this thread, so each one goes through the
+  // thread's last-used bank first: the slot must never hand one engine
+  // another's bank, whatever order the engines run in.
+  const kibam::bank* bound = nullptr;
+  const auto bank_of = [&bound](const engine& eng, const scenario& scn) {
+    bound = nullptr;
+    (void)eng.run(scn);
+    return bound;
+  };
+  const scenario two = base_cell(load::test_load::ils_alt, "probe");
+  scenario three = two;
+  three.batteries = bank(3, b1);
+  scenario bad = two;
+  bad.steps.time_step_min = 0;
+
+  // Two engines of one shape each run on their own bank.
+  const engine a = probe_engine(&bound);
+  const engine b = probe_engine(&bound);
+  const kibam::bank* a2 = bank_of(a, two);
+  ASSERT_NE(a2, nullptr);
+  EXPECT_EQ(a2->size(), 2u);
+  const kibam::bank* b2 = bank_of(b, two);
+  EXPECT_NE(b2, a2);
+  EXPECT_EQ(bank_of(a, two), a2);
+  EXPECT_EQ(bank_of(b, two), b2);
+
+  // Copies of an engine share its bank.
+  const engine a_copy = a;
+  EXPECT_EQ(bank_of(a_copy, two), a2);
+
+  // A failing shape leaves the next valid run on the right bank.
+  EXPECT_THROW((void)a.run(bad), error);
+  EXPECT_EQ(bank_of(a, two), a2);
+  const kibam::bank* a3 = bank_of(a, three);
+  ASSERT_NE(a3, nullptr);
+  EXPECT_NE(a3, a2);
+  EXPECT_EQ(a3->size(), 3u);
+  EXPECT_THROW((void)a.run(bad), error);
+  EXPECT_EQ(bank_of(a, three), a3);
+  EXPECT_EQ(bank_of(a_copy, two), a2);
+
+  // A destroyed engine's bank outlives it in this thread's slot, but a
+  // new engine, even one allocated where the old one lived, builds its
+  // own.
+  const kibam::bank* gone2 = nullptr;
+  {
+    const engine gone = probe_engine(&bound);
+    gone2 = bank_of(gone, two);
+  }
+  const std::uint64_t before = bank_builds();
+  const engine fresh = probe_engine(&bound);
+  EXPECT_NE(bank_of(fresh, two), gone2);
+#ifdef BSCHED_OBS_ENABLED
+  EXPECT_EQ(bank_builds() - before, 1u);
+#else
+  (void)before;
+#endif
+}
+
 TEST(SweepSummarize, SummariesCarryScenarioDescriptors) {
   // cell_summary is self-describing: the load description (a parse()
   // round-trip), the policy spec and the fidelity name ride on the row,
@@ -676,6 +841,36 @@ TEST(SweepSummarize, QuantilesTrackTheLifetimeDistribution) {
   EXPECT_EQ(c.p10_min, c.mean_min);
   EXPECT_EQ(c.p50_min, c.mean_min);
   EXPECT_EQ(c.p90_min, c.mean_min);
+}
+
+TEST(SweepSummarize, CellsFinalizeOnReadAsIfEagerly) {
+  // summarize finalizes a cell when cells() is read, not per delivery.
+  // After every prefix of the deliveries the read must equal the eager
+  // finalize of each cell's accumulator. At 70 replications every cell
+  // passes the 64-sample digest budget, so the prefixes cover exact and
+  // compressed digests alike.
+  const engine eng;
+  const sweep sw = random_grid(70);
+  const summarize blank{sw};
+  summarize lazy{sw};
+  std::vector<cell_accumulator> eager(sw.cells.size());
+  std::size_t prefixes = 0;
+  eng.run_sweep(
+      sw,
+      [&](const sweep_result& r) {
+        lazy.consume(r);
+        eager[r.cell].add(r.result, r.cache_hit);
+        const std::vector<cell_summary>& got = lazy.cells();
+        for (std::size_t c = 0; c < sw.cells.size(); ++c) {
+          cell_summary want = blank.cells()[c];
+          eager[c].finalize(want);
+          ASSERT_EQ(got[c], want) << "cell " << c << " after " << prefixes;
+        }
+        ++prefixes;
+      },
+      3);
+  EXPECT_EQ(prefixes, sw.cells.size() * sw.replications);
+  EXPECT_EQ(lazy.accumulators(), eager);
 }
 
 namespace {
