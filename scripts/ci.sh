@@ -284,6 +284,12 @@ run_release() {
   (cd "$fig_dir" && "$bin/bench_fig6") | cmp - "$golden/bench_fig6.txt"
   cmp "$fig_dir/fig6a_best_of_two.csv" "$golden/fig6a_best_of_two.csv"
   cmp "$fig_dir/fig6b_optimal.csv" "$golden/fig6b_optimal.csv"
+  # The replicated demo sweep's CSV at 50 replications per cell, byte for
+  # byte: quantiles are exact order statistics under one rank rule, and
+  # the moments are pure functions of each cell's value counts.
+  "$bin/scenario_sweep" --threads 2 --replications 50 \
+    --csv "$fig_dir/scenario_sweep_50.csv" > /dev/null
+  cmp "$fig_dir/scenario_sweep_50.csv" "$golden/scenario_sweep_50.csv"
   "$dir/bench_lookahead" > /dev/null
   # The PTA engine end to end: the lamp's min-cost schedule is pinned.
   "$dir/lamp_pta" | grep -q "cost 210 in 10 time units"
