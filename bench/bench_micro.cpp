@@ -1,8 +1,9 @@
 // Engine microbenchmarks (google-benchmark): the hot paths underneath the
 // paper experiments — analytic segment advance, dKiBaM stepping, bank
 // construction, an obs counter hook, draw-rate lookup and load
-// materialization, sweep cell keys, policy simulation, a fleet worker's
-// chunk, the optimal search and PTA successor generation.
+// materialization, sweep cell keys, the per-cell statistics fold, policy
+// simulation, a fleet worker's chunk, the optimal search and PTA
+// successor generation.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -291,6 +292,36 @@ void bm_run_shard_chunk(benchmark::State& state) {
   benchmark::DoNotOptimize(lease.cells);
 }
 BENCHMARK(bm_run_shard_chunk);
+
+void bm_cell_accumulator_add(benchmark::State& state) {
+  // The per-item cost of the sweep statistics: a recorded stream of the
+  // demo grid's (lifetime, residual) pairs (tools/sweep_common.hpp, 2 500
+  // replications, 25 000 items in grid order) folded into one fresh
+  // cell_accumulator per cell, as summarize and a fleet worker's lease
+  // aggregate fold them. Recording runs the sweep once, outside the
+  // timing; the items/s counter gives the per-item time.
+  const api::sweep sw = tools::demo_sweep(2500);
+  std::vector<std::pair<std::size_t, api::run_result>> stream;
+  stream.reserve(sw.cells.size() * sw.replications);
+  const api::engine engine;
+  engine.run_sweep(
+      sw,
+      [&stream](const api::sweep_result& r) {
+        api::run_result pair;
+        pair.sim.lifetime_min = r.result.sim.lifetime_min;
+        pair.sim.residual_amin = r.result.sim.residual_amin;
+        stream.emplace_back(r.cell, std::move(pair));
+      },
+      1);
+  for (auto _ : state) {
+    std::vector<api::cell_accumulator> cells(sw.cells.size());
+    for (const auto& [cell, result] : stream) cells[cell].add(result, false);
+    benchmark::DoNotOptimize(cells);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(stream.size()));
+}
+BENCHMARK(bm_cell_accumulator_add);
 
 void bm_simulate_lookahead(benchmark::State& state) {
   // The online-rollout policy: every job start rolls each candidate

@@ -10,7 +10,7 @@
 //                      [--trace FILE]
 //
 // Prints one row per cell with the lifetime distribution statistics
-// (n, mean, stddev, 95% CI, min/max, sketch median, cache hits) and
+// (n, mean, stddev, 95% CI, min/max, sample median, cache hits) and
 // cross-checks the multi-threaded sweep against a single-threaded run,
 // summary for summary — the aggregates must be byte-identical whatever
 // the thread count. With --csv the same statistics are written through
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
   tools::print_summary_table(sink.cells());
   std::printf(
       "\nLifetimes in minutes; ci95 is the half-width of the normal 95%% "
-      "confidence\ninterval, p50 the sketch median. %zu runs, %zu distinct "
+      "confidence\ninterval, p50 the sample median. %zu runs, %zu distinct "
       "cells evaluated, %zu\ncache hits, %zu failures.\n%zu-thread sweep vs "
       "single-threaded reference: %s.\n",
       stats.runs, stats.evaluated, stats.cache_hits, stats.failures,

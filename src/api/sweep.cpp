@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <type_traits>
 #include <variant>
 
@@ -123,6 +124,81 @@ std::string cell_key(const scenario& scn) {
   return out;
 }
 
+void value_counts::add(double x) {
+  require(!std::isnan(x), "value_counts: NaN sample");
+  if (x == 0) x = 0;  // one key for -0 and +0
+  const auto pos = std::lower_bound(
+      entries_.begin(), entries_.end(), x,
+      [](const value_count& e, double v) { return e.value < v; });
+  if (pos != entries_.end() && pos->value == x) {
+    ++pos->count;
+  } else {
+    entries_.insert(pos, value_count{x, 1});
+  }
+  ++total_;
+}
+
+void value_counts::merge(const value_counts& other) {
+  if (other.entries_.empty()) return;
+  std::vector<value_count> merged;
+  merged.reserve(entries_.size() + other.entries_.size());
+  auto a = entries_.begin();
+  auto b = other.entries_.begin();
+  while (a != entries_.end() && b != other.entries_.end()) {
+    if (a->value < b->value) {
+      merged.push_back(*a++);
+    } else if (b->value < a->value) {
+      merged.push_back(*b++);
+    } else {
+      merged.push_back(value_count{a->value, a->count + b->count});
+      ++a;
+      ++b;
+    }
+  }
+  merged.insert(merged.end(), a, entries_.end());
+  merged.insert(merged.end(), b, other.entries_.end());
+  entries_ = std::move(merged);
+  total_ += other.total_;
+}
+
+double value_counts::quantile(double q) const {
+  if (entries_.empty() || std::isnan(q)) {
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+  q = std::clamp(q, 0.0, 1.0);
+  const double target = q * static_cast<double>(total_);
+  // The first sample j whose rank j + 0.5 lies above the target; the
+  // answer interpolates between samples j - 1 and j.
+  auto j = static_cast<std::uint64_t>(target);
+  if (!(target < static_cast<double>(j) + 0.5)) ++j;
+  if (j == 0) return entries_.front().value;
+  if (j >= total_) return entries_.back().value;
+  std::uint64_t below = 0;  // samples in entries before `e`
+  auto e = entries_.begin();
+  while (below + e->count <= j - 1) below += (e++)->count;
+  const double lo = e->value;
+  if (below + e->count <= j) ++e;
+  const double t = target - (static_cast<double>(j - 1) + 0.5);
+  return lo + t * (e->value - lo);
+}
+
+value_counts value_counts::from_entries(std::vector<value_count> entries) {
+  value_counts out;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    value_count& e = entries[i];
+    if (e.value == 0) e.value = 0;  // one key for -0 and +0, as in add()
+    require(!std::isnan(e.value) &&
+                (i == 0 || entries[i - 1].value < e.value),
+            "value_counts: values must strictly increase");
+    require(e.count > 0, "value_counts: counts must be positive");
+    require(e.count <= std::numeric_limits<std::uint64_t>::max() - out.total_,
+            "value_counts: the total count overflows");
+    out.total_ += e.count;
+  }
+  out.entries_ = std::move(entries);
+  return out;
+}
+
 void cell_accumulator::add(const run_result& r, bool cache_hit) {
   if (cache_hit) ++cache_hits;
   search += r.search;  // every delivery counts, failed or cached alike
@@ -130,20 +206,7 @@ void cell_accumulator::add(const run_result& r, bool cache_hit) {
     ++failures;
     return;
   }
-  const double x = r.sim.lifetime_min;
-  ++n;
-  if (n == 1) {
-    min = max = x;
-  } else {
-    min = std::min(min, x);
-    max = std::max(max, x);
-  }
-  // Welford's online update: numerically stable and single-pass, so the
-  // sink never has to retain the per-replication samples.
-  const double delta = x - mean;
-  mean += delta / static_cast<double>(n);
-  m2 += delta * (x - mean);
-  lifetime.add(x);
+  lifetime.add(r.sim.lifetime_min);
   residual.add(r.sim.residual_amin);
 }
 
@@ -153,54 +216,49 @@ void cell_accumulator::merge(const cell_accumulator& other) {
   search += other.search;
   lifetime.merge(other.lifetime);
   residual.merge(other.residual);
-  if (other.n == 0) return;
-  if (n == 0) {
-    n = other.n;
-    mean = other.mean;
-    m2 = other.m2;
-    min = other.min;
-    max = other.max;
-    return;
-  }
-  // Chan et al. parallel combine of the Welford moments.
-  const double na = static_cast<double>(n);
-  const double nb = static_cast<double>(other.n);
-  const double total = na + nb;
-  const double delta = other.mean - mean;
-  mean += delta * (nb / total);
-  m2 += other.m2 + delta * delta * (na * nb / total);
-  n += other.n;
-  min = std::min(min, other.min);
-  max = std::max(max, other.max);
 }
 
 void cell_accumulator::finalize(cell_summary& out) const {
-  out.n = n;
+  out.n = n();
   out.failures = failures;
   out.cache_hits = cache_hits;
   out.search = search;
+  const std::vector<value_count>& es = lifetime.entries();
+  if (es.empty()) {
+    out.mean_min = out.min_min = out.max_min = 0;
+    out.stddev_min = out.ci95_min = 0;
+    out.p10_min = out.p50_min = out.p90_min = out.p50_residual_amin = 0;
+    return;
+  }
+  // Moments summed in key order from the smallest key: pure functions of
+  // the counts, and a cell with one distinct value reports that value and
+  // a zero spread exactly.
+  const double nn = static_cast<double>(out.n);
+  const double k0 = es.front().value;
+  double shift = 0;
+  for (const value_count& e : es) {
+    shift += static_cast<double>(e.count) * (e.value - k0);
+  }
+  const double mean = k0 + shift / nn;
+  double m2 = 0;
+  for (const value_count& e : es) {
+    const double d = e.value - mean;
+    m2 += static_cast<double>(e.count) * (d * d);
+  }
   out.mean_min = mean;
-  out.min_min = min;
-  out.max_min = max;
-  if (n >= 2) {
-    const double nn = static_cast<double>(n);
+  out.min_min = k0;
+  out.max_min = es.back().value;
+  if (out.n >= 2) {
     out.stddev_min = std::sqrt(m2 / (nn - 1));
     out.ci95_min = 1.959963984540054 * out.stddev_min / std::sqrt(nn);
   } else {
     out.stddev_min = 0;
     out.ci95_min = 0;
   }
-  if (n > 0) {
-    out.p10_min = lifetime.quantile(0.10);
-    out.p50_min = lifetime.quantile(0.50);
-    out.p90_min = lifetime.quantile(0.90);
-    out.p50_residual_amin = residual.quantile(0.50);
-  } else {
-    out.p10_min = 0;
-    out.p50_min = 0;
-    out.p90_min = 0;
-    out.p50_residual_amin = 0;
-  }
+  out.p10_min = lifetime.quantile(0.10);
+  out.p50_min = lifetime.quantile(0.50);
+  out.p90_min = lifetime.quantile(0.90);
+  out.p50_residual_amin = residual.quantile(0.50);
 }
 
 summarize::summarize(const sweep& sw)

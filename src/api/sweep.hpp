@@ -30,7 +30,6 @@
 
 #include "api/result.hpp"
 #include "api/scenario.hpp"
-#include "util/tdigest.hpp"
 
 namespace bsched::api {
 
@@ -141,13 +140,12 @@ struct cell_summary {
   /// Half-width of the normal-approximation 95% confidence interval,
   /// 1.96 * stddev / sqrt(n); 0 when n < 2.
   double ci95_min = 0;
-  /// Lifetime distribution quantiles from the cell's t-digest sketch —
-  /// exact up to summary_digest_centroids replications, the usual
-  /// t-digest approximation beyond; 0 when n == 0.
+  /// Lifetime quantiles: exact order statistics of the cell's samples
+  /// under value_counts::quantile's rank rule; 0 when n == 0.
   double p10_min = 0;
   double p50_min = 0;
   double p90_min = 0;
-  /// Median residual charge at death (A*min) from the residual sketch.
+  /// Median residual charge at death (A*min), same rank rule.
   double p50_residual_amin = 0;
   /// Planning effort summed over every delivered replication of the cell
   /// (cache hits replay the cached run's stats, failures contribute
@@ -159,35 +157,87 @@ struct cell_summary {
   friend bool operator==(const cell_summary&, const cell_summary&) = default;
 };
 
-/// Centroid budget of the per-cell lifetime/residual sketches: up to this
-/// many replications the digests keep every sample, so quantiles — and
-/// shard merges (dist/shard.hpp) — are exact.
+/// Vestigial: the per-cell distributions are exact at any replication
+/// count (value_counts below), so nothing in the library reads this. It
+/// stays declared because the end-to-end benchmark's equivalence check
+/// still branches on it.
 inline constexpr std::size_t summary_digest_centroids = 64;
 
-/// The mergeable per-cell aggregate state behind `summarize`: counts,
-/// Welford moments, extrema and the lifetime/residual t-digest sketches.
-/// `merge` is the Chan/Welford parallel combine, which is what makes a
-/// sweep a partitionable computation: shard workers accumulate
-/// independently and the merged state reproduces the sequential one
-/// exactly for n/failures/min/max and to ulp-scale rounding for
-/// mean/m2 (dist/shard.hpp, tools/sweep_merge).
+/// One distinct sample value and how many samples took it.
+struct value_count {
+  double value = 0;
+  std::uint64_t count = 0;
+
+  friend bool operator==(const value_count&, const value_count&) = default;
+};
+
+/// An exact sample distribution: the distinct values in increasing order,
+/// each with its count. Discrete lifetimes and residuals lie on the
+/// model's grid, so a cell holds a few hundred entries however many
+/// replications it has; continuous cells hold one entry per distinct
+/// sample. `merge` adds counts, so a merged distribution is exactly
+/// independent of merge order and partition.
+class value_counts {
+ public:
+  /// Counts one sample; -0 and +0 count as the one key +0. Throws
+  /// bsched::error on NaN.
+  void add(double x);
+
+  /// Adds every count of `other`.
+  void merge(const value_counts& other);
+
+  /// The number of samples (the sum of the counts).
+  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
+
+  /// The one rank rule of the sweep statistics: sample i of the sorted
+  /// multiset sits at rank i + 0.5, the q-quantile is at rank q * total,
+  /// interpolated linearly between adjacent samples and clamped to the
+  /// smallest and largest one. q is clamped to [0, 1]; NaN when empty
+  /// or when q is NaN.
+  [[nodiscard]] double quantile(double q) const;
+
+  /// The entries, strictly increasing in value, every count positive.
+  [[nodiscard]] const std::vector<value_count>& entries() const noexcept {
+    return entries_;
+  }
+
+  /// Rebuilds a distribution from serialized entries (dist::codec
+  /// decode); a -0 value reads as +0. Throws bsched::error unless the
+  /// values strictly increase (which also refuses NaN), every count is
+  /// positive and the total fits in 64 bits.
+  [[nodiscard]] static value_counts from_entries(
+      std::vector<value_count> entries);
+
+  friend bool operator==(const value_counts&, const value_counts&) = default;
+
+ private:
+  std::vector<value_count> entries_;
+  std::uint64_t total_ = 0;
+};
+
+/// The mergeable per-cell aggregate state behind `summarize`: the exact
+/// lifetime and residual distributions of the successful replications,
+/// plus failure, cache and search accounting. Every statistic is a pure
+/// function of this state, and `merge` only adds counts, which is what
+/// makes a sweep a partitionable computation: shard workers accumulate
+/// independently and the merged state equals the sequential one exactly,
+/// in every field (dist/shard.hpp, tools/sweep_merge).
 struct cell_accumulator {
-  std::size_t n = 0;           ///< Successful observations.
   std::size_t failures = 0;
   std::size_t cache_hits = 0;
-  double mean = 0;
-  double m2 = 0;  ///< Welford running sum of squared deviations.
-  double min = 0;
-  double max = 0;
-  tdigest lifetime{summary_digest_centroids};
-  tdigest residual{summary_digest_centroids};
+  value_counts lifetime;  ///< Lifetimes (minutes) of successful runs.
+  value_counts residual;  ///< Residual charge at death (A*min), same runs.
   opt::search_stats search;  ///< Field-wise sum over delivered results.
 
-  /// Folds one delivered result in (Welford update + sketches).
+  /// Successful observations.
+  [[nodiscard]] std::size_t n() const noexcept {
+    return static_cast<std::size_t>(lifetime.total());
+  }
+
+  /// Folds one delivered result in.
   void add(const run_result& r, bool cache_hit);
 
-  /// Parallel combine (Chan et al.): order-sensitive only at ulp scale
-  /// in mean/m2; counts and extrema combine exactly.
+  /// Adds `other`'s counts and sums: exact, commutative and associative.
   void merge(const cell_accumulator& other);
 
   /// Writes the derived statistics (mean/stddev/CI/quantiles/...) into
@@ -198,10 +248,12 @@ struct cell_accumulator {
                          const cell_accumulator&) = default;
 };
 
-/// Collecting sink computing per-cell statistics as results stream in
-/// (Welford's online algorithm): memory is O(cells), independent of the
-/// replication count. Because sinks are fed in deterministic grid order,
-/// the summaries are byte-identical for any worker-thread count. The
+/// Collecting sink computing per-cell statistics as results stream in:
+/// memory is O(distinct values per cell) — bounded by the model's grid
+/// for discrete cells, one entry per sample for continuous ones. Every
+/// statistic is a function of the per-cell value counts alone, so the
+/// summaries are byte-identical for any worker-thread count and any
+/// partition of the items. The
 /// distributed-sweep pipeline does not merge summaries: dist::stream_merger
 /// folds the per-cell cell_accumulators of shard aggregates.
 ///

@@ -1,5 +1,6 @@
 #include "dist/codec.hpp"
 
+#include <cstdint>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -16,11 +17,11 @@ namespace bsched::dist {
 
 namespace {
 
-void encode_digest(const char* tag, const tdigest& d, std::ostream& out) {
-  out << tag << " budget=" << d.max_centroids()
-      << " centroids=" << d.centroids().size();
-  for (const centroid& c : d.centroids()) {
-    out << ' ' << shortest_double(c.mean) << ':' << shortest_double(c.weight);
+void encode_counts(const char* tag, const api::value_counts& d,
+                   std::ostream& out) {
+  out << tag << " values=" << d.entries().size();
+  for (const api::value_count& e : d.entries()) {
+    out << ' ' << shortest_double(e.value) << ':' << e.count;
   }
   out << '\n';
 }
@@ -51,11 +52,11 @@ bool next_cell(wire::reader& r, std::size_t index, std::size_t count) {
   return true;
 }
 
-tdigest decode_digest(const wire::reader& r) {
-  const std::size_t budget = r.size("budget");
-  std::vector<centroid> cs = r.pairs<centroid>("centroids", "centroid");
+api::value_counts decode_counts(const wire::reader& r) {
+  std::vector<api::value_count> es =
+      r.pairs<api::value_count, std::uint64_t>("values", "value");
   try {
-    return tdigest::from_centroids(budget, std::move(cs));
+    return api::value_counts::from_entries(std::move(es));
   } catch (const error& e) {
     r.fail(e.what());
   }
@@ -81,11 +82,8 @@ std::string encode_str(const shard_aggregate& agg) {
     out << "load=" << c.load << '\n';
     out << "policy=" << c.policy << '\n';
     out << "fidelity=" << c.fidelity << '\n';
-    out << "agg n=" << c.agg.n << " failures=" << c.agg.failures
-        << " cache_hits=" << c.agg.cache_hits << " mean="
-        << shortest_double(c.agg.mean) << " m2=" << shortest_double(c.agg.m2)
-        << " min=" << shortest_double(c.agg.min)
-        << " max=" << shortest_double(c.agg.max) << '\n';
+    out << "agg failures=" << c.agg.failures
+        << " cache_hits=" << c.agg.cache_hits << '\n';
     const sched::search_stats& s = c.agg.search;
     out << "search nodes=" << s.nodes << " memo_hits=" << s.memo_hits
         << " pruned=" << s.pruned << " memo_entries=" << s.memo_entries
@@ -93,8 +91,8 @@ std::string encode_str(const shard_aggregate& agg) {
         << " pruned_by_bound=" << s.pruned_by_bound
         << " incumbent_from_lookahead=" << s.incumbent_from_lookahead
         << '\n';
-    encode_digest("lifetime", c.agg.lifetime, out);
-    encode_digest("residual", c.agg.residual, out);
+    encode_counts("lifetime", c.agg.lifetime, out);
+    encode_counts("residual", c.agg.residual, out);
   }
   out << "end\n";
   return std::move(out).str();
@@ -134,13 +132,8 @@ shard_aggregate decode_str(const std::string& text) {
     c.policy = r.expect_text("policy");
     c.fidelity = r.expect_text("fidelity");
     r.expect("agg");
-    c.agg.n = r.size("n");
     c.agg.failures = r.size("failures");
     c.agg.cache_hits = r.size("cache_hits");
-    c.agg.mean = r.real("mean");
-    c.agg.m2 = r.real("m2");
-    c.agg.min = r.real("min");
-    c.agg.max = r.real("max");
     r.expect("search");
     c.agg.search.nodes = r.u64("nodes");
     c.agg.search.memo_hits = r.u64("memo_hits");
@@ -151,9 +144,14 @@ shard_aggregate decode_str(const std::string& text) {
     c.agg.search.incumbent_from_lookahead =
         r.u64("incumbent_from_lookahead");
     r.expect("lifetime");
-    c.agg.lifetime = decode_digest(r);
+    c.agg.lifetime = decode_counts(r);
     r.expect("residual");
-    c.agg.residual = decode_digest(r);
+    c.agg.residual = decode_counts(r);
+    if (c.agg.residual.total() != c.agg.lifetime.total()) {
+      r.fail("residual total " + std::to_string(c.agg.residual.total()) +
+             " differs from the lifetime total " +
+             std::to_string(c.agg.lifetime.total()));
+    }
     agg.cells.push_back(std::move(c));
   }
   return agg;

@@ -8,7 +8,7 @@
 // strings (labels, load/policy specs) are carried as "key=<rest of
 // line>" records and may contain anything but a newline.
 //
-//   bsched-shard v4
+//   bsched-shard v5
 //   shard index=0 count=3 first=0 last=34
 //   sweep cells=10 replications=10 seed=2009 reseed=1
 //   stats runs=34 evaluated=34 cache_hits=0 failures=0
@@ -17,11 +17,11 @@
 //   load=random:count=40,idle=1,p=0.3,seed=1
 //   policy=round_robin
 //   fidelity=discrete
-//   agg n=4 failures=0 cache_hits=0 mean=... m2=... min=... max=...
+//   agg failures=0 cache_hits=0
 //   search nodes=0 memo_hits=0 pruned=0 memo_entries=0 rollouts=0
 //          pruned_by_bound=0 incumbent_from_lookahead=0
-//   lifetime budget=64 centroids=4 m:w m:w m:w m:w
-//   residual budget=64 centroids=4 m:w m:w m:w m:w
+//   lifetime values=3 12.68:1 14.98:2 20.07:1
+//   residual values=4 6.99:1 7.5:1 7.755:1 8.125:1
 //   ...
 //   end
 //
@@ -29,11 +29,17 @@
 // guessing, and any change to a record's fields bumps the version. v2
 // dropped two fields of the search record (the parallel search's steal
 // and memo-shard counts); v3 and sweep v2 dropped the sweep record's
-// pair-by-load flag; v4 dropped the search record's memo-eviction count.
-// Older documents are rejected on their magic line. Decoding (util/wire.hpp) is strict: wrong magic, truncation, a
-// duplicated or out-of-place section, unknown tags, malformed numbers
-// and text after "end" throw bsched::error naming the 1-based line
-// number and the section being decoded — no silent partial decode.
+// pair-by-load flag; v4 dropped the search record's memo-eviction count;
+// v5 replaced the quantile sketches by exact value:count lists
+// (api::value_counts) and dropped the agg record's n/mean/m2/min/max,
+// which the counts determine. Older documents are rejected on their
+// magic line. Decoding (util/wire.hpp) is strict: wrong magic,
+// truncation, a duplicated or out-of-place section, unknown tags,
+// malformed numbers, value lists whose values do not strictly increase
+// (NaN included), zero counts, a count total that overflows, lifetime
+// and residual totals that differ, and text after "end" throw
+// bsched::error naming the 1-based line number and the section being
+// decoded — no silent partial decode.
 //
 // A second section, "bsched-sweep v2", serializes a full api::sweep
 // *definition* (the grid itself, not results): per cell the battery
@@ -55,10 +61,10 @@ namespace bsched::dist {
 
 /// Current wire-format versions: the N of "bsched-shard vN" and of
 /// "bsched-sweep vN". Each format bumps its own when its records change.
-inline constexpr std::size_t shard_version = 4;
+inline constexpr std::size_t shard_version = 5;
 inline constexpr std::size_t sweep_version = 2;
 
-/// Renders `agg` in the "bsched-shard v4" line format — the form shard
+/// Renders `agg` in the "bsched-shard v5" line format — the form shard
 /// files hold and the sweep service puts on the wire (net/message.hpp
 /// bodies).
 [[nodiscard]] std::string encode_str(const shard_aggregate& agg);

@@ -15,13 +15,12 @@
 // folds a lease chunk by chunk); `merge_shards` checks
 // that a set of shard aggregates tiles the stream exactly once and folds
 // them in stream order. The merged result reproduces a single-process
-// engine::run_sweep + api::summarize exactly for n/failures/min/max (and
-// for quantiles up to the digest budget), and to ulp-scale rounding for
-// mean/stddev/CI — the Chan/Welford combine is associative only up to
-// floating-point rounding. Cache accounting (evaluated/cache_hits) is
-// per-process: a duplicate item pair split across two shards is evaluated
-// twice, so those counters are reported but not part of the equivalence
-// contract.
+// engine::run_sweep + api::summarize exactly, in every summary field: a
+// cell's state is its value counts plus integer sums, merging only adds
+// them, and every statistic is a function of that state. Cache
+// accounting (evaluated/cache_hits) is per-process: a duplicate item pair
+// split across two shards is evaluated twice, so those counters are
+// reported but not part of the equivalence contract.
 //
 // Serialization of shard aggregates lives in dist/codec.hpp; the CLI
 // pipeline is tools/sweep_worker + tools/sweep_merge.
@@ -127,8 +126,9 @@ void run_shard(const api::engine& engine, const shard& sh,
 /// out of order); each is validated against the already-seen sweep shape
 /// and cell descriptors on add(), overlaps and duplicates are rejected
 /// immediately, and the contiguous prefix from item 0 folds eagerly —
-/// so progress is observable while rounding stays exactly that of a
-/// stream-order fold. `take(last)` requires the folded prefix to cover
+/// so progress is observable, and coverage is a single frontier: an
+/// overlap or a gap shows as a part that does not start where the
+/// folded prefix ends. `take(last)` requires the folded prefix to cover
 /// [0, last) with nothing buffered (i.e. no gaps) and returns the
 /// merged aggregate. merge_shards below is one-shot sugar over this.
 class stream_merger {
@@ -163,8 +163,8 @@ class stream_merger {
 /// the whole stream. Validates that every part agrees on the sweep shape
 /// (cells/replications/seed/reseed flag/shard count) and cell
 /// descriptors, and that the item ranges tile [0, cells x replications)
-/// exactly once; merging happens in stream order, so the result is
-/// independent of the order the parts are passed in. Throws bsched::error
+/// exactly once; the merge adds counts, so the result is independent of
+/// the order the parts are passed in. Throws bsched::error
 /// on overlap, gaps or shape mismatch. (One-shot form of stream_merger.)
 [[nodiscard]] shard_aggregate merge_shards(std::vector<shard_aggregate> parts);
 

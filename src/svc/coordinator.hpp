@@ -38,9 +38,9 @@
 //                                the campaign is simply re-run.
 //
 // The merged result carries the documented dist equivalence contract
-// against single-process api::summarize: n/failures/min/max (and
-// quantiles below the digest budget) exact, moments to ulp-scale
-// rounding of the stream-order Chan combine.
+// against single-process api::summarize: every summary field but the
+// per-process cache_hits is equal, whatever the lease, steal and
+// failure history (dist/shard.hpp).
 #pragma once
 
 #include <cstddef>

@@ -94,7 +94,7 @@ bool run_lease(const api::engine& engine, session_ctx& ctx, dist::shard& sh,
   while (agg.last_item < last) {
     sh.first = agg.last_item;
     sh.last = std::min(sh.first + ctx.chunk, last);
-    const auto chunk_start = ctx.clk->now();
+    [[maybe_unused]] const auto chunk_start = ctx.clk->now();
     dist::run_shard(engine, sh, agg, n_threads);
     const auto chunk_end = ctx.clk->now();
     BSCHED_HISTOGRAM_OBSERVE(

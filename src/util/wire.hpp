@@ -104,11 +104,12 @@ class reader {
     return number<double>(value(key), key);
   }
 
-  /// The count-prefixed pair list of a record such as "lifetime budget=64
-  /// centroids=2 0.5:1 2:3": the tokens after the tag that are not
-  /// key=value fields, each "a:b" built as T{a, b}; there must be as many
-  /// as the `count_key` field says. `item` names a pair in errors.
-  template <class T>
+  /// The count-prefixed pair list of a record such as "lifetime values=2
+  /// 0.5:1 2:3": the tokens after the tag that are not key=value fields,
+  /// each "a:b" built as T{a, b} with a read as a double and b as `B`
+  /// (double or std::uint64_t); there must be as many as the `count_key`
+  /// field says. `item` names a pair in errors.
+  template <class T, class B = double>
   [[nodiscard]] std::vector<T> pairs(std::string_view count_key,
                                      std::string_view item) const {
     const std::size_t count = size(count_key);
@@ -125,7 +126,7 @@ class reader {
              "' (want a:b)");
       }
       out.push_back(T{number<double>(token.substr(0, colon), item),
-                      number<double>(token.substr(colon + 1), item)});
+                      number<B>(token.substr(colon + 1), item)});
     }
     if (out.size() != count) {
       fail(std::string{item} + " count mismatch: header says " +

@@ -218,7 +218,7 @@ TEST(Alloc, MessageDecodeCostDoesNotGrowWithTheHeader) {
 }
 
 /// A 10-cell shard aggregate as a fleet worker sends it: descriptors of
-/// realistic length and 16-centroid digests.
+/// realistic length and 16 distinct lifetimes and residuals per cell.
 dist::shard_aggregate fixed_aggregate() {
   dist::shard_aggregate agg;
   agg.shard_index = 1;
@@ -241,11 +241,6 @@ dist::shard_aggregate fixed_aggregate() {
       c.agg.lifetime.add(10.0 + 0.37 * k + 0.01 * static_cast<double>(i));
       c.agg.residual.add(0.05 * k);
     }
-    c.agg.n = 16;
-    c.agg.mean = 12.5;
-    c.agg.m2 = 3.25;
-    c.agg.min = 10.0;
-    c.agg.max = 15.55;
     c.agg.search.rollouts = 40 + i;
     agg.cells.push_back(std::move(c));
   }
@@ -254,7 +249,7 @@ dist::shard_aggregate fixed_aggregate() {
 
 TEST(Alloc, ShardDecodeAllocatesPerRecordNotPerLookup) {
   // Measured: 10 cells x (3 descriptor strings past the small-string
-  // buffer + 2 centroid vectors) + 5 growth steps of the cell vector.
+  // buffer + 2 value-count vectors) + 5 growth steps of the cell vector.
   // A decoder that builds a token list or a message string per field
   // lookup costs over a thousand.
   const std::string wire = dist::encode_str(fixed_aggregate());

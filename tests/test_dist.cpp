@@ -1,9 +1,8 @@
 // The distributed sweep subsystem: shard planning, shard execution with
 // global seed indices, the portable aggregate codec, and the
 // shard -> serialize -> merge equivalence against single-process
-// run_sweep + summarize (the acceptance property: exact for
-// n/failures/min/max — and for quantiles below the digest budget —
-// ulp-scale tolerance for the merged moments).
+// run_sweep + summarize (the acceptance property: every summary field
+// but the per-process cache accounting is equal, bit for bit).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -145,8 +144,7 @@ void expect_same_fold(shard_aggregate a, shard_aggregate b) {
 
 TEST(DistShard, AppendedChunksFoldExactlyLikeOneContiguousRun) {
   // A fleet worker's lease: chunks appended to one aggregate must be the
-  // aggregate of a single run over the lease range bit for bit — every
-  // Welford moment and sketch, not just to ulp-scale rounding — whatever
+  // aggregate of a single run over the lease range bit for bit, whatever
   // the chunk size. The range starts and ends mid-cell on purpose.
   const api::sweep sw = random_grid(30);
   const api::engine eng;
@@ -221,17 +219,17 @@ TEST(DistCodec, RejectsGarbageWithLineDiagnostics) {
   // Wrong magic (a future version included) is refused, not guessed at.
   EXPECT_THROW((void)decode_str(""), error);
   EXPECT_THROW((void)decode_str("not a shard file\n"), error);
-  EXPECT_THROW((void)decode_str("bsched-shard v5\n"), error);
+  EXPECT_THROW((void)decode_str("bsched-shard v6\n"), error);
   // Truncation after a valid prefix.
-  EXPECT_THROW((void)decode_str("bsched-shard v4\n"), error);
+  EXPECT_THROW((void)decode_str("bsched-shard v5\n"), error);
   EXPECT_THROW(
-      (void)decode_str("bsched-shard v4\nshard index=0 count=1 first=0 "
+      (void)decode_str("bsched-shard v5\nshard index=0 count=1 first=0 "
                        "last=0\n"),
       error);
   // Malformed numbers name the field.
   try {
     (void)decode_str(
-        "bsched-shard v4\nshard index=zero count=1 first=0 last=0\n");
+        "bsched-shard v5\nshard index=zero count=1 first=0 last=0\n");
     FAIL() << "expected bsched::error";
   } catch (const error& e) {
     EXPECT_NE(std::string{e.what()}.find("index"), std::string::npos);
@@ -239,7 +237,7 @@ TEST(DistCodec, RejectsGarbageWithLineDiagnostics) {
   }
   // A valid header whose cell list stops early.
   EXPECT_THROW(
-      (void)decode_str("bsched-shard v4\n"
+      (void)decode_str("bsched-shard v5\n"
                        "shard index=0 count=1 first=0 last=2\n"
                        "sweep cells=2 replications=1 seed=0 reseed=1\n"
                        "stats runs=2 evaluated=2 cache_hits=0 failures=0\n"
@@ -294,7 +292,7 @@ TEST(DistCodec, ShardDiagnosticsNameLineAndSection) {
 
   // A malformed shard header names line 2 and the "shard header" section.
   expect_names_line_and_section(
-      decode_fn, "bsched-shard v4\nshard index=zero count=1 first=0 last=0\n",
+      decode_fn, "bsched-shard v5\nshard index=zero count=1 first=0 last=0\n",
       "2", "shard header");
 
   // Truncation inside the first cell's records names that cell.
@@ -318,24 +316,27 @@ TEST(DistCodec, ShardDiagnosticsNameLineAndSection) {
 }
 
 TEST(DistCodec, RejectsVersionThreeShardNamingTheVersionLine) {
-  // v4 dropped the search record's memo-eviction count. The reader looks
-  // fields up by key and ignores extra ones, so only the version line
-  // tells a v3 document apart: it is refused on line 1, and the error
-  // shows both the version it saw and the one this reader speaks.
+  // v4 dropped the search record's memo-eviction count; v5 replaced the
+  // digest centroid lists by value:count lists. Older documents are
+  // refused on line 1, before any record is read, and the error shows
+  // both the version it saw and the one this reader speaks.
   const api::sweep sw = random_grid(2);
   const api::engine eng;
   std::vector<std::string> lines =
       lines_of(encode_str(run_shard(eng, plan_shard(sw, 0, 1))));
-  ASSERT_EQ(lines.front(), "bsched-shard v4");
-  lines.front() = "bsched-shard v3";
-  try {
-    (void)decode_str(join_lines(lines, lines.size()));
-    FAIL() << "expected bsched::error";
-  } catch (const error& e) {
-    const std::string what{e.what()};
-    EXPECT_NE(what.find("line 1"), std::string::npos) << what;
-    EXPECT_NE(what.find("'bsched-shard v3'"), std::string::npos) << what;
-    EXPECT_NE(what.find("'bsched-shard v4'"), std::string::npos) << what;
+  ASSERT_EQ(lines.front(), "bsched-shard v5");
+  for (const char* old : {"bsched-shard v3", "bsched-shard v4"}) {
+    lines.front() = old;
+    try {
+      (void)decode_str(join_lines(lines, lines.size()));
+      FAIL() << "expected bsched::error";
+    } catch (const error& e) {
+      const std::string what{e.what()};
+      EXPECT_NE(what.find("line 1"), std::string::npos) << what;
+      EXPECT_NE(what.find("'" + std::string{old} + "'"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("'bsched-shard v5'"), std::string::npos) << what;
+    }
   }
 }
 
@@ -392,7 +393,7 @@ TEST(DistCodec, SweepDecodeRejectsGarbageNamingLineAndSection) {
     return decode_sweep_str(text);
   };
   EXPECT_THROW((void)decode_sweep_str(""), error);
-  EXPECT_THROW((void)decode_sweep_str("bsched-shard v4\n"), error);
+  EXPECT_THROW((void)decode_sweep_str("bsched-shard v5\n"), error);
   EXPECT_THROW((void)decode_sweep_str("bsched-sweep v3\n"), error);
 
   const std::vector<std::string> lines =
@@ -474,9 +475,72 @@ TEST(DistCodec, StrictAtTheDocumentEdges) {
     return out;
   };
   expect_names_line_and_section(
-      decode_fn, with_field("centroids", "18446744073709551615"), "", "cell 0");
+      decode_fn, with_field("values", "18446744073709551615"), "", "cell 0");
   expect_names_line_and_section(
       decode_fn, with_field("cells", "18446744073709551615"), "", "cell list");
+}
+
+TEST(DistCodec, RejectsHostileValueCounts) {
+  // A value list is exact state, so the decoder refuses any list that
+  // could not have come from value_counts: values that do not strictly
+  // increase (NaN included), a zero count, a total that overflows 64
+  // bits, and lifetime and residual lists of different totals. Each error
+  // names the line and the cell.
+  const api::sweep sw = random_grid(2);
+  const api::engine eng;
+  const std::vector<std::string> lines =
+      lines_of(encode_str(run_shard(eng, plan_shard(sw, 0, 1))));
+  const auto at = static_cast<std::size_t>(
+      std::find_if(lines.begin(), lines.end(),
+                   [](const std::string& l) {
+                     return l.rfind("lifetime ", 0) == 0;
+                   }) -
+      lines.begin());
+  ASSERT_LT(at + 1, lines.size());
+  ASSERT_EQ(lines[at + 1].rfind("residual ", 0), 0u);
+  const auto with_lists = [&](const std::string& lifetime,
+                              const std::string& residual) {
+    std::vector<std::string> out = lines;
+    out[at] = "lifetime " + lifetime;
+    out[at + 1] = "residual " + residual;
+    return join_lines(out, out.size());
+  };
+  const std::string lifetime_line = std::to_string(at + 1);
+  const std::string residual_line = std::to_string(at + 2);
+  const auto rejects = [&](const std::string& text, const std::string& line,
+                           const std::string& why) {
+    SCOPED_TRACE(why);
+    expect_names_line_and_section(
+        [](const std::string& t) { return decode_str(t); }, text, line,
+        "cell 0");
+    try {
+      (void)decode_str(text);
+    } catch (const error& e) {
+      EXPECT_NE(std::string{e.what()}.find(why), std::string::npos)
+          << e.what();
+    }
+  };
+  // The lists themselves decode: two samples, one per list.
+  EXPECT_NO_THROW((void)decode_str(
+      with_lists("values=2 12.5:1 13:1", "values=1 0.25:2")));
+  rejects(with_lists("values=2 13:1 12.5:1", "values=1 0.25:2"),
+          lifetime_line, "strictly increase");
+  rejects(with_lists("values=2 12.5:1 12.5:1", "values=1 0.25:2"),
+          lifetime_line, "strictly increase");
+  rejects(with_lists("values=1 nan:2", "values=1 0.25:2"), lifetime_line,
+          "strictly increase");
+  rejects(with_lists("values=2 12.5:2 nan:1", "values=1 0.25:2"),
+          lifetime_line, "strictly increase");
+  rejects(with_lists("values=2 12.5:2 13:0", "values=1 0.25:2"),
+          lifetime_line, "positive");
+  rejects(with_lists("values=2 12.5:18446744073709551615 13:1",
+                     "values=1 0.25:2"),
+          lifetime_line, "overflows");
+  rejects(with_lists("values=1 12.5:2", "values=1 0.25:3"), residual_line,
+          "differs from the lifetime total");
+  // A count past 64 bits is not a number at all.
+  rejects(with_lists("values=1 12.5:18446744073709551616", "values=1 0.25:2"),
+          lifetime_line, "not a valid number");
 }
 
 TEST(DistMerge, StreamMergerFoldsOutOfOrderIncrementally) {
@@ -565,18 +629,17 @@ TEST(DistEquivalence, ShardMergeReproducesSingleProcessOnRandomGrid) {
   // Sanity: the failing cell actually fails, so failures cross the merge.
   EXPECT_EQ(ref.back().failures, sw.replications);
   for (const std::size_t n : {1u, 2u, 3u, 7u}) {
-    expect_equivalent(sharded(sw, n), ref, /*exact_moments=*/false);
+    expect_equivalent(sharded(sw, n), ref);
   }
 }
 
 TEST(DistEquivalence, Table5GridGoldenAcrossShardCounts) {
-  // Deterministic cells replay bit-identically, so here even the merged
-  // mean/stddev must be *exact* (each shard sees copies of the same
-  // value; the Chan combine of zero-variance groups has no rounding).
+  // Deterministic cells replay bit-identically: each cell is one value
+  // with a count, whatever the shard count.
   const api::sweep sw = table5_grid(3);
   const std::vector<api::cell_summary> ref = reference(sw);
   for (const std::size_t n : {1u, 2u, 3u, 7u}) {
-    expect_equivalent(sharded(sw, n), ref, /*exact_moments=*/true);
+    expect_equivalent(sharded(sw, n), ref);
   }
 }
 

@@ -447,8 +447,8 @@ TEST(ObsSearchStats, CellSummaryFoldsSearchEffortAcrossReplications) {
   eng.run_sweep(sw, [&](const api::sweep_result& r) {
     (r.replication == 0 ? left : right).add(r.result, r.cache_hit);
   });
-  ASSERT_EQ(left.n, 1u);
-  ASSERT_EQ(right.n, 2u);
+  ASSERT_EQ(left.n(), 1u);
+  ASSERT_EQ(right.n(), 2u);
   left.merge(right);
   EXPECT_EQ(left.search, expect);
 }

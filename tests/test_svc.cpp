@@ -7,8 +7,7 @@
 // the worker's heartbeat cadence against a scripted coordinator. The
 // acceptance property throughout: whatever the failure pattern, the
 // merged aggregate reproduces the single-process run_sweep + summarize
-// statistics (exact counts/extrema/quantiles below the digest budget,
-// ulp-scale moments).
+// statistics exactly, every field but the per-process cache accounting.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +16,7 @@
 #include <functional>
 #include <future>
 #include <latch>
+#include <memory>
 #include <mutex>
 #include <ostream>
 #include <streambuf>
@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "../tools/sweep_common.hpp"
 #include "api/engine.hpp"
 #include "api/scenario.hpp"
 #include "api/sweep.hpp"
@@ -162,10 +163,66 @@ TEST(SvcService, ThreeWorkerFleetReproducesSingleProcess) {
   EXPECT_EQ(c.results_accepted, c.leases_granted);
 }
 
+TEST(SvcService, DemoGridFleetsEqualSingleProcessAtScale) {
+  // The exact contract on a large sweep: the demo grid at 2 500
+  // replications a cell, on fleets of 1, 2 and 3 workers, with steals on
+  // and off. Every summary field but the per-process cache accounting
+  // equals the single-process run's.
+  const api::sweep sw = tools::demo_sweep(2500);
+  const std::vector<api::cell_summary> ref = reference(sw);
+  const std::size_t total = sw.cells.size() * sw.replications;
+  const api::engine engine;
+  for (const std::size_t workers : {1u, 2u, 3u}) {
+    for (const bool steal : {false, true}) {
+      SCOPED_TRACE(std::to_string(workers) + " worker(s), steal " +
+                   (steal ? "on" : "off"));
+      log_watch watch;
+      std::ostream log_stream{&watch};
+      coordinator_options opts;
+      opts.workers_expected = workers;
+      opts.deadline_s = 120;
+      opts.steal = steal;
+      opts.log = &log_stream;
+      // With steals on, one lease spans the stream and the other workers
+      // get work only by stealing; with steals off every worker holds its
+      // first chunk until all hold a lease, so all of them take part.
+      if (steal) opts.lease_items = total;
+      coordinator coord{sw, opts};
+      auto served = serve(coord);
+      std::latch all_leased{static_cast<std::ptrdiff_t>(workers)};
+      const std::function<void()> hold =
+          steal ? std::function<void()>{[&watch, workers] {
+            if (workers > 1) watch.wait_for("proposing trim");
+          }}
+                : std::function<void()>{[&all_leased] {
+                    all_leased.arrive_and_wait();
+                  }};
+      std::vector<std::unique_ptr<first_chunk_clock>> clocks;
+      std::vector<std::future<worker_report>> fleet;
+      for (std::size_t w = 0; w < workers; ++w) {
+        clocks.push_back(std::make_unique<first_chunk_clock>(hold));
+        fleet.push_back(join_fleet(engine, coord.port(), std::to_string(w),
+                                   clocks.back().get()));
+      }
+      const dist::shard_aggregate merged = served.get();
+      std::size_t items = 0;
+      for (auto& f : fleet) items += f.get().items;
+      EXPECT_EQ(items, total);
+      EXPECT_EQ(merged.last_item, total);
+      expect_equivalent(dist::summaries(merged), ref);
+      if (steal && workers > 1) {
+        EXPECT_GE(coord.counters().steals, 1u);
+      } else {
+        EXPECT_EQ(coord.counters().steals, 0u);
+      }
+    }
+  }
+}
+
 TEST(SvcService, LeaseResultIsOneContiguousFold) {
   // One worker, one lease over the whole stream, run in the default
   // 4-item chunks: the folded result must be exactly dist::run_shard over
-  // the same range — every moment and sketch bit for bit, since chunks
+  // the same range — every value count bit for bit, since chunks
   // append item by item — with only the per-process cache accounting
   // allowed to differ.
   const api::sweep sw = grid(40);

@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -25,6 +27,7 @@
 #include "load/trace.hpp"
 #include "obs/metrics.hpp"
 #include "sched/policy.hpp"
+#include "support/quantile_reference.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/spec.hpp"
@@ -846,9 +849,7 @@ TEST(SweepSummarize, QuantilesTrackTheLifetimeDistribution) {
 TEST(SweepSummarize, CellsFinalizeOnReadAsIfEagerly) {
   // summarize finalizes a cell when cells() is read, not per delivery.
   // After every prefix of the deliveries the read must equal the eager
-  // finalize of each cell's accumulator. At 70 replications every cell
-  // passes the 64-sample digest budget, so the prefixes cover exact and
-  // compressed digests alike.
+  // finalize of each cell's accumulator, over 70 replications a cell.
   const engine eng;
   const sweep sw = random_grid(70);
   const summarize blank{sw};
@@ -885,50 +886,54 @@ run_result observation(double lifetime_min, double residual_amin) {
 }  // namespace
 
 TEST(SweepSummarize, AccumulatorMergeIsCommutativeAndAssociative) {
-  // The Chan/Welford combine and the digest merge behind shard merging:
-  // counts/extrema/digests combine exactly in any grouping and order;
-  // the moments agree to ulp-scale rounding.
+  // The merge behind shard merging adds counts, so every grouping and
+  // order of the same parts gives the same accumulator, in every field.
+  // Lifetimes on a coarse grid make heavy ties; residuals are continuous.
   rng gen{42};
   const auto fill = [&](std::size_t count) {
     cell_accumulator acc;
     for (std::size_t i = 0; i < count; ++i) {
-      acc.add(observation(100.0 + 400.0 * gen.uniform(), gen.uniform()),
-              false);
+      run_result r = observation(
+          100.0 + 0.5 * static_cast<double>(gen.below(9)), gen.uniform());
+      if (gen.below(5) == 0) r.error = "boom";
+      acc.add(r, gen.below(2) == 0);
     }
     return acc;
   };
-  const cell_accumulator a = fill(7);
-  const cell_accumulator b = fill(3);
-  const cell_accumulator c = fill(5);
+  const std::vector<cell_accumulator> parts{fill(7), fill(3), fill(5),
+                                            fill(11)};
+  cell_accumulator sequential;
+  for (const cell_accumulator& p : parts) sequential.merge(p);
+  ASSERT_GT(sequential.n(), 0u);
 
-  cell_accumulator ab = a;
-  ab.merge(b);
-  cell_accumulator ba = b;
-  ba.merge(a);
-  // Commutative: everything but the floating-point rounding of the
-  // moments is identical; the digests differ only in the order equal
-  // means were queued, which our data does not produce.
-  EXPECT_EQ(ab.n, ba.n);
-  EXPECT_EQ(ab.min, ba.min);
-  EXPECT_EQ(ab.max, ba.max);
-  EXPECT_EQ(ab.lifetime, ba.lifetime);
-  EXPECT_EQ(ab.residual, ba.residual);
-  EXPECT_NEAR(ab.mean, ba.mean, 1e-9 * ab.mean);
-  EXPECT_NEAR(ab.m2, ba.m2, 1e-6 * (1.0 + ab.m2));
+  // Every order of a left fold.
+  std::vector<std::size_t> order{0, 1, 2, 3};
+  do {
+    cell_accumulator folded;
+    for (const std::size_t k : order) folded.merge(parts[k]);
+    EXPECT_EQ(folded, sequential);
+  } while (std::next_permutation(order.begin(), order.end()));
 
-  // Associative: (a + b) + c vs a + (b + c).
-  cell_accumulator left = ab;
-  left.merge(c);
-  cell_accumulator bc = b;
-  bc.merge(c);
-  cell_accumulator right = a;
-  right.merge(bc);
-  EXPECT_EQ(left.n, right.n);
-  EXPECT_EQ(left.min, right.min);
-  EXPECT_EQ(left.max, right.max);
-  EXPECT_EQ(left.lifetime, right.lifetime);
-  EXPECT_NEAR(left.mean, right.mean, 1e-9 * left.mean);
-  EXPECT_NEAR(left.m2, right.m2, 1e-6 * (1.0 + left.m2));
+  // Every grouping: (a + b) + (c + d), a + (b + (c + d)), ((a + b) + c) + d.
+  const auto sum = [](cell_accumulator x, const cell_accumulator& y) {
+    x.merge(y);
+    return x;
+  };
+  const cell_accumulator& a = parts[0];
+  const cell_accumulator& b = parts[1];
+  const cell_accumulator& c = parts[2];
+  const cell_accumulator& d = parts[3];
+  EXPECT_EQ(sum(sum(a, b), sum(c, d)), sequential);
+  EXPECT_EQ(sum(a, sum(b, sum(c, d))), sequential);
+  EXPECT_EQ(sum(sum(sum(a, b), c), d), sequential);
+  EXPECT_EQ(sum(sum(d, c), sum(b, a)), sequential);
+
+  // So the finalized summaries agree byte for byte too.
+  cell_summary want;
+  sequential.finalize(want);
+  cell_summary got;
+  sum(sum(d, b), sum(c, a)).finalize(got);
+  EXPECT_EQ(got, want);
 
   // The empty accumulator is the exact identity on either side.
   cell_accumulator from_empty;
@@ -945,9 +950,9 @@ TEST(SweepSummarize, AccumulatorMergeIsCommutativeAndAssociative) {
   failing.add(failed, true);
   cell_accumulator total = a;
   total.merge(failing);
-  EXPECT_EQ(total.n, a.n);
-  EXPECT_EQ(total.failures, 1u);
-  EXPECT_EQ(total.cache_hits, 1u);
+  EXPECT_EQ(total.n(), a.n());
+  EXPECT_EQ(total.failures, a.failures + 1);
+  EXPECT_EQ(total.cache_hits, a.cache_hits + 1);
 }
 
 TEST(SweepSummarize, EmptySweepAndZeroReplicationsAreNoOps) {
@@ -961,6 +966,200 @@ TEST(SweepSummarize, EmptySweepAndZeroReplicationsAreNoOps) {
   summarize sink2{sw};
   EXPECT_EQ(eng.run_sweep(sw, sink2, 4), sweep_stats{});
   EXPECT_EQ(sink2.cells()[0].n, 0u);
+}
+
+// ---------------------------------------------------------- value_counts
+
+/// The entries `v` would have: distinct values ascending, with counts.
+std::vector<value_count> counted(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  std::vector<value_count> out;
+  for (const double x : v) {
+    if (out.empty() || out.back().value != x) {
+      out.push_back({x, 1});
+    } else {
+      ++out.back().count;
+    }
+  }
+  return out;
+}
+
+TEST(ValueCounts, QuantilesInterpolateBetweenSampleRanks) {
+  value_counts d;
+  for (const double v : {5.0, 1.0, 3.0, 2.0, 4.0}) d.add(v);
+  EXPECT_EQ(d.entries().size(), 5u);
+  EXPECT_EQ(d.total(), 5u);
+  EXPECT_EQ(d.quantile(0.0), 1.0);
+  EXPECT_EQ(d.quantile(0.5), 3.0);
+  EXPECT_EQ(d.quantile(1.0), 5.0);
+  // Rank 0.2 * 5 = 1 lies halfway between samples 0 (rank 0.5) and 1.
+  EXPECT_EQ(d.quantile(0.2), 1.5);
+  // Monotone in q.
+  double prev = d.quantile(0.0);
+  for (double q = 0.05; q <= 1.0; q += 0.05) {
+    const double cur = d.quantile(q);
+    EXPECT_GE(cur, prev);
+    prev = cur;
+  }
+  // Empty and single-sample edges.
+  const value_counts empty;
+  EXPECT_TRUE(std::isnan(empty.quantile(0.5)));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(d.quantile(nan)));
+  value_counts one;
+  one.add(7.25);
+  EXPECT_EQ(one.quantile(0.1), 7.25);
+  EXPECT_EQ(one.quantile(0.9), 7.25);
+  // Ties are one entry; a quantile inside a run of ties is that value.
+  value_counts ties;
+  for (const double v : {2.0, 2.0, 2.0, 9.0}) ties.add(v);
+  EXPECT_EQ(ties.entries(), (std::vector<value_count>{{2.0, 3}, {9.0, 1}}));
+  EXPECT_EQ(ties.quantile(0.5), 2.0);
+  // -0 and +0 are one key, +0; NaN is refused.
+  value_counts zeros;
+  zeros.add(-0.0);
+  zeros.add(0.0);
+  ASSERT_EQ(zeros.entries().size(), 1u);
+  EXPECT_FALSE(std::signbit(zeros.entries()[0].value));
+  EXPECT_THROW(zeros.add(std::numeric_limits<double>::quiet_NaN()), error);
+}
+
+TEST(ValueCounts, MergeEqualsBulkAdd) {
+  // Shard equivalence at the distribution level: merging partial counts
+  // is identical to having added every sample to one distribution, in
+  // either order, ties included.
+  rng gen{7};
+  std::vector<double> values(40);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = i % 3 == 0 ? 0.25 * static_cast<double>(gen.below(4))
+                           : gen.uniform() * 100.0;
+  }
+  value_counts bulk;
+  value_counts a;
+  value_counts b;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    bulk.add(values[i]);
+    (i % 2 == 0 ? a : b).add(values[i]);
+  }
+  EXPECT_EQ(bulk.entries(), counted(values));
+  value_counts merged = a;
+  merged.merge(b);
+  EXPECT_EQ(merged, bulk);
+  value_counts reversed = b;
+  reversed.merge(a);
+  EXPECT_EQ(reversed, bulk);
+  value_counts onto_empty;
+  onto_empty.merge(bulk);
+  EXPECT_EQ(onto_empty, bulk);
+}
+
+TEST(ValueCounts, ManySamplesStayExact) {
+  // No compression at any size: 10 000 continuous samples keep one entry
+  // per distinct value, and every quantile is the exact order statistic.
+  rng gen{11};
+  std::vector<double> values(10000);
+  value_counts d;
+  for (double& v : values) {
+    v = gen.uniform();
+    d.add(v);
+  }
+  EXPECT_EQ(d.total(), values.size());
+  EXPECT_EQ(d.entries(), counted(values));
+  std::sort(values.begin(), values.end());
+  for (const double q : {0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(d.quantile(q), support::sorted_quantile(values, q))
+        << "q=" << q;
+    EXPECT_NEAR(d.quantile(q), q, 0.05) << "q=" << q;
+  }
+}
+
+TEST(ValueCounts, LayeredMergesKeepKeysSortedAndCountsExact) {
+  // The layered folds of the sweep service (worker chunk folds, then
+  // coordinator lease folds) over heavy ties at inexactly representable
+  // values: keys stay strictly increasing, counts add up exactly, and
+  // the result is the bulk distribution.
+  rng gen{2009};
+  value_counts total;
+  std::vector<double> all;
+  for (std::size_t lease = 0; lease < 8; ++lease) {
+    value_counts folded;
+    for (std::size_t chunk = 0; chunk < 16; ++chunk) {
+      value_counts d;
+      for (std::size_t i = 0; i < 40; ++i) {
+        const double v = 0.1 * static_cast<double>(1 + gen.below(7));
+        d.add(v);
+        all.push_back(v);
+      }
+      folded.merge(d);
+    }
+    total.merge(folded);
+  }
+  const std::vector<value_count>& es = total.entries();
+  ASSERT_LE(es.size(), 7u);
+  for (std::size_t i = 1; i < es.size(); ++i) {
+    ASSERT_LT(es[i - 1].value, es[i].value) << "i=" << i;
+  }
+  EXPECT_EQ(total.total(), 8u * 16u * 40u);
+  EXPECT_EQ(es, counted(all));
+  EXPECT_EQ(value_counts::from_entries(es), total);
+}
+
+TEST(ValueCounts, FromEntriesValidatesAndRoundTrips) {
+  value_counts d;
+  for (const double v : {1.0, 2.0, 2.0, 8.0}) d.add(v);
+  EXPECT_EQ(value_counts::from_entries(d.entries()), d);
+  EXPECT_EQ(value_counts::from_entries({}), value_counts{});
+  EXPECT_FALSE(std::signbit(
+      value_counts::from_entries({{-0.0, 1}}).entries()[0].value));
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_THROW((void)value_counts::from_entries({{1.0, 1}, {0.5, 1}}), error);
+  EXPECT_THROW((void)value_counts::from_entries({{1.0, 1}, {1.0, 1}}), error);
+  EXPECT_THROW((void)value_counts::from_entries({{nan, 1}}), error);
+  EXPECT_THROW((void)value_counts::from_entries({{1.0, 1}, {nan, 1}}), error);
+  EXPECT_THROW((void)value_counts::from_entries({{1.0, 0}}), error);
+  EXPECT_THROW((void)value_counts::from_entries({{1.0, max}, {2.0, 1}}),
+               error);
+  EXPECT_EQ(value_counts::from_entries({{1.0, max}}).total(), max);
+}
+
+TEST(ValueCounts, QuantilesMatchTheSortedReference) {
+  // Property: for random multisets of 1 to 3 000 samples, from heavy
+  // ties to all-distinct, every quantile equals the plain sorted-vector
+  // reference bit for bit, and so does a merge of a random split.
+  rng gen{27};
+  const std::vector<double> qs{0.0, 0.1, 0.25, 0.5, 0.73, 0.9, 1.0};
+  for (const std::uint64_t levels : {std::uint64_t{3}, std::uint64_t{40},
+                                     std::uint64_t{400}, std::uint64_t{0}}) {
+    value_counts d;
+    value_counts left;
+    value_counts right;
+    std::vector<double> sorted;
+    for (std::size_t n = 1; n <= 3000; ++n) {
+      // Lifetime-like values on a 0.01 grid, or continuous ones.
+      const double v =
+          levels == 0 ? 10.0 + 20.0 * gen.uniform()
+                      : 10.0 + 0.01 * static_cast<double>(gen.below(levels));
+      d.add(v);
+      (gen.below(2) == 0 ? left : right).add(v);
+      sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), v), v);
+      if (n > 64 && n % 37 != 0 && n != 3000) continue;
+      SCOPED_TRACE("levels " + std::to_string(levels) + ", n " +
+                   std::to_string(n));
+      ASSERT_EQ(d.total(), n);
+      for (const double q : qs) {
+        ASSERT_EQ(d.quantile(q), support::sorted_quantile(sorted, q))
+            << "q=" << q;
+      }
+      const double q = gen.uniform();
+      ASSERT_EQ(d.quantile(q), support::sorted_quantile(sorted, q))
+          << "q=" << q;
+      value_counts merged = left;
+      merged.merge(right);
+      ASSERT_EQ(merged, d);
+    }
+  }
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
-#include "util/tdigest.hpp"
 #include "util/text.hpp"
 #include "util/wire.hpp"
 
@@ -246,110 +245,6 @@ TEST(Csv, ParseLineInvertsEscape) {
   EXPECT_THROW((void)csv_parse_line("\"unbalanced"), error);
 }
 
-TEST(TDigest, ExactBelowTheCentroidBudget) {
-  // Up to max_centroids samples the digest keeps every observation, so
-  // quantiles are exact (midpoint interpolation over singletons).
-  tdigest d{8};
-  for (const double v : {5.0, 1.0, 3.0, 2.0, 4.0}) d.add(v);
-  EXPECT_EQ(d.centroids().size(), 5u);
-  EXPECT_EQ(d.total_weight(), 5.0);
-  EXPECT_DOUBLE_EQ(d.quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(d.quantile(0.5), 3.0);
-  EXPECT_DOUBLE_EQ(d.quantile(1.0), 5.0);
-  // Monotone in q.
-  double prev = d.quantile(0.0);
-  for (double q = 0.05; q <= 1.0; q += 0.05) {
-    const double cur = d.quantile(q);
-    EXPECT_GE(cur, prev);
-    prev = cur;
-  }
-  // Empty and single-sample edges.
-  const tdigest empty{8};
-  EXPECT_TRUE(std::isnan(empty.quantile(0.5)));
-  tdigest one{8};
-  one.add(7.25);
-  EXPECT_DOUBLE_EQ(one.quantile(0.1), 7.25);
-  EXPECT_DOUBLE_EQ(one.quantile(0.9), 7.25);
-}
-
-TEST(TDigest, MergeEqualsBulkAddBelowTheBudget) {
-  // Shard equivalence at the sketch level: while nothing was compressed,
-  // merging partial digests is *identical* to having added every sample
-  // to one digest.
-  rng gen{7};
-  std::vector<double> values(20);
-  for (double& v : values) v = gen.uniform() * 100.0;
-
-  tdigest bulk{64};
-  tdigest a{64};
-  tdigest b{64};
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    bulk.add(values[i]);
-    (i % 2 == 0 ? a : b).add(values[i]);
-  }
-  tdigest merged = a;
-  merged.merge(b);
-  EXPECT_EQ(merged, bulk);
-
-  tdigest reversed = b;
-  reversed.merge(a);
-  EXPECT_EQ(reversed, bulk);
-}
-
-TEST(TDigest, CompressionBoundsCentroidsAndKeepsAccuracy) {
-  rng gen{11};
-  tdigest d{64};
-  const std::size_t samples = 10000;
-  for (std::size_t i = 0; i < samples; ++i) d.add(gen.uniform());
-  EXPECT_LE(d.centroids().size(), 64u);
-  EXPECT_GE(d.centroids().size(), 8u);
-  EXPECT_DOUBLE_EQ(d.total_weight(), static_cast<double>(samples));
-  // Uniform[0,1]: the quantile function is the identity; the sketch must
-  // stay close, tightest near the tails (k1 scale).
-  for (const double q : {0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99}) {
-    EXPECT_NEAR(d.quantile(q), q, 0.05) << "q=" << q;
-  }
-}
-
-TEST(TDigest, LayeredMergesKeepCentroidsSortedByMean) {
-  // Regression: compress() folds adjacent centroids by weighted mean,
-  // which can round an ulp past the right neighbour. After the layered
-  // folds of the sweep service (worker chunk folds, then coordinator
-  // lease folds) the serialized digest then failed from_centroids'
-  // sorted-by-mean check. Heavy ties at inexactly-representable values
-  // stress exactly that rounding path.
-  rng gen{2009};
-  tdigest total{64};
-  for (std::size_t lease = 0; lease < 8; ++lease) {
-    tdigest folded{64};
-    for (std::size_t chunk = 0; chunk < 16; ++chunk) {
-      tdigest d{64};
-      for (std::size_t i = 0; i < 40; ++i) {
-        d.add(0.1 * static_cast<double>(1 + gen.below(7)));
-      }
-      folded.merge(d);
-    }
-    total.merge(folded);
-  }
-  const std::vector<centroid>& cs = total.centroids();
-  ASSERT_LE(cs.size(), 64u);
-  for (std::size_t i = 1; i < cs.size(); ++i) {
-    ASSERT_LE(cs[i - 1].mean, cs[i].mean) << "i=" << i;
-  }
-  EXPECT_NO_THROW((void)tdigest::from_centroids(total.max_centroids(), cs));
-}
-
-TEST(TDigest, FromCentroidsValidatesAndRoundTrips) {
-  tdigest d{16};
-  for (const double v : {1.0, 2.0, 2.0, 8.0}) d.add(v);
-  EXPECT_EQ(tdigest::from_centroids(d.max_centroids(), d.centroids()), d);
-
-  EXPECT_THROW(
-      (void)tdigest::from_centroids(8, {{1.0, 1.0}, {0.5, 1.0}}), error);
-  EXPECT_THROW((void)tdigest::from_centroids(8, {{1.0, 0.0}}), error);
-  EXPECT_THROW((void)tdigest::from_centroids(8, {{1.0, -2.0}}), error);
-}
-
 // ------------------------------------------------------------------ wire
 
 /// All tokens of `text` split on `sep`.
@@ -428,20 +323,35 @@ TEST(Wire, ErrorsNameOriginLineAndSection) {
   EXPECT_EQ(big.real("y"), 0.0);
 }
 
+/// A pair the wire reader builds: a double and a count.
+struct real_count {
+  double value = 0;
+  std::uint64_t count = 0;
+
+  friend bool operator==(const real_count&, const real_count&) = default;
+};
+
 TEST(Wire, PairListReadsCountPrefixedPairs) {
-  wire::reader r{"lifetime budget=8 centroids=2 0.5:1 2:3\n", "t"};
+  wire::reader r{"lifetime values=2 0.5:1 2:3\n", "t"};
   ASSERT_TRUE(r.next());
-  const auto cs = r.pairs<centroid>("centroids", "centroid");
-  ASSERT_EQ(cs.size(), 2u);
-  EXPECT_EQ(cs[1], (centroid{2.0, 3.0}));
+  const auto es = r.pairs<real_count, std::uint64_t>("values", "value");
+  ASSERT_EQ(es.size(), 2u);
+  EXPECT_EQ(es[1], (real_count{2.0, 3}));
+  // The second element reads as its own type: a count is an integer.
+  wire::reader fraction{"x n=1 0.5:1.5\n", "t"};
+  ASSERT_TRUE(fraction.next());
+  const auto read_pairs = [](const wire::reader& rd) {
+    return rd.pairs<real_count, std::uint64_t>("n", "pair");
+  };
+  EXPECT_THROW((void)read_pairs(fraction), error);
   wire::reader bad{"x n=1 7\n", "t"};
   ASSERT_TRUE(bad.next());
-  EXPECT_EQ(error_of([&] { (void)bad.pairs<centroid>("n", "pair"); }),
+  EXPECT_EQ(error_of([&] { (void)read_pairs(bad); }),
             "t: line 1: malformed pair '7' (want a:b)");
   // A huge untrusted count fails on the mismatch, it does not reserve.
   wire::reader huge{"x n=18446744073709551615 1:1\n", "t"};
   ASSERT_TRUE(huge.next());
-  EXPECT_THROW((void)huge.pairs<centroid>("n", "pair"), error);
+  EXPECT_THROW((void)read_pairs(huge), error);
 }
 
 TEST(Wire, ExpectsRecords) {

@@ -75,11 +75,15 @@ api::sweep seed_sweep() {
 std::vector<format> formats() {
   const api::sweep sw = seed_sweep();
   const api::engine engine;
-  // A run over the discrete cells, so the seed carries real digests.
+  // Runs over the discrete cells, so the seeds carry real value:count
+  // lists: the whole sweep (the deterministic cell's one value counted
+  // twice), and a shard whose range leaves a cell's lists empty.
   api::sweep discrete = sw;
   discrete.cells.pop_back();
   const dist::shard_aggregate agg =
       dist::run_shard(engine, dist::plan_shard(discrete, 0, 1), 1);
+  const dist::shard_aggregate part =
+      dist::run_shard(engine, dist::plan_shard(discrete, 1, 2), 1);
 
   obs::snapshot snap;
   snap.counters = {{"engine.jobs_total", 42}, {"svc.leases_total", 7}};
@@ -95,7 +99,7 @@ std::vector<format> formats() {
 
   return {
       {"shard",
-       {dist::encode_str(agg)},
+       {dist::encode_str(agg), dist::encode_str(part)},
        [](const std::string& x) {
          return dist::encode_str(dist::decode_str(x));
        }},

@@ -8,12 +8,10 @@
 // Validation is strict: the shards must agree on the sweep shape and tile
 // the (cell, replication) item stream exactly once. With --expect the
 // merged summaries are compared against a reference CSV written by
-// `scenario_sweep --csv` (the single-process run): cell descriptors,
-// n/failures and min/max must match exactly; mean/stddev/CI/quantiles
-// within ulp-scale tolerance (the Chan/Welford combine rounds differently
-// than the sequential pass); per-process cache accounting is skipped.
-// Exits non-zero on any mismatch, which is the CI equivalence smoke.
-#include <cmath>
+// `scenario_sweep --csv` (the single-process run): every column but the
+// per-process cache accounting must match as a string — the merged
+// statistics are the single-process ones exactly. Exits non-zero on any
+// mismatch, which is the CI equivalence smoke.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -23,28 +21,10 @@
 #include "dist/shard.hpp"
 #include "sweep_common.hpp"
 #include "util/csv.hpp"
-#include "util/error.hpp"
-#include "util/text.hpp"
 
 namespace {
 
 using namespace bsched;
-
-/// Columns compared numerically with tolerance: derived moments, where
-/// merge order legitimately moves the last ulps (plus the reference
-/// CSV's 6-decimal rounding).
-bool tolerance_column(const std::string& name) {
-  return name == "mean_min" || name == "stddev_min" || name == "ci95_min";
-}
-
-/// Quantile columns are exact only while the cell's sketches kept every
-/// sample; past the digest budget, merged and sequential compression
-/// orders legitimately diverge, so the columns leave the equivalence
-/// contract (README "Distributed sweeps") and are skipped.
-bool quantile_column(const std::string& name) {
-  return name == "p10_min" || name == "p50_min" || name == "p90_min" ||
-         name == "p50_residual_amin";
-}
 
 /// Per-process accounting, excluded from the equivalence contract.
 bool skipped_column(const std::string& name) { return name == "cache_hits"; }
@@ -89,23 +69,7 @@ bool check_against(const std::string& ref_path,
       continue;
     }
     for (std::size_t col = 0; col < header.size(); ++col) {
-      if (skipped_column(header[col])) continue;
-      if (quantile_column(header[col]) &&
-          cells[i].n > api::summary_digest_centroids) {
-        continue;  // sketch compressed: quantiles are approximate
-      }
-      if (tolerance_column(header[col]) || quantile_column(header[col])) {
-        const double a =
-            parse_double(ours[col], "sweep_merge: merged " + header[col]);
-        const double b =
-            parse_double(theirs[col], "sweep_merge: reference " + header[col]);
-        // 2e-6 absolute absorbs the reference CSV's 6-decimal rounding;
-        // 1e-9 relative absorbs the merge-order ulps on large lifetimes.
-        const double tol = 2e-6 + 1e-9 * std::max(std::fabs(a), std::fabs(b));
-        if (std::fabs(a - b) <= tol) continue;
-      } else if (theirs[col] == ours[col]) {
-        continue;
-      }
+      if (skipped_column(header[col]) || theirs[col] == ours[col]) continue;
       std::fprintf(stderr,
                    "sweep_merge: row %zu (%s): %s mismatch — merged '%s' "
                    "vs reference '%s'\n",
@@ -167,7 +131,7 @@ int main(int argc, char** argv) {
     tools::print_summary_table(cells);
     std::printf(
         "\nLifetimes in minutes; ci95 is the half-width of the normal 95%% "
-        "confidence\ninterval, p50 the sketch median. %zu runs, %zu "
+        "confidence\ninterval, p50 the sample median. %zu runs, %zu "
         "evaluated across shards, %zu\ncache hits (per-process), %zu "
         "failures.\n",
         merged.stats.runs, merged.stats.evaluated, merged.stats.cache_hits,
