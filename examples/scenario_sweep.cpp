@@ -16,7 +16,8 @@
 // the thread count. With --csv the same statistics are written through
 // util/csv with self-describing scenario columns (label/load/policy/
 // fidelity), so a full sweep is reproducible and plottable from the
-// command line — and serves as the reference for `sweep_merge --expect`.
+// command line — and is the reference a fleet's `sweep_merge --csv`
+// output is `cmp`-equal to.
 // With --trace the first (multi-threaded) sweep runs under the global
 // tracer and its spans are exported as chrome://tracing JSON — empty
 // when the build has BSCHED_OBS=OFF, since the span macros compile away.

@@ -5,12 +5,13 @@
 #                of the examples/benches, byte compares of the Table 3,
 #                Table 5 and Figure 6 outputs against tests/golden/, the
 #                observability smoke (the service's telemetry exposition
-#                and a traced sweep must parse through their readers)
-#                and the perf gate — run
-#                twice when google-benchmark is present: the default
-#                obs-on build and a BSCHED_OBS=OFF build, both against
-#                the same committed baseline, so the "macros compile to
-#                nothing" guarantee is load-bearing, not aspirational;
+#                and a traced sweep must parse through their readers),
+#                a BSCHED_OBS=OFF build through the full test suite, and
+#                then the perf gate — run twice when google-benchmark is
+#                present: the default obs-on build and the obs-off build,
+#                both against the same committed baseline, so the "macros
+#                compile to nothing" guarantee is load-bearing, not
+#                aspirational;
 #   asan-ubsan — AddressSanitizer + UndefinedBehaviorSanitizer build,
 #                full test suite (leak detection on, first report fatal);
 #   tsan       — ThreadSanitizer build; runs the concurrency-heavy
@@ -184,9 +185,9 @@ run_release() {
   "$dir/scenario_sweep" --threads 4 --replications 10
   # Distributed-sweep equivalence smoke: three shard workers, merged
   # through the dist::codec files, must reproduce the single-process
-  # scenario_sweep statistics (sweep_merge --expect exits non-zero on
-  # any column but cache_hits that differs as a string) — this pins the
-  # codec format and the shard/merge path end to end.
+  # scenario_sweep CSV byte for byte (the demo grid's cells are all
+  # stochastic, so cache_hits is 0 on both sides) — this pins the codec
+  # format and the shard/merge path end to end.
   local shard_dir
   shard_dir="$(tmpdir)"
   "$dir/scenario_sweep" --threads 2 --replications 10 \
@@ -199,8 +200,9 @@ run_release() {
   # to stdout, byte for byte.
   "$dir/sweep_worker" --shard 0 --of 3 --replications 10 --threads 2 \
     2> /dev/null | cmp - "$shard_dir/shard0.agg"
-  "$dir/sweep_merge" --expect "$shard_dir/ref.csv" "$shard_dir"/shard*.agg \
+  "$dir/sweep_merge" --csv "$shard_dir/merged.csv" "$shard_dir"/shard*.agg \
     > /dev/null
+  cmp "$shard_dir/merged.csv" "$shard_dir/ref.csv"
   # A stale file is refused end to end: shard 0 with its magic line
   # rewritten to version 0 must make sweep_merge exit non-zero, naming
   # the bad magic on line 1. The version is matched by pattern, so a
@@ -217,10 +219,10 @@ run_release() {
   # workers, one of which is kill -9'ed right after its first lease is
   # granted (gated on the coordinator log so the kill always lands
   # mid-campaign). The coordinator must re-queue the dead worker's range
-  # (asserted from the log) and the merged aggregate must still match
-  # the single-process reference through sweep_merge --expect. Every
-  # background PID registers with the EXIT trap, so a failure anywhere
-  # in this block leaves no stray serve/worker processes behind.
+  # (asserted from the log) and the merged aggregate's CSV must still be
+  # the single-process one byte for byte. Every background PID registers
+  # with the EXIT trap, so a failure anywhere in this block leaves no
+  # stray serve/worker processes behind.
   local svc_dir serve_pid victim_pid port
   svc_dir="$(tmpdir)"
   "$dir/scenario_sweep" --threads 2 --replications 300 \
@@ -259,10 +261,7 @@ run_release() {
   wait "$serve_pid"
   wait || true  # reap the killed victim without failing the script
   grep -Eq "[1-9][0-9]* lease\(s\) re-queued" "$svc_dir/serve.log"
-  "$dir/sweep_merge" --expect "$svc_dir/ref.csv" "$svc_dir/svc.agg" \
-    > /dev/null
-  # And byte for byte: the fleet's merged CSV is the single-process CSV
-  # (the demo grid's cells are all stochastic, so cache_hits is 0 in both).
+  # The demo grid's cells are all stochastic, so cache_hits is 0 in both.
   "$dir/sweep_merge" --csv "$svc_dir/svc.csv" "$svc_dir/svc.agg" > /dev/null
   cmp "$svc_dir/svc.csv" "$svc_dir/ref.csv"
   # Observability smoke: the fleet run above also wrote its telemetry
@@ -297,6 +296,13 @@ run_release() {
   "$dir/bench_lookahead" > /dev/null
   # The PTA engine end to end: the lamp's min-cost schedule is pinned.
   "$dir/lamp_pta" | grep -q "cost 210 in 10 time units"
+  # The BSCHED_OBS=OFF tree (every instrumentation site compiled to
+  # nothing) builds warnings-as-errors and passes the full suite before
+  # any perf gate runs, so a noisy gate cannot hide a broken obs-off
+  # build.
+  local obs_off="$BUILD_PREFIX-release-obs-off"
+  configure_and_build "$obs_off" Release -DBSCHED_OBS=OFF
+  ctest --test-dir "$obs_off" --output-on-failure -j "$JOBS"
   # Perf gate: the microbenchmarks run in JSON mode and are judged
   # against the committed baseline (BENCH_micro.json). The tolerance is
   # loose — it exists to catch step-function regressions (an event
@@ -310,17 +316,13 @@ run_release() {
       --benchmark_format=json --benchmark_out="$dir/bench_micro.json"
     python3 scripts/bench_gate.py --baseline BENCH_micro.json \
       --current "$dir/bench_micro.json" --tolerance 3.0
-    # The zero-overhead guarantee of the obs macros, enforced: with
-    # BSCHED_OBS=OFF every instrumentation site compiles to nothing, so
-    # the obs-off kernels must clear the same committed baseline the
-    # obs-on build just did.
-    local obs_off="$BUILD_PREFIX-release-obs-off"
-    configure_and_build "$obs_off" Release -DBSCHED_OBS=OFF
+    # The zero-overhead guarantee of the obs macros, enforced: the
+    # obs-off kernels must clear the same committed baseline the obs-on
+    # build just did.
     "$obs_off/bench_micro" --benchmark_min_time=0.1 \
       --benchmark_format=json --benchmark_out="$obs_off/bench_micro.json"
     python3 scripts/bench_gate.py --baseline BENCH_micro.json \
       --current "$obs_off/bench_micro.json" --tolerance 3.0
-    ctest --test-dir "$obs_off" --output-on-failure -j "$JOBS"
   else
     echo "ci: bench_micro not built (google-benchmark missing); skipped"
   fi

@@ -54,10 +54,11 @@ Rules (see README "Correctness tooling"):
 
   wire-reader       text records are split by the one strict reader in
                     src/util (util/wire.hpp): outside src/util, library
-                    code must not read lines with std::getline or split
-                    key=value tokens with .find('='), so a fifth
-                    hand-rolled parser cannot grow back beside the dist
-                    codec, telemetry, message-header and spec readers.
+                    and tool code (src/, tools/) must not read lines with
+                    std::getline or split key=value tokens with
+                    .find('='), so a fifth hand-rolled parser cannot grow
+                    back beside the dist codec, telemetry, message-header
+                    and spec readers, in the library or through a CLI.
 
   thread-discipline library code must not spawn raw threads (std::thread/
                     std::jthread construction, std::async) outside
@@ -91,6 +92,22 @@ Rules (see README "Correctness tooling"):
                     only its tests still use cannot linger in the
                     library. No exceptions: reference code that only
                     tests use lives in tests/support/.
+
+  test-only-export  (tree-level) every namespace-scope function, class or
+                    constant and every member function declared in a
+                    src/**/*.hpp is named by some file under src/, tools/,
+                    examples/, bench/ or perfbench/ outside its own
+                    .hpp/.cpp pair, or by the header's own inline code. A
+                    name only tests use is deleted with the tests that
+                    only test it (reference code the tests compare
+                    against lives in tests/support/); a name only its own
+                    .cpp uses becomes file-local there, which is also
+                    where private helper functions belong. Data members
+                    are out of scope (aggregates are brace-initialised
+                    without naming them). The match is by identifier, so
+                    a name that some other file spells is never flagged.
+                    TEST_ONLY_EXPORT_ALLOWLIST names the exceptions, each
+                    with the reason it stays.
 """
 
 import argparse
@@ -148,6 +165,19 @@ THREAD_ALLOW_PREFIXES = (
 
 # Directories whose files count as users of a src/ header.
 INCLUDER_DIRS = ("src", "tools", "examples", "bench", "perfbench")
+
+# Exported names no product file calls, each with the reason it stays.
+# Keys are qualified below `bsched::`.
+TEST_ONLY_EXPORT_ALLOWLIST = {
+    "opt::trajectory_bound_steps":
+        "the search's admissible bound; the ROADMAP item 'incumbent plus a "
+        "certified bound' reports it from outside the search, and the "
+        "admissibility tests check it against brute force",
+    "opt::deliverable_units":
+        "the per-battery supply cap trajectory_bound_steps is built from, "
+        "declared beside it for the same ROADMAP item; its admissibility "
+        "is property-tested on its own",
+}
 
 INCLUDE_PATTERN = re.compile(r'^[ \t]*#[ \t]*include[ \t]*"([^"\n]+)"',
                              re.MULTILINE)
@@ -382,7 +412,7 @@ def check_search_flat_memo(rel, code):
 
 
 def check_wire_reader(rel, code):
-    if not rel.startswith("src" + os.sep):
+    if not rel.startswith(("src" + os.sep, "tools" + os.sep)):
         return []
     if rel.startswith(os.path.join("src", "util") + os.sep):
         return []
@@ -452,6 +482,223 @@ def check_orphan_headers(files):
     return findings
 
 
+# Keywords and builtin types that can precede '(' in a declaration head.
+DECL_KEYWORDS = {
+    "alignas", "alignof", "decltype", "noexcept", "sizeof", "static_assert",
+    "requires", "return", "if", "for", "while", "switch", "void", "bool",
+    "char", "int", "long", "short", "unsigned", "signed", "double", "float",
+    "auto", "explicit", "operator", "throw", "new", "delete",
+}
+
+ACCESS_PATTERN = re.compile(r"(public|private|protected)\s*$")
+
+
+def drop_template_prefix(text):
+    """Blanks a leading `template <...>` parameter list (defaults and
+    all), keeping offsets."""
+    template = re.match(r"\s*template\s*<", text)
+    if not template:
+        return text
+    depth, j = 1, template.end()
+    while j < len(text) and depth:
+        depth += (text[j] == "<") - (text[j] == ">")
+        j += 1
+    return " " * j + text[j:]
+
+
+def declarations(code):
+    """Declarations in comment- and string-stripped C++ `code`.
+
+    Returns (qualified name, name, offset, is_definition) for each
+    namespace-scope function, class (with a body) and constant, and each
+    member function (public or private) of a class. `is_definition` marks
+    an out-of-class definition like `T cls::f(...) {`, which declares
+    nothing new. Constructors, destructors, operators, friends and enums
+    are skipped."""
+    code = re.sub(r"^[ \t]*#.*$", "", code, flags=re.MULTILINE)
+    out = []
+    scopes = []  # [kind, name, public]: namespace / class / other
+
+    def declaring():
+        # Namespace scope, or a class nested only in public class scopes.
+        return all(kind != "other" and (public or j == len(scopes) - 1)
+                   for j, (kind, _, public) in enumerate(scopes))
+
+    def qualify(name):
+        return "::".join([n for _, n, _ in scopes if n] + [name])
+
+    def statement(text, start, with_body):
+        head = re.sub(r"\[\[[^\]]*\]\]", " ", text)
+        if re.match(r"\s*(?:friend|using|typedef|template\s*<[^;]*>\s*"
+                    r"(?:friend|using))\b", head):
+            return
+        head = drop_template_prefix(head)
+        previous = None
+        while previous != head:  # drop template argument lists
+            previous = head
+            head = re.sub(r"<[^<>;{}=]*>", lambda m: " " * len(m.group()),
+                          head)
+        cls = re.match(r"\s*(class|struct|union)\s+(\w+)", head)
+        if cls:
+            if with_body:
+                out.append((qualify(cls.group(2)), cls.group(2),
+                            start + cls.start(2), False))
+            return
+        if re.search(r"\boperator\b|~|^\s*(?:enum|namespace|extern)\b", head):
+            return
+        depth = 0
+        for j, ch in enumerate(head):
+            depth += (ch == "(") - (ch == ")")
+            if ch == "=" and depth == 0:
+                head = head[:j]
+                break
+        for m in re.finditer(r"(?<![\w:])((?:\w+\s*::\s*)*)(\w+)\s*\(", head):
+            name = m.group(2)
+            if name in DECL_KEYWORDS or name.isupper():
+                continue
+            if m.group(1):
+                out.append((m.group(1) + name, name, start + m.start(2),
+                            True))
+            elif not (scopes and scopes[-1][0] == "class" and
+                      name == scopes[-1][1]):  # not a constructor
+                out.append((qualify(name), name, start + m.start(2), False))
+            return
+        if scopes and scopes[-1][0] != "namespace":
+            return  # a data member
+        var = re.search(r"\b(?:constexpr|const)\b.*?(\w+)\s*(?:\[[^\]]*\])?"
+                        r"\s*$", head, re.DOTALL)
+        if var and "(" not in head:
+            out.append((qualify(var.group(1)), var.group(1),
+                        start + var.start(1), False))
+
+    start = 0
+    i, n = 0, len(code)
+    while i < n:
+        c = code[i]
+        text = code[start:i]
+        if c == ":" and scopes and scopes[-1][0] == "class" and \
+                code[i + 1:i + 2] != ":" and code[i - 1] != ":" and \
+                ACCESS_PATTERN.search(text):
+            scopes[-1][2] = ACCESS_PATTERN.search(text).group(1) == "public"
+            start = i + 1
+        elif c == ";":
+            if not declaring():
+                start = i + 1
+            elif text.count("(") == text.count(")"):
+                statement(text, start, False)
+                start = i + 1
+        elif c == "}":
+            if scopes:
+                scopes.pop()
+            start = i + 1
+        elif c == "{":
+            if not declaring():
+                scopes.append(["other", None, False])
+            elif text.count("(") != text.count(")"):
+                # A lambda or braced argument inside a default argument or
+                # initializer: part of the statement, skip to its end.
+                depth = 0
+                while i < n:
+                    depth += (code[i] == "{") - (code[i] == "}")
+                    if depth == 0:
+                        break
+                    i += 1
+                i += 1
+                continue
+            else:
+                ns = re.match(r"\s*(?:inline\s+)?namespace\s*([\w:]*)\s*$",
+                              text)
+                cls = re.match(r"\s*(?:template\s*<[^;]*>\s*)?"
+                               r"(class|struct|union)\s+(\w+)[^(=]*$",
+                               re.sub(r"\[\[[^\]]*\]\]", " ", text))
+                if ns:
+                    scopes.append(["namespace", ns.group(1), True])
+                elif cls:
+                    statement(text, start, True)
+                    scopes.append(["class", cls.group(2),
+                                   cls.group(1) != "class"])
+                else:
+                    head = drop_template_prefix(text).split("(")[0]
+                    if not re.match(r"\s*(?:enum|extern)\b", text) and \
+                            "=" not in head:
+                        statement(text, start, True)  # a function body
+                    scopes.append(["other", None, False])
+            start = i + 1
+        i += 1
+    return out
+
+
+def identifier_counts(text):
+    counts = {}
+    for word in re.findall(r"[A-Za-z_]\w*",
+                           strip_strings(strip_comments(text))):
+        counts[word] = counts.get(word, 0) + 1
+    return counts
+
+
+def check_test_only_exports(files, allowlist=None):
+    """Tree-level pass over {rel: text} of every source file under
+    INCLUDER_DIRS and tests/: flags each name a src/ header declares that
+    no product file outside the header's .hpp/.cpp pair (nor the header's
+    own inline code) names, and every allowlist entry that lacks a reason
+    or matches nothing."""
+    if allowlist is None:
+        allowlist = TEST_ONLY_EXPORT_ALLOWLIST
+    counts = {rel: identifier_counts(text) for rel, text in files.items()}
+    product = [rel for rel in counts if rel.split(os.sep)[0] in INCLUDER_DIRS]
+    tests = [rel for rel in counts if rel.split(os.sep)[0] == "tests"]
+
+    def defined(rel):
+        """name -> how often `rel` declares or defines it."""
+        sites = {}
+        if rel in files:
+            for _, name, _, _ in declarations(
+                    strip_strings(strip_comments(files[rel]))):
+                sites[name] = sites.get(name, 0) + 1
+        return sites
+
+    findings = []
+    matched = set()
+    for rel in sorted(files):
+        if not (rel.startswith("src" + os.sep) and rel.endswith(".hpp")):
+            continue
+        own_cpp = rel[:-len(".hpp")] + ".cpp"
+        code = strip_strings(strip_comments(files[rel]))
+        in_header, in_cpp = defined(rel), defined(own_cpp)
+        for qualified, name, offset, is_definition in declarations(code):
+            if is_definition:
+                continue
+            if any(counts[f].get(name) for f in product
+                   if f not in (rel, own_cpp)):
+                continue
+            if counts[rel].get(name, 0) > in_header.get(name, 0):
+                continue  # the header's inline code uses it
+            key = qualified.removeprefix("bsched::")
+            if key in allowlist:
+                matched.add(key)
+                continue
+            if counts.get(own_cpp, {}).get(name, 0) > in_cpp.get(name, 0):
+                why = ("only its own .cpp uses it; make it file-local there "
+                       "(anonymous namespace)")
+            elif any(counts[f].get(name) for f in tests):
+                why = ("only tests use it; delete it with the tests that "
+                       "only test it, or move reference code the tests "
+                       "compare against to tests/support/")
+            else:
+                why = "nothing uses it; delete it"
+            findings.append((rel, line_of(code, offset), "test-only-export",
+                             f"'{key}': {why}"))
+    for key, reason in sorted(allowlist.items()):
+        if not reason.strip():
+            findings.append(("scripts/lint_bsched.py", 1, "test-only-export",
+                             f"allowlist entry '{key}' gives no reason"))
+        elif key not in matched:
+            findings.append(("scripts/lint_bsched.py", 1, "test-only-export",
+                             f"allowlist entry '{key}' matches no unused "
+                             f"export; remove it"))
+    return findings
+
+
 def read_sources(root, tops):
     files = {}
     for top in tops:
@@ -472,8 +719,11 @@ def lint_tree(root):
     for rel, text in files.items():
         for line, rule, msg in lint_file(rel, text):
             findings.append(f"{rel}:{line}: {rule}: {msg}")
-    for rel, line, rule, msg in check_orphan_headers(
-            read_sources(root, INCLUDER_DIRS)):
+    users = read_sources(root, INCLUDER_DIRS)
+    for rel, line, rule, msg in check_orphan_headers(users):
+        findings.append(f"{rel}:{line}: {rule}: {msg}")
+    users.update(read_sources(root, ("tests",)))
+    for rel, line, rule, msg in check_test_only_exports(users):
         findings.append(f"{rel}:{line}: {rule}: {msg}")
     return findings, len(files)
 
@@ -682,8 +932,12 @@ def self_test():
         ("the wire reader itself may split",
          "src/util/wire.cpp",
          "auto f(std::string_view t) { return t.find('='); }", []),
-        ("tools may read lines",
+        ("getline in a tool",
          "tools/sweep_merge.cpp",
+         "void f(std::istream& in, std::string& l) { std::getline(in, l); }",
+         ["wire-reader"]),
+        ("tests may read lines",
+         "tests/test_util.cpp",
          "void f(std::istream& in, std::string& l) { std::getline(in, l); }",
          []),
         ("getline in a comment is fine",
@@ -719,8 +973,82 @@ def self_test():
          ["src/kibam/dead.hpp"]),
     ]
 
+    # test-only-export cases: (name, {path: content}, allowlist, expected
+    # flagged names; "allowlist:<key>" for a rejected allowlist entry).
+    hpp = ("#pragma once\nnamespace bsched::kibam {\n"
+           "int only_tested();\nint helper();\nint api();\n}\n")
+    cpp = ('#include "kibam/dead.hpp"\nnamespace bsched::kibam {\n'
+           "int only_tested() { return 1; }\n"
+           "int helper() { return 2; }\n"
+           "int api() { return helper(); }\n}\n")
+    export_cases = [
+        ("name used only by a test",
+         {"src/kibam/dead.hpp": hpp, "src/kibam/dead.cpp": cpp,
+          "tools/t.cpp": "int main() { return api() + helper(); }",
+          "tests/test_dead.cpp": "int f() { return only_tested(); }"},
+         {}, ["kibam::only_tested"]),
+        ("name used only in its own .cpp",
+         {"src/kibam/dead.hpp": hpp, "src/kibam/dead.cpp": cpp,
+          "tools/t.cpp": "int main() { return api() + only_tested(); }"},
+         {}, ["kibam::helper"]),
+        ("only caller in perfbench/src",
+         {"src/kibam/dead.hpp": hpp, "src/kibam/dead.cpp": cpp,
+          "perfbench/src/main.cpp":
+              "int main() { return api() + helper() + only_tested(); }"},
+         {}, []),
+        ("only callers in tools/",
+         {"src/kibam/dead.hpp": hpp, "src/kibam/dead.cpp": cpp,
+          "tools/a.cpp": "int a() { return api() + helper(); }",
+          "tools/b.cpp": "int b() { return only_tested(); }"},
+         {}, []),
+        ("a mention in a comment or a string is no use",
+         {"src/kibam/dead.hpp": hpp, "src/kibam/dead.cpp": cpp,
+          "tools/t.cpp": "// only_tested()\nint main() {\n"
+                         '  puts("only_tested");\n'
+                         "  return api() + helper();\n}\n"},
+         {}, ["kibam::only_tested"]),
+        ("private member used only in its own .cpp",
+         {"src/util/w.hpp": "#pragma once\nnamespace bsched {\n"
+                            "class w {\n public:\n  void go();\n"
+                            " private:\n  void step();\n};\n}\n",
+          "src/util/w.cpp": '#include "util/w.hpp"\nnamespace bsched {\n'
+                            "void w::step() {}\nvoid w::go() { step(); }\n}\n",
+          "tools/t.cpp": "int main() { bsched::w x; x.go(); }"},
+         {}, ["w::step"]),
+        ("a name the header's inline code uses",
+         {"src/util/w.hpp": "#pragma once\nnamespace bsched {\n"
+                            "int base();\n"
+                            "inline int twice() { return 2 * base(); }\n}\n",
+          "tools/t.cpp": "int main() { return bsched::twice(); }"},
+         {}, []),
+        ("allowlist entry with a reason",
+         {"src/kibam/dead.hpp": hpp, "src/kibam/dead.cpp": cpp,
+          "tools/t.cpp": "int main() { return api() + helper(); }"},
+         {"kibam::only_tested": "the next change calls it"}, []),
+        ("allowlist entry without a reason",
+         {"src/kibam/dead.hpp": hpp, "src/kibam/dead.cpp": cpp,
+          "tools/t.cpp": "int main() { return api() + helper(); }"},
+         {"kibam::only_tested": " "}, ["allowlist:kibam::only_tested"]),
+        ("allowlist entry matching nothing",
+         {"src/kibam/dead.hpp": hpp, "src/kibam/dead.cpp": cpp,
+          "tools/t.cpp":
+              "int main() { return api() + helper() + only_tested(); }"},
+         {"kibam::only_tested": "kept for later"},
+         ["allowlist:kibam::only_tested"]),
+    ]
+
+    def exported(files, allowlist):
+        got = []
+        for _, _, _, msg in check_test_only_exports(
+                {p.replace("/", os.sep): t for p, t in files.items()},
+                allowlist):
+            key = re.search(r"'([^']+)'", msg).group(1)
+            got.append("allowlist:" + key if msg.startswith("allowlist")
+                       else key)
+        return got
+
     failures = 0
-    total = len(cases) + len(tree_cases)
+    total = len(cases) + len(tree_cases) + len(export_cases)
     for name, path, content, expected in cases:
         rel = path.replace("/", os.sep)
         got = rules(rel, content)
@@ -732,6 +1060,12 @@ def self_test():
         got = [rel for rel, _, _, _ in check_orphan_headers(
             {p.replace("/", os.sep): t for p, t in files.items()})]
         if got != [p.replace("/", os.sep) for p in expected]:
+            print(f"self-test FAIL: {name}: expected {expected}, got {got}",
+                  file=sys.stderr)
+            failures += 1
+    for name, files, allowlist, expected in export_cases:
+        got = exported(files, allowlist)
+        if got != expected:
             print(f"self-test FAIL: {name}: expected {expected}, got {got}",
                   file=sys.stderr)
             failures += 1

@@ -101,11 +101,6 @@ class engine::bank_cache {
 engine::engine(engine_options opts)
     : opts_(std::move(opts)), banks_(std::make_shared<bank_cache>()) {}
 
-std::unique_ptr<sched::policy> engine::resolve_policy(
-    const scenario& scn) const {
-  return opts_.policies.make(scn.policy);
-}
-
 run_result engine::run(const scenario& scn) const {
   require(!scn.batteries.empty(), "engine: scenario needs >= 1 battery");
   // The bank comes first, so an invalid (batteries, steps) shape reports
@@ -114,12 +109,12 @@ run_result engine::run(const scenario& scn) const {
       scn.model == fidelity::discrete ? &banks_->get(scn.batteries, scn.steps)
                                       : nullptr;
   const load::trace trace = scn.load.materialize();
-  const std::unique_ptr<sched::policy> pol = resolve_policy(scn);
+  const std::unique_ptr<sched::policy> pol = opts_.policies.make(scn.policy);
   run_result out;
-  // The simulator core binds the policy to the run's model (bank +
-  // forecast) before stepping, so a model-aware policy — exact search,
-  // online lookahead, custom registrations — plans against exactly the
-  // state representation the run advances.
+  // The policy is built unbound: the simulator core binds it to the run's
+  // model (bank + forecast) before stepping, so a model-aware policy —
+  // exact search, online lookahead, custom registrations — plans against
+  // exactly the state representation the run advances.
   out.sim = bank != nullptr
                 ? sched::simulate_discrete(*bank, trace, *pol, scn.sim)
                 : sched::simulate_continuous(scn.batteries, trace, *pol,
@@ -322,12 +317,6 @@ std::vector<run_result> engine::run_batch(std::span<const scenario> scenarios,
   std::vector<run_result> out(scenarios.size());
   run_sweep(
       sw, [&](const sweep_result& r) { out[r.cell] = r.result; }, n_threads);
-  return out;
-}
-
-std::vector<std::string> engine::policy_names() const {
-  std::vector<std::string> out = opts_.policies.names();
-  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -108,16 +108,6 @@ class engine {
   [[nodiscard]] std::vector<run_result> run_batch(
       std::span<const scenario> scenarios, std::size_t n_threads = 0) const;
 
-  /// Builds a scenario's policy from the registry. The policy is not yet
-  /// bound to a model — the simulator core invokes its binding hook when
-  /// a run starts (so a model-aware policy built here plans only once it
-  /// actually runs).
-  [[nodiscard]] std::unique_ptr<sched::policy> resolve_policy(
-      const scenario& scn) const;
-
-  /// All registered policy names, sorted.
-  [[nodiscard]] std::vector<std::string> policy_names() const;
-
  private:
   /// The interned banks of discrete runs (engine.cpp).
   class bank_cache;

@@ -273,13 +273,6 @@ class summarize final : public result_sink {
   /// called concurrently with itself or with consume().
   [[nodiscard]] const std::vector<cell_summary>& cells() const;
 
-  /// The raw mergeable state, one accumulator per cell (serialized by
-  /// dist::codec).
-  [[nodiscard]] const std::vector<cell_accumulator>& accumulators()
-      const noexcept {
-    return agg_;
-  }
-
  private:
   mutable std::vector<cell_summary> cells_;
   std::vector<cell_accumulator> agg_;

@@ -17,6 +17,11 @@ namespace bsched::dist {
 
 namespace {
 
+/// Current wire-format versions: the N of "bsched-shard vN" and of
+/// "bsched-sweep vN". Each format bumps its own when its records change.
+constexpr std::size_t shard_version = 5;
+constexpr std::size_t sweep_version = 2;
+
 void encode_counts(const char* tag, const api::value_counts& d,
                    std::ostream& out) {
   out << tag << " values=" << d.entries().size();

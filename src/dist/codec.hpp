@@ -59,11 +59,6 @@
 
 namespace bsched::dist {
 
-/// Current wire-format versions: the N of "bsched-shard vN" and of
-/// "bsched-sweep vN". Each format bumps its own when its records change.
-inline constexpr std::size_t shard_version = 5;
-inline constexpr std::size_t sweep_version = 2;
-
 /// Renders `agg` in the "bsched-shard v5" line format — the form shard
 /// files hold and the sweep service puts on the wire (net/message.hpp
 /// bodies).

@@ -125,10 +125,7 @@ void stream_merger::add(shard_aggregate part) {
                                             : a.last_item < b.last_item;
       });
   pending_.insert(pos, std::move(part));
-  fold_ready();
-}
-
-void stream_merger::fold_ready() {
+  // Fold the contiguous prefix.
   while (!pending_.empty()) {
     shard_aggregate& head = pending_.front();
     require(head.first_item >= next_,

@@ -149,8 +149,6 @@ class stream_merger {
   [[nodiscard]] shard_aggregate take(std::size_t last);
 
  private:
-  void fold_ready();
-
   std::size_t next_ = 0;
   bool seeded_ = false;        ///< merged_ holds at least one part.
   shard_aggregate merged_;

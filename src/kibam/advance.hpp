@@ -58,7 +58,7 @@ struct ignore_draws {
   void operator()(const discrete_state& /*after*/) const noexcept {}
 };
 
-/// The event-horizon advance behind kibam::advance_until and
+/// The event-horizon advance behind kibam::discrete_lifetime and
 /// bank::advance_all. Consumes up to `max_steps` steps, returning early
 /// only at the death draw; see the header comment for the invariant.
 /// `on_draws` sees the state right after each draw or closed-form run of

@@ -57,9 +57,6 @@ class bank {
   [[nodiscard]] std::size_t type_count() const noexcept {
     return discs_.size();
   }
-  [[nodiscard]] bool homogeneous() const noexcept {
-    return discs_.size() == 1;
-  }
 
   /// Type index of battery `b` (two batteries are interchangeable for
   /// scheduling purposes iff they share a type and a state).

@@ -90,12 +90,6 @@ step_event step(const discretization& d, discrete_state& s,
   return step_event::none;
 }
 
-advance_result advance_until(const discretization& d, discrete_state& s,
-                             const load::draw_rate& rate,
-                             std::int64_t max_steps) {
-  return detail::advance_state(d, s, rate, max_steps);
-}
-
 double discrete_lifetime(const discretization& d, const load::trace& trace,
                          double horizon_min) {
   discrete_state s = full_discrete(d);
@@ -124,7 +118,7 @@ double discrete_lifetime(const discretization& d, const load::trace& trace,
         static_cast<std::int64_t>(std::llround(e.duration_min / t_step));
     s.discharge_elapsed = 0;  // go_on resets c_disch at each epoch start
     if (epoch_steps > 0) {
-      const advance_result a = advance_until(d, s, rate, epoch_steps);
+      const advance_result a = detail::advance_state(d, s, rate, epoch_steps);
       step_count += a.steps;
       if (a.event == step_event::died) {
         return static_cast<double>(step_count) * t_step;

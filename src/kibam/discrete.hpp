@@ -133,19 +133,6 @@ struct advance_result {
                          const advance_result&) = default;
 };
 
-/// Advances `s` by up to `max_steps` time steps in O(events) instead of
-/// O(steps), bit-identical to calling step() that many times: recovery
-/// ticks are jumped one fire at a time, and the draws between two recovery
-/// fires are applied in closed form (each draw lowers the available charge
-/// by exactly 1000 * units permille, so the death draw and the first
-/// recovery fire are both predictable within the window). Returns early
-/// only when the battery is observed empty — the caller sees every death
-/// at its exact step, and the state at every return point equals the
-/// per-tick state after the same number of steps.
-advance_result advance_until(const discretization& d, discrete_state& s,
-                             const load::draw_rate& rate,
-                             std::int64_t max_steps);
-
 /// Runs a single battery from full against `trace` and returns its lifetime
 /// in minutes (the time of the draw at which it is observed empty).
 /// The per-epoch discharge clock is reset at epoch boundaries, mirroring

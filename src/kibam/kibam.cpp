@@ -6,26 +6,23 @@
 
 namespace bsched::kibam {
 
+namespace {
+
+/// Empty margin gamma - (1-c) delta; positive while the battery is alive.
+/// Proportional to the available charge: margin = y1 / c.
+double empty_margin(const battery_parameters& p, const state& s) {
+  return s.gamma - (1 - p.c) * s.delta;
+}
+
+}  // namespace
+
 state full(const battery_parameters& p) {
   validate(p);
   return {0.0, p.capacity_amin};
 }
 
-state to_transformed(const battery_parameters& p, const well_state& w) {
-  return {w.y2 / (1 - p.c) - w.y1 / p.c, w.y1 + w.y2};
-}
-
-well_state to_wells(const battery_parameters& p, const state& s) {
-  const double y1 = p.c * (s.gamma - (1 - p.c) * s.delta);
-  return {y1, s.gamma - y1};
-}
-
 double available_charge(const battery_parameters& p, const state& s) {
-  return to_wells(p, s).y1;
-}
-
-double empty_margin(const battery_parameters& p, const state& s) {
-  return s.gamma - (1 - p.c) * s.delta;
+  return p.c * empty_margin(p, s);
 }
 
 state advance(const battery_parameters& p, const state& s, double current_a,

@@ -1,11 +1,9 @@
 // The continuous Kinetic Battery Model (Sections 2.1-2.2).
 //
-// Two state representations are provided:
-//   * well coordinates   (y1, y2)        — eq. (1),
-//   * transformed coords (delta, gamma)  — eq. (2), delta = h2 - h1,
-//     gamma = y1 + y2.
-// The battery is empty when y1 = 0, equivalently gamma = (1 - c) delta
-// (eq. (3)). For constant current the transformed system has a closed form,
+// The state is kept in the transformed coordinates (delta, gamma) of
+// eq. (2): delta = h2 - h1 and gamma = y1 + y2, where y1/y2 are the
+// available/bound well charges of eq. (1). The battery is empty when
+// y1 = 0, equivalently gamma = (1 - c) delta (eq. (3)). For constant current the transformed system has a closed form,
 // which `advance` uses; `lifetime` walks a piecewise-constant load trace
 // segment by segment and locates the empty crossing exactly (Newton with a
 // bisection fallback).
@@ -18,12 +16,6 @@
 
 namespace bsched::kibam {
 
-/// State in well coordinates: charge in the available and bound wells.
-struct well_state {
-  double y1;  ///< Available charge (supplies the load directly).
-  double y2;  ///< Bound charge (drains into the available well).
-};
-
 /// State in transformed coordinates (eq. (2)).
 struct state {
   double delta;  ///< Height difference h2 - h1.
@@ -33,20 +25,10 @@ struct state {
 /// Full state for a freshly charged battery: delta = 0, gamma = C.
 [[nodiscard]] state full(const battery_parameters& p);
 
-/// Coordinate transform (Section 2.2) and its inverse.
-[[nodiscard]] state to_transformed(const battery_parameters& p,
-                                   const well_state& w);
-[[nodiscard]] well_state to_wells(const battery_parameters& p,
-                                  const state& s);
-
-/// Charge in the available well; the battery is empty when this reaches 0.
+/// Charge in the available well, y1 = c (gamma - (1-c) delta); the
+/// battery is empty when this reaches 0.
 [[nodiscard]] double available_charge(const battery_parameters& p,
                                       const state& s);
-
-/// Empty margin gamma - (1-c) delta; positive while the battery is alive.
-/// Proportional to the available charge: margin = y1 / c.
-[[nodiscard]] double empty_margin(const battery_parameters& p,
-                                  const state& s);
 
 /// Closed-form advance of the transformed state by `dt_min` minutes under
 /// constant current `current_a` (valid for current 0 as well):

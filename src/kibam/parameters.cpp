@@ -4,6 +4,14 @@
 
 namespace bsched::kibam {
 
+namespace {
+
+/// Itsy pocket-computer Li-ion cell fit (c, k') used throughout the paper.
+constexpr double itsy_c = 0.166;
+constexpr double itsy_k_prime = 0.122;  // 1/min
+
+}  // namespace
+
 void validate(const battery_parameters& p) {
   require(p.capacity_amin > 0, "battery: capacity must be positive");
   require(p.c > 0 && p.c < 1, "battery: c must lie in (0, 1)");

@@ -16,15 +16,6 @@ struct battery_parameters {
   /// Valve conductance k recovered from k' (eq. (2)).
   [[nodiscard]] double k() const noexcept { return k_prime * c * (1 - c); }
 
-  /// Initial charge in the available well, c * C.
-  [[nodiscard]] double available_capacity() const noexcept {
-    return c * capacity_amin;
-  }
-  /// Initial charge in the bound well, (1-c) * C.
-  [[nodiscard]] double bound_capacity() const noexcept {
-    return (1 - c) * capacity_amin;
-  }
-
   friend bool operator==(const battery_parameters&,
                          const battery_parameters&) = default;
 };
@@ -32,15 +23,13 @@ struct battery_parameters {
 /// Throws bsched::error unless the parameters are physically meaningful.
 void validate(const battery_parameters& p);
 
-/// Itsy pocket-computer Li-ion cell fit (c, k') used throughout the paper.
-inline constexpr double itsy_c = 0.166;
-inline constexpr double itsy_k_prime = 0.122;  // 1/min
-
 /// Battery B1 of Section 5: 5.5 A*min.
 [[nodiscard]] battery_parameters battery_b1();
 /// Battery B2 of Section 5: 11 A*min.
 [[nodiscard]] battery_parameters battery_b2();
-/// Itsy parameters with an arbitrary capacity (used in capacity sweeps).
+/// The Itsy pocket-computer Li-ion cell fit used throughout the paper
+/// (c = 0.166, k' = 0.122/min) with an arbitrary capacity (used in
+/// capacity sweeps).
 [[nodiscard]] battery_parameters itsy_battery(double capacity_amin);
 
 }  // namespace bsched::kibam

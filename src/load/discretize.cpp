@@ -66,17 +66,4 @@ load_arrays discretize(const trace& t, std::size_t epoch_count,
   return out;
 }
 
-std::size_t epochs_covering(const trace& t, double horizon_min) {
-  require(horizon_min > 0, "epochs_covering: horizon must be positive");
-  std::size_t count = 0;
-  double covered = 0;
-  epoch_cursor cursor{t};
-  while (covered < horizon_min) {
-    covered += cursor.current().duration_min;
-    cursor.advance();
-    ++count;
-  }
-  return count;
-}
-
 }  // namespace bsched::load

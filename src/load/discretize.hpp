@@ -32,10 +32,6 @@ struct load_arrays {
   [[nodiscard]] std::size_t epochs() const noexcept {
     return load_time.size();
   }
-  /// True when epoch `y` carries a job (cur[y] > 0), cf. Section 4.3.
-  [[nodiscard]] bool is_job(std::size_t y) const noexcept {
-    return cur[y] > 0;
-  }
 };
 
 /// How a constant current is realised on the discrete grid: `units` charge
@@ -58,8 +54,5 @@ struct draw_rate {
 /// load needs a finer discretization).
 [[nodiscard]] load_arrays discretize(const trace& t, std::size_t epoch_count,
                                      const step_sizes& steps = {});
-
-/// Number of whole epochs guaranteed to cover `horizon_min` minutes of `t`.
-[[nodiscard]] std::size_t epochs_covering(const trace& t, double horizon_min);
 
 }  // namespace bsched::load

@@ -50,15 +50,9 @@ enum class test_load {
 /// Paper-style display name, e.g. "ILs alt".
 [[nodiscard]] std::string name(test_load l);
 
-/// The job sequence realising a test load.
-[[nodiscard]] job_sequence paper_jobs(test_load l);
-
-/// Shortcut: `paper_jobs(l).to_trace()`.
+/// The trace of a test load: its job sequence, cycled. The two random
+/// loads cycle the low/high sequences recovered from the published
+/// lifetimes once an experiment outlives them.
 [[nodiscard]] trace paper_trace(test_load l);
-
-/// The recovered random job sequences (currents per job; cycled when an
-/// experiment outlives them).
-[[nodiscard]] const std::vector<double>& random_sequence_r1();
-[[nodiscard]] const std::vector<double>& random_sequence_r2();
 
 }  // namespace bsched::load

@@ -22,12 +22,6 @@ void validate(const std::vector<epoch>& epochs, const char* what) {
   }
 }
 
-double total_minutes(const std::vector<epoch>& epochs) {
-  double sum = 0;
-  for (const epoch& e : epochs) sum += e.duration_min;
-  return sum;
-}
-
 }  // namespace
 
 trace::trace(std::vector<epoch> prefix, std::vector<epoch> cycle)
@@ -35,8 +29,6 @@ trace::trace(std::vector<epoch> prefix, std::vector<epoch> cycle)
   require(!cycle_.empty(), "trace: cycle must be non-empty");
   validate(prefix_, "trace prefix");
   validate(cycle_, "trace cycle");
-  prefix_minutes_ = total_minutes(prefix_);
-  cycle_minutes_ = total_minutes(cycle_);
   for (const epoch& e : prefix_) peak_ = std::max(peak_, e.current_a);
   for (const epoch& e : cycle_) peak_ = std::max(peak_, e.current_a);
 }

@@ -41,14 +41,6 @@ class trace {
     return cycle_;
   }
 
-  /// Total duration of the prefix / one cycle, in minutes.
-  [[nodiscard]] double prefix_minutes() const noexcept {
-    return prefix_minutes_;
-  }
-  [[nodiscard]] double cycle_minutes() const noexcept {
-    return cycle_minutes_;
-  }
-
   /// Largest current occurring anywhere in the trace.
   [[nodiscard]] double peak_current() const noexcept { return peak_; }
 
@@ -57,8 +49,6 @@ class trace {
  private:
   std::vector<epoch> prefix_;
   std::vector<epoch> cycle_;
-  double prefix_minutes_ = 0;
-  double cycle_minutes_ = 0;
   double peak_ = 0;
 };
 
@@ -71,18 +61,12 @@ class epoch_cursor {
     return trace_->at(index_);
   }
   [[nodiscard]] std::size_t index() const noexcept { return index_; }
-  /// Start time of the current epoch in minutes.
-  [[nodiscard]] double start_min() const noexcept { return start_min_; }
 
-  void advance() noexcept {
-    start_min_ += current().duration_min;
-    ++index_;
-  }
+  void advance() noexcept { ++index_; }
 
  private:
   const trace* trace_;
   std::size_t index_ = 0;
-  double start_min_ = 0;
 };
 
 }  // namespace bsched::load

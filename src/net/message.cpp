@@ -35,6 +35,12 @@ message make(std::string type) {
 
 namespace {
 
+/// Longest header line decode accepts. Real headers are a few dozen
+/// bytes; the cap stops a hostile peer from making us build a
+/// multi-megabyte field map (or echo one back) out of a single frame.
+/// Bodies are unaffected — bulky payloads belong there.
+constexpr std::size_t max_header_bytes = 64 * 1024;
+
 /// Control bytes (NUL, tabs, CR, DEL, ...) never appear in a valid
 /// header; bytes >= 0x80 pass through opaquely (worker names may be
 /// UTF-8).

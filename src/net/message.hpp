@@ -13,7 +13,7 @@
 // Decoding rejects a different protocol version outright, so a v2
 // coordinator never half-understands a v1 worker or vice versa, and is
 // safe on hostile frames: the header line is capped at
-// max_header_bytes, control bytes anywhere in it are rejected, and
+// 64 KiB, control bytes anywhere in it are rejected, and
 // error messages echo at most a clipped prefix of attacker-controlled
 // input. A type encode would refuse (holding '=') is refused too.
 //
@@ -60,12 +60,6 @@ namespace bsched::net {
 
 /// Protocol version spoken by this build (the N of "bsched-msg vN").
 inline constexpr std::uint64_t protocol_version = 1;
-
-/// Longest header line decode accepts. Real headers are a few dozen
-/// bytes; the cap stops a hostile peer from making us build a
-/// multi-megabyte field map (or echo one back) out of a single frame.
-/// Bodies are unaffected — bulky payloads belong there.
-inline constexpr std::size_t max_header_bytes = 64 * 1024;
 
 /// A decoded protocol message.
 struct message {

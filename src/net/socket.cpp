@@ -18,6 +18,10 @@ namespace bsched::net {
 
 namespace {
 
+/// Frames larger than this are refused on both ends — a corrupt or
+/// hostile length prefix must not trigger a multi-gigabyte allocation.
+constexpr std::size_t max_frame_bytes = 256u << 20;
+
 using clock = std::chrono::steady_clock;
 
 [[noreturn]] void fail_errno(const std::string& what) {

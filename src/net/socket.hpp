@@ -27,10 +27,6 @@
 
 namespace bsched::net {
 
-/// Frames larger than this are refused on both ends — a corrupt or
-/// hostile length prefix must not trigger a multi-gigabyte allocation.
-inline constexpr std::size_t max_frame_bytes = 256u << 20;
-
 /// A connected TCP stream speaking length-prefixed frames. Move-only;
 /// closes its descriptor on destruction.
 class connection {

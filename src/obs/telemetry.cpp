@@ -14,6 +14,13 @@
 
 namespace bsched::obs {
 
+namespace {
+
+/// Telemetry wire-format version (the N of "bsched-telemetry vN").
+constexpr int telemetry_version = 1;
+
+}  // namespace
+
 void encode_telemetry(const snapshot& snap, std::ostream& out) {
   out << "bsched-telemetry v" << telemetry_version << '\n';
 

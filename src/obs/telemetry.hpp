@@ -29,9 +29,6 @@
 
 namespace bsched::obs {
 
-/// Telemetry wire-format version (the N of "bsched-telemetry vN").
-inline constexpr int telemetry_version = 1;
-
 /// Writes `snap` to `out` in the format above (sorted within kinds).
 void encode_telemetry(const snapshot& snap, std::ostream& out);
 

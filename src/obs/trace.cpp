@@ -167,10 +167,6 @@ void tracer::enable(bool on) noexcept {
   st_->enabled.store(on, std::memory_order_release);
 }
 
-bool tracer::enabled() const noexcept {
-  return st_->enabled.load(std::memory_order_relaxed);
-}
-
 std::vector<span_record> tracer::drain() {
   const std::scoped_lock lock(st_->mu);
   std::vector<span_record> out;
@@ -228,7 +224,7 @@ void write_chrome_trace(const std::vector<span_record>& spans,
 namespace detail {
 
 span::span(tracer& t, const char* name) : name_(name) {
-  if (!t.enabled()) return;
+  if (!t.st_->enabled.load(std::memory_order_relaxed)) return;
   trace_ring& ring = t.st_->local();
   ring_ = &ring;
   id_ = t.st_->next_span.fetch_add(1, std::memory_order_relaxed);
@@ -239,7 +235,7 @@ span::span(tracer& t, const char* name) : name_(name) {
 
 span::span(tracer& t, const char* name, std::uint64_t parent)
     : name_(name) {
-  if (!t.enabled()) return;
+  if (!t.st_->enabled.load(std::memory_order_relaxed)) return;
   trace_ring& ring = t.st_->local();
   ring_ = &ring;
   id_ = t.st_->next_span.fetch_add(1, std::memory_order_relaxed);

@@ -54,8 +54,8 @@ class tracer {
   tracer(const tracer&) = delete;
   tracer& operator=(const tracer&) = delete;
 
+  /// Starts (or stops) recording spans; a new tracer starts disabled.
   void enable(bool on) noexcept;
-  [[nodiscard]] bool enabled() const noexcept;
 
   /// Collects and clears every ring: completed spans in per-thread
   /// order, threads in first-seen order.

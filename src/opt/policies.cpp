@@ -130,32 +130,24 @@ search_options search_opts_from(const spec& s, search_options opts) {
 
 }  // namespace
 
-std::unique_ptr<sched::policy> exact_policy(bool minimize,
-                                            const search_options& opts) {
-  return std::make_unique<exact_schedule_policy>(minimize, opts);
-}
-
 std::unique_ptr<sched::policy> lookahead_policy(std::size_t horizon_jobs) {
   return std::make_unique<lookahead_rollout_policy>(horizon_jobs);
 }
 
-void register_model_policies(sched::registry& r,
-                             const search_options& defaults) {
+sched::registry model_registry(const search_options& defaults) {
+  sched::registry r = sched::registry::built_in();
   r.add("opt", [defaults](const spec& s) {
-    return exact_policy(false, search_opts_from(s, defaults));
+    return std::make_unique<exact_schedule_policy>(
+        false, search_opts_from(s, defaults));
   });
   r.add("worst", [defaults](const spec& s) {
-    return exact_policy(true, search_opts_from(s, defaults));
+    return std::make_unique<exact_schedule_policy>(
+        true, search_opts_from(s, defaults));
   });
   r.add("lookahead", [](const spec& s) {
     s.require_only({"horizon"});
     return lookahead_policy(s.get_u64("horizon", 4));
   });
-}
-
-sched::registry model_registry(const search_options& defaults) {
-  sched::registry r = sched::registry::built_in();
-  register_model_policies(r, defaults);
   return r;
 }
 

@@ -23,14 +23,6 @@
 
 namespace bsched::opt {
 
-/// Exact maximum-lifetime (or, when `minimize`, minimum-lifetime)
-/// schedule as a policy: bind_model runs optimal_schedule/worst_schedule
-/// on the offered bank and forecast, choose() replays the decision list
-/// (falling back to greedy best-of-N if ever exhausted). Requires
-/// discrete fidelity; bind_model throws bsched::error otherwise.
-[[nodiscard]] std::unique_ptr<sched::policy> exact_policy(
-    bool minimize = false, const search_options& opts = {});
-
 /// Online rollout lookahead: at every job start, each distinct alive
 /// battery is scored by simulating `horizon_jobs` jobs ahead on the
 /// model view's scratch state (greedy tail), and the best rollout wins.
@@ -40,16 +32,18 @@ namespace bsched::opt {
 [[nodiscard]] std::unique_ptr<sched::policy> lookahead_policy(
     std::size_t horizon_jobs);
 
-/// Registers the model-aware factories into `r`:
-///   "opt", "worst"         — optional spec parameters max_nodes=N and
-///                            prune=0/1 overriding `defaults`;
-///   "lookahead"            — horizon=N (default 4).
-/// Existing entries of the same name are replaced.
-void register_model_policies(sched::registry& r,
-                             const search_options& defaults = {});
-
 /// registry::built_in() plus the model-aware policies — the default
-/// policy universe of api::engine.
+/// policy universe of api::engine:
+///   "opt", "worst"         — the exact maximum-/minimum-lifetime schedule:
+///                            bind_model runs optimal_schedule or
+///                            worst_schedule on the offered bank and
+///                            forecast, choose() replays the decision list
+///                            (falling back to greedy best-of-N if ever
+///                            exhausted); discrete fidelity only, bind_model
+///                            throws bsched::error otherwise. Optional spec
+///                            parameters max_nodes=N and prune=0/1 override
+///                            `defaults`;
+///   "lookahead"            — lookahead_policy, horizon=N (default 4).
 [[nodiscard]] sched::registry model_registry(
     const search_options& defaults = {});
 

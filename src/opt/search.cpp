@@ -806,11 +806,4 @@ optimal_result worst_schedule(const kibam::bank& bank,
   return s.run();
 }
 
-optimal_result worst_schedule(const kibam::discretization& disc,
-                              std::size_t battery_count,
-                              const load::trace& load,
-                              const search_options& opts) {
-  return worst_schedule(kibam::bank{disc, battery_count}, load, opts);
-}
-
 }  // namespace bsched::opt

@@ -129,10 +129,4 @@ struct optimal_result {
                                             const load::trace& load,
                                             const search_options& opts = {});
 
-/// Homogeneous convenience: `battery_count` identical batteries.
-[[nodiscard]] optimal_result worst_schedule(const kibam::discretization& disc,
-                                            std::size_t battery_count,
-                                            const load::trace& load,
-                                            const search_options& opts = {});
-
 }  // namespace bsched::opt

@@ -61,11 +61,6 @@ class expr {
   friend expr operator!(expr a);
   friend expr operator-(expr a);
 
-  /// Internal: the root node (used by the assignment executor).
-  [[nodiscard]] const detail::node* root() const noexcept {
-    return node_.get();
-  }
-
  private:
   explicit expr(detail::node_ptr n) : node_(std::move(n)) {}
   detail::node_ptr node_;

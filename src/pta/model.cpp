@@ -87,11 +87,6 @@ std::int32_t network::clock_cap(clock_id c) const {
   return clock_caps_[c];
 }
 
-const std::string& network::clock_name(clock_id c) const {
-  require(c < clock_names_.size(), "network: clock id out of range");
-  return clock_names_[c];
-}
-
 const std::string& network::channel_name(chan_id c) const {
   require(c < channel_names_.size(), "network: channel id out of range");
   return channel_names_[c];

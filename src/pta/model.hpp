@@ -152,7 +152,6 @@ class network {
   }
   [[nodiscard]] bool is_broadcast(chan_id c) const;
   [[nodiscard]] std::int32_t clock_cap(clock_id c) const;
-  [[nodiscard]] const std::string& clock_name(clock_id c) const;
   [[nodiscard]] const std::string& channel_name(chan_id c) const;
 
   /// Validates cross-references (locations, channels, clocks) and that

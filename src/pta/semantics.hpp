@@ -59,29 +59,17 @@ class semantics {
  public:
   explicit semantics(const network& net);
 
+  /// The initial state; throws bsched::error when it violates an
+  /// invariant.
   [[nodiscard]] dstate initial() const;
 
   /// All transitions enabled in `s` (committed-location filtering applied;
   /// delay included when legal).
   [[nodiscard]] std::vector<transition> successors(const dstate& s) const;
 
-  /// True when the invariants of every automaton hold in `s`.
-  [[nodiscard]] bool invariants_hold(const dstate& s) const;
-
   [[nodiscard]] const network& net() const noexcept { return *net_; }
 
  private:
-  [[nodiscard]] bool location_invariant_holds(const dstate& s,
-                                              automaton_id a) const;
-  [[nodiscard]] bool edge_enabled(const dstate& s, automaton_id a,
-                                  const edge& e) const;
-  /// Applies one edge's effects (assignments, resets) to `target`.
-  void apply_edge(const edge& e, dstate& target, std::int64_t& cost) const;
-  /// Appends the action successors of `s` to `out`.
-  void action_successors(const dstate& s, std::vector<transition>& out) const;
-  /// Computes the unit-delay successor, or nullopt when delay is illegal.
-  [[nodiscard]] bool try_delay(const dstate& s, transition& out) const;
-
   const network* net_;
 };
 

@@ -94,15 +94,6 @@ registry registry::built_in() {
   return r;
 }
 
-const registry& registry::global() {
-  static const registry instance = built_in();
-  return instance;
-}
-
-std::unique_ptr<policy> make_policy(const std::string& spec_text) {
-  return registry::global().make(spec_text);
-}
-
 std::string fixed_spec(std::span<const std::size_t> decisions) {
   std::string out = "fixed:decisions=";
   for (std::size_t i = 0; i < decisions.size(); ++i) {

@@ -3,8 +3,8 @@
 // ("best_of_n", "random:seed=42", "fixed:decisions=0-1-0-1") instead of
 // hand-wired factory calls. The built-in names cover everything in
 // policy.hpp; extra factories can be registered on a copy of the built-in
-// registry — opt::register_model_policies adds the model-aware "opt",
-// "worst" and "lookahead:horizon=N" this way (api::engine's default).
+// registry — opt::model_registry adds the model-aware "opt", "worst" and
+// "lookahead:horizon=N" this way (api::engine's default).
 #pragma once
 
 #include <functional>
@@ -44,7 +44,8 @@ class registry {
       const std::string& spec_text) const;
 
   /// Constructs a policy from an already-parsed spec, so callers that have
-  /// parsed the string (e.g. api::engine) don't parse it twice.
+  /// parsed the string (e.g. a wrapping registry's factory) don't parse it
+  /// twice.
   [[nodiscard]] std::unique_ptr<policy> make(const spec& s) const;
 
   /// All registered names, sorted.
@@ -55,16 +56,9 @@ class registry {
   ///   random:seed=N (default 0), fixed:decisions=I-I-...
   [[nodiscard]] static registry built_in();
 
-  /// Shared immutable built-in instance.
-  [[nodiscard]] static const registry& global();
-
  private:
   std::map<std::string, factory> factories_;
 };
-
-/// Convenience: `registry::global().make(spec_text)`.
-[[nodiscard]] std::unique_ptr<policy> make_policy(
-    const std::string& spec_text);
 
 /// The spec string reconstructing `fixed_schedule(decisions)` through the
 /// registry, e.g. "fixed:decisions=0-1-0-1".

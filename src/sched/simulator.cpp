@@ -594,14 +594,6 @@ class continuous_model : public model_view {
 
 }  // namespace
 
-sim_result simulate_discrete(
-    const std::vector<kibam::battery_parameters>& batteries,
-    const load::trace& load, policy& pol, const sim_options& opts,
-    const load::step_sizes& steps) {
-  const kibam::bank bank{batteries, steps};
-  return simulate_discrete(bank, load, pol, opts);
-}
-
 sim_result simulate_discrete(const kibam::bank& bank, const load::trace& load,
                              policy& pol, const sim_options& opts) {
   discrete_model model{bank, opts};

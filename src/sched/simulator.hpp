@@ -71,20 +71,13 @@ struct sim_result {
   friend bool operator==(const sim_result&, const sim_result&) = default;
 };
 
-/// Discrete (dKiBaM) simulation of a possibly heterogeneous bank: each
-/// battery is stepped on its own discretization built over the shared grid
-/// `steps`. An identical bank reproduces the identical-battery overload
-/// below exactly (integer stepping; see tests/test_simulator.cpp).
-[[nodiscard]] sim_result simulate_discrete(
-    const std::vector<kibam::battery_parameters>& batteries,
-    const load::trace& load, policy& pol, const sim_options& opts = {},
-    const load::step_sizes& steps = {});
-
-/// Discrete simulation of an already-built kibam::bank — the same bank
-/// object the exact search and the rollout scheduler advance, so search
-/// and replay are guaranteed to step identical per-battery state. The
-/// bank is only read, so concurrent runs may share one (engine::run_sweep
-/// does); the other discrete overloads build a bank and delegate here.
+/// Discrete (dKiBaM) simulation of an already-built, possibly
+/// heterogeneous kibam::bank (each battery stepped on its own
+/// discretization over the bank's shared grid) — the same bank object the
+/// exact search and the rollout scheduler advance, so search and replay
+/// are guaranteed to step identical per-battery state. The bank is only
+/// read, so concurrent runs may share one (engine::run_sweep does); the
+/// identical-battery overload below builds a bank and delegates here.
 [[nodiscard]] sim_result simulate_discrete(const kibam::bank& bank,
                                            const load::trace& load,
                                            policy& pol,

@@ -144,7 +144,11 @@ struct coordinator::impl {
     if (opts.log != nullptr) *opts.log << "coordinator: " << line << '\n';
   }
 
-  /// The fleet view behind coordinator::telemetry().
+  /// The fleet-wide telemetry view on_telemetry receives: coordinator
+  /// counters/gauges, the coordinator's own per-worker accepted-item
+  /// accounting (svc.worker.<name>.items_total — these sum exactly to the
+  /// folded item count), and each worker's last heartbeat-piggybacked
+  /// snapshot merged in under "worker.<name>.".
   [[nodiscard]] obs::snapshot telemetry() const {
     obs::snapshot snap;
     const auto counter = [&](const char* name, std::uint64_t v) {
@@ -598,7 +602,5 @@ dist::shard_aggregate coordinator::run() { return impl_->run(); }
 const coordinator_counters& coordinator::counters() const noexcept {
   return impl_->counters;
 }
-
-obs::snapshot coordinator::telemetry() const { return impl_->telemetry(); }
 
 }  // namespace bsched::svc

@@ -86,7 +86,7 @@ struct coordinator_options {
   std::ostream* log = nullptr;
   /// Monotonic time source for lease deadlines, uptime and the telemetry
   /// cadence; null = util::monotonic_clock::system(). Tests inject a
-  /// util::manual_clock to force expiries without sleeping.
+  /// hand-moved clock to force expiries without sleeping.
   const util::monotonic_clock* clock = nullptr;
   /// Invoked (from run()'s thread) with the fleet-wide telemetry view
   /// every telemetry_interval_s and once on completion — what
@@ -96,7 +96,7 @@ struct coordinator_options {
   /// message's telemetry_ms). A worker heartbeats, snapshot included,
   /// after the first chunk of each lease and then after the first chunk
   /// to end min(telemetry_interval_s, lease_timeout_s / 4) or more after
-  /// its last heartbeat, so per-worker views in telemetry() lag by up to
+  /// its last heartbeat, so per-worker views in the fleet view lag by up to
   /// one interval plus one chunk, and a long interval never starves a
   /// lease of heartbeats.
   double telemetry_interval_s = 1.0;
@@ -134,13 +134,6 @@ class coordinator {
 
   /// Post-run accounting (valid after run() returns or throws).
   [[nodiscard]] const coordinator_counters& counters() const noexcept;
-
-  /// The fleet-wide telemetry view: coordinator counters/gauges, the
-  /// coordinator's own per-worker accepted-item accounting
-  /// (svc.worker.<name>.items_total — these sum exactly to the folded
-  /// item count), and each worker's last heartbeat-piggybacked snapshot
-  /// merged in under "worker.<name>.". Valid during and after run().
-  [[nodiscard]] obs::snapshot telemetry() const;
 
  private:
   struct impl;

@@ -35,7 +35,10 @@ struct worker_options {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
   std::string name = "worker";  ///< Reported in the hello (logs only).
-  std::size_t n_threads = 0;    ///< dist::run_shard pool; 0 = hardware.
+  /// dist::run_shard pool per chunk; 0 = hardware concurrency. Chunks
+  /// are a few items, which one thread runs faster than a fresh pool
+  /// starts.
+  std::size_t n_threads = 1;
   /// Max quiet period on the control socket (waiting for a lease, the
   /// sweep, or an ack) before the worker gives up on the coordinator.
   int io_timeout_ms = 120000;

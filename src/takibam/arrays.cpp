@@ -7,6 +7,11 @@
 
 namespace bsched::takibam {
 
+namespace {
+
+/// Number of whole epochs after which the compiled load has drawn more
+/// charge units than `battery_count` full batteries hold — no schedule can
+/// outlive that horizon.
 std::size_t epochs_needed(const kibam::discretization& disc,
                           const load::trace& trace,
                           std::size_t battery_count) {
@@ -32,6 +37,8 @@ std::size_t epochs_needed(const kibam::discretization& disc,
   }
   return epochs + 2;
 }
+
+}  // namespace
 
 tables build_tables(const kibam::discretization& disc,
                     const load::trace& trace, std::size_t battery_count) {

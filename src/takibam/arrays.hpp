@@ -21,14 +21,10 @@ struct tables {
   std::int64_t horizon_steps = 0;       ///< End of the compiled load.
 };
 
-/// Number of whole epochs after which the compiled load has drawn more
-/// charge units than `battery_count` full batteries hold — no schedule can
-/// outlive that horizon.
-[[nodiscard]] std::size_t epochs_needed(const kibam::discretization& disc,
-                                        const load::trace& trace,
-                                        std::size_t battery_count);
-
-/// Builds every table for `battery_count` batteries under `trace`.
+/// Builds every table for `battery_count` batteries under `trace`. The
+/// load is compiled for as many whole epochs as it takes to draw more
+/// charge units than `battery_count` full batteries hold (plus two), so
+/// no schedule can outlive the horizon.
 [[nodiscard]] tables build_tables(const kibam::discretization& disc,
                                   const load::trace& trace,
                                   std::size_t battery_count);

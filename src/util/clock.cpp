@@ -11,18 +11,4 @@ const monotonic_clock& monotonic_clock::system() noexcept {
   return instance;
 }
 
-manual_clock::time_point manual_clock::now() const noexcept {
-  return time_point{
-      duration{since_epoch_.load(std::memory_order_acquire)}};
-}
-
-void manual_clock::advance(duration d) noexcept {
-  since_epoch_.fetch_add(d.count(), std::memory_order_acq_rel);
-}
-
-void manual_clock::set(time_point t) noexcept {
-  since_epoch_.store(t.time_since_epoch().count(),
-                     std::memory_order_release);
-}
-
 }  // namespace bsched::util

@@ -5,16 +5,15 @@
 // tests need to move that clock by hand instead of sleeping. Code that
 // cares about elapsed time takes a `const monotonic_clock&` (defaulting
 // to monotonic_clock::system()) and calls now(); tests substitute a
-// manual_clock and advance() it.
+// hand-moved clock (tests/support/manual_clock.hpp).
 #pragma once
 
-#include <atomic>
 #include <chrono>
 
 namespace bsched::util {
 
 /// Monotonic "now" as an overridable seam. The default implementation is
-/// std::chrono::steady_clock; manual_clock below is the test double.
+/// std::chrono::steady_clock.
 class monotonic_clock {
  public:
   using duration = std::chrono::steady_clock::duration;
@@ -30,19 +29,6 @@ class monotonic_clock {
   /// The process-wide steady-clock instance (what callers get when they
   /// don't inject one).
   [[nodiscard]] static const monotonic_clock& system() noexcept;
-};
-
-/// Test clock: starts at the steady-clock epoch and only moves when told
-/// to. Thread-safe (svc tests advance it while the coordinator polls).
-class manual_clock final : public monotonic_clock {
- public:
-  [[nodiscard]] time_point now() const noexcept override;
-
-  void advance(duration d) noexcept;
-  void set(time_point t) noexcept;
-
- private:
-  std::atomic<duration::rep> since_epoch_{0};
 };
 
 }  // namespace bsched::util

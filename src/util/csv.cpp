@@ -1,12 +1,16 @@
 #include "util/csv.hpp"
 
-#include <algorithm>
 #include <cstdio>
+#include <ostream>
+#include <string_view>
 
 #include "util/error.hpp"
 
 namespace bsched {
 
+namespace {
+
+/// Escapes a single CSV field per RFC 4180.
 std::string csv_escape(std::string_view field) {
   const bool needs_quotes =
       field.find_first_of(",\"\n\r") != std::string_view::npos;
@@ -22,37 +26,15 @@ std::string csv_escape(std::string_view field) {
   return out;
 }
 
-std::vector<std::string> csv_parse_line(std::string_view line) {
-  std::vector<std::string> out;
-  std::string field;
-  bool quoted = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char ch = line[i];
-    if (quoted) {
-      if (ch == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          field.push_back('"');
-          ++i;  // escaped quote
-        } else {
-          quoted = false;
-        }
-      } else {
-        field.push_back(ch);
-      }
-    } else if (ch == '"') {
-      quoted = true;
-    } else if (ch == ',') {
-      out.push_back(std::move(field));
-      field.clear();
-    } else {
-      field.push_back(ch);
-    }
+void write_fields(std::ostream& out, const std::vector<std::string>& fields) {
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    if (i > 0) out << ',';
+    out << csv_escape(fields[i]);
   }
-  require(!quoted, "csv_parse_line: unbalanced quote in '" +
-                       std::string{line} + "'");
-  out.push_back(std::move(field));
-  return out;
+  out << '\n';
 }
+
+}  // namespace
 
 std::string format_double(double value, int digits) {
   char buf[64];
@@ -70,13 +52,13 @@ csv_writer::csv_writer(const std::string& path,
     : out_(path), columns_(header.size()) {
   require(out_.good(), "csv_writer: cannot open " + path);
   require(columns_ > 0, "csv_writer: header must be non-empty");
-  write_fields(header);
+  write_fields(out_, header);
 }
 
 void csv_writer::row(const std::vector<std::string>& fields) {
   require(fields.size() == columns_,
           "csv_writer: field count does not match header");
-  write_fields(fields);
+  write_fields(out_, fields);
   ++rows_;
 }
 
@@ -85,14 +67,6 @@ void csv_writer::row(std::initializer_list<double> fields) {
   converted.reserve(fields.size());
   for (const double v : fields) converted.push_back(format_double(v));
   row(converted);
-}
-
-void csv_writer::write_fields(const std::vector<std::string>& fields) {
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (i > 0) out_ << ',';
-    out_ << csv_escape(fields[i]);
-  }
-  out_ << '\n';
 }
 
 }  // namespace bsched

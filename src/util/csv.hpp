@@ -4,7 +4,6 @@
 #include <fstream>
 #include <initializer_list>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace bsched {
@@ -26,21 +25,10 @@ class csv_writer {
   [[nodiscard]] std::size_t rows_written() const noexcept { return rows_; }
 
  private:
-  void write_fields(const std::vector<std::string>& fields);
-
   std::ofstream out_;
   std::size_t columns_;
   std::size_t rows_ = 0;
 };
-
-/// Escapes a single CSV field per RFC 4180 (exposed for testing).
-[[nodiscard]] std::string csv_escape(std::string_view field);
-
-/// Splits one CSV line into its fields, undoing csv_escape quoting (the
-/// csv_writer inverse; fields never span lines here). Used by
-/// tools/sweep_merge to read a reference CSV back for comparison.
-/// Throws bsched::error on unbalanced quotes.
-[[nodiscard]] std::vector<std::string> csv_parse_line(std::string_view line);
 
 /// Formats a double with `digits` places, trimming trailing zeros.
 [[nodiscard]] std::string format_double(double value, int digits = 6);

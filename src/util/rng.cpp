@@ -59,11 +59,9 @@ std::uint64_t rng::below(std::uint64_t bound) noexcept {
   }
 }
 
-double rng::uniform() noexcept {
-  // 53 random mantissa bits -> [0, 1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+bool rng::bernoulli(double p) noexcept {
+  // A uniform double in [0, 1) from 53 random mantissa bits.
+  return static_cast<double>((*this)() >> 11) * 0x1.0p-53 < p;
 }
-
-bool rng::bernoulli(double p) noexcept { return uniform() < p; }
 
 }  // namespace bsched

@@ -52,9 +52,6 @@ class rng {
   /// (bias negligible for bound << 2^64, rejection applied otherwise).
   [[nodiscard]] std::uint64_t below(std::uint64_t bound) noexcept;
 
-  /// Uniform double in [0, 1).
-  [[nodiscard]] double uniform() noexcept;
-
   /// Bernoulli draw with success probability `p` in [0, 1].
   [[nodiscard]] bool bernoulli(double p) noexcept;
 

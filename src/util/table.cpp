@@ -8,6 +8,10 @@
 
 namespace bsched {
 
+namespace {
+
+/// True when `cell` parses fully as a (signed) decimal number, so the table
+/// renderer right-aligns it.
 bool looks_numeric(const std::string& cell) {
   if (cell.empty()) return false;
   char* end = nullptr;
@@ -16,6 +20,8 @@ bool looks_numeric(const std::string& cell) {
   if (end != cell.c_str() && *end == '%') ++end;
   return end == cell.c_str() + cell.size();
 }
+
+}  // namespace
 
 text_table::text_table(std::vector<std::string> header)
     : header_(std::move(header)) {

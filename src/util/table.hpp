@@ -26,8 +26,4 @@ class text_table {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// True when `cell` parses fully as a (signed) decimal number, so the table
-/// renderer right-aligns it.
-[[nodiscard]] bool looks_numeric(const std::string& cell);
-
 }  // namespace bsched

@@ -23,11 +23,6 @@ namespace bsched {
 template <class T>
 [[nodiscard]] T parse_number(std::string_view text, std::string_view what);
 
-[[nodiscard]] inline double parse_double(std::string_view text,
-                                         std::string_view what) {
-  return parse_number<double>(text, what);
-}
-
 [[nodiscard]] inline std::uint64_t parse_u64(std::string_view text,
                                              std::string_view what) {
   return parse_number<std::uint64_t>(text, what);

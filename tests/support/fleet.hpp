@@ -159,15 +159,11 @@ struct fake_worker {
     return result;
   }
 
-  /// Writes the length prefix of a frame past net::max_frame_bytes and
+  /// Writes the length prefix of a 4 GiB frame, past any frame cap, and
   /// nothing else: the coordinator must hang up without buffering the
   /// promised bytes.
   void announce_oversized_frame() {
-    const std::size_t announced = net::max_frame_bytes + 1;
-    const char prefix[4] = {static_cast<char>((announced >> 24) & 0xff),
-                            static_cast<char>((announced >> 16) & 0xff),
-                            static_cast<char>((announced >> 8) & 0xff),
-                            static_cast<char>(announced & 0xff)};
+    const char prefix[4] = {'\xff', '\xff', '\xff', '\xff'};
     ASSERT_EQ(::send(conn.fd(), prefix, sizeof prefix, MSG_NOSIGNAL),
               static_cast<ssize_t>(sizeof prefix));
   }

@@ -74,7 +74,7 @@ TEST(Engine, RunMatchesDirectSimulateOnTable5Loads) {
                          .steps = {},
                          .sim = {}};
       const run_result via_engine = eng.run(scn);
-      const auto direct_pol = sched::make_policy(policy);
+      const auto direct_pol = sched::registry::built_in().make(policy);
       const sched::sim_result direct =
           sched::simulate_discrete(disc, 2, trace, *direct_pol);
       EXPECT_EQ(via_engine.sim, direct)
@@ -93,7 +93,7 @@ TEST(Engine, ContinuousFidelityMatchesDirectSimulate) {
                      .steps = {},
                      .sim = {}};
   const run_result via_engine = eng.run(scn);
-  const auto pol = sched::make_policy("best_of_n");
+  const auto pol = sched::registry::built_in().make("best_of_n");
   const sched::sim_result direct = sched::simulate_continuous(
       scn.batteries, load::paper_trace(load::test_load::ils_500), *pol);
   EXPECT_EQ(via_engine.sim, direct);
@@ -125,7 +125,8 @@ TEST(Engine, OptPolicyReproducesExactSearch) {
   const run_result w = eng.run(worst_scn);
   EXPECT_EQ(w.policy_name, "worst");
   EXPECT_NEAR(w.sim.lifetime_min,
-              opt::worst_schedule(disc, 2, trace).lifetime_min, 1e-12);
+              opt::worst_schedule(kibam::bank{disc, 2}, trace).lifetime_min,
+              1e-12);
   EXPECT_LE(w.sim.lifetime_min, r.sim.lifetime_min);
 }
 
@@ -273,8 +274,7 @@ TEST(RunBatch, CapturesPerScenarioFailures) {
 }
 
 TEST(Engine, PolicyNamesMergeRegistryAndEngineNames) {
-  const engine eng;
-  const std::vector<std::string> names = eng.policy_names();
+  const std::vector<std::string> names = engine_options{}.policies.names();
   for (const char* expected :
        {"best_of_n", "fixed", "lookahead", "opt", "random", "round_robin",
         "sequential", "worst", "worst_of_n"}) {
@@ -333,6 +333,9 @@ TEST(Engine, RegistryEntriesWinOverEngineNames) {
     s.require_only({});
     return sched::sequential();
   });
+  // The registry lists the overridden name exactly once.
+  const std::vector<std::string> names = opts.policies.names();
+  EXPECT_EQ(std::count(names.begin(), names.end(), "opt"), 1);
   const engine eng{std::move(opts)};
   const scenario scn{.label = {},
                      .batteries = bank(2, b1),
@@ -343,9 +346,6 @@ TEST(Engine, RegistryEntriesWinOverEngineNames) {
                      .sim = {}};
   const run_result r = eng.run(scn);
   EXPECT_EQ(r.policy_name, "sequential");
-  // And policy_names() lists the overridden name exactly once.
-  const std::vector<std::string> names = eng.policy_names();
-  EXPECT_EQ(std::count(names.begin(), names.end(), "opt"), 1);
 }
 
 }  // namespace

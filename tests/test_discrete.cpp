@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "kibam/advance.hpp"
 #include "kibam/bank.hpp"
 #include "kibam/discrete.hpp"
 #include "load/jobs.hpp"
@@ -115,7 +116,7 @@ TEST(DiscreteStep, DeathObservedOnDraw) {
 
 TEST(AdvanceUntil, BitIdenticalToPerTickStepping) {
   // Random discharge rates, slice lengths and idle phases; after every
-  // advance_until the state must equal the per-tick state after the same
+  // advance_state the state must equal the per-tick state after the same
   // number of steps, and a death must land on the exact per-tick death
   // step. Both battery types exercise different recovery tables.
   for (const auto& params : {battery_b1(), battery_b2()}) {
@@ -139,7 +140,8 @@ TEST(AdvanceUntil, BitIdenticalToPerTickStepping) {
           ref.discharge_elapsed = 0;
         }
         const std::int64_t max_steps = len_dist(rng);
-        const advance_result a = advance_until(d, fast, rate, max_steps);
+        const advance_result a =
+            detail::advance_state(d, fast, rate, max_steps);
         ASSERT_GE(a.steps, 1);
         ASSERT_LE(a.steps, max_steps);
         for (std::int64_t i = 1; i <= a.steps; ++i) {
@@ -169,7 +171,7 @@ TEST(AdvanceUntil, IdleAdvanceMatchesPerTickRecovery) {
   fast.recovery_elapsed = 3;
   discrete_state ref = fast;
   const std::int64_t steps = 50'000;
-  const advance_result a = advance_until(d, fast, {0, 0}, steps);
+  const advance_result a = detail::advance_state(d, fast, {0, 0}, steps);
   EXPECT_EQ(a.steps, steps);
   EXPECT_EQ(a.event, step_event::none);
   for (std::int64_t i = 0; i < steps; ++i) step(d, ref, {0, 0});

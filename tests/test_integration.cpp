@@ -37,7 +37,8 @@ TEST_P(RandomLoadSweep, PolicyOrderHoldsOnRandomLoads) {
   // worst <= sequential <= each policy <= optimal, on arbitrary loads.
   const kibam::discretization disc{kibam::battery_b1()};
   const load::trace t = random_trace(GetParam());
-  const double worst = opt::worst_schedule(disc, 2, t).lifetime_min;
+  const double worst =
+      opt::worst_schedule(kibam::bank{disc, 2}, t).lifetime_min;
   const double best = opt::optimal_schedule(disc, 2, t).lifetime_min;
   EXPECT_LE(worst, best);
   for (auto make : {sched::sequential, sched::round_robin, sched::best_of_n,
@@ -64,13 +65,13 @@ TEST_P(RandomLoadSweep, ChargeIsConserved) {
   const sched::sim_result r = sched::simulate_discrete(disc, 2, t, *pol);
   // Count the served charge by walking the epochs up to the lifetime.
   double served_amin = 0;
-  load::epoch_cursor cursor{t};
-  while (cursor.start_min() < r.lifetime_min) {
+  double start = 0;
+  for (load::epoch_cursor cursor{t}; start < r.lifetime_min;
+       cursor.advance()) {
     const load::epoch& e = cursor.current();
-    const double end = std::min(cursor.start_min() + e.duration_min,
-                                r.lifetime_min);
-    served_amin += e.current_a * (end - cursor.start_min());
-    cursor.advance();
+    const double end = std::min(start + e.duration_min, r.lifetime_min);
+    served_amin += e.current_a * (end - start);
+    start += e.duration_min;
   }
   const double initial = 2 * 5.5;
   // Discretization rounds each draw to whole units; allow a few units.
@@ -133,7 +134,8 @@ TEST(Integration, WorstScheduleNeverRecoversMoreThanOptimal) {
   const kibam::discretization disc{kibam::battery_b1()};
   const load::trace t = load::paper_trace(load::test_load::ils_alt);
   const opt::optimal_result best = opt::optimal_schedule(disc, 2, t);
-  const opt::optimal_result worst = opt::worst_schedule(disc, 2, t);
+  const opt::optimal_result worst =
+      opt::worst_schedule(kibam::bank{disc, 2}, t);
   const auto best_replay = sched::fixed_schedule(best.decisions);
   const auto worst_replay = sched::fixed_schedule(worst.decisions);
   const double best_residual =

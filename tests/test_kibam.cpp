@@ -20,8 +20,6 @@ TEST(Parameters, PresetsMatchPaper) {
   EXPECT_DOUBLE_EQ(battery_b2().capacity_amin, 11.0);
   // k' = k / (c (1-c)).
   EXPECT_NEAR(b1.k() / (b1.c * (1 - b1.c)), b1.k_prime, 1e-12);
-  EXPECT_NEAR(b1.available_capacity() + b1.bound_capacity(),
-              b1.capacity_amin, 1e-12);
 }
 
 TEST(Parameters, ValidationRejectsNonsense) {
@@ -31,29 +29,21 @@ TEST(Parameters, ValidationRejectsNonsense) {
   EXPECT_THROW(validate({5.5, 0.166, 0.0}), bsched::error);
 }
 
-TEST(Transform, RoundTripsWellCoordinates) {
-  const battery_parameters p = battery_b1();
-  const well_state w{0.4, 3.1};
-  const state s = to_transformed(p, w);
-  const well_state back = to_wells(p, s);
-  EXPECT_NEAR(back.y1, w.y1, 1e-12);
-  EXPECT_NEAR(back.y2, w.y2, 1e-12);
-}
-
 TEST(Transform, FullBatteryHasZeroDelta) {
   const battery_parameters p = battery_b1();
   const state s = full(p);
   EXPECT_DOUBLE_EQ(s.delta, 0.0);
   EXPECT_DOUBLE_EQ(s.gamma, p.capacity_amin);
-  const well_state w = to_wells(p, s);
-  EXPECT_NEAR(w.y1, p.available_capacity(), 1e-12);
-  EXPECT_NEAR(w.y2, p.bound_capacity(), 1e-12);
+  // A full battery holds c * C in the available well.
+  EXPECT_NEAR(available_charge(p, s), p.c * p.capacity_amin, 1e-12);
 }
 
 TEST(Transform, EmptyMarginIsScaledAvailableCharge) {
   const battery_parameters p = battery_b1();
   const state s{3.0, 4.0};
-  EXPECT_NEAR(available_charge(p, s), p.c * empty_margin(p, s), 1e-12);
+  // y1 = c (gamma - (1-c) delta): c times the empty margin of eq. (3).
+  EXPECT_NEAR(available_charge(p, s), p.c * (s.gamma - (1 - p.c) * s.delta),
+              1e-12);
 }
 
 TEST(Advance, MatchesClosedFormDecay) {
@@ -88,14 +78,17 @@ TEST(Advance, AgreesWithNumericIntegrationTransformed) {
 TEST(Advance, WellAndTransformedOdesAgree) {
   const battery_parameters p = battery_b1();
   const double current = 0.3;
-  const well_state w0 = to_wells(p, full(p));
+  // Well coordinates of a transformed state: y1 is the available charge,
+  // y2 the rest of gamma.
+  const auto to_wells = [&](const state& s) {
+    const double y1 = available_charge(p, s);
+    return ode::state<2>{y1, s.gamma - y1};
+  };
   const auto wells = ode::integrate_adaptive(
-      wells_rhs{p, current}, 0, 1.3, ode::state<2>{w0.y1, w0.y2}, 1e-12);
-  const state transformed =
-      advance(p, full(p), current, 1.3);
-  const well_state expect = to_wells(p, transformed);
-  EXPECT_NEAR(wells[0], expect.y1, 1e-7);
-  EXPECT_NEAR(wells[1], expect.y2, 1e-7);
+      wells_rhs{p, current}, 0, 1.3, to_wells(full(p)), 1e-12);
+  const ode::state<2> expect = to_wells(advance(p, full(p), current, 1.3));
+  EXPECT_NEAR(wells[0], expect[0], 1e-7);
+  EXPECT_NEAR(wells[1], expect[1], 1e-7);
 }
 
 TEST(TimeToEmpty, DetectsSurvival) {
@@ -107,9 +100,9 @@ TEST(TimeToEmpty, ExactOnConstantCurrent) {
   const battery_parameters p = battery_b1();
   const auto t = time_to_empty(p, full(p), 0.25, 100.0);
   ASSERT_TRUE(t.has_value());
-  // At the crossing the empty margin is zero.
+  // At the crossing the available well is empty.
   const state s = advance(p, full(p), 0.25, *t);
-  EXPECT_NEAR(empty_margin(p, s), 0.0, 1e-9);
+  EXPECT_NEAR(available_charge(p, s), 0.0, 1e-9);
 }
 
 TEST(TimeToEmpty, ZeroWhenAlreadyEmpty) {

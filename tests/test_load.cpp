@@ -51,7 +51,6 @@ TEST(Trace, CyclesForever) {
   EXPECT_DOUBLE_EQ(t.at(1).current_a, 0.0);
   EXPECT_DOUBLE_EQ(t.at(2).current_a, 0.5);     // wrapped
   EXPECT_DOUBLE_EQ(t.at(1001).current_a, 0.0);  // deep wrap
-  EXPECT_DOUBLE_EQ(t.cycle_minutes(), 3.0);
 }
 
 TEST(Trace, PrefixThenCycle) {
@@ -59,7 +58,6 @@ TEST(Trace, PrefixThenCycle) {
   EXPECT_DOUBLE_EQ(t.at(0).current_a, 0.1);
   EXPECT_DOUBLE_EQ(t.at(1).current_a, 0.2);
   EXPECT_DOUBLE_EQ(t.at(5).current_a, 0.2);
-  EXPECT_DOUBLE_EQ(t.prefix_minutes(), 0.5);
 }
 
 TEST(Trace, PeakCurrent) {
@@ -70,21 +68,24 @@ TEST(Trace, PeakCurrent) {
 TEST(EpochCursor, WalksWithStartTimes) {
   const trace t{{{1.0, 0.5}, {2.0, 0.0}}};
   epoch_cursor c{t};
-  EXPECT_DOUBLE_EQ(c.start_min(), 0.0);
+  double start = 0;
+  EXPECT_EQ(c.index(), 0u);
+  start += c.current().duration_min;
   c.advance();
-  EXPECT_DOUBLE_EQ(c.start_min(), 1.0);
+  EXPECT_EQ(c.index(), 1u);
+  EXPECT_DOUBLE_EQ(start, 1.0);
+  start += c.current().duration_min;
   c.advance();
-  EXPECT_DOUBLE_EQ(c.start_min(), 3.0);
+  EXPECT_EQ(c.index(), 2u);
+  EXPECT_DOUBLE_EQ(start, 3.0);
   EXPECT_DOUBLE_EQ(c.current().current_a, 0.5);
 }
 
 TEST(Jobs, BuildsAlternatingCycleHighFirst) {
-  const job_sequence seq = paper_jobs(test_load::ils_alt);
-  ASSERT_EQ(seq.currents.size(), 2u);
-  EXPECT_DOUBLE_EQ(seq.currents[0], high_current_a);
-  EXPECT_DOUBLE_EQ(seq.currents[1], low_current_a);
-  const trace t = seq.to_trace();
+  const trace t = paper_trace(test_load::ils_alt);
   ASSERT_EQ(t.cycle().size(), 4u);  // job, idle, job, idle
+  EXPECT_DOUBLE_EQ(t.cycle()[0].current_a, high_current_a);
+  EXPECT_DOUBLE_EQ(t.cycle()[2].current_a, low_current_a);
   EXPECT_DOUBLE_EQ(t.cycle()[1].current_a, 0.0);
   EXPECT_DOUBLE_EQ(t.cycle()[1].duration_min, 1.0);
 }
@@ -102,20 +103,23 @@ TEST(Jobs, LongIdleIsTwoMinutes) {
 }
 
 TEST(Jobs, RecoveredRandomSequences) {
-  EXPECT_EQ(random_sequence_r1().size(), 12u);
-  EXPECT_EQ(random_sequence_r2().size(), 8u);
+  // 12 and 8 jobs, each followed by a 1-minute idle.
+  const trace r1 = paper_trace(test_load::ils_r1);
+  const trace r2 = paper_trace(test_load::ils_r2);
+  EXPECT_EQ(r1.cycle().size(), 24u);
+  EXPECT_EQ(r2.cycle().size(), 16u);
   // Both start L, H, H (the only prefix compatible with the B1 lifetime).
-  for (const auto& seq : {random_sequence_r1(), random_sequence_r2()}) {
-    EXPECT_DOUBLE_EQ(seq[0], low_current_a);
-    EXPECT_DOUBLE_EQ(seq[1], high_current_a);
-    EXPECT_DOUBLE_EQ(seq[2], high_current_a);
+  for (const trace& t : {r1, r2}) {
+    EXPECT_DOUBLE_EQ(t.cycle()[0].current_a, low_current_a);
+    EXPECT_DOUBLE_EQ(t.cycle()[2].current_a, high_current_a);
+    EXPECT_DOUBLE_EQ(t.cycle()[4].current_a, high_current_a);
   }
 }
 
 TEST(Jobs, AllTestLoadsAreConstructible) {
   for (const test_load l : all_test_loads()) {
     const trace t = paper_trace(l);
-    EXPECT_GT(t.cycle_minutes(), 0.0) << name(l);
+    EXPECT_FALSE(t.cycle().empty()) << name(l);
     EXPECT_GT(t.peak_current(), 0.0) << name(l);
     EXPECT_FALSE(name(l).empty());
   }
@@ -147,22 +151,10 @@ TEST(Discretize, ArraysMatchPaperShape) {
   // Epoch ends at 100, 200, ... steps (1-minute epochs at T = 0.01).
   EXPECT_EQ(a.load_time[0], 100);
   EXPECT_EQ(a.load_time[7], 800);
-  EXPECT_TRUE(a.is_job(0));
-  EXPECT_FALSE(a.is_job(1));
   EXPECT_EQ(a.cur[0], 1);
   EXPECT_EQ(a.cur_times[0], 2);  // high job first
   EXPECT_EQ(a.cur_times[2], 4);  // then low
   EXPECT_EQ(a.cur[1], 0);
-}
-
-TEST(Discretize, EpochsCoveringIsSufficient) {
-  const trace t = paper_trace(test_load::ill_500);
-  const std::size_t n = epochs_covering(t, 30.0);
-  double sum = 0;
-  for (std::size_t i = 0; i < n; ++i) sum += t.at(i).duration_min;
-  EXPECT_GE(sum, 30.0);
-  // And not absurdly more than needed (one epoch slack).
-  EXPECT_LT(sum - t.at(n - 1).duration_min, 30.0);
 }
 
 TEST(RandomLoads, DeterministicInSeed) {

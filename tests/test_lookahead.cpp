@@ -79,7 +79,7 @@ TEST(Lookahead, BoundedByWorstAndOptimal) {
        {load::test_load::ils_alt, load::test_load::cl_alt,
         load::test_load::ils_r1}) {
     const load::trace t = load::paper_trace(l);
-    const double worst = worst_schedule(d, 2, t).lifetime_min;
+    const double worst = worst_schedule(kibam::bank{d, 2}, t).lifetime_min;
     const double best = optimal_schedule(d, 2, t).lifetime_min;
     for (const std::size_t horizon : {0u, 1u, 3u}) {
       const double la = run_lookahead(d, 2, t, horizon).sim.lifetime_min;

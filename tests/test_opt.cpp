@@ -135,7 +135,7 @@ TEST(Worst, SequentialIsTheWorstSchedule) {
        {load::test_load::cl_500, load::test_load::ils_500,
         load::test_load::cl_alt}) {
     const load::trace t = load::paper_trace(l);
-    const optimal_result worst = worst_schedule(d, 2, t);
+    const optimal_result worst = worst_schedule(kibam::bank{d, 2}, t);
     const auto seq = sched::sequential();
     const double seq_lt = sched::simulate_discrete(d, 2, t, *seq).lifetime_min;
     EXPECT_NEAR(worst.lifetime_min, seq_lt, 1e-9) << load::name(l);
@@ -249,7 +249,7 @@ TEST_P(PreRefactorGolden, HomogeneousSearchIsBitIdentical) {
   EXPECT_EQ(best.stats.memo_hits, c.opt_memo_hits);
   EXPECT_EQ(best.stats.pruned_by_bound, c.opt_pruned_by_bound);
   EXPECT_LE(best.stats.nodes, c.worst_nodes);  // the bound must prune
-  const optimal_result worst = worst_schedule(d, 2, t);
+  const optimal_result worst = worst_schedule(kibam::bank{d, 2}, t);
   EXPECT_NEAR(worst.lifetime_min, c.worst_lifetime, 1e-9);
   EXPECT_EQ(worst.stats.nodes, c.worst_nodes);
 }

@@ -142,8 +142,8 @@ TEST(OptOracle, SearchMatchesBruteForceOnSeededRandomInstances) {
       const opt::optimal_result best = opt::optimal_schedule(bank, t, opts);
       EXPECT_EQ(steps_of(best.lifetime_min, bank), bf.max_steps) << tag;
       EXPECT_EQ(best.decisions, bf.first_max) << tag;
-      const auto replay =
-          sched::make_policy(sched::fixed_spec(best.decisions));
+      const auto replay = sched::registry::built_in().make(
+          sched::fixed_spec(best.decisions));
       EXPECT_EQ(sched::simulate_discrete(bank, t, *replay).lifetime_min,
                 best.lifetime_min)
           << tag;
@@ -157,7 +157,7 @@ TEST(OptOracle, SearchMatchesBruteForceOnSeededRandomInstances) {
       std::vector<std::unique_ptr<sched::policy>> others;
       for (const char* blind :
            {"sequential", "round_robin", "best_of_n", "random:seed=7"}) {
-        others.push_back(sched::make_policy(blind));
+        others.push_back(sched::registry::built_in().make(blind));
       }
       others.push_back(opt::lookahead_policy(2));
       for (const auto& pol : others) {

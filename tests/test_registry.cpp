@@ -54,12 +54,12 @@ TEST(Registry, EveryBuiltInConstructsAndNames) {
       {"fixed:decisions=0-1-0-1", "fixed schedule"},
   };
   for (const auto& c : cases) {
-    const auto pol = make_policy(c.spec);
+    const auto pol = registry::built_in().make(c.spec);
     ASSERT_NE(pol, nullptr) << c.spec;
     EXPECT_EQ(pol->name(), c.display) << c.spec;
   }
   // Every registered name is covered by the table above.
-  EXPECT_EQ(registry::global().names().size(), std::size(cases));
+  EXPECT_EQ(registry::built_in().names().size(), std::size(cases));
 }
 
 TEST(Registry, RandomSeedIsHonoured) {
@@ -67,8 +67,8 @@ TEST(Registry, RandomSeedIsHonoured) {
                                         {1, 5.0, 0.9, false},
                                         {2, 5.0, 0.9, false}};
   const decision_context ctx{0, 0.0, 0.25, false, std::nullopt, views};
-  const auto a = make_policy("random:seed=7");
-  const auto b = make_policy("random:seed=7");
+  const auto a = registry::built_in().make("random:seed=7");
+  const auto b = registry::built_in().make("random:seed=7");
   for (int i = 0; i < 32; ++i) {
     EXPECT_EQ(a->choose(ctx), b->choose(ctx)) << "draw " << i;
   }
@@ -77,7 +77,7 @@ TEST(Registry, RandomSeedIsHonoured) {
 TEST(Registry, FixedSpecRoundTrips) {
   const std::vector<std::size_t> decisions{0, 1, 1, 0, 2};
   EXPECT_EQ(fixed_spec(decisions), "fixed:decisions=0-1-1-0-2");
-  const auto pol = make_policy(fixed_spec(decisions));
+  const auto pol = registry::built_in().make(fixed_spec(decisions));
   const std::vector<battery_view> views{{0, 5.0, 0.9, false},
                                         {1, 5.0, 0.9, false},
                                         {2, 5.0, 0.9, false}};
@@ -88,11 +88,12 @@ TEST(Registry, FixedSpecRoundTrips) {
 }
 
 TEST(Registry, RejectsUnknownNamesAndParameters) {
-  EXPECT_THROW((void)make_policy("no_such_policy"), error);
-  EXPECT_THROW((void)make_policy("best_of_n:seed=1"), error);
-  EXPECT_THROW((void)make_policy("random:sede=42"), error);
-  EXPECT_THROW((void)make_policy("fixed"), error);
-  EXPECT_THROW((void)make_policy("fixed:decisions=0;1"), error);
+  const registry reg = registry::built_in();
+  EXPECT_THROW((void)reg.make("no_such_policy"), error);
+  EXPECT_THROW((void)reg.make("best_of_n:seed=1"), error);
+  EXPECT_THROW((void)reg.make("random:sede=42"), error);
+  EXPECT_THROW((void)reg.make("fixed"), error);
+  EXPECT_THROW((void)reg.make("fixed:decisions=0;1"), error);
 }
 
 TEST(Registry, UnknownParameterNamesTheAcceptedSet) {
@@ -117,14 +118,14 @@ TEST(Registry, UnknownParameterNamesTheAcceptedSet) {
       << opt_msg;
 
   const std::string random_msg =
-      message_of(registry::global(), "random:sede=42");
+      message_of(registry::built_in(), "random:sede=42");
   EXPECT_NE(random_msg.find("sede"), std::string::npos) << random_msg;
   EXPECT_NE(random_msg.find("accepted: seed"), std::string::npos)
       << random_msg;
 
   // Parameter-less policies say so instead of listing an empty set.
   const std::string bare_msg =
-      message_of(registry::global(), "sequential:x=1");
+      message_of(registry::built_in(), "sequential:x=1");
   EXPECT_NE(bare_msg.find("accepts no parameters"), std::string::npos)
       << bare_msg;
 
@@ -173,15 +174,15 @@ TEST(Registry, ModelRegistryAddsTheModelAwarePolicies) {
   EXPECT_EQ(r.make("lookahead:horizon=2")->name(), "lookahead");
   EXPECT_THROW((void)r.make("lookahead:h=2"), error);
   EXPECT_THROW((void)r.make("opt:no_such_knob=1"), error);
-  // The blind global registry stays blind.
-  EXPECT_FALSE(registry::global().contains("opt"));
+  // The blind built-in registry stays blind.
+  EXPECT_FALSE(registry::built_in().contains("opt"));
 }
 
 TEST(Registry, UnboundExactPolicyRejectsChoosing) {
   // An exact policy that was never bound has no plan and no greedy
   // context worth trusting... it falls back to greedy like an exhausted
   // fixed schedule, so direct simulator use without binding stays safe.
-  const auto pol = opt::exact_policy(false);
+  const auto pol = opt::model_registry().make("opt");
   const std::vector<battery_view> views{{0, 5.0, 0.3, false},
                                         {1, 5.0, 0.8, false}};
   const decision_context ctx{0, 0.0, 0.5, false, std::nullopt, views,
@@ -205,14 +206,14 @@ TEST(Registry, ExactPolicyChoiceErrorsKeepTheirText) {
                                        {1, 0.0, 0.0, true}};
   const decision_context none{0, 0.0, 0.5, false, std::nullopt, dead,
                               nullptr};
-  const auto unbound = opt::exact_policy(false);
+  const auto unbound = opt::model_registry().make("opt");
   EXPECT_EQ(message([&] { (void)unbound->choose(none); }),
             "policy 'opt': all batteries empty");
 
   // A bound plan whose next pick is empty in the context it is asked in.
   const kibam::bank bank{kibam::discretization{kibam::battery_b1()}, 2};
   const load::trace t = load::paper_trace(load::test_load::ils_alt);
-  const auto bound = opt::exact_policy(true);
+  const auto bound = opt::model_registry().make("worst");
   bound->bind_model(model_info{&bank, &t});
   EXPECT_EQ(message([&] { (void)bound->choose(none); }),
             "policy 'worst': plan picks an unusable battery (was the "
@@ -235,7 +236,7 @@ TEST(Registry, CopiesAreIndependentlyExtensible) {
     return std::make_unique<last>();
   });
   EXPECT_TRUE(mine.contains("always_last"));
-  EXPECT_FALSE(registry::global().contains("always_last"));
+  EXPECT_FALSE(registry::built_in().contains("always_last"));
   EXPECT_EQ(mine.make("always_last")->name(), "always last");
 }
 

@@ -29,8 +29,7 @@ TEST(Semantics, InitialStateIsWellFormed) {
   EXPECT_EQ(s.locations.size(), 2u);
   EXPECT_EQ(s.locations[m.lamp], m.off);
   EXPECT_EQ(s.clocks.size(), 1u);
-  EXPECT_EQ(s.clocks[0], 0);
-  EXPECT_TRUE(sem.invariants_hold(s));
+  EXPECT_EQ(s.clocks[0], 0);  // initial() throws unless invariants hold
 }
 
 TEST(Semantics, BinarySyncFiresJointly) {

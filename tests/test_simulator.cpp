@@ -222,14 +222,15 @@ TEST(SimulatorContinuous, MoreBatteriesLiveLonger) {
   }
 }
 
-// --- Heterogeneous discrete banks (the bank-of-parameters overload). ---
+// --- Heterogeneous discrete banks (banks built from parameters). ---
 
 TEST(SimulatorDiscrete, BankOverloadMatchesIdenticalBankExactly) {
-  // Regression for the discrete/continuous unification: the new
-  // bank-of-parameters overload must reproduce the identical-bank
-  // overload bit for bit (both run integer stepping).
+  // Regression for the discrete/continuous unification: a bank built
+  // from a parameter list must reproduce the identical-bank overload bit
+  // for bit (both run integer stepping).
   const auto d = disc_b1();
-  const std::vector<kibam::battery_parameters> bank(2, kibam::battery_b1());
+  const kibam::bank bank{
+      std::vector<kibam::battery_parameters>(2, kibam::battery_b1())};
   sim_options opts;
   opts.record_trace = true;
   opts.sample_min = 0.1;
@@ -257,9 +258,10 @@ TEST(SimulatorDiscrete, HeterogeneousBankLivesLongerThanSmallPair) {
       kibam::battery_b1(), kibam::battery_b2()};
   const auto p1 = best_of_n();
   const auto p2 = best_of_n();
-  const double lifetime_same = simulate_discrete(same, t, *p1).lifetime_min;
+  const double lifetime_same =
+      simulate_discrete(kibam::bank{same}, t, *p1).lifetime_min;
   const double lifetime_mixed =
-      simulate_discrete(mixed, t, *p2).lifetime_min;
+      simulate_discrete(kibam::bank{mixed}, t, *p2).lifetime_min;
   EXPECT_GT(lifetime_mixed, lifetime_same);
 
   const auto p3 = best_of_n();

@@ -305,7 +305,7 @@ TEST(StressSvc, FleetSurvivesSilenceDisconnectsAndSteals) {
   // its lease in silence until it has expired (its late result must be
   // rejected), one takes a lease and vanishes (abrupt close -> immediate
   // re-queue), one ships a truncated aggregate (rejected, range
-  // re-queued) and one announces a frame past net::max_frame_bytes
+  // re-queued) and one announces a frame past the frame cap
   // mid-lease (dropped, lease re-queued).
   support::fake_worker silent{coord.port(), kIoTimeoutMs};
   const net::message held = silent.take_lease();

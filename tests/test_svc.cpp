@@ -36,9 +36,9 @@
 #include "net/socket.hpp"
 #include "obs/telemetry.hpp"
 #include "support/fleet.hpp"
+#include "support/manual_clock.hpp"
 #include "svc/coordinator.hpp"
 #include "svc/worker.hpp"
-#include "util/clock.hpp"
 #include "util/error.hpp"
 
 namespace bsched::svc {
@@ -455,7 +455,7 @@ TEST(SvcService, CorruptResultAndOversizedFrameAreRequeued) {
   corrupt.conn.close();
 
   // Mid-lease, after an honest heartbeat, the other fake announces a
-  // frame past net::max_frame_bytes. The coordinator must drop it
+  // frame past the frame cap. The coordinator must drop it
   // without buffering the promised bytes and re-queue its lease.
   net::message hb = net::make("heartbeat");
   hb.fields["lease"] = held.str("lease");
@@ -512,7 +512,7 @@ TEST(SvcService, DeadlineEndsTheCampaignForEveryPeer) {
   const std::size_t total = sw.cells.size() * sw.replications;
   // A manual clock: the deadline can only pass once the fake holds its
   // lease, however slowly the fake connects.
-  util::manual_clock clock;
+  support::manual_clock clock;
   coordinator_options opts;
   opts.lease_timeout_s = 60;
   opts.deadline_s = 0.3;
@@ -732,7 +732,7 @@ void expect_result(const net::message& m, std::size_t last) {
 TEST(SvcHeartbeat, FrozenClockLeaseSendsOneHeartbeat) {
   // Sixteen one-item chunks in no time at all: the lease's first chunk
   // heartbeats, and no later one is an interval past it.
-  const util::manual_clock frozen;
+  const support::manual_clock frozen;
   const scripted_lease s = run_scripted_lease(frozen, 16, 1000, 30000);
   ASSERT_EQ(s.frames.size(), 2u);
   expect_heartbeat(s.frames[0], 1);
@@ -750,7 +750,7 @@ TEST(SvcHeartbeat, IntervalIsTheShorterOfTelemetryAndAQuarterLeaseTimeout) {
                  " lease_timeout_ms=" + std::to_string(lease_timeout_ms));
     const std::chrono::milliseconds interval{interval_ms};
     const std::chrono::milliseconds tick{1};
-    util::manual_clock time;
+    support::manual_clock time;
     // Chunks 2 and 4 end one millisecond short of an interval after the
     // last heartbeat; chunks 3 and 5 end exactly one interval after it.
     const hooked_clock clock{time, [&](std::size_t read) {
@@ -775,7 +775,7 @@ TEST(SvcHeartbeat, TrimIsAnsweredAtTheNextChunkBoundary) {
   // due, the answer does not wait for one.
   std::promise<void> trim_sent;
   std::shared_future<void> sent = trim_sent.get_future().share();
-  const util::manual_clock frozen;
+  const support::manual_clock frozen;
   const hooked_clock clock{frozen, [sent](std::size_t read) {
                              if (read == 1) sent.wait();
                            }};
@@ -818,7 +818,7 @@ TEST(SvcHeartbeat, LeaseLongerThanTheTimeoutKeepsItsLease) {
   // that has been handled; the last of them, from chunk k - 6 or later,
   // set a deadline past chunk k + 2. (Each heartbeat wakes the
   // coordinator for three reads, so the wait is short.)
-  util::manual_clock time;
+  support::manual_clock time;
   std::atomic<std::size_t> coordinator_reads{0};
   const hooked_clock coordinator_clock{time, [&](std::size_t) {
                                          ++coordinator_reads;

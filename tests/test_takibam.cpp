@@ -24,12 +24,10 @@ kibam::discretization disc_b1() {
 TEST(Tables, HorizonCoversAllCharge) {
   const auto d = disc_b1();
   const load::trace t = load::paper_trace(load::test_load::ils_250);
-  const std::size_t epochs = epochs_needed(d, t, 2);
+  const tables tabs = build_tables(d, t, 2);
   // Two batteries of 550 units at 25 units per 2-minute cycle: at least
   // 44 job epochs (88 epochs total).
-  EXPECT_GE(epochs, 88u);
-  const tables tabs = build_tables(d, t, 2);
-  EXPECT_EQ(tabs.load.epochs(), epochs);
+  EXPECT_GE(tabs.load.epochs(), 88u);
   EXPECT_EQ(tabs.recov_time[2], d.recovery_steps(2));
   EXPECT_EQ(tabs.max_cur_times, 4);
 }

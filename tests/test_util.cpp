@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <string_view>
@@ -76,15 +77,16 @@ TEST(Rng, BelowCoversAllResidues) {
 }
 
 TEST(Rng, UniformInUnitInterval) {
+  // bernoulli(p) compares a uniform draw in [0, 1) against p: p = 0
+  // never succeeds, p = 1 always does, and p = 0.5 half the time.
   rng g{3};
-  double sum = 0;
+  int halves = 0;
   for (int i = 0; i < 10'000; ++i) {
-    const double u = g.uniform();
-    ASSERT_GE(u, 0.0);
-    ASSERT_LT(u, 1.0);
-    sum += u;
+    ASSERT_FALSE(g.bernoulli(0.0));
+    ASSERT_TRUE(g.bernoulli(1.0));
+    halves += g.bernoulli(0.5) ? 1 : 0;
   }
-  EXPECT_NEAR(sum / 10'000, 0.5, 0.02);
+  EXPECT_NEAR(halves / 10'000.0, 0.5, 0.02);
 }
 
 TEST(Rng, BernoulliMatchesProbability) {
@@ -139,10 +141,20 @@ TEST(RngDerive, AdjacentStreamsAreUncorrelated) {
 }
 
 TEST(Csv, EscapesSpecialCharacters) {
-  EXPECT_EQ(csv_escape("plain"), "plain");
-  EXPECT_EQ(csv_escape("with,comma"), "\"with,comma\"");
-  EXPECT_EQ(csv_escape("with\"quote"), "\"with\"\"quote\"");
-  EXPECT_EQ(csv_escape("with\nnewline"), "\"with\nnewline\"");
+  // Fields holding a separator, a quote or a newline are quoted per
+  // RFC 4180, with quotes doubled; plain fields are written as they are.
+  const std::string path = testing::TempDir() + "/bsched_csv_escape.csv";
+  {
+    csv_writer w{path,
+                 {"plain", "with,comma", "with\"quote", "with\nnewline"}};
+    w.row(std::vector<std::string>{"a", "b,c", "\"", ""});
+  }
+  std::ifstream in{path};
+  const std::string text{std::istreambuf_iterator<char>{in}, {}};
+  EXPECT_EQ(text,
+            "plain,\"with,comma\",\"with\"\"quote\",\"with\nnewline\"\n"
+            "a,\"b,c\",\"\"\"\",\n");
+  std::remove(path.c_str());
 }
 
 TEST(Csv, FormatDoubleTrimsZeros) {
@@ -179,11 +191,20 @@ TEST(Csv, RejectsWrongColumnCount) {
 }
 
 TEST(TextTable, DetectsNumericCells) {
-  EXPECT_TRUE(looks_numeric("42"));
-  EXPECT_TRUE(looks_numeric("-3.5"));
-  EXPECT_TRUE(looks_numeric("12.3%"));
-  EXPECT_FALSE(looks_numeric("CL 250"));
-  EXPECT_FALSE(looks_numeric(""));
+  // Cells that parse fully as a signed decimal (a trailing '%' allowed)
+  // are right-aligned; text cells are left-aligned.
+  text_table t{{"value"}};
+  for (const char* cell : {"42", "-3.5", "12.3%", "CL 250", "7x"}) {
+    t.row({cell});
+  }
+  EXPECT_EQ(t.str(),
+            "value \n"
+            "------\n"
+            "    42\n"
+            "  -3.5\n"
+            " 12.3%\n"
+            "CL 250\n"
+            "7x    \n");
 }
 
 TEST(TextTable, RendersAlignedRows) {
@@ -211,7 +232,7 @@ TEST(Text, ShortestDoubleRoundTripsExactly) {
   for (const double v : {0.0, 1.0, -1.0, 0.1, 5.5, 1.0 / 3.0, 6.1875e-4,
                          1e-9, 123456.789, -2.5e17}) {
     const std::string text = shortest_double(v);
-    EXPECT_EQ(parse_double(text, "test"), v) << text;
+    EXPECT_EQ(parse_number<double>(text, "test"), v) << text;
   }
   EXPECT_EQ(shortest_double(5.5), "5.5");
   EXPECT_EQ(shortest_double(1.0), "1");
@@ -219,30 +240,16 @@ TEST(Text, ShortestDoubleRoundTripsExactly) {
 
 TEST(Text, ParsersRejectTrailingGarbage) {
   EXPECT_EQ(parse_u64("42", "test"), 42u);
-  EXPECT_THROW((void)parse_double("1.5x", "test"), error);
-  EXPECT_THROW((void)parse_double("", "test"), error);
+  EXPECT_THROW((void)parse_number<double>("1.5x", "test"), error);
+  EXPECT_THROW((void)parse_number<double>("", "test"), error);
   EXPECT_THROW((void)parse_u64("-3", "test"), error);
   try {
-    (void)parse_double("nope", "field mean");
+    (void)parse_number<double>("nope", "field mean");
     FAIL() << "should have thrown";
   } catch (const error& e) {
     EXPECT_NE(std::string{e.what()}.find("field mean"), std::string::npos);
     EXPECT_NE(std::string{e.what()}.find("nope"), std::string::npos);
   }
-}
-
-TEST(Csv, ParseLineInvertsEscape) {
-  const std::vector<std::string> fields{
-      "plain", "with,comma", "with \"quotes\"", "", "mix,\"of\",both"};
-  std::string line;
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (i > 0) line += ',';
-    line += csv_escape(fields[i]);
-  }
-  EXPECT_EQ(csv_parse_line(line), fields);
-  EXPECT_EQ(csv_parse_line(""), std::vector<std::string>{""});
-  EXPECT_EQ(csv_parse_line("a,b"), (std::vector<std::string>{"a", "b"}));
-  EXPECT_THROW((void)csv_parse_line("\"unbalanced"), error);
 }
 
 // ------------------------------------------------------------------ wire

@@ -11,8 +11,9 @@
 //                   [--metrics-out FILE] [--metrics-interval MS]
 //
 // --agg writes the merged aggregate in dist::codec form, so
-// `sweep_merge --expect ref.csv served.agg` re-checks the service run
-// against a single-process reference — the CI crash-recovery smoke.
+// `sweep_merge --csv merged.csv served.agg && cmp merged.csv ref.csv`
+// re-checks the service run against a single-process reference — the
+// CI crash-recovery smoke.
 //
 // --metrics-out rewrites FILE with the fleet-wide "bsched-telemetry v1"
 // exposition (coordinator counters/gauges, per-worker accepted-item

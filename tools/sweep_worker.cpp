@@ -8,6 +8,9 @@
 //   $ ./sweep_worker --shard K --of N [--replications R] [--threads T]
 //                    [--out FILE]
 //
+// --threads defaults to 0 here (hardware concurrency): a shard is one
+// long run_sweep call.
+//
 // The aggregate goes to FILE (or stdout with "-" / no --out; progress
 // then moves to stderr). Feed N such files to sweep_merge to reproduce
 // the single-process scenario_sweep statistics.
@@ -18,9 +21,14 @@
 //
 //   $ ./sweep_worker --connect HOST:PORT [--name NAME] [--threads T]
 //                    [--quiet]
+//
+// --threads defaults to 1 here: a lease arrives in chunks of a few items,
+// and starting a pool of fresh threads (each with a cold transition memo)
+// costs more than such a chunk takes on one thread.
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "api/engine.hpp"
@@ -78,7 +86,7 @@ int main(int argc, char** argv) {
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
   std::size_t replications = 30;
-  std::size_t n_threads = 0;
+  std::optional<std::size_t> threads;
   std::string out_path = "-";
   std::string connect;
   std::string name = "worker";
@@ -104,7 +112,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--replications") {
       replications = tools::cli_number(arg, value());
     } else if (arg == "--threads") {
-      n_threads = tools::cli_number(arg, value());
+      threads = tools::cli_number(arg, value());
     } else if (arg == "--out") {
       out_path = value();
       have_out = true;
@@ -144,6 +152,9 @@ int main(int argc, char** argv) {
       reject("--out needs a non-empty path ('-' writes to stdout)");
     }
   }
+
+  // 0 = hardware concurrency; see the header comment for the defaults.
+  const std::size_t n_threads = threads.value_or(connect.empty() ? 0 : 1);
 
   try {
     const api::engine engine;
