@@ -6,12 +6,12 @@
 #                Table 5 and Figure 6 outputs against tests/golden/, the
 #                observability smoke (the service's telemetry exposition
 #                and a traced sweep must parse through their readers),
-#                a BSCHED_OBS=OFF build through the full test suite, and
-#                then the perf gate — run twice when google-benchmark is
-#                present: the default obs-on build and the obs-off build,
-#                both against the same committed baseline, so the "macros
-#                compile to nothing" guarantee is load-bearing, not
-#                aspirational;
+#                a BSCHED_OBS=OFF build through the full test suite, a
+#                compile-only build of perfbench/, and then the perf
+#                gate — run twice when google-benchmark is present: the
+#                default obs-on build and the obs-off build, both against
+#                the same committed baseline, so the "macros compile to
+#                nothing" guarantee is load-bearing, not aspirational;
 #   asan-ubsan — AddressSanitizer + UndefinedBehaviorSanitizer build,
 #                full test suite (leak detection on, first report fatal);
 #   tsan       — ThreadSanitizer build; runs the concurrency-heavy
@@ -303,6 +303,14 @@ run_release() {
   local obs_off="$BUILD_PREFIX-release-obs-off"
   configure_and_build "$obs_off" Release -DBSCHED_OBS=OFF
   ctest --test-dir "$obs_off" --output-on-failure -j "$JOBS"
+  # perfbench/ (the end-to-end benchmark, a CMake package of its own)
+  # links the library and calls its API and obs macros, so a library
+  # change that breaks its compile fails here rather than when the
+  # benchmark first runs. It is only built, never run.
+  local perfbench_dir="$BUILD_PREFIX-perfbench"
+  cmake -B "$perfbench_dir" -S perfbench -DCMAKE_BUILD_TYPE=Release \
+    -DBSCHED_WERROR=ON "${CCACHE_FLAG[@]}"
+  cmake --build "$perfbench_dir" --target perfbench -j "$JOBS"
   # Perf gate: the microbenchmarks run in JSON mode and are judged
   # against the committed baseline (BENCH_micro.json). The tolerance is
   # loose — it exists to catch step-function regressions (an event

@@ -836,7 +836,7 @@ def self_test():
          ["obs-discipline"]),
         ("qualified obs::detail in a tool",
          "tools/sweep_serve.cpp",
-         "bsched::obs::detail::span s{t, \"x\"};", ["obs-discipline"]),
+         "bsched::obs::detail::span s{\"x\"};", ["obs-discipline"]),
         ("obs::detail inside src/obs is the implementation",
          "src/obs/metrics.cpp", "obs::detail::counter_handle h{\"x\"};", []),
         ("obs macros at a call site are fine",
@@ -845,7 +845,7 @@ def self_test():
         ("obs::detail in a comment is fine",
          "src/api/engine.cpp", "// never name obs::detail here\n", []),
         ("tests may poke obs::detail",
-         "tests/test_obs.cpp", "obs::detail::span s{t, \"x\"};", []),
+         "tests/test_obs.cpp", "obs::detail::span s{\"x\"};", []),
         ("raw std::thread in library code",
          "src/sched/policy.cpp", "void f() { std::thread t{[] {}}; }",
          ["thread-discipline"]),

@@ -3,10 +3,10 @@
 #include <atomic>
 #include <bit>
 #include <mutex>
-#include <set>
 #include <unordered_map>
 #include <utility>
 
+#include "obs/thread_slot.hpp"
 #include "util/error.hpp"
 
 namespace bsched::obs {
@@ -66,11 +66,9 @@ struct block_array {
   }
 };
 
-/// One thread's private cell block. A shard has exactly one writer at a
-/// time: it is bound to a live thread, and when that thread exits it is
-/// parked (in_use = false) for the next thread to adopt — the cells keep
-/// their values, so counts are never lost and folds stay exact. The
-/// in_use CAS is the acquire/release handoff between successive owners.
+/// One thread's private cell block: a slot of obs/thread_slot.hpp, so it
+/// has exactly one writer at a time, and a parked shard keeps its values
+/// for its next owner — counts are never lost and folds stay exact.
 struct shard {
   std::atomic<bool> in_use{true};
   block_array<std::atomic<std::uint64_t>> cells;
@@ -99,51 +97,8 @@ struct metric_meta {
   std::vector<double> bounds;  ///< Histograms only.
 };
 
-// Registries are identified by a process-unique id, never by address:
-// the thread-local shard table is keyed by id, so an entry for a
-// destroyed registry simply never matches again (even if a new registry
-// reuses the allocation). The liveness set arbitrates the only
-// cross-lifetime touch — a thread exiting must not park a shard whose
-// registry is already gone.
-std::mutex& liveness_mutex() {
-  static std::mutex mu;
-  return mu;
-}
-
-std::set<std::uint64_t>& live_registries() {
-  static std::set<std::uint64_t> live;
-  return live;
-}
-
-std::uint64_t next_registry_id() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-struct tls_entry {
-  std::uint64_t registry_id = 0;
-  shard* sh = nullptr;
-};
-
-/// Per-thread shard table. The destructor (thread exit) parks every
-/// still-live registry's shard for reuse; checking liveness and flipping
-/// in_use both happen under the liveness mutex, so a racing registry
-/// destruction either removes the id first (we skip the stale shard) or
-/// waits here (the shard is still owned by the registry, safe to touch).
-struct tls_table {
-  std::vector<tls_entry> entries;
-
-  ~tls_table() {
-    const std::scoped_lock lock(liveness_mutex());
-    for (const tls_entry& e : entries) {
-      if (live_registries().count(e.registry_id) != 0) {
-        e.sh->in_use.store(false, std::memory_order_release);
-      }
-    }
-  }
-};
-
-thread_local tls_table tls;
+/// This thread's shard of the registry.
+thread_local detail::parking<shard> tls_shard;
 
 bool valid_metric_name(std::string_view name) {
   if (name.empty()) return false;
@@ -223,7 +178,6 @@ snapshot snapshot::prefixed(const std::string& prefix) const {
 }
 
 struct registry::state {
-  const std::uint64_t id = next_registry_id();
   mutable std::mutex mu;  ///< Registration, shard list, scrape.
   block_array<metric_meta> metas;  ///< Slots < meta_count are immutable.
   std::atomic<std::size_t> meta_count{0};
@@ -297,42 +251,14 @@ struct registry::state {
   /// This thread's shard, adopted (from a parked one) or created on
   /// first touch.
   shard& local() {
-    for (const tls_entry& e : tls.entries) {
-      if (e.registry_id == id) return *e.sh;
-    }
-    shard* mine = nullptr;
-    {
-      const std::scoped_lock lock(mu);
-      for (const auto& s : shards) {
-        bool expected = false;
-        if (s->in_use.compare_exchange_strong(expected, true,
-                                              std::memory_order_acq_rel)) {
-          mine = s.get();
-          break;
-        }
-      }
-      if (mine == nullptr) {
-        shards.push_back(std::make_unique<shard>());
-        mine = shards.back().get();
-      }
-    }
-    tls.entries.push_back(tls_entry{id, mine});
-    return *mine;
+    if (tls_shard.slot != nullptr) return *tls_shard.slot;
+    const std::scoped_lock lock(mu);
+    return detail::adopt_or_make(tls_shard, shards,
+                                 [] { return std::make_unique<shard>(); });
   }
 };
 
-registry::registry() : st_(std::make_unique<state>()) {
-  const std::scoped_lock lock(liveness_mutex());
-  live_registries().insert(st_->id);
-}
-
-registry::~registry() {
-  {
-    const std::scoped_lock lock(liveness_mutex());
-    live_registries().erase(st_->id);
-  }
-  // From here no thread-exit parks into our shards; st_ tears down freely.
-}
+registry::registry() : st_(std::make_unique<state>()) {}
 
 std::size_t registry::counter(std::string_view name) {
   return st_->register_metric(name, metric_kind::counter, {});
@@ -430,8 +356,8 @@ snapshot registry::scrape() const {
 }
 
 registry& registry::global() {
-  static registry instance;
-  return instance;
+  static registry* const instance = new registry;  // never destroyed
+  return *instance;
 }
 
 }  // namespace bsched::obs

@@ -11,8 +11,8 @@
 //
 // Counters and histograms write to thread-local *shards*: each thread
 // owns a block of plain-store atomic cells, so the hot increment path is
-// one TLS lookup plus one relaxed load/store — no shared cache line, no
-// lock, and exact (each cell has a single writer). scrape() folds every
+// one thread-local pointer load plus one relaxed load/store — no shared
+// cache line, no lock, and exact (each cell has a single writer). scrape() folds every
 // shard under the registry mutex; shards of exited threads are parked
 // and reused (their counts persist), so folding N threads x M increments
 // yields exactly N*M. Registration is idempotent by name and its order
@@ -89,15 +89,14 @@ struct snapshot {
   friend bool operator==(const snapshot&, const snapshot&) = default;
 };
 
-/// The metric registry. Typically used through registry::global() (the
-/// process-wide instance every obs macro targets); tests construct their
-/// own. Registration returns a dense id consumed by add/set/observe.
+/// The metric registry: one per process, registry::global(), which every
+/// obs macro targets. Registration returns a dense id consumed by
+/// add/set/observe.
 class registry {
  public:
-  registry();
-  ~registry();
   registry(const registry&) = delete;
   registry& operator=(const registry&) = delete;
+  ~registry() = delete;  // built once, never destroyed
 
   /// Register-or-look-up by name (idempotent; throws bsched::error when
   /// the name is already taken by another kind, is empty, or contains
@@ -118,10 +117,12 @@ class registry {
   /// Folds every shard into a consistent snapshot.
   [[nodiscard]] snapshot scrape() const;
 
-  /// The process-wide registry behind the obs macros.
+  /// The process's registry, built on first use. It is never destroyed,
+  /// so a thread may exit (parking its shard) at any time.
   static registry& global();
 
  private:
+  registry();
   struct state;
   std::unique_ptr<state> st_;
 };
@@ -129,17 +130,15 @@ class registry {
 namespace detail {
 
 // The instrumentation-side handles the obs macros expand to. They cache
-// the (registry, id) pair in a function-local static, so a hot site pays
-// one static-init guard load plus the shard increment. Direct use
-// outside src/obs is a lint finding (obs-discipline) — include
+// the global registry and the metric id in a function-local static, so a
+// hot site pays one static-init guard load plus the shard increment.
+// Direct use outside src/obs is a lint finding (obs-discipline) — include
 // obs/obs.hpp and use the macros instead.
 
 class counter_handle {
  public:
   explicit counter_handle(std::string_view name)
       : reg_(&registry::global()), id_(reg_->counter(name)) {}
-  counter_handle(registry& reg, std::string_view name)
-      : reg_(&reg), id_(reg.counter(name)) {}
   void add(std::uint64_t delta = 1) const { reg_->add(id_, delta); }
 
  private:
@@ -151,8 +150,6 @@ class gauge_handle {
  public:
   explicit gauge_handle(std::string_view name)
       : reg_(&registry::global()), id_(reg_->gauge(name)) {}
-  gauge_handle(registry& reg, std::string_view name)
-      : reg_(&reg), id_(reg.gauge(name)) {}
   void set(double value) const { reg_->set(id_, value); }
 
  private:
@@ -165,9 +162,6 @@ class histogram_handle {
   histogram_handle(std::string_view name, std::vector<double> bounds)
       : reg_(&registry::global()),
         id_(reg_->histogram(name, std::move(bounds))) {}
-  histogram_handle(registry& reg, std::string_view name,
-                   std::vector<double> bounds)
-      : reg_(&reg), id_(reg.histogram(name, std::move(bounds))) {}
   void observe(double value) const { reg_->observe(id_, value); }
 
  private:

@@ -10,8 +10,8 @@
 // hooks allocate nothing once their site has registered: the registry's
 // id and kind checks build their error messages only when they throw
 // (tests/test_alloc.cpp pins the count at zero). bench_micro's
-// bm_counter_add measures one counter hook at ~14 ns on a 4-core x86-64
-// Xeon, Release build.
+// bm_counter_add measures one counter hook at 6.5-11 ns on a 4-core x86-64
+// box, Release build.
 //
 //   macro                          BSCHED_OBS=ON            OFF
 //   ------------------------------ ------------------------ ------------
@@ -60,10 +60,8 @@
 /// Declares `var`, an RAII span on tracer::global(). Forms:
 ///   BSCHED_TRACE_SPAN(var, "name");
 ///   BSCHED_TRACE_SPAN(var, "name", parent_id);
-#define BSCHED_TRACE_SPAN(var, ...)                                          \
-  [[maybe_unused]] ::bsched::obs::detail::span var {                         \
-    ::bsched::obs::tracer::global(), __VA_ARGS__                             \
-  }
+#define BSCHED_TRACE_SPAN(var, ...) \
+  [[maybe_unused]] ::bsched::obs::detail::span var { __VA_ARGS__ }
 
 #else  // BSCHED_OBS=OFF: hooks vanish; arguments are never evaluated.
 

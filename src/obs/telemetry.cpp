@@ -1,14 +1,11 @@
 #include "obs/telemetry.hpp"
 
 #include <algorithm>
-#include <istream>
 #include <optional>
-#include <ostream>
 #include <sstream>
 #include <string_view>
 #include <vector>
 
-#include "util/error.hpp"
 #include "util/text.hpp"
 #include "util/wire.hpp"
 
@@ -21,7 +18,8 @@ constexpr int telemetry_version = 1;
 
 }  // namespace
 
-void encode_telemetry(const snapshot& snap, std::ostream& out) {
+std::string encode_telemetry_str(const snapshot& snap) {
+  std::ostringstream out;
   out << "bsched-telemetry v" << telemetry_version << '\n';
 
   std::vector<const counter_sample*> counters;
@@ -55,12 +53,6 @@ void encode_telemetry(const snapshot& snap, std::ostream& out) {
   }
 
   out << "end\n";
-  require(out.good(), "obs: telemetry sink write failed");
-}
-
-std::string encode_telemetry_str(const snapshot& snap) {
-  std::ostringstream out;
-  encode_telemetry(snap, out);
   return out.str();
 }
 
@@ -76,10 +68,6 @@ void append_sorted(const wire::reader& r, std::vector<Sample>& kind, Sample s) {
 }
 
 }  // namespace
-
-snapshot decode_telemetry(std::istream& in) {
-  return decode_telemetry_str(wire::read_all(in));
-}
 
 snapshot decode_telemetry_str(const std::string& text) {
   wire::reader r{text, "obs: telemetry"};

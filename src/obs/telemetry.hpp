@@ -22,24 +22,18 @@
 // text after "end" throw bsched::error naming the line.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "obs/metrics.hpp"
 
 namespace bsched::obs {
 
-/// Writes `snap` to `out` in the format above (sorted within kinds).
-void encode_telemetry(const snapshot& snap, std::ostream& out);
-
-/// encode_telemetry into a string (heartbeat bodies).
+/// Encodes `snap` in the format above (sorted within kinds): heartbeat
+/// bodies and the exposition file.
 [[nodiscard]] std::string encode_telemetry_str(const snapshot& snap);
 
-/// Strict inverse of encode_telemetry; throws bsched::error on any
+/// Strict inverse of encode_telemetry_str; throws bsched::error on any
 /// deviation from the format.
-[[nodiscard]] snapshot decode_telemetry(std::istream& in);
-
-/// decode_telemetry from a string (heartbeat bodies).
 [[nodiscard]] snapshot decode_telemetry_str(const std::string& text);
 
 }  // namespace bsched::obs

@@ -6,19 +6,18 @@
 #include <cstdio>
 #include <mutex>
 #include <ostream>
-#include <set>
 #include <utility>
 
+#include "obs/thread_slot.hpp"
 #include "util/error.hpp"
 
 namespace bsched::obs {
 
 namespace detail {
 
-/// One thread's bounded span ring plus its open-span stack. Owned by the
-/// tracer; bound to one live thread at a time (in_use handoff, same
-/// parking/adoption protocol as the metrics shards) so buf writes have a
-/// single writer. The mutex only arbitrates push vs drain.
+/// One thread's bounded span ring plus its open-span stack: a slot of
+/// obs/thread_slot.hpp, so buf writes have a single writer. The mutex
+/// only arbitrates push vs drain.
 struct trace_ring {
   std::atomic<bool> in_use{true};
   std::uint64_t tid = 0;       ///< 1-based thread slot (stable per ring).
@@ -48,40 +47,11 @@ namespace {
 
 using detail::trace_ring;
 
-std::mutex& liveness_mutex() {
-  static std::mutex mu;
-  return mu;
-}
+/// Completed spans each thread's ring holds between drains.
+constexpr std::size_t kRingCapacity = 4096;
 
-std::set<std::uint64_t>& live_tracers() {
-  static std::set<std::uint64_t> live;
-  return live;
-}
-
-std::uint64_t next_tracer_id() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-struct tls_entry {
-  std::uint64_t tracer_id = 0;
-  trace_ring* ring = nullptr;
-};
-
-struct tls_table {
-  std::vector<tls_entry> entries;
-
-  ~tls_table() {
-    const std::scoped_lock lock(liveness_mutex());
-    for (const tls_entry& e : entries) {
-      if (live_tracers().count(e.tracer_id) != 0) {
-        e.ring->in_use.store(false, std::memory_order_release);
-      }
-    }
-  }
-};
-
-thread_local tls_table tls;
+/// This thread's ring of the tracer.
+thread_local detail::parking<trace_ring> tls_ring;
 
 std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -112,56 +82,26 @@ void json_escape(const std::string& s, std::ostream& out) {
 }  // namespace
 
 struct tracer::state {
-  const std::uint64_t id = next_tracer_id();
-  const std::size_t capacity;
   const std::int64_t epoch_ns = steady_now_ns();
   std::atomic<bool> enabled{false};
   std::atomic<std::uint64_t> next_span{1};
   std::mutex mu;  ///< Ring list.
   std::vector<std::unique_ptr<trace_ring>> rings;
 
-  explicit state(std::size_t cap) : capacity(cap) {}
-
   trace_ring& local() {
-    for (const tls_entry& e : tls.entries) {
-      if (e.tracer_id == id) return *e.ring;
-    }
-    trace_ring* mine = nullptr;
-    {
-      const std::scoped_lock lock(mu);
-      for (const auto& r : rings) {
-        bool expected = false;
-        if (r->in_use.compare_exchange_strong(expected, true,
-                                              std::memory_order_acq_rel)) {
-          mine = r.get();
-          break;
-        }
-      }
-      if (mine == nullptr) {
-        auto ring = std::make_unique<trace_ring>();
-        ring->tid = rings.size() + 1;
-        ring->epoch_ns = epoch_ns;
-        ring->buf.resize(capacity);
-        rings.push_back(std::move(ring));
-        mine = rings.back().get();
-      }
-    }
-    tls.entries.push_back(tls_entry{id, mine});
-    return *mine;
+    if (tls_ring.slot != nullptr) return *tls_ring.slot;
+    const std::scoped_lock lock(mu);
+    return detail::adopt_or_make(tls_ring, rings, [this] {
+      auto ring = std::make_unique<trace_ring>();
+      ring->tid = rings.size() + 1;
+      ring->epoch_ns = epoch_ns;
+      ring->buf.resize(kRingCapacity);
+      return ring;
+    });
   }
 };
 
-tracer::tracer(std::size_t ring_capacity)
-    : st_(std::make_unique<state>(ring_capacity)) {
-  require(ring_capacity > 0, "obs: tracer ring capacity must be positive");
-  const std::scoped_lock lock(liveness_mutex());
-  live_tracers().insert(st_->id);
-}
-
-tracer::~tracer() {
-  const std::scoped_lock lock(liveness_mutex());
-  live_tracers().erase(st_->id);
-}
+tracer::tracer() : st_(std::make_unique<state>()) {}
 
 void tracer::enable(bool on) noexcept {
   st_->enabled.store(on, std::memory_order_release);
@@ -194,8 +134,8 @@ std::uint64_t tracer::dropped() const {
 }
 
 tracer& tracer::global() {
-  static tracer instance;
-  return instance;
+  static tracer* const instance = new tracer;  // never destroyed
+  return *instance;
 }
 
 void write_chrome_trace(const std::vector<span_record>& spans,
@@ -223,22 +163,23 @@ void write_chrome_trace(const std::vector<span_record>& spans,
 
 namespace detail {
 
-span::span(tracer& t, const char* name) : name_(name) {
-  if (!t.st_->enabled.load(std::memory_order_relaxed)) return;
-  trace_ring& ring = t.st_->local();
+span::span(const char* name) : name_(name) {
+  tracer::state& t = *tracer::global().st_;
+  if (!t.enabled.load(std::memory_order_relaxed)) return;
+  trace_ring& ring = t.local();
   ring_ = &ring;
-  id_ = t.st_->next_span.fetch_add(1, std::memory_order_relaxed);
+  id_ = t.next_span.fetch_add(1, std::memory_order_relaxed);
   parent_ = ring.stack.empty() ? 0 : ring.stack.back();
   ring.stack.push_back(id_);
   start_ns_ = steady_now_ns() - ring.epoch_ns;
 }
 
-span::span(tracer& t, const char* name, std::uint64_t parent)
-    : name_(name) {
-  if (!t.st_->enabled.load(std::memory_order_relaxed)) return;
-  trace_ring& ring = t.st_->local();
+span::span(const char* name, std::uint64_t parent) : name_(name) {
+  tracer::state& t = *tracer::global().st_;
+  if (!t.enabled.load(std::memory_order_relaxed)) return;
+  trace_ring& ring = t.local();
   ring_ = &ring;
-  id_ = t.st_->next_span.fetch_add(1, std::memory_order_relaxed);
+  id_ = t.next_span.fetch_add(1, std::memory_order_relaxed);
   parent_ = parent;
   ring.stack.push_back(id_);
   start_ns_ = steady_now_ns() - ring.epoch_ns;

@@ -43,18 +43,16 @@ class span;
 struct trace_ring;
 }  // namespace detail
 
-/// Owns the per-thread span rings. Usually tracer::global(); tests make
-/// their own.
+/// Owns the per-thread span rings: one per process, tracer::global().
+/// Each ring holds the 4096 most recent spans completed on its thread
+/// since the last drain; overflow drops the oldest.
 class tracer {
  public:
-  /// `ring_capacity` bounds each thread's ring (completed spans held
-  /// between drains); overflow drops oldest.
-  explicit tracer(std::size_t ring_capacity = 4096);
-  ~tracer();
   tracer(const tracer&) = delete;
   tracer& operator=(const tracer&) = delete;
+  ~tracer() = delete;  // built once, never destroyed
 
-  /// Starts (or stops) recording spans; a new tracer starts disabled.
+  /// Starts (or stops) recording spans; the tracer starts disabled.
   void enable(bool on) noexcept;
 
   /// Collects and clears every ring: completed spans in per-thread
@@ -64,10 +62,13 @@ class tracer {
   /// Cumulative count of records lost to ring overflow ("dropped_spans").
   [[nodiscard]] std::uint64_t dropped() const;
 
-  /// The process-wide tracer behind BSCHED_TRACE_SPAN.
+  /// The process's tracer behind BSCHED_TRACE_SPAN, built on first use.
+  /// It is never destroyed, so a thread may exit (parking its ring) at
+  /// any time.
   static tracer& global();
 
  private:
+  tracer();
   friend class detail::span;
   struct state;
   std::unique_ptr<state> st_;
@@ -82,14 +83,14 @@ void write_chrome_trace(const std::vector<span_record>& spans,
 
 namespace detail {
 
-/// The RAII span the BSCHED_TRACE_SPAN macro expands to. Inert when the
-/// tracer is disabled at construction. Spans on one thread must nest
-/// (scoped lifetimes guarantee this); cross-thread children link via the
-/// explicit-parent constructor.
+/// The RAII span the BSCHED_TRACE_SPAN macro expands to, recorded on
+/// tracer::global(). Inert when the tracer is disabled at construction.
+/// Spans on one thread must nest (scoped lifetimes guarantee this);
+/// cross-thread children link via the explicit-parent constructor.
 class span {
  public:
-  span(tracer& t, const char* name);
-  span(tracer& t, const char* name, std::uint64_t parent);
+  explicit span(const char* name);
+  span(const char* name, std::uint64_t parent);
   ~span();
   span(const span&) = delete;
   span& operator=(const span&) = delete;

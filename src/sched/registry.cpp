@@ -33,10 +33,6 @@ void registry::add(std::string name, factory make) {
   factories_[std::move(name)] = std::move(make);
 }
 
-bool registry::contains(const std::string& name) const {
-  return factories_.contains(name);
-}
-
 std::unique_ptr<policy> registry::make(const std::string& spec_text) const {
   return make(parse_spec(spec_text));
 }

@@ -35,9 +35,6 @@ class registry {
   /// "random:seed=N" does.
   void add(std::string name, factory make);
 
-  /// True when `name` (the bare name, no parameters) is registered.
-  [[nodiscard]] bool contains(const std::string& name) const;
-
   /// Constructs a policy from "name" or "name:key=value,...".
   /// Throws bsched::error on unknown names or malformed parameters.
   [[nodiscard]] std::unique_ptr<policy> make(

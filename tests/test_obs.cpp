@@ -1,6 +1,7 @@
 // The observability layer (src/obs): exact concurrent counter folds,
 // documented histogram bucket semantics, deterministic scrapes, span
-// ring overflow, the "bsched-telemetry v1" wire format, the monotonic
+// ring overflow, shards and rings outliving their threads, the
+// "bsched-telemetry v1" wire format, the monotonic
 // clock seam — and the fleet acceptance property: a 3-worker loopback
 // sweep whose coordinator telemetry's per-worker item counters sum
 // exactly to the sweep's (cell, replication) item count.
@@ -9,9 +10,12 @@
 #include <cstdint>
 #include <future>
 #include <latch>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/engine.hpp"
@@ -30,12 +34,48 @@ namespace bsched::obs {
 namespace {
 
 // ---------------------------------------------------------------- metrics
+//
+// The registry and the tracer are process singletons shared with every
+// other test in this binary, so each test names its metrics uniquely and
+// checks scrape deltas, not absolute values.
+
+/// What `after` adds to `before`, for the metrics whose names start with
+/// `prefix`, in `after`'s order: counters and histogram buckets and sums
+/// subtract, gauges keep `after`'s value. A metric absent from `before`
+/// counts from zero.
+snapshot delta(const snapshot& before, const snapshot& after,
+               std::string_view prefix) {
+  snapshot out;
+  for (counter_sample c : after.counters) {
+    if (!c.name.starts_with(prefix)) continue;
+    for (const counter_sample& b : before.counters) {
+      if (b.name == c.name) c.value -= b.value;
+    }
+    out.counters.push_back(std::move(c));
+  }
+  for (const gauge_sample& g : after.gauges) {
+    if (g.name.starts_with(prefix)) out.gauges.push_back(g);
+  }
+  for (histogram_sample h : after.histograms) {
+    if (!h.name.starts_with(prefix)) continue;
+    for (const histogram_sample& b : before.histograms) {
+      if (b.name != h.name) continue;
+      for (std::size_t i = 0; i < h.buckets.size(); ++i) {
+        h.buckets[i] -= b.buckets[i];
+      }
+      h.sum -= b.sum;
+    }
+    out.histograms.push_back(std::move(h));
+  }
+  return out;
+}
 
 TEST(ObsMetrics, ConcurrentIncrementsFoldExactly) {
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kIncrements = 10000;
-  registry reg;
-  const std::size_t id = reg.counter("test.increments_total");
+  registry& reg = registry::global();
+  const std::size_t id = reg.counter("test.fold.increments_total");
+  const snapshot before = reg.scrape();
   std::vector<std::thread> pool;
   pool.reserve(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t) {
@@ -45,9 +85,9 @@ TEST(ObsMetrics, ConcurrentIncrementsFoldExactly) {
   }
   for (auto& th : pool) th.join();
 
-  const snapshot snap = reg.scrape();
+  const snapshot snap = delta(before, reg.scrape(), "test.fold.");
   ASSERT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.counters[0].name, "test.increments_total");
+  EXPECT_EQ(snap.counters[0].name, "test.fold.increments_total");
   // The acceptance property of the sharded design: N threads x M
   // increments fold to exactly N*M — no lost updates, ever.
   EXPECT_EQ(snap.counters[0].value, kThreads * kIncrements);
@@ -56,8 +96,9 @@ TEST(ObsMetrics, ConcurrentIncrementsFoldExactly) {
 TEST(ObsMetrics, ConcurrentHistogramObservationsFoldExactly) {
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kObservations = 5000;
-  registry reg;
-  const std::size_t id = reg.histogram("test.values", {1.0, 2.0});
+  registry& reg = registry::global();
+  const std::size_t id = reg.histogram("test.fold_hist.values", {1.0, 2.0});
+  const snapshot before = reg.scrape();
   std::vector<std::thread> pool;
   pool.reserve(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t) {
@@ -69,7 +110,7 @@ TEST(ObsMetrics, ConcurrentHistogramObservationsFoldExactly) {
   }
   for (auto& th : pool) th.join();
 
-  const snapshot snap = reg.scrape();
+  const snapshot snap = delta(before, reg.scrape(), "test.fold_hist.");
   ASSERT_EQ(snap.histograms.size(), 1u);
   const histogram_sample& h = snap.histograms[0];
   EXPECT_EQ(h.count(), kThreads * kObservations);
@@ -80,9 +121,27 @@ TEST(ObsMetrics, ConcurrentHistogramObservationsFoldExactly) {
   EXPECT_DOUBLE_EQ(h.sum, 1.5 * static_cast<double>(kThreads * kObservations));
 }
 
+TEST(ObsMetrics, ShortLivedThreadsKeepTheirCounts) {
+  // Each thread binds a shard on its first add and parks it on exit; the
+  // next thread adopts the parked shard. What an exited thread counted
+  // stays in the fold, however many threads come and go.
+  registry& reg = registry::global();
+  const std::size_t id = reg.counter("test.churn.adds_total");
+  const snapshot before = reg.scrape();
+  std::uint64_t expected = 0;
+  for (std::uint64_t t = 1; t <= 16; ++t) {
+    std::thread([&reg, id, t] { reg.add(id, t); }).join();
+    expected += t;
+    const snapshot snap = delta(before, reg.scrape(), "test.churn.");
+    ASSERT_EQ(snap.counters.size(), 1u);
+    EXPECT_EQ(snap.counters[0].value, expected) << "after thread " << t;
+  }
+}
+
 TEST(ObsMetrics, HistogramBucketBoundariesAreClosedAbove) {
-  registry reg;
-  const std::size_t id = reg.histogram("test.bounds", {1.0, 10.0});
+  registry& reg = registry::global();
+  const std::size_t id = reg.histogram("test.bounds.hist", {1.0, 10.0});
+  const snapshot before = reg.scrape();
   // (-inf, 1], (1, 10], (10, +inf) — a value equal to a bound lands in
   // that bound's bucket, just above goes to the next.
   reg.observe(id, 0.5);
@@ -91,7 +150,7 @@ TEST(ObsMetrics, HistogramBucketBoundariesAreClosedAbove) {
   reg.observe(id, 10.0);
   reg.observe(id, 10.5);
 
-  const snapshot snap = reg.scrape();
+  const snapshot snap = delta(before, reg.scrape(), "test.bounds.");
   ASSERT_EQ(snap.histograms.size(), 1u);
   const histogram_sample& h = snap.histograms[0];
   ASSERT_EQ(h.bounds, (std::vector<double>{1.0, 10.0}));
@@ -104,28 +163,28 @@ TEST(ObsMetrics, HistogramBucketBoundariesAreClosedAbove) {
 }
 
 TEST(ObsMetrics, RegistrationIsIdempotentAndValidated) {
-  registry reg;
-  const std::size_t c = reg.counter("kind.counter_total");
-  EXPECT_EQ(reg.counter("kind.counter_total"), c);  // idempotent by name
-  const std::size_t h = reg.histogram("kind.hist", {1.0, 2.0});
-  EXPECT_EQ(reg.histogram("kind.hist", {1.0, 2.0}), h);
+  registry& reg = registry::global();
+  const std::size_t c = reg.counter("test.kind.counter_total");
+  EXPECT_EQ(reg.counter("test.kind.counter_total"), c);  // idempotent
+  const std::size_t h = reg.histogram("test.kind.hist", {1.0, 2.0});
+  EXPECT_EQ(reg.histogram("test.kind.hist", {1.0, 2.0}), h);
 
   // Cross-kind name clashes, bad names and bad bounds are errors.
-  EXPECT_THROW((void)reg.gauge("kind.counter_total"), error);
-  EXPECT_THROW((void)reg.counter("kind.hist"), error);
+  EXPECT_THROW((void)reg.gauge("test.kind.counter_total"), error);
+  EXPECT_THROW((void)reg.counter("test.kind.hist"), error);
   EXPECT_THROW((void)reg.counter(""), error);
   EXPECT_THROW((void)reg.counter("has space"), error);
-  EXPECT_THROW((void)reg.histogram("kind.hist", {1.0, 3.0}), error);
-  EXPECT_THROW((void)reg.histogram("kind.hist2", {}), error);
-  EXPECT_THROW((void)reg.histogram("kind.hist3", {2.0, 1.0}), error);
+  EXPECT_THROW((void)reg.histogram("test.kind.hist", {1.0, 3.0}), error);
+  EXPECT_THROW((void)reg.histogram("test.kind.hist2", {}), error);
+  EXPECT_THROW((void)reg.histogram("test.kind.hist3", {2.0, 1.0}), error);
 }
 
 TEST(ObsMetrics, WrongKindUseThrowsWithTheMetricName) {
   // The hooks' per-call checks build their messages only on failure;
   // the text itself is unchanged.
-  registry reg;
-  const std::size_t c = reg.counter("kind.counter_total");
-  const std::size_t g = reg.gauge("kind.gauge");
+  registry& reg = registry::global();
+  const std::size_t c = reg.counter("test.misuse.counter_total");
+  const std::size_t g = reg.gauge("test.misuse.gauge");
   const auto message = [](auto use) -> std::string {
     try {
       use();
@@ -135,47 +194,45 @@ TEST(ObsMetrics, WrongKindUseThrowsWithTheMetricName) {
     return "";
   };
   EXPECT_EQ(message([&] { reg.set(c, 1.0); }),
-            "obs: metric 'kind.counter_total' used as the wrong kind");
+            "obs: metric 'test.misuse.counter_total' used as the wrong kind");
   EXPECT_EQ(message([&] { reg.add(g); }),
-            "obs: metric 'kind.gauge' used as the wrong kind");
+            "obs: metric 'test.misuse.gauge' used as the wrong kind");
   EXPECT_EQ(message([&] { reg.observe(c, 1.0); }),
-            "obs: metric 'kind.counter_total' used as the wrong kind");
-  EXPECT_EQ(message([&] { reg.add(99); }), "obs: metric id out of range");
+            "obs: metric 'test.misuse.counter_total' used as the wrong kind");
+  EXPECT_EQ(message([&] { reg.add(std::numeric_limits<std::size_t>::max()); }),
+            "obs: metric id out of range");
 }
 
 TEST(ObsMetrics, ScrapeIsDeterministic) {
-  registry reg;
-  reg.add(reg.counter("b.counter_total"), 3);
-  reg.add(reg.counter("a.counter_total"), 1);
-  reg.set(reg.gauge("z.gauge"), 2.5);
-  reg.observe(reg.histogram("m.hist", {1.0}), 0.5);
+  registry& reg = registry::global();
+  reg.add(reg.counter("test.scrape.b.counter_total"), 3);
+  reg.add(reg.counter("test.scrape.a.counter_total"), 1);
+  reg.set(reg.gauge("test.scrape.z.gauge"), 2.5);
+  reg.observe(reg.histogram("test.scrape.m.hist", {1.0}), 0.5);
 
   const snapshot first = reg.scrape();
   const snapshot second = reg.scrape();
   EXPECT_EQ(first, second);
   // First-registration order, not name order, in the snapshot...
-  ASSERT_EQ(first.counters.size(), 2u);
-  EXPECT_EQ(first.counters[0].name, "b.counter_total");
-  EXPECT_EQ(first.counters[1].name, "a.counter_total");
+  const snapshot mine = delta({}, first, "test.scrape.");
+  ASSERT_EQ(mine.counters.size(), 2u);
+  EXPECT_EQ(mine.counters[0].name, "test.scrape.b.counter_total");
+  EXPECT_EQ(mine.counters[1].name, "test.scrape.a.counter_total");
   // ...and byte-identical expositions (which sort by name).
   EXPECT_EQ(encode_telemetry_str(first), encode_telemetry_str(second));
 }
 
 TEST(ObsMetrics, SnapshotMergeAndPrefix) {
-  registry a;
-  a.add(a.counter("shared_total"), 2);
-  a.add(a.counter("only_a_total"), 1);
-  a.set(a.gauge("g"), 1.0);
-  a.observe(a.histogram("h", {1.0}), 0.5);
+  // Two processes' scrapes, as the coordinator folds worker snapshots.
+  const snapshot a{.counters = {{"shared_total", 2}, {"only_a_total", 1}},
+                   .gauges = {{"g", 1.0}},
+                   .histograms = {{"h", {1.0}, {1, 0}, 0.5}}};
+  const snapshot b{.counters = {{"shared_total", 5}, {"only_b_total", 7}},
+                   .gauges = {{"g", 9.0}},
+                   .histograms = {{"h", {1.0}, {0, 1}, 2.0}}};
 
-  registry b;
-  b.add(b.counter("shared_total"), 5);
-  b.add(b.counter("only_b_total"), 7);
-  b.set(b.gauge("g"), 9.0);
-  b.observe(b.histogram("h", {1.0}), 2.0);
-
-  snapshot merged = a.scrape();
-  merged.merge(b.scrape());
+  snapshot merged = a;
+  merged.merge(b);
   ASSERT_EQ(merged.counters.size(), 3u);
   EXPECT_EQ(merged.counters[0].value, 7u);  // shared: 2 + 5
   EXPECT_EQ(merged.counters[1].value, 1u);
@@ -189,11 +246,12 @@ TEST(ObsMetrics, SnapshotMergeAndPrefix) {
   EXPECT_EQ(merged.histograms[0].buckets[1], 1u);
   EXPECT_DOUBLE_EQ(merged.histograms[0].sum, 2.5);
   // Mismatched bounds cannot be folded.
-  registry c;
-  c.observe(c.histogram("h", {2.0}), 0.5);
-  EXPECT_THROW(merged.merge(c.scrape()), error);
+  const snapshot c{.counters = {},
+                   .gauges = {},
+                   .histograms = {{"h", {2.0}, {1, 0}, 0.5}}};
+  EXPECT_THROW(merged.merge(c), error);
 
-  const snapshot named = a.scrape().prefixed("worker.w0.");
+  const snapshot named = a.prefixed("worker.w0.");
   EXPECT_EQ(named.counters[0].name, "worker.w0.shared_total");
   EXPECT_EQ(named.gauges[0].name, "worker.w0.g");
   EXPECT_EQ(named.histograms[0].name, "worker.w0.h");
@@ -202,16 +260,18 @@ TEST(ObsMetrics, SnapshotMergeAndPrefix) {
 // -------------------------------------------------------------- telemetry
 
 TEST(ObsTelemetry, RoundTripsThroughTheWireFormat) {
-  registry reg;
-  reg.add(reg.counter("c.one_total"), 42);
-  reg.set(reg.gauge("g.pi"), 3.141592653589793);
-  reg.set(reg.gauge("g.tiny"), 1e-300);
-  const std::size_t h = reg.histogram("h.lat", {0.001, 0.1, 10.0});
+  registry& reg = registry::global();
+  const std::size_t c = reg.counter("test.wire.c.one_total");
+  const std::size_t h = reg.histogram("test.wire.h.lat", {0.001, 0.1, 10.0});
+  const snapshot before = reg.scrape();
+  reg.add(c, 42);
+  reg.set(reg.gauge("test.wire.g.pi"), 3.141592653589793);
+  reg.set(reg.gauge("test.wire.g.tiny"), 1e-300);
   reg.observe(h, 0.0005);
   reg.observe(h, 0.05);
   reg.observe(h, 1e6);
 
-  const snapshot snap = reg.scrape();
+  const snapshot snap = delta(before, reg.scrape(), "test.wire.");
   const std::string wire = encode_telemetry_str(snap);
   EXPECT_TRUE(wire.starts_with("bsched-telemetry v1\n"));
   const snapshot back = decode_telemetry_str(wire);
@@ -304,30 +364,35 @@ TEST(ObsTelemetry, DecoderSharesTheCodecEdges) {
 }
 
 // ------------------------------------------------------------------ trace
+//
+// Each trace test starts from drained rings and leaves tracing off.
 
 TEST(ObsTrace, DisabledSpansAreInert) {
-  tracer t{8};  // a new tracer starts disabled
+  tracer& t = tracer::global();
+  t.enable(false);
+  (void)t.drain();
+  const std::uint64_t dropped_before = t.dropped();
   {
-    detail::span s{t, "ignored"};
+    detail::span s{"ignored"};
     EXPECT_EQ(s.id(), 0u);
   }
   EXPECT_TRUE(t.drain().empty());
-  EXPECT_EQ(t.dropped(), 0u);
+  EXPECT_EQ(t.dropped(), dropped_before);
 }
 
 TEST(ObsTrace, SpansRecordNestingAndExplicitParents) {
-  tracer t{64};
+  tracer& t = tracer::global();
+  (void)t.drain();
   t.enable(true);
   std::uint64_t outer_id = 0;
   {
-    detail::span outer{t, "outer"};
+    detail::span outer{"outer"};
     outer_id = outer.id();
     ASSERT_NE(outer_id, 0u);
-    { detail::span inner{t, "inner"}; }
+    { detail::span inner{"inner"}; }
     // A cross-thread child links via the explicit-parent constructor.
-    std::thread([&t, outer_id] {
-      detail::span child{t, "remote", outer_id};
-    }).join();
+    std::thread([outer_id] { detail::span child{"remote", outer_id}; })
+        .join();
   }
   t.enable(false);
 
@@ -351,28 +416,53 @@ TEST(ObsTrace, SpansRecordNestingAndExplicitParents) {
   EXPECT_GE(outer.dur_ns, inner.dur_ns);
 }
 
-TEST(ObsTrace, RingOverflowDropsOldest) {
-  tracer t{4};
+TEST(ObsTrace, ShortLivedThreadsReuseOneRing) {
+  // A thread parks its ring on exit and the next thread adopts it, so
+  // sequential threads share one tid and thread churn adds no rings.
+  tracer& t = tracer::global();
+  (void)t.drain();
   t.enable(true);
-  for (int i = 0; i < 6; ++i) {
-    detail::span s{t, i < 2 ? "old" : "new"};
+  for (int i = 0; i < 8; ++i) {
+    std::thread([] { detail::span s{"churn"}; }).join();
   }
   t.enable(false);
 
   const std::vector<span_record> spans = t.drain();
-  ASSERT_EQ(spans.size(), 4u);  // ring capacity
+  ASSERT_EQ(spans.size(), 8u);
+  for (const span_record& s : spans) {
+    EXPECT_EQ(s.name, "churn");
+    EXPECT_EQ(s.tid, spans[0].tid);
+  }
+}
+
+TEST(ObsTrace, RingOverflowDropsOldest) {
+  // A ring holds 4096 spans; k more drop the k oldest.
+  constexpr std::size_t kCapacity = 4096;
+  constexpr std::size_t kExtra = 2;
+  tracer& t = tracer::global();
+  (void)t.drain();
+  const std::uint64_t dropped_before = t.dropped();
+  t.enable(true);
+  for (std::size_t i = 0; i < kCapacity + kExtra; ++i) {
+    detail::span s{i < kExtra ? "old" : "new"};
+  }
+  t.enable(false);
+
+  const std::vector<span_record> spans = t.drain();
+  ASSERT_EQ(spans.size(), kCapacity);  // ring capacity
   for (const auto& s : spans) EXPECT_EQ(s.name, "new");
-  EXPECT_EQ(t.dropped(), 2u);  // the two oldest, counted
+  EXPECT_EQ(t.dropped() - dropped_before, kExtra);  // the oldest, counted
   // drain() clears the rings but dropped() is cumulative.
   EXPECT_TRUE(t.drain().empty());
-  EXPECT_EQ(t.dropped(), 2u);
+  EXPECT_EQ(t.dropped() - dropped_before, kExtra);
 }
 
 TEST(ObsTrace, ChromeTraceExportEscapesAndShapes) {
-  tracer t{8};
+  tracer& t = tracer::global();
+  (void)t.drain();
   t.enable(true);
   {
-    detail::span weird{t, "we\"ird\\name"};
+    detail::span weird{"we\"ird\\name"};
   }
   t.enable(false);
 

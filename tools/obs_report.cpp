@@ -4,7 +4,7 @@
 //   $ ./obs_report --metrics FILE           # "bsched-telemetry v1" file
 //
 // --metrics prints the counters, gauges and histograms of a telemetry
-// exposition file (sweep_serve --metrics-out, or any encode_telemetry
+// exposition file (sweep_serve --metrics-out, or any encode_telemetry_str
 // output). Chrome-trace span exports are summarized by
 // scripts/trace_summary.py (total, mean and self time per span name).
 #include <cstdio>
@@ -16,13 +16,15 @@
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
+#include "util/wire.hpp"
 
 namespace {
 
 int report_metrics(const std::string& path) {
   std::ifstream in{path};
   bsched::require(in.good(), "obs_report: cannot open " + path);
-  const bsched::obs::snapshot snap = bsched::obs::decode_telemetry(in);
+  const bsched::obs::snapshot snap =
+      bsched::obs::decode_telemetry_str(bsched::wire::read_all(in));
 
   if (!snap.counters.empty()) {
     bsched::text_table t{{"counter", "value"}};

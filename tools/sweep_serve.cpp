@@ -154,7 +154,9 @@ int main(int argc, char** argv) {
                        metrics_path.c_str());
           return;
         }
-        obs::encode_telemetry(snap, out);
+        out << obs::encode_telemetry_str(snap) << std::flush;
+        require(out.good(),
+                "sweep_serve: writing " + metrics_path + " failed");
       };
     }
     svc::coordinator coord{tools::demo_sweep(replications), std::move(opts)};
