@@ -1,11 +1,12 @@
 // Engine microbenchmarks (google-benchmark): the hot paths underneath the
 // paper experiments — analytic segment advance, dKiBaM stepping, bank
-// construction, an obs counter hook, draw-rate lookup and load
-// materialization, sweep cell keys, the per-cell statistics fold, policy
-// simulation, a fleet worker's chunk, the optimal search and PTA
-// successor generation.
+// construction, the event-horizon run search, an obs counter hook,
+// draw-rate lookup and load materialization, sweep cell keys, the
+// per-cell statistics fold, policy simulation, a fleet worker's chunk,
+// the optimal search, one search node and PTA successor generation.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <random>
@@ -16,6 +17,7 @@
 #include "api/scenario.hpp"
 #include "api/sweep.hpp"
 #include "dist/shard.hpp"
+#include "kibam/advance.hpp"
 #include "kibam/bank.hpp"
 #include "kibam/discrete.hpp"
 #include "kibam/kibam.hpp"
@@ -156,6 +158,40 @@ void bm_bank_advance_all_repeat(benchmark::State& state) {
 }
 BENCHMARK(bm_bank_advance_all_repeat);
 
+void bm_advance_state_runs(benchmark::State& state) {
+  // One event-horizon advance of a single drawing B1 battery, memo
+  // bypassed: the kernel's run search itself. Inputs vary over 4096
+  // mid-life states (charge, height, recovery timer and discharge clock),
+  // draw rates of 1-3 units every 1-7 steps and step budgets of 1-3000,
+  // so short runs, long runs, recovery-first windows and deaths all mix.
+  const kibam::discretization d{kibam::battery_b1()};
+  struct input {
+    kibam::discrete_state s;
+    load::draw_rate rate;
+    std::int64_t max_steps;
+  };
+  std::mt19937_64 rng{2009};
+  const auto uniform = [&rng](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>{lo, hi}(rng);
+  };
+  std::vector<input> inputs(4096);
+  for (input& in : inputs) {
+    in.rate = {uniform(1, 3), uniform(1, 7)};
+    in.s = kibam::random_live_state(d, in.rate, rng);
+    in.max_steps = uniform(1, 3000);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const input& in = inputs[i];
+    kibam::discrete_state s = in.s;
+    benchmark::DoNotOptimize(
+        kibam::detail::advance_state(d, s, in.rate, in.max_steps));
+    benchmark::DoNotOptimize(s);
+    i = (i + 1) % inputs.size();
+  }
+}
+BENCHMARK(bm_advance_state_runs);
+
 void bm_bank_build(benchmark::State& state) {
   // Discretizing a 2 x B1 bank on the default grid: what every discrete
   // run pays once per (batteries, steps) shape, and what the engine's
@@ -171,8 +207,8 @@ BENCHMARK(bm_bank_build);
 
 void bm_counter_add(benchmark::State& state) {
   // One obs counter hook on a registered counter: the per-call tax every
-  // instrumented kernel pays (a shard add, no allocation; nothing at all
-  // with BSCHED_OBS=OFF).
+  // instrumented kernel pays (an add on the thread's cached cell, no
+  // allocation; nothing at all with BSCHED_OBS=OFF).
   for (auto _ : state) {
     BSCHED_COUNTER_ADD("bench.micro.counter_total", 1);
   }
@@ -365,6 +401,29 @@ void bm_optimal_search(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_optimal_search);
+
+void bm_search_node(benchmark::State& state) {
+  // The Table 5 search that dominates its regeneration: ILl 250 on
+  // 2 x B1, 80 159 nodes. ns_per_node is the cost of one search node
+  // (kernel advances, memo probes, the trajectory bound) averaged over
+  // the whole search.
+  const kibam::discretization d{kibam::battery_b1()};
+  const load::trace t = load::paper_trace(load::test_load::ill_250);
+  double ns = 0;
+  std::uint64_t nodes = 0;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    const opt::optimal_result r = opt::optimal_schedule(d, 2, t);
+    ns += std::chrono::duration<double, std::nano>(
+              std::chrono::steady_clock::now() - start)
+              .count();
+    nodes += r.stats.nodes;
+    benchmark::DoNotOptimize(r.lifetime_min);
+  }
+  state.counters["ns_per_node"] =
+      nodes == 0 ? 0.0 : ns / static_cast<double>(nodes);
+}
+BENCHMARK(bm_search_node);
 
 void bm_ta_successors(benchmark::State& state) {
   const kibam::discretization d{kibam::battery_b1()};

@@ -122,24 +122,37 @@ inline advance_result advance_state(const discretization& d,
     // available charge (1000 u permille per draw), and the recovery timer
     // cannot fire through tick t_j as long as
     //   recovery_elapsed + t_j < recovery_steps(m + u (j-1))
-    // (the left side grows, the right side shrinks with j, so the largest
-    // safe j is found by bisection over the precomputed table).
+    // (the left side grows, the right side shrinks with j, so safety is
+    // monotone in j). Most runs are short, so the largest safe j is found
+    // by galloping from 1 (probing 2, 4, 8, ... up to the cap) and then
+    // bisecting the last bracket over the precomputed table.
     const std::int64_t avail = d.available_permille(s.n, s.m);
     BSCHED_ASSERT(avail > 0);
     const std::int64_t death_j = (avail + 1000 * u - 1) / (1000 * u);
     const std::int64_t rem_j = (rem - dk) / p + 1;
-    std::int64_t cap = std::min(death_j, rem_j);
+    const std::int64_t cap = std::min(death_j, rem_j);
     std::int64_t batch = 1;
     if (armed) {
+      const auto safe = [&](std::int64_t j) {
+        return s.recovery_elapsed + dk + (j - 1) * p <
+               d.recovery_steps(s.m + u * (j - 1));
+      };
       std::int64_t lo = 1;  // safe: dk < recovery horizon was checked above
+      std::int64_t hi = cap + 1;  // the least j known unsafe, or past cap
       while (lo < cap) {
-        const std::int64_t mid = lo + (cap - lo + 1) / 2;
-        const bool safe = s.recovery_elapsed + dk + (mid - 1) * p <
-                          d.recovery_steps(s.m + u * (mid - 1));
-        if (safe) {
+        const std::int64_t j = std::min(2 * lo, cap);
+        if (!safe(j)) {
+          hi = j;
+          break;
+        }
+        lo = j;
+      }
+      while (hi - lo > 1) {
+        const std::int64_t mid = lo + (hi - lo) / 2;
+        if (safe(mid)) {
           lo = mid;
         } else {
-          cap = mid - 1;
+          hi = mid;
         }
       }
       batch = lo;

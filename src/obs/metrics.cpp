@@ -281,12 +281,9 @@ std::size_t registry::histogram(std::string_view name,
                               std::move(bounds));
 }
 
-void registry::add(std::size_t id, std::uint64_t delta) {
+std::atomic<std::uint64_t>& registry::counter_cell(std::size_t id) {
   const metric_meta& meta = st_->meta_of(id, metric_kind::counter);
-  auto& cell = st_->local().cell(meta.cell);
-  // Single writer per shard: a plain load/store pair is an exact add.
-  cell.store(cell.load(std::memory_order_relaxed) + delta,
-             std::memory_order_relaxed);
+  return st_->local().cell(meta.cell);
 }
 
 void registry::set(std::size_t id, double value) {
@@ -307,9 +304,7 @@ void registry::observe(std::size_t id, double value) {
     }
   }
   shard& sh = st_->local();
-  auto& count_cell = sh.cell(meta.cell + bucket);
-  count_cell.store(count_cell.load(std::memory_order_relaxed) + 1,
-                   std::memory_order_relaxed);
+  detail::add(sh.cell(meta.cell + bucket), 1);
   auto& sum_cell = sh.cell(meta.cell + meta.bounds.size() + 1);
   sum_cell.store(double_to_bits(bits_to_double(sum_cell.load(
                                     std::memory_order_relaxed)) +

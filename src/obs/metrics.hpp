@@ -12,7 +12,10 @@
 // Counters and histograms write to thread-local *shards*: each thread
 // owns a block of plain-store atomic cells, so the hot increment path is
 // one thread-local pointer load plus one relaxed load/store — no shared
-// cache line, no lock, and exact (each cell has a single writer). scrape() folds every
+// cache line, no lock, and exact (each cell has a single writer). A cell
+// never moves (shard blocks are never reallocated and the registry is
+// never destroyed), so a counter hook caches its thread's cell pointer
+// and adds to it directly. scrape() folds every
 // shard under the registry mutex; shards of exited threads are parked
 // and reused (their counts persist), so folding N threads x M increments
 // yields exactly N*M. Registration is idempotent by name and its order
@@ -26,6 +29,7 @@
 // Reading sides (scrape, telemetry encoding, tests) use it freely.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -91,7 +95,7 @@ struct snapshot {
 
 /// The metric registry: one per process, registry::global(), which every
 /// obs macro targets. Registration returns a dense id consumed by
-/// add/set/observe.
+/// counter_cell/set/observe.
 class registry {
  public:
   registry(const registry&) = delete;
@@ -107,8 +111,11 @@ class registry {
   /// must repeat the same bounds.
   std::size_t histogram(std::string_view name, std::vector<double> bounds);
 
-  /// Adds to a counter (relaxed, this thread's shard).
-  void add(std::size_t id, std::uint64_t delta = 1);
+  /// This thread's cell of a counter, bound (adopting or making the
+  /// thread's shard) on first use. The cell stays at one address for the
+  /// thread's life, and only this thread writes it: add with a relaxed
+  /// load and store (obs::detail::add).
+  std::atomic<std::uint64_t>& counter_cell(std::size_t id);
   /// Sets a gauge (last write wins across threads).
   void set(std::size_t id, double value);
   /// Records one histogram observation.
@@ -130,16 +137,27 @@ class registry {
 namespace detail {
 
 // The instrumentation-side handles the obs macros expand to. They cache
-// the global registry and the metric id in a function-local static, so a
-// hot site pays one static-init guard load plus the shard increment.
-// Direct use outside src/obs is a lint finding (obs-discipline) — include
+// the global registry and the metric id in a function-local static. A
+// counter site also caches this thread's cell in a thread_local, so a hot
+// counter hook is one thread-local load plus the cell add, and a gauge or
+// histogram hook one static-init guard load plus the store. Direct use
+// outside src/obs is a lint finding (obs-discipline) — include
 // obs/obs.hpp and use the macros instead.
+
+/// Adds to a counter cell. Its one writer is the thread that bound it, so
+/// a relaxed load and store make an exact add.
+inline void add(std::atomic<std::uint64_t>& cell, std::uint64_t delta) {
+  cell.store(cell.load(std::memory_order_relaxed) + delta,
+             std::memory_order_relaxed);
+}
 
 class counter_handle {
  public:
   explicit counter_handle(std::string_view name)
       : reg_(&registry::global()), id_(reg_->counter(name)) {}
-  void add(std::uint64_t delta = 1) const { reg_->add(id_, delta); }
+  [[nodiscard]] std::atomic<std::uint64_t>& cell() const {
+    return reg_->counter_cell(id_);
+  }
 
  private:
   registry* reg_;

@@ -1,6 +1,5 @@
 #include "opt/policies.hpp"
 
-#include <algorithm>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -79,17 +78,18 @@ class lookahead_rollout_policy final : public sched::policy {
       // Score every distinct alive candidate by rollout; duplicates
       // (interchangeable batteries) are provably equal and skipped.
       // Ties break to the first (lowest-index) candidate tried.
+      // Interchangeability is an equivalence (equal type and state), so a
+      // candidate is a duplicate iff an earlier alive one is its twin, and
+      // the earlier candidates themselves stand for the tried set.
       std::optional<std::size_t> best;
       sched::rollout_outcome best_outcome;
-      std::vector<std::size_t> tried;
       for (std::size_t c = 0; c < ctx.batteries.size(); ++c) {
         if (ctx.batteries[c].empty) continue;
-        const bool twin = std::ranges::any_of(
-            tried, [&](std::size_t t) {
-              return ctx.model->interchangeable(t, c);
-            });
+        bool twin = false;
+        for (std::size_t t = 0; t < c && !twin; ++t) {
+          twin = !ctx.batteries[t].empty && ctx.model->interchangeable(t, c);
+        }
         if (twin) continue;
-        tried.push_back(c);
         const sched::rollout_outcome outcome =
             ctx.model->rollout(c, horizon_);
         ++stats_.rollouts;

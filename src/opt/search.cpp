@@ -133,8 +133,19 @@ struct supply_cursor {
 
   /// Supply in units by time `t` >= 0.
   [[nodiscard]] std::int64_t at(std::int64_t t) const {
-    const std::int64_t ticks = mr > 0 ? std::min((re + t) / mr, sat) : 0;
+    const std::int64_t ticks = mr > 0 ? std::min(divide(re + t, mr), sat) : 0;
     return std::min(cap, (avail0 + g * ticks - 1) / 1000 + max_draw);
+  }
+
+  /// x / y for x >= 0, y > 0: a 32-bit divide when both fit, which they
+  /// do on the paper's grids (the walk divides millions of times per
+  /// search, and a 64-bit divide costs several times a 32-bit one).
+  static std::int64_t divide(std::int64_t x, std::int64_t y) {
+    if (((static_cast<std::uint64_t>(x) | static_cast<std::uint64_t>(y)) >>
+         32) == 0) {
+      return static_cast<std::uint32_t>(x) / static_cast<std::uint32_t>(y);
+    }
+    return x / y;
   }
 };
 
@@ -255,7 +266,9 @@ std::int64_t trajectory_walk(const kibam::bank& bank, const grid_load& grid,
 /// key's hash, then the key — and stored inline in one insertion-order
 /// arena of records [frame | packed entry]. An open-addressed index of
 /// entry numbers finds them: linear probing from the hash's low bits,
-/// doubled past load 1/2.
+/// doubled past load 1/2. Beside each index slot sits a 16-bit tag, the
+/// hash's top bits, so a probe reads the arena record only when the tags
+/// agree.
 class memo_table {
  public:
   struct entry {
@@ -269,7 +282,7 @@ class memo_table {
       std::numeric_limits<std::uint32_t>::max();
 
   explicit memo_table(std::size_t key_words)
-      : frame_(1 + key_words), index_(16, k_no_entry) {}
+      : frame_(1 + key_words), index_(16, k_no_entry), tags_(16, 0) {}
 
   /// Words in a key frame: the hash, then `key_words` key words.
   [[nodiscard]] std::size_t frame_words() const noexcept { return frame_; }
@@ -317,6 +330,7 @@ class memo_table {
     std::copy_n(frame, frame_, rec);
     rec[frame_] = pack_entry(e);
     index_[slot] = n;
+    tags_[slot] = tag(frame[0]);
     if (2 * count_ > index_.size()) grow();
   }
 
@@ -330,6 +344,12 @@ class memo_table {
     return {static_cast<std::int64_t>(word >> 1), (word & 1) != 0};
   }
 
+  /// The index tag of a hash: its top 16 bits (the low bits pick the
+  /// probe start, so the two stay independent).
+  static std::uint16_t tag(std::uint64_t hash) noexcept {
+    return static_cast<std::uint16_t>(hash >> 48);
+  }
+
   [[nodiscard]] std::uint64_t* record(std::uint32_t n) noexcept {
     return arena_.data() + std::size_t{n} * (frame_ + 1);
   }
@@ -341,22 +361,35 @@ class memo_table {
   /// probe run (where it would be inserted).
   [[nodiscard]] std::size_t find(const std::uint64_t* frame) const noexcept {
     const std::size_t mask = index_.size() - 1;
+    const std::uint16_t t = tag(frame[0]);
     for (std::size_t i = frame[0] & mask;; i = (i + 1) & mask) {
       const std::uint32_t n = index_[i];
-      if (n == k_no_entry || std::equal(frame, frame + frame_, record(n))) {
-        return i;
-      }
+      if (n == k_no_entry) return i;
+      if (tags_[i] == t && same_frame(frame, record(n))) return i;
     }
+  }
+
+  /// Word-by-word, inline: std::equal over the frame compiles to a
+  /// memcmp call, which costs more than the few words compared.
+  [[nodiscard]] bool same_frame(const std::uint64_t* a,
+                                const std::uint64_t* b) const noexcept {
+    for (std::size_t w = 0; w < frame_; ++w) {
+      if (a[w] != b[w]) return false;
+    }
+    return true;
   }
 
   /// Doubles the index and re-inserts every record from its cached hash.
   void grow() {
     index_.assign(index_.size() * 2, k_no_entry);
+    tags_.assign(index_.size(), 0);
     const std::size_t mask = index_.size() - 1;
     for (std::uint32_t n = 0; n < count_; ++n) {
-      std::size_t i = record(n)[0] & mask;
+      const std::uint64_t hash = record(n)[0];
+      std::size_t i = hash & mask;
       while (index_[i] != k_no_entry) i = (i + 1) & mask;
       index_[i] = n;
+      tags_[i] = tag(hash);
     }
   }
 
@@ -364,6 +397,7 @@ class memo_table {
   std::uint64_t count_ = 0;
   std::vector<std::uint64_t> arena_;   ///< Records in insertion order.
   std::vector<std::uint32_t> index_;   ///< Entry numbers; power-of-two size.
+  std::vector<std::uint16_t> tags_;    ///< tag() of each used index slot.
 };
 
 /// The recursive branch-and-bound over one scratch pool and one memo.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <span>
 
 #include "kibam/scratch.hpp"
 #include "util/error.hpp"
@@ -38,7 +39,8 @@ enum class serve_event {
 //   attach(sim_result&, trace&) — result/forecast wiring at run start;
 //   info()                   — the model_info for the policy binding hook;
 //   now()                    — absolute time in minutes;
-//   views()                  — one battery_view per battery;
+//   views()                  — one battery_view per battery, in a buffer
+//                              the model reuses (valid until the next call);
 //   record_initial()         — the t = 0 trace sample;
 //   idle(epoch)              — advance through an idle epoch;
 //   begin_epoch(epoch, index) — stage job epoch `index` for serving;
@@ -129,18 +131,17 @@ class discrete_model : public model_view {
     return static_cast<double>(step_count_) * t_step_;
   }
 
-  [[nodiscard]] std::vector<battery_view> views() const {
-    std::vector<battery_view> out;
-    out.reserve(states_.size());
+  [[nodiscard]] std::span<const battery_view> views() {
+    views_.resize(states_.size());
     for (std::size_t i = 0; i < states_.size(); ++i) {
       const kibam::discrete_state& s = states_[i];
-      out.push_back(
-          {i, static_cast<double>(s.n) * unit_,
-           static_cast<double>(disc_of(i).available_permille(s.n, s.m)) *
-               unit_ / 1000.0,
-           s.empty});
+      views_[i] = {i, static_cast<double>(s.n) * unit_,
+                   static_cast<double>(
+                       disc_of(i).available_permille(s.n, s.m)) *
+                       unit_ / 1000.0,
+                   s.empty};
     }
-    return out;
+    return views_;
   }
 
   void record_initial() { record(-1); }
@@ -337,6 +338,7 @@ class discrete_model : public model_view {
   const kibam::bank* bank_;
   sim_options opts_;
   std::vector<kibam::discrete_state> states_;
+  std::vector<battery_view> views_;  ///< views()'s buffer.
   sim_result* res_ = nullptr;
   const load::trace* load_ = nullptr;
   double t_step_;
@@ -392,15 +394,14 @@ class continuous_model : public model_view {
 
   [[nodiscard]] double now() const { return now_; }
 
-  [[nodiscard]] std::vector<battery_view> views() const {
-    std::vector<battery_view> out;
-    out.reserve(batteries_.size());
+  [[nodiscard]] std::span<const battery_view> views() {
+    views_.resize(batteries_.size());
     for (std::size_t i = 0; i < batteries_.size(); ++i) {
-      out.push_back({i, states_[i].gamma,
-                     kibam::available_charge(batteries_[i], states_[i]),
-                     empty_[i] != false});
+      views_[i] = {i, states_[i].gamma,
+                   kibam::available_charge(batteries_[i], states_[i]),
+                   empty_[i] != false};
     }
-    return out;
+    return views_;
   }
 
   void record_initial() { record(now_, states_, -1); }
@@ -584,6 +585,7 @@ class continuous_model : public model_view {
   sim_options opts_;
   std::vector<kibam::state> states_;
   std::vector<bool> empty_;
+  std::vector<battery_view> views_;  ///< views()'s buffer.
   sim_result* res_ = nullptr;
   const load::trace* load_ = nullptr;
   double now_ = 0;

@@ -163,6 +163,89 @@ TEST(AdvanceUntil, BitIdenticalToPerTickStepping) {
   }
 }
 
+/// How advance_state's first run of draws from `s` picks its batch: the
+/// cases the run search must get right, classified from the same window
+/// arithmetic (the next-draw tick, the death and remaining-steps caps and
+/// the no-recovery-fire predicate, monotone in the draw count j).
+enum class first_run {
+  other,        ///< No run first: a recovery fire, or no draw in reach.
+  single,       ///< A run capped at one draw.
+  whole_cap,    ///< Armed, and every draw up to the cap is safe.
+  first_probe,  ///< Armed, and draw 2 is already unsafe.
+  bracketed,    ///< Armed, and the largest safe draw is inside the cap.
+  arming,       ///< Unarmed, and the run ends at the draw that arms it.
+  unarmed,      ///< Unarmed, and the cap comes before the arming draw.
+};
+
+first_run classify(const discretization& d, const discrete_state& s,
+                   const load::draw_rate& rate, std::int64_t max_steps) {
+  const std::int64_t p = rate.steps;
+  const std::int64_t u = rate.units;
+  const std::int64_t dk = std::max<std::int64_t>(1, p - s.discharge_elapsed);
+  const bool armed = s.m >= 2;
+  if (armed && std::max<std::int64_t>(1, d.recovery_steps(s.m) -
+                                             s.recovery_elapsed) <=
+                   std::min(max_steps, dk)) {
+    return first_run::other;
+  }
+  if (dk > max_steps) return first_run::other;
+  const std::int64_t avail = d.available_permille(s.n, s.m);
+  const std::int64_t cap = std::min((avail + 1000 * u - 1) / (1000 * u),
+                                    (max_steps - dk) / p + 1);
+  if (!armed) {
+    return (2 - s.m + u - 1) / u <= cap ? first_run::arming
+                                        : first_run::unarmed;
+  }
+  if (cap == 1) return first_run::single;
+  const auto safe = [&](std::int64_t j) {
+    return s.recovery_elapsed + dk + (j - 1) * p <
+           d.recovery_steps(s.m + u * (j - 1));
+  };
+  if (safe(cap)) return first_run::whole_cap;
+  return safe(2) ? first_run::bracketed : first_run::first_probe;
+}
+
+TEST(AdvanceUntil, MidLifeRunsMatchPerTickStepping) {
+  // advance_state from random mid-life states (any charge, height,
+  // recovery timer and discharge clock a live battery can hold) against
+  // per-tick step(). A run of draws ends at the largest draw count before
+  // the next recovery fire, the death draw or the step budget; the draws
+  // cover every way that search can end, and the test checks that each
+  // one came up.
+  std::vector<std::size_t> seen(7, 0);
+  for (const auto& params : {battery_b1(), battery_b2()}) {
+    const discretization d{params};
+    std::mt19937_64 rng{0xd1ff + static_cast<std::uint64_t>(d.total_units())};
+    const auto uniform = [&rng](std::int64_t lo, std::int64_t hi) {
+      return std::uniform_int_distribution<std::int64_t>{lo, hi}(rng);
+    };
+    for (int trial = 0; trial < 4000; ++trial) {
+      const load::draw_rate rate{uniform(1, 3), uniform(1, 7)};
+      const discrete_state s = random_live_state(d, rate, rng);
+      const std::int64_t max_steps = uniform(1, uniform(0, 1) ? 40 : 3000);
+      ++seen[static_cast<std::size_t>(classify(d, s, rate, max_steps))];
+
+      discrete_state fast = s;
+      discrete_state ref = s;
+      const advance_result a = detail::advance_state(d, fast, rate, max_steps);
+      ASSERT_GE(a.steps, 1);
+      ASSERT_LE(a.steps, max_steps);
+      std::int64_t ticks = 0;
+      step_event ev = step_event::none;
+      while (ticks < max_steps && ev != step_event::died) {
+        ev = step(d, ref, rate);
+        ++ticks;
+      }
+      ASSERT_EQ(a.steps, ticks) << "trial " << trial;
+      ASSERT_EQ(a.event == step_event::died, ev == step_event::died);
+      ASSERT_EQ(fast, ref) << "trial " << trial;
+    }
+  }
+  for (std::size_t k = 0; k < seen.size(); ++k) {
+    EXPECT_GT(seen[k], 0u) << "first-run case " << k << " never drawn";
+  }
+}
+
 TEST(AdvanceUntil, IdleAdvanceMatchesPerTickRecovery) {
   const discretization d = paper_disc_b1();
   discrete_state fast = full_discrete(d);

@@ -22,6 +22,7 @@
 #include "api/scenario.hpp"
 #include "api/sweep.hpp"
 #include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "support/fleet.hpp"
@@ -70,6 +71,12 @@ snapshot delta(const snapshot& before, const snapshot& after,
   return out;
 }
 
+/// One counter add as a BSCHED_COUNTER_ADD hook makes it: through this
+/// thread's cell of the counter.
+void add(registry& reg, std::size_t id, std::uint64_t delta = 1) {
+  detail::add(reg.counter_cell(id), delta);
+}
+
 TEST(ObsMetrics, ConcurrentIncrementsFoldExactly) {
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kIncrements = 10000;
@@ -80,7 +87,7 @@ TEST(ObsMetrics, ConcurrentIncrementsFoldExactly) {
   pool.reserve(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t) {
     pool.emplace_back([&reg, id] {
-      for (std::size_t i = 0; i < kIncrements; ++i) reg.add(id);
+      for (std::size_t i = 0; i < kIncrements; ++i) add(reg, id);
     });
   }
   for (auto& th : pool) th.join();
@@ -130,13 +137,55 @@ TEST(ObsMetrics, ShortLivedThreadsKeepTheirCounts) {
   const snapshot before = reg.scrape();
   std::uint64_t expected = 0;
   for (std::uint64_t t = 1; t <= 16; ++t) {
-    std::thread([&reg, id, t] { reg.add(id, t); }).join();
+    std::thread([&reg, id, t] { add(reg, id, t); }).join();
     expected += t;
     const snapshot snap = delta(before, reg.scrape(), "test.churn.");
     ASSERT_EQ(snap.counters.size(), 1u);
     EXPECT_EQ(snap.counters[0].value, expected) << "after thread " << t;
   }
 }
+
+#ifdef BSCHED_OBS_ENABLED
+/// One BSCHED_COUNTER_ADD site that every thread of the test below shares.
+void hook_add(std::uint64_t delta) {
+  BSCHED_COUNTER_ADD("test.hook.adds_total", delta);
+}
+
+TEST(ObsMetrics, OneHookSiteSumsExactlyAcrossThreads) {
+  // The site caches each thread's cell pointer in a thread_local. Threads
+  // running at once bind distinct shards; a short-lived thread's
+  // successor adopts its parked shard and binds that cell afresh. Either
+  // way the fold is exact.
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kIncrements = 10000;
+  hook_add(0);  // registers the counter
+  registry& reg = registry::global();
+  const snapshot before = reg.scrape();
+  const auto added = [&] {
+    const snapshot snap = delta(before, reg.scrape(), "test.hook.");
+    EXPECT_EQ(snap.counters.size(), 1u);
+    return snap.counters.empty() ? 0 : snap.counters[0].value;
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    pool.emplace_back([] {
+      for (std::size_t i = 0; i < kIncrements; ++i) hook_add(1);
+    });
+  }
+  for (auto& th : pool) th.join();
+  std::uint64_t expected = kThreads * kIncrements;
+  EXPECT_EQ(added(), expected);
+
+  for (std::uint64_t t = 1; t <= 16; ++t) {
+    std::thread([t] { hook_add(t); }).join();
+    expected += t;
+    EXPECT_EQ(added(), expected) << "after short-lived thread " << t;
+  }
+  hook_add(5);
+  EXPECT_EQ(added(), expected + 5);
+}
+#endif
 
 TEST(ObsMetrics, HistogramBucketBoundariesAreClosedAbove) {
   registry& reg = registry::global();
@@ -195,18 +244,20 @@ TEST(ObsMetrics, WrongKindUseThrowsWithTheMetricName) {
   };
   EXPECT_EQ(message([&] { reg.set(c, 1.0); }),
             "obs: metric 'test.misuse.counter_total' used as the wrong kind");
-  EXPECT_EQ(message([&] { reg.add(g); }),
+  EXPECT_EQ(message([&] { (void)reg.counter_cell(g); }),
             "obs: metric 'test.misuse.gauge' used as the wrong kind");
   EXPECT_EQ(message([&] { reg.observe(c, 1.0); }),
             "obs: metric 'test.misuse.counter_total' used as the wrong kind");
-  EXPECT_EQ(message([&] { reg.add(std::numeric_limits<std::size_t>::max()); }),
+  EXPECT_EQ(message([&] {
+              (void)reg.counter_cell(std::numeric_limits<std::size_t>::max());
+            }),
             "obs: metric id out of range");
 }
 
 TEST(ObsMetrics, ScrapeIsDeterministic) {
   registry& reg = registry::global();
-  reg.add(reg.counter("test.scrape.b.counter_total"), 3);
-  reg.add(reg.counter("test.scrape.a.counter_total"), 1);
+  add(reg, reg.counter("test.scrape.b.counter_total"), 3);
+  add(reg, reg.counter("test.scrape.a.counter_total"), 1);
   reg.set(reg.gauge("test.scrape.z.gauge"), 2.5);
   reg.observe(reg.histogram("test.scrape.m.hist", {1.0}), 0.5);
 
@@ -264,7 +315,7 @@ TEST(ObsTelemetry, RoundTripsThroughTheWireFormat) {
   const std::size_t c = reg.counter("test.wire.c.one_total");
   const std::size_t h = reg.histogram("test.wire.h.lat", {0.001, 0.1, 10.0});
   const snapshot before = reg.scrape();
-  reg.add(c, 42);
+  add(reg, c, 42);
   reg.set(reg.gauge("test.wire.g.pi"), 3.141592653589793);
   reg.set(reg.gauge("test.wire.g.tiny"), 1e-300);
   reg.observe(h, 0.0005);

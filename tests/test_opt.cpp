@@ -264,6 +264,38 @@ INSTANTIATE_TEST_SUITE_P(
       return n;
     });
 
+TEST(SearchGolden, ThreeBatteryStatsAreBitIdentical) {
+  // The same effort golden on 3 x B1, where a memo key frame is five
+  // words (hash, epoch and three packed states): node, memo-hit and
+  // bound-prune counts, lifetimes and decisions, recorded before the memo
+  // probes were tag-filtered and the bound walk's divide narrowed.
+  struct row {
+    load::test_load load;
+    double lifetime;
+    const char* decisions;
+    std::uint64_t nodes;
+    std::uint64_t memo_hits;
+    std::uint64_t pruned_by_bound;
+  };
+  const row rows[] = {
+      {load::test_load::cl_alt, 11.32, "00112020120122", 493, 26, 1176},
+      {load::test_load::ils_500, 20.40, "0011202101211", 475, 25, 595},
+      {load::test_load::ill_500, 40.00, "0112012021010202", 2828, 38, 3455},
+      {load::test_load::ils_r2, 30.94, "001002211020210121", 12769, 80,
+       18781},
+  };
+  const auto d = disc_b1();
+  for (const row& r : rows) {
+    SCOPED_TRACE(load::name(r.load));
+    const optimal_result best = optimal_schedule(d, 3, load::paper_trace(r.load));
+    EXPECT_NEAR(best.lifetime_min, r.lifetime, 1e-9);
+    EXPECT_EQ(decision_digits(best.decisions), r.decisions);
+    EXPECT_EQ(best.stats.nodes, r.nodes);
+    EXPECT_EQ(best.stats.memo_hits, r.memo_hits);
+    EXPECT_EQ(best.stats.pruned_by_bound, r.pruned_by_bound);
+  }
+}
+
 // --- Heterogeneous banks. ---
 
 TEST(Heterogeneous, OptStrictlyBeatsGreedyOnMixedCapacities) {
